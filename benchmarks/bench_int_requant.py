@@ -2,8 +2,9 @@
 
 ``mode="int"`` replaces the float dequant of every frozen layer with
 fixed-point arithmetic: the GEMMs run on an exact-integer ``float32``
-carrier, and everything between the input quantizer and the output dequant
-is ``int64`` multiplies and arithmetic shifts (see ``repro.core.requant``).
+carrier, the ADC stage on an exact ``float64`` carrier (bit-identical to
+``int64`` multiplies and arithmetic shifts), and the bias fold and output
+rounding in ``int64`` (see ``repro.core.requant``).
 This benchmark pins the three contracts of that route on one model:
 
 * **accuracy**: top-1 predictions agree on every sample, and nearly all
@@ -20,8 +21,9 @@ This benchmark pins the three contracts of that route on one model:
   the fraction of samples within the declared bound;
 * **throughput**: at the default scale the integer route is at least 1.2x
   faster than the float reference on batched execution — the narrower GEMM
-  carrier and the cache-blocked fixed-point passes beat the float path's
-  float64 GEMMs + per-array dequant chain;
+  carrier and the cache-blocked ADC passes beat the float path's
+  float64 GEMMs + per-array dequant chain (``BENCH_int.json`` records
+  the measured ratio);
 * **memory**: the integer route's per-layer GEMM operands are roughly half
   the float route's (float32 vs float64 weight matrices); both footprints
   are recorded.

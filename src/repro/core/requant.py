@@ -18,11 +18,13 @@ the PerClusterQuantization exemplar (and gemmlowp/TFLite before it) uses:
   pure ``int64`` arithmetic — no Python-float intermediate can round — with
   optional saturation bounds (the ADC clip range, or int8 output bounds);
 * :func:`requantize_up` is the sign-uniform variant (``floor(q + 1/2)``,
-  i.e. half-toward-+inf): one add and one arithmetic shift, no sign
-  handling — the convention the vectorized ADC stage executes, because it
-  costs three ``int64`` passes fewer per partial sum and the exhaustive
-  per-column verification below makes the tie convention irrelevant (the
-  mantissas are *repaired* until the codes match the float oracle exactly);
+  i.e. half-toward-+inf): one add and one floor, no sign handling — the
+  convention the vectorized ADC stage executes, because it needs no
+  per-sign passes and the exhaustive per-column verification below makes
+  the tie convention irrelevant (the mantissas are *repaired* until the
+  codes match the float oracle exactly).  It is the ``int64`` reference of
+  the executed stage, which runs on an exact ``float64`` carrier (see
+  below);
 * :func:`compile_requant` derives a layer's full
   :class:`RequantConstants` — output scale, fixed-point multipliers, the
   ``int32``/``int64`` bias fold and the exact-integer GEMM carrier — from the
@@ -43,9 +45,33 @@ layers): every product and every partial sum of the GEMM is an integer whose
 magnitude :func:`compile_requant` bounds at compile time (``acc_bound``)
 below the carrier's exact-integer range (``2**24`` / ``2**53``), so the BLAS
 GEMM performs *integer arithmetic in IEEE clothing* — bit-exactly the sums an
-int32 MAC array would produce — at SIMD float speed.  Everything after the
-GEMM (multipliers, bias fold, rounding shift, saturation) is genuine
-``int64`` math.
+int32 MAC array would produce — at SIMD float speed.
+
+Exact float64 ADC carrier
+-------------------------
+The same trick covers the per-column ADC stage, where NumPy has no SIMD
+``int64`` multiply or variable shift.  The integer route computes each code
+as ``clip(floor(p * mu + 1/2))`` in ``float64`` with ``mu = M0 * 2**-shift``
+(exact: ``M0 < 2**31``), then reduces the codes against ``m0_out`` with a
+``float64`` contraction.  Both are bit-identical to :func:`requantize_up`
+followed by an ``int64`` reduce:
+
+* inside the non-saturating region ``|p * M0| < (max|q| + 1) * 2**shift``
+  the rounding numerator ``p * M0 + 2**(shift-1)`` is an integer below
+  ``(max|q| + 1.5) * 2**shift <= 2**53`` — guaranteed by capping the ADC
+  shift at :func:`adc_shift_cap` — so ``p * mu + 1/2`` is exact and its
+  floor *is* the arithmetic shift, ties included;
+* outside it the exact value lies beyond ``qmin - 1`` or ``qmax + 1``;
+  float rounding is monotone and those integers are representable, so
+  both routes saturate to the same bound;
+* every reduce term is an integer and the whole sum stays below
+  ``A * S * max|q| * max(m0_out) < 2**53``, so every summation order
+  yields the same exact integer.
+
+:func:`check_adc_carrier` enforces both preconditions on every plan that
+executes the stage, compiled or loaded.  The fused route's multipliers,
+the bias fold and the single output rounding shift stay genuine ``int64``
+math.
 """
 
 from __future__ import annotations
@@ -66,6 +92,11 @@ __all__ = [
     "quantize_multipliers",
     "requantize",
     "requantize_up",
+    "adc_shift_cap",
+    "CarrierRangeError",
+    "check_adc_carrier",
+    "carrier_multiplier",
+    "requantize_up_f64",
     "RequantConstants",
     "compile_requant",
 ]
@@ -93,6 +124,81 @@ MAX_SHIFT = 55
 #: the shared shift by 24; the ``int64`` overflow analysis is unchanged
 #: because the mantissas still cap at ``2**31``.
 OUTPUT_FRACTION_BITS = 24
+
+#: Significand bits of ``float64``: every integer up to ``2**53`` is exact.
+_FLOAT64_EXACT_BITS = 53
+
+
+def adc_shift_cap(qmin: float, qmax: float) -> int:
+    """Largest ADC shift the ``float64`` carrier executes exactly.
+
+    ``53 - ceil(log2(max|q| + 1.5))`` for the ADC code range
+    ``[qmin, qmax]``: the rounding numerator of every non-saturating partial
+    sum then stays within ``2**53`` (see the module docstring).
+    """
+    amax = int(max(abs(qmin), abs(qmax)))
+    # ceil(log2(amax + 1.5)) == ceil(log2(2*amax + 3)) - 1, in exact ints
+    return _FLOAT64_EXACT_BITS - ((2 * amax + 2).bit_length() - 1)
+
+
+class CarrierRangeError(ValueError):
+    """ADC requant constants outside the exact range of the ``float64`` carrier.
+
+    Raised when a plan is built from constants the integer route cannot
+    execute bit-exactly — in practice an artifact from outside this
+    program, since :func:`compile_requant` caps its shifts.
+    """
+
+
+def check_adc_carrier(rq: "RequantConstants", qmin: float,
+                      qmax: float) -> None:
+    """Raise :class:`CarrierRangeError` unless the ADC stage of ``rq`` is exact.
+
+    Checks the two preconditions of the ``float64`` carrier for ADC codes in
+    ``[qmin, qmax]``: every ``shift_adc`` within ``[0, adc_shift_cap]`` with
+    int32 mantissas ``m0_adc``, and the reduce bound
+    ``A * S * max|q| * max(m0_out) < 2**53``.
+    """
+    cap = adc_shift_cap(qmin, qmax)
+    shift, m0_out = rq.shift_adc, rq.m0_out
+    if int(shift.min()) < 0 or int(shift.max()) > cap:
+        raise CarrierRangeError(
+            f"ADC shifts span [{int(shift.min())}, {int(shift.max())}], "
+            f"outside the exact float64 carrier range [0, {cap}]")
+    for m0 in (rq.m0_adc, m0_out):
+        if int(m0.min()) < 0 or int(m0.max()) > INT32_MAX:
+            raise CarrierRangeError(
+                "ADC mantissas must lie in [0, 2**31 - 1]")
+    n_arrays, n_splits, _ = m0_out.shape
+    amax = int(max(abs(qmin), abs(qmax)))
+    mass = n_arrays * n_splits * amax * int(m0_out.max())
+    if mass >= 2 ** _FLOAT64_EXACT_BITS:
+        raise CarrierRangeError(
+            f"ADC reduce bound {n_arrays} arrays x {n_splits} splits x "
+            f"{amax} x max(m0_out) reaches 2**53; the float64 reduce "
+            "would round")
+
+
+def carrier_multiplier(m0, shift) -> np.ndarray:
+    """The ADC divide ``M0 * 2**-shift`` as an exact ``float64`` array."""
+    return np.ldexp(np.asarray(m0, dtype=np.float64),
+                    -np.asarray(shift, dtype=np.int64))
+
+
+def requantize_up_f64(b: np.ndarray, mu, qmin: float,
+                      qmax: float) -> np.ndarray:
+    """:func:`requantize_up` on the exact ``float64`` carrier, in place.
+
+    ``b`` holds integer partial sums ``p`` as ``float64``; on return it holds
+    ``clip(floor(p * mu + 1/2), qmin, qmax)`` with ``mu`` from
+    :func:`carrier_multiplier` — bit-identical to ``requantize_up(p, M0,
+    shift, qmin, qmax)`` whenever :func:`check_adc_carrier` accepts the
+    constants (argument in the module docstring).  Returns ``b``.
+    """
+    b *= mu
+    b += 0.5
+    np.clip(b, qmin, qmax, out=b)
+    return np.floor(b, out=b)
 
 
 def quantize_multipliers(m: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -179,9 +285,11 @@ def requantize_up(acc, m0, shift, qmin: Optional[int] = None,
 
     Rounds halves toward +inf for *both* signs — ``(prod + 2**(shift-1)) >>
     shift`` with an arithmetic (flooring) right shift, no sign split.  This
-    is the convention of the integer ADC stage: it saves the absolute-value /
-    sign-restore passes of :func:`requantize` in the hottest loop of the
-    integer route, and the exhaustive window verification of
+    is the convention of the integer ADC stage — executed by
+    :func:`requantize_up_f64` on the exact ``float64`` carrier, with this
+    function as its ``int64`` reference: it needs no absolute-value /
+    sign-restore passes in the hottest loop of the integer route, and the
+    exhaustive window verification of
     :func:`_verified_adc_multipliers` repairs the mantissas under *this*
     convention, so the executed codes still match the float oracle exactly.
     Same broadcasting, overflow preconditions and saturation arguments as
@@ -328,6 +436,27 @@ def _repair_adc_multiplier(p: np.ndarray, oracle: np.ndarray, half: int,
     return min(max(m0, lo), hi)
 
 
+def _adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Nearest per-column ``(M0, shift)`` encoding of ``1/s_p``, unverified.
+
+    Each shift uses the full 31-bit mantissa range, clipped to
+    ``[0, adc_shift_cap(qmin, qmax)]``; returns ``int64`` arrays.
+    """
+    m = 1.0 / np.asarray(s_p_cols, dtype=np.float64)
+    if m.size == 0 or not np.all(np.isfinite(m)) or float(m.min()) <= 0.0:
+        raise ValueError("partial-sum scales must be finite and positive")
+    shift = np.floor(31.0 - np.log2(m)).astype(np.int64)
+    np.clip(shift, 0, adc_shift_cap(qmin, qmax), out=shift)
+    m0 = np.round(m * np.exp2(shift.astype(np.float64)))
+    over = (m0 > INT32_MAX) & (shift > 0)
+    while np.any(over):
+        shift[over] -= 1
+        m0 = np.round(m * np.exp2(shift.astype(np.float64)))
+        over = (m0 > INT32_MAX) & (shift > 0)
+    return np.clip(m0, 0, INT32_MAX).astype(np.int64), shift
+
+
 def _verified_adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float,
                               dtype: np.dtype
                               ) -> Tuple[np.ndarray, int, np.ndarray]:
@@ -349,7 +478,10 @@ def _verified_adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float,
     ordinary columns would be left with one-bit mantissas.  A shift below 0
     (``1/s_p`` beyond int32) saturates at ``M0 = INT32_MAX, shift = 0`` —
     such a column clips every nonzero partial sum, exactly like the float
-    route does.
+    route does.  Shifts are capped at :func:`adc_shift_cap` so the executed
+    ``float64`` carrier stays exact; a very small ``1/s_p`` then gets a
+    shorter mantissa, which the verification below still holds to the
+    oracle's codes.
 
     Returns ``(m0, shift, unverified)`` with ``m0`` / ``shift`` / ``unverified``
     per-column arrays; ``unverified`` marks the columns whose float tie
@@ -358,18 +490,7 @@ def _verified_adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float,
     their worst-case one-code slip is charged to the layer's declared drift
     bound instead.
     """
-    m = 1.0 / np.asarray(s_p_cols, dtype=np.float64)
-    if m.size == 0 or not np.all(np.isfinite(m)) or float(m.min()) <= 0.0:
-        raise ValueError("partial-sum scales must be finite and positive")
-    shift = np.floor(31.0 - np.log2(m)).astype(np.int64)
-    np.clip(shift, 0, MAX_SHIFT, out=shift)
-    m0 = np.round(m * np.exp2(shift.astype(np.float64)))
-    over = (m0 > INT32_MAX) & (shift > 0)
-    while np.any(over):
-        shift[over] -= 1
-        m0 = np.round(m * np.exp2(shift.astype(np.float64)))
-        over = (m0 > INT32_MAX) & (shift > 0)
-    m064 = np.clip(m0, 0, INT32_MAX).astype(np.int64)
+    m064, shift = _adc_multipliers(s_p_cols, qmin, qmax)
     p_lo = np.floor((qmin - 0.5) * s_p_cols).astype(np.int64) - 1
     p_hi = np.ceil((qmax + 0.5) * s_p_cols).astype(np.int64) + 1
     n_cols = int(s_p_cols.shape[0])

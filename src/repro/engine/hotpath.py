@@ -1,4 +1,4 @@
-"""Hot-path registry and thread-local workspace buffers.
+"""Hot-path registry and per-owner, thread-local workspace buffers.
 
 Two tools for the engine's steady-state zero-allocation discipline,
 enforced statically by ``tools/analyze`` (hot-path-allocation pass):
@@ -7,28 +7,28 @@ enforced statically by ``tools/analyze`` (hot-path-allocation pass):
   function is *registered hot*: the analyzer forbids NumPy array
   constructors (``np.zeros/empty/concatenate`` and friends),
   comprehensions, and closure creation inside it.  Allocation must
-  instead route through ``out=`` arguments or :func:`scratch`.
+  instead route through ``out=`` arguments or a :class:`ScratchTable`.
 
-* :func:`scratch` — keyed, thread-local, reusable buffers.  The first
-  call for a ``(key, shape, dtype)`` allocates with ``np.empty``; every
-  subsequent call from the same thread with the same shape returns the
-  same array, so a steady-state serving loop stops allocating entirely.
-  Buffers are uninitialized on reuse, exactly like ``np.empty`` — the
-  caller must fully overwrite before reading.  Thread-locality makes the
-  buffers safe under the shard pool (each worker thread gets its own
-  set) but also means a buffer must never escape to another thread: use
-  a scratch array only for intermediates consumed before the function's
-  caller returns, never for returned results.
+* :class:`ScratchTable` — keyed, thread-local, reusable buffers owned by
+  one object (a layer plan holds one).  The first call for a ``(key,
+  shape, dtype)`` allocates with ``np.empty``; every subsequent call from
+  the same thread with the same shape returns the same array, so a
+  steady-state serving loop stops allocating entirely.  Buffers are
+  uninitialized on reuse, exactly like ``np.empty`` — the caller must
+  fully overwrite before reading.  Thread-locality makes the buffers safe
+  under the shard pool (each worker thread gets its own set) but also
+  means a buffer must never escape to another thread: use a scratch array
+  only for intermediates consumed before the function's caller returns,
+  never for returned results.  Because the table lives on its owner, every
+  thread's buffers are freed together with the owner.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Tuple
+from typing import Hashable, Tuple
 
 import numpy as np
-
-_TLS = threading.local()
 
 
 def hot_path(func):
@@ -41,27 +41,47 @@ def hot_path(func):
     return func
 
 
-def scratch(key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """A reusable thread-local buffer of exactly ``shape`` and ``dtype``.
+class ScratchTable(threading.local):
+    """Reusable buffers of one owner, private to each calling thread.
 
-    Contents are undefined (like ``np.empty``); the buffer is replaced
-    when ``shape`` or ``dtype`` changes for the same ``key``.  Thread-safe
-    by construction: every thread owns a private buffer table, so two
-    shard workers can never hand each other the same array.
+    Call the table as ``table(key, shape, dtype)`` to get a buffer of
+    exactly ``shape`` and ``dtype``.  Contents are undefined (like
+    ``np.empty``); the buffer is replaced when ``shape`` or ``dtype``
+    changes for the same ``key``.
+
+    Thread-safe by construction: a ``threading.local`` gives every thread
+    a private buffer dict, so two shard workers never receive the same
+    array.  The dicts die with the table, so an owner that holds its table
+    in a field releases every thread's buffers when it is dropped.
     """
-    buffers = getattr(_TLS, "buffers", None)
-    if buffers is None:
-        buffers = _TLS.buffers = {}
-    buf = buffers.get(key)
-    if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
-        buf = buffers[key] = np.empty(shape, dtype)
-    return buf
+
+    def __init__(self):
+        self.buffers = {}
+
+    def __call__(self, key: Hashable, shape: Tuple[int, ...],
+                 dtype) -> np.ndarray:
+        """The calling thread's buffer for ``key``, (re)allocated to fit.
+
+        Thread-safe: each thread sees only its own buffers.
+        """
+        buf = self.buffers.get(key)
+        if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
+            buf = self.buffers[key] = np.empty(shape, dtype)
+        return buf
+
+    def __len__(self) -> int:
+        """Number of live buffers the calling thread holds in this table.
+
+        Thread-safe: counts only the calling thread's buffers.
+        """
+        return len(self.buffers)
+
+    def __reduce__(self):
+        """Copies and pickles start empty, so their owners stay copyable.
+
+        Thread-safe: reads no buffers.
+        """
+        return (ScratchTable, ())
 
 
-def scratch_buffers() -> int:
-    """Number of live scratch buffers owned by the calling thread."""
-    buffers = getattr(_TLS, "buffers", None)
-    return len(buffers) if buffers else 0
-
-
-__all__ = ["hot_path", "scratch", "scratch_buffers"]
+__all__ = ["hot_path", "ScratchTable"]

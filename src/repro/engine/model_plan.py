@@ -43,6 +43,7 @@ import numpy as np
 
 from ..core.cim_conv import CIMConv2d
 from ..core.cim_linear import CIMLinear
+from ..core.requant import CarrierRangeError
 from ..nn import functional as F
 from ..nn.layers import (AvgPool2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d,
                          Identity, Linear, MaxPool2d, ReLU, ReLU6)
@@ -695,7 +696,9 @@ def load_model_plan(path, mode: str = "float", compile: bool = False):
     :meth:`ModelPlan.compile`'s scheduled executor instead of the
     interpreter — same ``execute`` surface, so runners and servers pick it
     up unchanged.  Raises :class:`ModelPlanError` on a corrupted manifest,
-    an unknown format/version, or missing array entries.
+    an unknown format/version, missing array entries, or requant constants
+    the integer route cannot execute exactly
+    (:class:`~repro.core.requant.CarrierRangeError`, chained as the cause).
     """
     with np.load(path) as archive:
         if "__manifest__" not in archive.files:
@@ -734,6 +737,9 @@ def load_model_plan(path, mode: str = "float", compile: bool = False):
                          output_id=int(manifest["output"]),
                          dtype=normalize_dtype(manifest.get("dtype", "float64")),
                          name=manifest.get("name", ""))
+    except CarrierRangeError as error:
+        raise ModelPlanError(f"{path}: unsupported requant constants: "
+                             f"{error}") from error
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as error:
         raise ModelPlanError(f"{path}: corrupted manifest: {error}") from error
     if mode != "float":

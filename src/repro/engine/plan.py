@@ -35,6 +35,14 @@ quantized path (partial-sum quantization enabled)
     with a single batched GEMM over arrays, quantizes in place, and reduces
     with one ``einsum`` against the folded multiplier ``M``.
 
+``mode="int"`` executes either strategy on integer codes instead (see
+:meth:`_PlanBase._contract_int` and :mod:`repro.core.requant`): the GEMMs
+run on an exact-integer float carrier, the quantized path's per-column ADC
+divide, rounding, clip and reduce run on an exact ``float64`` carrier —
+bit-identical to the ``int64`` fixed-point reference — and the multipliers
+of the fused path, the bias fold and the output rounding shift run in
+``int64``.  Only the final per-channel dequant rounds.
+
 Plans are plain data (NumPy arrays + geometry) and can be serialized with
 :func:`save_plan` / :func:`load_plan`; the crossbar mapping travels along via
 :func:`repro.cim.tiling.mapping_to_dict`.
@@ -50,9 +58,10 @@ import numpy as np
 
 from ..cim.tiling import WeightMapping, mapping_from_dict, mapping_to_dict
 from ..core.pipeline import varied_splits
-from ..core.requant import RequantConstants, requantize
+from ..core.requant import (RequantConstants, carrier_multiplier,
+                             check_adc_carrier, requantize_up_f64)
 from ..nn import functional as F
-from .hotpath import hot_path, scratch
+from .hotpath import ScratchTable, hot_path
 
 __all__ = [
     "ConvPlan",
@@ -70,6 +79,11 @@ __all__ = [
     "save_plan",
     "load_plan",
 ]
+
+
+#: Target element count of one cache block of the integer route's ADC stage
+#: (float64, so 512 KiB).
+_ADC_BLOCK = 1 << 16
 
 
 class PlanNotReadyError(RuntimeError):
@@ -144,6 +158,9 @@ class _PlanBase:
     w_eff_valid: np.ndarray = field(init=False, repr=False, default=None)
     s_p_full: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     m_fold: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    # per-thread hot-path buffers, freed with the plan
+    _scratch: ScratchTable = field(init=False, repr=False, compare=False,
+                                   default_factory=ScratchTable)
 
     def __post_init__(self):
         self._build_derived()
@@ -186,13 +203,17 @@ class _PlanBase:
 
         The integer operands are carried in the exact-integer GEMM dtype the
         compiler certified (``requant.gemm_dtype`` — see
-        :mod:`repro.core.requant`); the fixed-point multipliers are widened
+        :mod:`repro.core.requant`).  The ADC stage's divide ``m0_adc *
+        2**-shift_adc`` and reduce weights ``m0_out`` become exact
+        ``float64`` operands, after :func:`~repro.core.requant.
+        check_adc_carrier` has confirmed the constants keep that carrier
+        exact (raising :class:`~repro.core.requant.CarrierRangeError` for an
+        artifact that does not); the fused route's multipliers are widened
         to ``int64`` once so the hot loop multiplies without per-batch casts.
         """
         rq = self.requant
         self._w_int_mats = self._w_split_int_mats = None
-        self._m0_fused64 = self._m0_adc64 = self._m0_out64 = None
-        self._shift_adc64 = self._half_adc64 = None
+        self._m0_fused64 = self._mu_adc = self._m0_out_f64 = None
         self._half_out = self._shift_out = None
         self._s_out_cast = None
         if rq is None:
@@ -200,17 +221,20 @@ class _PlanBase:
         carrier = np.dtype(rq.gemm_dtype)
         s, _, _, oc = self.splits.shape
         if self.psum_quant_enabled:
+            check_adc_carrier(rq, self.psum_qmin, self.psum_qmax)
+            # per-array (S*OC, rows_a) weights: the GEMM writes partial sums
+            # channel-major, (S*OC, NL), so the ADC passes run along the
+            # long contiguous batch axis
             self._w_split_int_mats = [
                 np.ascontiguousarray(
-                    self.splits[:, i, :stop - start, :].transpose(1, 0, 2)
-                    .astype(carrier)).reshape(stop - start, s * oc)
+                    self.splits[:, i, :stop - start, :].transpose(0, 2, 1)
+                    .astype(carrier)).reshape(s * oc, stop - start)
                 for i, (start, stop) in enumerate(self.row_slices)]
-            # broadcast-ready (A, 1, S, OC) views so the hot loop applies
-            # every array's constants in one vectorized in-place pass
-            self._m0_adc64 = rq.m0_adc.astype(np.int64)[:, None]
-            self._shift_adc64 = rq.shift_adc.astype(np.int64)[:, None]
-            self._half_adc64 = (np.int64(1) << self._shift_adc64) >> np.int64(1)
-            self._m0_out64 = rq.m0_out.astype(np.int64)
+            # broadcast-ready (A, S, OC, 1) so the hot loop applies every
+            # array's ADC divide in one vectorized pass
+            self._mu_adc = carrier_multiplier(rq.m0_adc,
+                                              rq.shift_adc)[..., None]
+            self._m0_out_f64 = rq.m0_out.astype(np.float64)
         else:
             self._w_int_mats = [
                 np.ascontiguousarray(
@@ -285,14 +309,15 @@ class _PlanBase:
         ``float32`` carrier every downstream unfold and GEMM then moves half
         the bytes.
 
-        Registered hot: the code array is a thread-local :func:`scratch`
-        buffer, fully overwritten by the rounding pass and consumed (by the
-        unfold/GEMM) before this request returns — steady-state calls with a
-        stable batch shape allocate nothing.
+        Registered hot: the code array is a thread-local buffer of the
+        plan's :class:`~repro.engine.hotpath.ScratchTable`, fully
+        overwritten by the rounding pass and consumed (by the unfold/GEMM)
+        before this request returns — steady-state calls with a stable batch
+        shape allocate nothing.
         """
         a = np.clip(x / self.act_scale, self.act_qmin, self.act_qmax)
-        codes = scratch((id(self), "act_codes"), a.shape,
-                        np.dtype(self.requant.gemm_dtype))
+        codes = self._scratch("act_codes", a.shape,
+                              np.dtype(self.requant.gemm_dtype))
         return np.rint(a, out=codes, casting="unsafe")
 
     def _varied_splits(self, variation) -> np.ndarray:
@@ -360,69 +385,76 @@ class _PlanBase:
         """Integer-route contraction: ``(NL, in_features)`` to ``(NL, OC)``.
 
         Between the incoming activation codes and the final per-channel
-        output dequant (``* s_out``) every operation is integer arithmetic:
-        the GEMMs multiply integer-valued operands in the certified
-        exact-integer carrier dtype, everything downstream — ADC
-        requantization, fixed-point multipliers, the bias fold, the single
-        output rounding shift — runs in ``int64``.  The returned array is
-        the finished layer output (scale and bias already applied); callers
-        must not re-apply ``act_scale`` or ``bias``.
+        output dequant (``* s_out``) every operation is exact integer
+        arithmetic: the GEMMs multiply integer-valued operands in the
+        certified exact-integer carrier dtype; the ADC stage — per-column
+        divide, half-up rounding, saturation and the ``m0_out`` reduce —
+        runs on an exact ``float64`` carrier, bit-identical to
+        :func:`~repro.core.requant.requantize_up` plus an ``int64`` reduce
+        (the argument is in :mod:`repro.core.requant`); the fused route's
+        multipliers, the bias fold and the single output rounding shift run
+        in ``int64``.  The returned array is the finished layer output
+        (scale and bias already applied); callers must not re-apply
+        ``act_scale`` or ``bias``.
 
-        Registered hot: every intermediate lives in a thread-local
-        :func:`scratch` buffer, fully overwritten before it is read and
-        consumed before this call returns (the returned array is the fresh
-        output of the final dequant multiply, never a scratch view), so
-        steady-state calls with a stable batch shape allocate only the
-        result.  The fixed-point section is fenced with ``int-pure``
-        markers for the static analyzer.
+        Registered hot: every intermediate lives in a thread-local buffer of
+        the plan's :class:`~repro.engine.hotpath.ScratchTable`, fully
+        overwritten before it is read and consumed before this call returns
+        (the returned array is the fresh output of the final dequant
+        multiply, never a scratch view), so steady-state calls with a stable
+        batch shape allocate only the result.  The ``int64`` sections are
+        fenced with ``int-pure`` markers for the static analyzer.
         """
         rq = self.requant
         cols_c = cols_flat.astype(np.dtype(rq.gemm_dtype), copy=False)
         nl = cols_flat.shape[0]
         s, oc = self.n_splits, self.out_channels
         n_arrays = len(self.row_slices)
+        acc = self._scratch("ci_acc", (nl, oc), np.int64)
         if self.psum_quant_enabled:
-            # one GEMM per array into a shared buffer, then a single
-            # vectorized fixed-point pass over all arrays at once: the exact
-            # float-carrier partial sums cast+multiply onto int64 in one
-            # fused ufunc, then the sign-uniform half-up ADC divide of
-            # requantize_up is three in-place passes (add, shift, clip) —
-            # constants were validated and verified at build time, so the
-            # hot loop carries no per-array call or sign-handling overhead
-            p = scratch((id(self), "ci_p"), (n_arrays, nl, s * oc),
-                        cols_c.dtype)
+            # one GEMM per array into a shared buffer, then one vectorized
+            # ADC pass over all arrays at once; constants were validated and
+            # verified at build time, so the hot loop carries no per-array
+            # call or sign-handling overhead
+            p = self._scratch("ci_p", (n_arrays, s * oc, nl), cols_c.dtype)
             for i, (start, stop) in enumerate(self.row_slices):
-                np.matmul(cols_c[:, start:stop], self._w_split_int_mats[i],
+                np.matmul(self._w_split_int_mats[i], cols_c[:, start:stop].T,
                           out=p[i])
-            # the fixed-point passes are memory-bound; blocking over the
-            # batch axis keeps each block cache-resident across all of them
-            qmin_i, qmax_i = int(self.psum_qmin), int(self.psum_qmax)
-            rows = max(1, (1 << 18) // max(1, n_arrays * s * oc))
-            acc = scratch((id(self), "ci_acc"), (nl, oc), np.int64)
-            buf = scratch((id(self), "ci_buf"),
-                          (n_arrays, min(rows, max(nl, 1)), s, oc), np.int64)
-            # int-pure: begin
-            for j in range(0, nl, rows):
-                c = min(rows, nl - j)
-                b = buf[:, :c]
-                np.multiply(p[:, j:j + c].reshape(n_arrays, c, s, oc),
-                            self._m0_adc64, out=b, casting="unsafe")  # exact
-                b += self._half_adc64               # (A, 1, S, OC) bcast
-                b >>= self._shift_adc64             # arithmetic: half-up
-                np.clip(b, qmin_i, qmax_i, out=b)
-                # fused multiply-reduce: sum_{a,s} codes * m0_out -> (c, OC)
-                np.einsum("anso,aso->no", b, self._m0_out64,
-                          out=acc[j:j + c])
-            # int-pure: end
+            p = p.reshape(n_arrays, s, oc, nl)
+            # the ADC passes are memory-bound; blocking over channels (each
+            # reduces on its own) and samples keeps every block of about
+            # _ADC_BLOCK elements cache-resident across all of them
+            per_sample = n_arrays * s
+            n_blk = max(1, min(nl, _ADC_BLOCK // per_sample))
+            c_blk = max(1, _ADC_BLOCK // (per_sample * n_blk))
+            acc_t = self._scratch("ci_acct", (oc, nl), np.float64)
+            buf = self._scratch("ci_buf", (n_arrays, s, min(c_blk, oc), n_blk),
+                                np.float64)
+            for j in range(0, oc, c_blk):
+                cj = min(c_blk, oc - j)
+                mu = self._mu_adc[:, :, j:j + cj]
+                m0_out = self._m0_out_f64[:, :, j:j + cj]
+                for k in range(0, nl, n_blk):
+                    ck = min(n_blk, nl - k)
+                    b = buf[:, :, :cj, :ck]
+                    np.copyto(b, p[:, :, j:j + cj, k:k + ck])  # widen carrier
+                    requantize_up_f64(b, mu, self.psum_qmin,    # ADC codes
+                                      self.psum_qmax)
+                    # fused multiply-reduce: sum_{a,s} codes * m0_out, an
+                    # integer below 2**53, so exact in any summation order
+                    np.einsum("asxn,asx->xn", b, m0_out,
+                              out=acc_t[j:j + cj, k:k + ck])
+            np.copyto(acc, acc_t.T, casting="unsafe")
         else:
-            p = scratch((id(self), "ci_pf"), (n_arrays, nl, oc), cols_c.dtype)
+            p = self._scratch("ci_pf", (n_arrays, nl, oc), cols_c.dtype)
             for i, (start, stop) in enumerate(self.row_slices):
                 np.matmul(cols_c[:, start:stop], self._w_int_mats[i],
                           out=p[i])
+            p64 = self._scratch("ci_pf64", (n_arrays, nl, oc), np.int64)
             # int-pure: begin
-            p64 = np.multiply(p, self._m0_fused64,      # (A, 1, OC) bcast
-                              dtype=np.int64, casting="unsafe")
-            acc = p64.sum(axis=0)
+            np.multiply(p, self._m0_fused64, out=p64,   # (A, 1, OC) bcast
+                        dtype=np.int64, casting="unsafe")
+            np.add.reduce(p64, axis=0, out=acc)
             # int-pure: end
         # int-pure: begin
         if rq.bias_q is not None:
@@ -430,9 +462,9 @@ class _PlanBase:
         acc += self._half_out                # one half-up rounding shift for
         acc >>= self._shift_out              # the whole layer (see requantize_up)
         # int-pure: end
-        # output dequant fused with the cast: the only float multiply, at the
-        # layer boundary (codes are exact in float64; float32 plans narrow
-        # here exactly as the float route's output does)
+        # output dequant fused with the cast, at the layer boundary: the one
+        # inexact float multiply (codes are exact in float64; float32 plans
+        # narrow here exactly as the float route's output does)
         return np.multiply(acc, self._s_out_cast, dtype=self.np_dtype,
                            casting="unsafe")
 

@@ -5,6 +5,10 @@
 tests hold it to that claim against an arbitrary-precision
 :class:`fractions.Fraction` oracle, including the int32/int64 boundary
 magnitudes where any hidden float64 pass-through would corrupt low bits.
+The executed ADC stage runs on an exact float64 carrier instead; its tests
+hold it bit for bit to :func:`requantize_up` and an int64 reduce at the
+edges of its exactness argument (largest shift, largest mantissa,
+accumulator extremes, exact half ties, saturation).
 """
 
 from fractions import Fraction
@@ -13,9 +17,12 @@ import numpy as np
 import pytest
 
 from repro.core.requant import (INT32_MAX, INT32_MIN, MAX_SHIFT,
-                                OUTPUT_FRACTION_BITS, quantize_multiplier,
-                                quantize_multipliers, requantize,
-                                requantize_up)
+                                OUTPUT_FRACTION_BITS, CarrierRangeError,
+                                RequantConstants, _adc_multipliers,
+                                _verified_adc_multipliers, adc_shift_cap,
+                                carrier_multiplier, check_adc_carrier,
+                                quantize_multiplier, quantize_multipliers,
+                                requantize, requantize_up, requantize_up_f64)
 
 
 def exact_requant(acc: int, m0: int, shift: int) -> int:
@@ -196,3 +203,177 @@ class TestOutputGrid:
         # serialized drift bounds and the int golden fixtures are derived
         # for 24 fractional bits; changing the constant invalidates both.
         assert OUTPUT_FRACTION_BITS == 24
+
+
+# --------------------------------------------------------------------------- #
+# the exact float64 carrier of the ADC stage
+# --------------------------------------------------------------------------- #
+QMIN, QMAX = -4, 3                      # the 3-bit ADC code range
+CAP = adc_shift_cap(QMIN, QMAX)
+ACC_BOUNDS = (2 ** 24 - 1, 2 ** 30 - 1)  # float32 / float64 GEMM carriers
+
+
+def carrier_codes(p, m0, shift, qmin=QMIN, qmax=QMAX) -> np.ndarray:
+    """The executed float64 ADC stage on integer partial sums ``p``."""
+    b = np.asarray(p, dtype=np.int64).astype(np.float64)
+    return requantize_up_f64(b, carrier_multiplier(m0, shift), qmin, qmax)
+
+
+def assert_carrier_matches_int64(p, m0, shift, qmin=QMIN, qmax=QMAX):
+    got = carrier_codes(p, m0, shift, qmin, qmax)
+    want = requantize_up(p, m0, shift, qmin, qmax)
+    np.testing.assert_array_equal(got, want.astype(np.float64))
+
+
+def int_window(m0: int, shift: int, amax: int = 4) -> np.ndarray:
+    """Integer partial sums around the whole non-saturating region of
+    ``M0 * 2**-shift`` (plus a few codes of saturation on each side)."""
+    edge = ((amax + 3) << shift) // max(m0, 1) + 2
+    if edge <= 4096:
+        return np.arange(-edge, edge + 1, dtype=np.int64)
+    rng = np.random.default_rng(m0 ^ shift)
+    return np.unique(np.concatenate([
+        rng.integers(-edge, edge + 1, size=4096),
+        np.arange(-64, 65), edge - np.arange(64), -edge + np.arange(64)]))
+
+
+class TestFloat64Carrier:
+    def test_shift_cap_is_the_largest_exact_shift(self):
+        assert CAP == 50
+        for qmin, qmax in [(-4, 3), (0, 0), (-1, 1), (-128, 127), (0, 255)]:
+            cap = adc_shift_cap(qmin, qmax)
+            amax = max(abs(qmin), abs(qmax))
+            bound = Fraction(2 * amax + 3, 2)          # max|q| + 1.5
+            assert bound * 2 ** cap <= 2 ** 53 < bound * 2 ** (cap + 1)
+
+    def test_carrier_multiplier_is_exact(self):
+        m0 = np.array([1, 3, INT32_MAX, 2 ** 30 + 1])
+        shift = np.array([0, CAP, CAP, 31])
+        mu = carrier_multiplier(m0, shift)
+        for value, m, s in zip(mu, m0, shift):
+            assert Fraction(float(value)) == Fraction(int(m), 2 ** int(s))
+
+    @pytest.mark.parametrize("m0,shift", [
+        (1, 0), (INT32_MAX, 0), (3, 1), (INT32_MAX, 31), (2 ** 30, 31),
+        (INT32_MAX, CAP), (1, CAP), (12345679, 27), (2 ** 27 + 1, CAP)])
+    def test_whole_window_matches_int64(self, m0, shift):
+        assert_carrier_matches_int64(int_window(m0, shift), m0, shift)
+
+    @pytest.mark.parametrize("shift", [0, 1, 17, 31, CAP])
+    @pytest.mark.parametrize("acc_bound", ACC_BOUNDS)
+    def test_accumulator_extremes_saturate_identically(self, shift,
+                                                       acc_bound):
+        p = np.array([-acc_bound, -acc_bound + 1, acc_bound - 1, acc_bound])
+        for m0 in (1, 2 ** 16 + 1, INT32_MAX):
+            assert_carrier_matches_int64(p, m0, shift)
+
+    @pytest.mark.parametrize("shift", [1, 2, 20, 31, CAP])
+    def test_exact_half_ties_round_up(self, shift):
+        # M0 = odd * 2**j and p = u * 2**(shift-1-j) with u odd puts p * M0 on
+        # an odd multiple of 2**(shift-1): exactly halfway between two codes
+        # (j is kept large enough that |p| stays within the accumulator)
+        rng = np.random.default_rng(shift)
+        for odd in (1, 3, 5, 2 ** 20 + 1):
+            for j in range(max(0, shift - 26), min(shift, 31)):
+                m0 = odd << j
+                if m0 > INT32_MAX:
+                    break
+                u = 2 * rng.integers(-12, 12, size=16) + 1
+                p = u * (1 << (shift - 1 - j))
+                prod = [int(a) * m0 for a in p]
+                assert all(x % (1 << shift) == 1 << (shift - 1) for x in prod)
+                assert_carrier_matches_int64(p, m0, shift)
+                np.testing.assert_array_equal(
+                    carrier_codes(p, m0, shift),
+                    np.clip([exact_requant_up(a, m0, shift) for a in p],
+                            QMIN, QMAX))
+
+    def test_saturation_on_both_sides(self):
+        # first sums past qmax + 1/2 and below qmin - 1/2, then far beyond
+        m0, shift = 1, 1                               # codes = p / 2
+        p = np.array([-2 ** 29, -10, -9, -8, 5, 6, 7, 8, 2 ** 29])
+        np.testing.assert_array_equal(carrier_codes(p, m0, shift),
+                                      [-4, -4, -4, -4, 3, 3, 3, 3, 3])
+        assert_carrier_matches_int64(p, m0, shift)
+
+    def test_random_constants_match_int64(self):
+        rng = np.random.default_rng(23)
+        for _ in range(64):
+            shift = int(rng.integers(0, CAP + 1))
+            m0 = int(rng.integers(1, INT32_MAX, endpoint=True))
+            assert_carrier_matches_int64(int_window(m0, shift), m0, shift)
+
+    def test_other_code_ranges(self):
+        for qmin, qmax in [(-128, 127), (0, 15), (-1, 1)]:
+            cap = adc_shift_cap(qmin, qmax)
+            for m0, shift in [(INT32_MAX, cap), (3, 1), (2 ** 29 + 7, 33)]:
+                p = int_window(m0, shift, max(abs(qmin), abs(qmax)))
+                assert_carrier_matches_int64(p, m0, shift, qmin, qmax)
+
+    def test_float64_reduce_matches_int64_reduce(self):
+        # codes x m0_out summed over every (array, split) — here at the
+        # largest geometry the carrier guard admits with m0_out = INT32_MAX
+        rng = np.random.default_rng(3)
+        n_terms = (2 ** 53 - 1) // (4 * INT32_MAX)      # A * S at the bound
+        assert n_terms * 4 * INT32_MAX < 2 ** 53
+        codes = rng.integers(QMIN, QMAX, size=(3, n_terms), endpoint=True)
+        codes[0] = QMIN                                 # every term maximal
+        m0_out = np.full(n_terms, INT32_MAX, dtype=np.int64)
+        m0_out[1:] = rng.integers(0, INT32_MAX, size=n_terms - 1)
+        want = codes @ m0_out                           # int64 reference
+        got = np.einsum("nt,t->n", codes.astype(np.float64),
+                        m0_out.astype(np.float64))
+        np.testing.assert_array_equal(got.astype(np.int64), want)
+
+
+class TestAdcShiftCap:
+    def test_compile_caps_the_shift(self):
+        # 1/s_p = 2**-25 wants shift 56 for a full 31-bit mantissa; the
+        # carrier cap keeps it at 50 with the exact 25-bit mantissa
+        m0, shift = _adc_multipliers(np.array([2.0 ** 25, 0.37]), QMIN, QMAX)
+        assert shift[0] == CAP and m0[0] == 2 ** (CAP - 25)
+        assert shift[1] < CAP and 2 ** 30 <= m0[1] <= INT32_MAX
+
+    def test_verified_multipliers_respect_the_cap(self):
+        rng = np.random.default_rng(9)
+        s_p = np.exp(rng.uniform(-4, 3, size=64))
+        m0, shift, _ = _verified_adc_multipliers(s_p, QMIN, QMAX, np.float64)
+        assert int(shift.max()) <= CAP and int(shift.min()) >= 0
+        assert int(m0.min()) >= 0
+
+    def _constants(self, **overrides):
+        a, s, oc = 2, 3, 4
+        fields = dict(shift=20, s_out=np.ones(oc),
+                      m0_adc=np.full((a, s, oc), 2 ** 30, dtype=np.int32),
+                      shift_adc=np.full((a, s, oc), 33, dtype=np.int64),
+                      m0_out=np.full((a, s, oc), INT32_MAX, dtype=np.int32))
+        fields.update(overrides)
+        return RequantConstants(**fields)
+
+    def test_guard_accepts_compiled_ranges(self):
+        check_adc_carrier(self._constants(), QMIN, QMAX)
+        rq = self._constants(shift_adc=np.full((2, 3, 4), CAP))
+        check_adc_carrier(rq, QMIN, QMAX)
+
+    @pytest.mark.parametrize("shift", [CAP + 1, MAX_SHIFT, -1])
+    def test_guard_rejects_shift_outside_the_cap(self, shift):
+        shift_adc = np.full((2, 3, 4), 33, dtype=np.int64)
+        shift_adc[1, 2, 3] = shift
+        with pytest.raises(CarrierRangeError, match="ADC shifts"):
+            check_adc_carrier(self._constants(shift_adc=shift_adc),
+                              QMIN, QMAX)
+
+    def test_guard_rejects_out_of_range_mantissas(self):
+        m0_adc = np.full((2, 3, 4), 2 ** 32, dtype=np.int64)
+        with pytest.raises(CarrierRangeError, match="mantissas"):
+            check_adc_carrier(self._constants(m0_adc=m0_adc), QMIN, QMAX)
+
+    def test_guard_rejects_an_inexact_reduce(self):
+        n_terms = (2 ** 53) // (4 * INT32_MAX) + 1      # one term too many
+        m0_out = np.full((n_terms, 1, 1), INT32_MAX, dtype=np.int32)
+        rq = self._constants(m0_out=m0_out,
+                             m0_adc=np.ones((n_terms, 1, 1), np.int32),
+                             shift_adc=np.zeros((n_terms, 1, 1), np.int64))
+        with pytest.raises(CarrierRangeError, match="2\\*\\*53"):
+            check_adc_carrier(rq, QMIN, QMAX)
+        assert issubclass(CarrierRangeError, ValueError)

@@ -7,10 +7,21 @@ seeded random layer geometries across both layer kinds, both psum modes and
 several tile shapes; model-level tests add the end-to-end gate (max-abs
 drift + top-1 agreement), serialization pins the requant constants
 bit-exactly through the ``.npz`` round trip, and the error cases pin the
-mode-switching contract.
+mode-switching contract.  The ADC stage of the integer route runs on an
+exact float64 carrier; it is held bit for bit to a plain ``int64``
+reference (``requantize_up`` + an ``int64`` reduce) at the edges of its
+exactness argument and across every cache-blocking remainder, and loading
+refuses constants outside that argument.
 """
 
+import copy
+import gc
+import importlib
 import io
+import pickle
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +29,14 @@ import pytest
 from repro import engine
 from repro.cim import CIMConfig, QuantScheme, VariationModel
 from repro.core import CIMConv2d, CIMLinear
+from repro.core.requant import (INT32_MAX, CarrierRangeError, adc_shift_cap,
+                                requantize_up)
+from repro.engine.hotpath import ScratchTable
 from repro.models import resnet8
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
+
+plan_module = importlib.import_module("repro.engine.plan")
 
 
 def scheme(quantize_psum: bool, act_bits: int = 3,
@@ -279,3 +295,237 @@ class TestModeContract:
         out32, out64 = f32.execute(x), plan.execute(x)
         assert out32.dtype == np.float32
         assert np.abs(out32.astype(np.float64) - out64).max() <= 1e-4
+
+
+# --------------------------------------------------------------------------- #
+# the float64-carrier ADC stage against its int64 reference
+# --------------------------------------------------------------------------- #
+def int64_reference(plan, cols: np.ndarray) -> np.ndarray:
+    """The ADC route's contraction in plain ``int64``: ``requantize_up`` per
+    (array, split, column), an ``int64`` reduce, bias fold, output shift."""
+    rq = plan.requant
+    cols = cols.astype(np.int64)
+    qmin, qmax = int(plan.psum_qmin), int(plan.psum_qmax)
+    acc = np.zeros((cols.shape[0], plan.out_channels), dtype=np.int64)
+    for i, (start, stop) in enumerate(plan.row_slices):
+        w = plan.splits[:, i, :stop - start, :].astype(np.int64)
+        p = np.einsum("nr,sro->nso", cols[:, start:stop], w)
+        codes = requantize_up(p, rq.m0_adc[i], rq.shift_adc[i], qmin, qmax)
+        acc += np.einsum("nso,so->no", codes, rq.m0_out[i].astype(np.int64))
+    if rq.bias_q is not None:
+        acc += rq.bias_q
+    acc = (acc + ((1 << rq.shift) >> 1)) >> rq.shift
+    return np.multiply(acc, rq.s_out.astype(plan.np_dtype),
+                       dtype=plan.np_dtype, casting="unsafe")
+
+
+def retune(plan, case: str, rng):
+    """Overwrite a compiled plan's ADC constants with an edge ``case``."""
+    rq = plan.requant
+    shape = rq.m0_adc.shape
+    cap = adc_shift_cap(plan.psum_qmin, plan.psum_qmax)
+    if case == "shift0":              # every nonzero partial sum saturates
+        rq.m0_adc = np.full(shape, INT32_MAX, np.int32)
+        rq.shift_adc = np.zeros(shape, np.int64)
+    elif case == "cap":
+        rq.m0_adc = rng.integers(2 ** 30, INT32_MAX, size=shape,
+                                 endpoint=True).astype(np.int32)
+        rq.shift_adc = np.full(shape, cap, np.int64)
+    elif case == "int32max":          # codes ~ p / 8, largest mantissa
+        rq.m0_adc = np.full(shape, INT32_MAX, np.int32)
+        rq.shift_adc = np.full(shape, 34, np.int64)
+    elif case == "ties":              # codes = half-up(p / 2): odd p ties
+        rq.m0_adc = np.where(rng.random(shape) < 0.5, 1, 2 ** 30
+                             ).astype(np.int32)
+        rq.shift_adc = np.where(rq.m0_adc == 1, 1, 31).astype(np.int64)
+    if case != "compiled":
+        rq.m0_out = np.full(shape, INT32_MAX, np.int32)
+    plan._build_derived()
+
+
+def code_batch(plan, nl: int, rng) -> np.ndarray:
+    """Integer activation codes; the first rows drive p to +-acc_bound."""
+    width = plan.row_slices[-1][1]
+    cols = rng.integers(int(plan.act_qmin), int(plan.act_qmax),
+                        size=(nl, width), endpoint=True).astype(np.float64)
+    cols[:2] = plan.act_qmax
+    return cols
+
+
+def saturating_splits(plan):
+    """Cell codes of +1 on split 0 and -1 on split 1, so an all-max code
+    row reaches the extreme partial sums of both signs."""
+    plan.splits = plan.splits.copy()
+    plan.splits[0] = 1
+    plan.splits[1] = -1
+    plan._build_derived()
+
+
+class TestFloat64AdcStage:
+    CASES = ["compiled", "shift0", "cap", "int32max", "ties"]
+
+    @pytest.mark.parametrize("kind,tile", [("linear", (16, 1)),
+                                           ("conv", (32, 2)),
+                                           ("conv", (16, 1))])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_int64_reference(self, kind, tile, case):
+        layer, _ = make_layer(kind, True, tile, 11)
+        plan = compile_layer(layer)
+        rng = np.random.default_rng(len(case))
+        saturating_splits(plan)
+        retune(plan, case, rng)
+        for nl in (0, 1, 2, 37, 300):
+            cols = code_batch(plan, nl, rng)
+            np.testing.assert_array_equal(plan._contract_int(cols),
+                                          int64_reference(plan, cols))
+
+    @pytest.mark.parametrize("block", ["default", "tiny", "rows4", "rows3"])
+    @pytest.mark.parametrize("nl", [0, 1, 2, 3, 4, 9, 13])
+    def test_blocking_remainders(self, monkeypatch, block, nl):
+        # the ADC loop blocks over channels and batch rows; every remainder
+        # shape (nl = 0, 1, k * rows + r, a channel tail) must stay exact
+        layer, _ = make_layer("linear", True, (16, 1), 4)
+        plan = compile_layer(layer)
+        rng = np.random.default_rng(nl)
+        saturating_splits(plan)
+        retune(plan, "ties", rng)
+        per_sample = plan.n_arrays * plan.n_splits
+        size = {"default": plan_module._ADC_BLOCK, "tiny": 1,
+                "rows4": 4 * per_sample, "rows3": 3 * per_sample}[block]
+        monkeypatch.setattr(plan_module, "_ADC_BLOCK", size)
+        cols = code_batch(plan, nl, rng)
+        np.testing.assert_array_equal(plan._contract_int(cols),
+                                      int64_reference(plan, cols))
+
+    def test_public_route_matches_reference(self):
+        layer, x = make_layer("conv", True, (32, 1), 6)
+        plan = compile_layer(layer)
+        plan.set_mode("int")
+        codes = plan._quantize_acts_carrier(x).astype(np.float64)
+        cols = plan_module.F.unfold_array(codes, plan.kernel_size,
+                                          plan.stride, plan.padding,
+                                          layout="nlk")
+        ref = int64_reference(plan, cols.reshape(-1, cols.shape[2]))
+        n, oc = x.shape[0], plan.out_channels
+        ref = ref.reshape(n, -1, oc).transpose(0, 2, 1)
+        np.testing.assert_array_equal(plan.execute(x).reshape(n, oc, -1),
+                                      ref)
+
+
+class TestCarrierGuard:
+    def _tampered_layer_parts(self, key, value):
+        layer, _ = make_layer("linear", True, (16, 1), 2)
+        plan = compile_layer(layer)
+        arrays = plan_module.plan_arrays(plan)
+        arrays[key] = value(arrays[key])
+        return plan_module.plan_meta(plan), arrays
+
+    def test_shift_above_cap_is_refused(self):
+        def lift(shift):
+            shift = shift.copy()
+            shift[0, 0, 0] = adc_shift_cap(-4, 3) + 1
+            return shift
+        meta, arrays = self._tampered_layer_parts("rq_shift_adc", lift)
+        with pytest.raises(CarrierRangeError, match="ADC shifts"):
+            plan_module.plan_from_parts(meta, arrays)
+
+    def test_oversized_reduce_weights_are_refused(self):
+        meta, arrays = self._tampered_layer_parts(
+            "rq_m0_out", lambda m: np.full_like(m, INT32_MAX))
+        plan_module.plan_from_parts(meta, arrays)   # int32 weights: exact
+        meta, arrays = self._tampered_layer_parts(
+            "rq_m0_out", lambda m: np.full(m.shape, 2 ** 52, np.int64))
+        with pytest.raises(CarrierRangeError, match="mantissas"):
+            plan_module.plan_from_parts(meta, arrays)
+
+    def test_layer_artifact_load_raises_typed_error(self, tmp_path):
+        layer, _ = make_layer("conv", True, (32, 1), 3)
+        plan = compile_layer(layer)
+        path = tmp_path / "plan.npz"
+        engine.save_plan(plan, path)
+        with np.load(path) as archive:
+            stored = {key: archive[key] for key in archive.files}
+        stored["rq_shift_adc"] = np.full_like(stored["rq_shift_adc"], 55)
+        np.savez(path, **stored)
+        with pytest.raises(CarrierRangeError):
+            engine.load_plan(path, mode="int")
+
+    def test_model_artifact_load_raises_model_plan_error(self, tmp_path):
+        plan, _ = build_model_plan()
+        path = tmp_path / "model.npz"
+        engine.save_model_plan(plan, path)
+        with np.load(path) as archive:
+            stored = {key: archive[key] for key in archive.files}
+        key = next(k for k in stored if k.endswith(".rq_shift_adc"))
+        stored[key] = stored[key] + 40
+        np.savez(path, **stored)
+        with pytest.raises(engine.ModelPlanError,
+                           match="unsupported requant") as info:
+            engine.load_plan(path)
+        assert isinstance(info.value.__cause__, CarrierRangeError)
+
+
+# --------------------------------------------------------------------------- #
+# hot-path scratch buffers belong to their plan
+# --------------------------------------------------------------------------- #
+def _scratch_refs(model_plan):
+    """Weak references to every scratch buffer the calling thread holds."""
+    return [weakref.ref(buf) for lp in model_plan.layer_plans
+            for buf in lp._scratch.buffers.values()]
+
+
+class TestScratchOwnership:
+    def test_dropped_plans_release_their_buffers(self, tmp_path):
+        plan, x = build_model_plan()
+        path = tmp_path / "model.npz"
+        engine.save_model_plan(plan, path)
+        del plan
+        x = np.concatenate([x] * 4)
+        tracemalloc.start()
+        try:
+            refs, traced = [], []
+            for _ in range(8):
+                loaded = engine.load_plan(path, mode="int")
+                loaded.execute(x)
+                per_plan = sum(lp._scratch.buffers[key].nbytes
+                               for lp in loaded.layer_plans
+                               for key in lp._scratch.buffers)
+                refs.extend(_scratch_refs(loaded))
+                del loaded
+                gc.collect()
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert refs and per_plan > 0
+        assert all(ref() is None for ref in refs)   # no live scratch buffer
+        # a leak would grow by a whole plan's buffers per iteration
+        assert traced[-1] - traced[0] < per_plan // 2, (traced, per_plan)
+
+    def test_tables_are_private_per_thread_and_per_owner(self):
+        table, other = ScratchTable(), ScratchTable()
+        mine = table("k", (4,), np.float64)
+        assert table("k", (4,), np.float64) is mine
+        assert other("k", (4,), np.float64) is not mine
+        assert table("k", (5,), np.float64) is not mine   # reshaped: new
+        seen = {}
+
+        def worker():
+            seen["buf"] = table("k", (5,), np.float64)
+            seen["len"] = len(table)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert seen["buf"] is not table("k", (5,), np.float64)
+        assert seen["len"] == 1 and len(table) == 1
+
+    def test_plans_stay_copyable(self):
+        # copies get an empty table of their own and execute identically
+        layer, x = make_layer("conv", True, (16, 1), 8)
+        plan = compile_layer(layer)
+        plan.set_mode("int")
+        out = plan.execute(x)
+        for clone in (copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+            assert clone._scratch is not plan._scratch
+            assert len(clone._scratch) == 0
+            np.testing.assert_array_equal(clone.execute(x), out)

@@ -13,7 +13,7 @@ zero-allocation contract:
   ``np.ones``, ``np.full``, their ``*_like`` variants, and the
   concatenators ``np.concatenate/stack/vstack/hstack/dstack`` — which
   must instead route through ``out=`` arguments or the thread-local
-  workspace buffers of :func:`repro.engine.hotpath.scratch`;
+  workspace buffers of a :class:`repro.engine.hotpath.ScratchTable`;
 * list/set/dict comprehensions and generator expressions (each builds a
   fresh container or frame per call);
 * nested ``def``/``lambda`` (each call allocates a closure object).
@@ -120,7 +120,7 @@ class HotPathAllocationPass(AnalysisPass):
                         and parts[1] in _BANNED_NUMPY):
                     flag("hot-allocation", node,
                          f"hot path calls {name} (allocates per call); "
-                         f"route through out=/hotpath.scratch buffers")
+                         f"route through out=/ScratchTable buffers")
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                    ast.GeneratorExp)):
                 kind = type(node).__name__

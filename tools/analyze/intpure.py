@@ -3,9 +3,11 @@
 The integer execution route (``plan.py`` ``_contract_int``, the
 ``requant.py`` fixed-point primitives, and the compiler's int-route
 branches) quantizes activations into an exact-integer carrier, runs the
-accumulate + requantize stage in pure ``int64`` arithmetic, and only
-re-enters float at the single dequant multiply.  The stretch between
-those two boundaries is marked in the source::
+ADC stage on an exact ``float64`` carrier (argued exact in
+``requant.py``, not checkable lexically), and finishes in pure ``int64``
+arithmetic — the fused route's multipliers, the bias fold and the output
+rounding shift — before the single dequant multiply.  The ``int64``
+stretches are marked in the source::
 
     # int-pure: begin
     acc += self._bias_q
