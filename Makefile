@@ -7,9 +7,9 @@
 #                       hot-path allocation, int-purity, thread-safety docs
 #                       over src/repro with an empty baseline, 5s budget
 #   make test-engine  - just the frozen-engine suite
-#   make test-int     - the integer-route differential suites (fast iteration
-#                       on the requant pipeline: property tests, fuzz
-#                       differentials, golden int fixtures)
+#   make test-int     - the integer-route suites (fast iteration on the
+#                       requant pipeline: property tests, fuzz differentials,
+#                       the pure-Python integer oracle, golden int fixtures)
 #   make coverage     - line coverage gate over the engine plus the requant
 #                       pipeline modules (pytest + tools/run_coverage.py,
 #                       fails under 90%; uses the coverage package when present,
@@ -52,7 +52,7 @@ test-engine:
 	$(PYTHON) -m pytest tests/engine -q
 
 test-int:
-	$(PYTHON) -m pytest tests/core/test_requant.py tests/engine/test_int_requant.py tests/engine/test_golden.py -q
+	$(PYTHON) -m pytest tests/core/test_requant.py tests/engine/test_int_requant.py tests/engine/test_int_oracle.py tests/engine/test_golden.py -q
 
 coverage:
 	$(PYTHON) tools/run_coverage.py --source src/repro/engine --source src/repro/core/pipeline.py --source src/repro/core/requant.py --source tools/analyze --fail-under 90 tests/engine tests/core tests/tools -q

@@ -26,9 +26,21 @@ the PerClusterQuantization exemplar (and gemmlowp/TFLite before it) uses:
   the executed stage, which runs on an exact ``float64`` carrier (see
   below);
 * :func:`compile_requant` derives a layer's full
-  :class:`RequantConstants` — output scale, fixed-point multipliers, the
-  ``int32``/``int64`` bias fold and the exact-integer GEMM carrier — from the
-  same compile-state snapshot the float plan is built from.
+  :class:`RequantConstants` — accumulator scale, fixed-point multipliers,
+  the ``int64`` bias fold and the exact-integer GEMM carrier — from the
+  same compile-state snapshot the float plan is built from;
+* :class:`IntRequant` is the per-channel requant of the folded integer
+  graph (:mod:`repro.engine.intfold`): ``clip((x * M0 + b) >> shift, lo,
+  hi)`` on an integer input, the fold of a BatchNorm affine, a ReLU clamp
+  and the next layer's activation quantizer.  Its ``float64`` execution is
+  proved equal to that definition when it is built (exact by construction,
+  or checked on both sides of every step).
+
+There is no output rounding step and no declared drift bound: inside a
+model the next layer's quantizer folds into each layer's reduce, so codes
+flow from layer to layer, and the route's contract is bit-exactness
+against its integer definition.  Agreement with the float route is a
+measured statistic (``benchmarks/bench_int_requant.py``).
 
 Zero-points: every quantizer in this reproduction is LSQ, i.e. *symmetric*
 (signed weights/partial sums, unsigned post-ReLU activations anchored at 0),
@@ -69,14 +81,24 @@ followed by an ``int64`` reduce:
   yields the same exact integer.
 
 :func:`check_adc_carrier` enforces both preconditions on every plan that
-executes the stage, compiled or loaded.  The fused route's multipliers,
-the bias fold and the single output rounding shift stay genuine ``int64``
-math.
+executes the stage, compiled or loaded.  The fused route's multiply and
+reduce stay genuine ``int64`` math.
+
+With a ``float32`` GEMM carrier the codes themselves can run narrower:
+:func:`requantize_rint_f32` computes ``clip(rint(p * mu32))`` in
+``float32``, and :func:`adc_multiplier_f32` picks each column's ``mu32``
+only after proving the result equal to :func:`requantize_up` for every
+reachable partial sum — both are monotone step functions of ``p``, so both
+sides of every step and the two ends of ``[-acc_bound, acc_bound]``
+decide it.  A layer with any column that has no such ``mu32`` (e.g. exact
+half ties, which ``rint`` rounds to even) keeps the ``float64`` stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -87,7 +109,6 @@ __all__ = [
     "INT8_MIN",
     "INT8_MAX",
     "MAX_SHIFT",
-    "OUTPUT_FRACTION_BITS",
     "quantize_multiplier",
     "quantize_multipliers",
     "requantize",
@@ -97,8 +118,12 @@ __all__ = [
     "check_adc_carrier",
     "carrier_multiplier",
     "requantize_up_f64",
+    "adc_multiplier_f32",
+    "requantize_rint_f32",
     "RequantConstants",
     "compile_requant",
+    "RequantFoldError",
+    "IntRequant",
 ]
 
 INT32_MIN = -(2 ** 31)
@@ -110,20 +135,6 @@ INT8_MAX = 127
 #: inside ``int64`` for any int32 accumulator and any int32 mantissa:
 #: ``2**31 * 2**31 + 2**54 < 2**63``.
 MAX_SHIFT = 55
-
-#: Fractional bits of the integer output code below the layer's natural
-#: scale.  The output grid is ``s_a * max(multiplier) * 2**-24``, so the one
-#: rounding step of the integer route perturbs the output by at most
-#: ``2**-25`` of the natural scale — without this margin a layer's rounding
-#: noise lands near the *next* layer's activation-quantizer boundaries often
-#: enough to flip codes, and a flipped code cascades at unit scale through
-#: the remaining layers (deeper/wider models flip argmaxes).  24 bits puts
-#: the rounding term at the same order as the irreducible ``2**-32``-relative
-#: mantissa error mass, so more bits would buy nothing.  The encoded
-#: multipliers scale *up* by ``2**24`` correspondingly, which only lowers
-#: the shared shift by 24; the ``int64`` overflow analysis is unchanged
-#: because the mantissas still cap at ``2**31``.
-OUTPUT_FRACTION_BITS = 24
 
 #: Significand bits of ``float64``: every integer up to ``2**53`` is exact.
 _FLOAT64_EXACT_BITS = 53
@@ -185,20 +196,93 @@ def carrier_multiplier(m0, shift) -> np.ndarray:
                     -np.asarray(shift, dtype=np.int64))
 
 
-def requantize_up_f64(b: np.ndarray, mu, qmin: float,
-                      qmax: float) -> np.ndarray:
-    """:func:`requantize_up` on the exact ``float64`` carrier, in place.
+def requantize_up_f64(b: np.ndarray, mu, qmin: float, qmax: float,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`requantize_up` on the exact ``float64`` carrier.
 
-    ``b`` holds integer partial sums ``p`` as ``float64``; on return it holds
-    ``clip(floor(p * mu + 1/2), qmin, qmax)`` with ``mu`` from
+    ``b`` holds integer partial sums ``p`` (any float carrier); the result
+    is ``clip(floor(p * mu + 1/2), qmin, qmax)`` with ``mu`` from
     :func:`carrier_multiplier` — bit-identical to ``requantize_up(p, M0,
     shift, qmin, qmax)`` whenever :func:`check_adc_carrier` accepts the
-    constants (argument in the module docstring).  Returns ``b``.
+    constants (argument in the module docstring).  It is written in place
+    into ``b`` (a ``float64`` array), or into the ``float64`` array ``out``,
+    which then also absorbs the widening of a narrower carrier into the
+    multiply.  Returns the result array.
     """
-    b *= mu
-    b += 0.5
-    np.clip(b, qmin, qmax, out=b)
-    return np.floor(b, out=b)
+    if out is None:
+        out = b
+        b *= mu
+    else:
+        np.multiply(b, mu, out=out)
+    out += 0.5
+    np.clip(out, qmin, qmax, out=out)
+    return np.floor(out, out=out)
+
+
+def adc_multiplier_f32(rq: "RequantConstants", qmin: float,
+                       qmax: float) -> Optional[np.ndarray]:
+    """``float32`` ADC multipliers proved equal to :func:`requantize_up`.
+
+    For an exact ``float32`` GEMM carrier (``acc_bound < 2**24``) the ADC
+    code of a partial sum ``p`` can run as ``clip(rint(p * mu32), qmin,
+    qmax)`` in ``float32`` (:func:`requantize_rint_f32`), half the bytes of
+    the ``float64`` carrier, if that equals ``clip((p * M0 + 2**(shift-1))
+    >> shift)`` for every reachable ``p`` in ``[-acc_bound, acc_bound]``.
+    Both are monotone step functions of ``p`` with at most ``qmax - qmin``
+    steps, so agreement on both sides of every step of the definition and
+    at both ends of the range proves agreement everywhere.  ``mu32`` starts
+    at the float nearest ``M0 * 2**-shift``; a column that disagrees tries
+    the neighbouring floats (ties of ``rint`` round to even, the definition
+    rounds up).  Returns the ``(A, S, OC)`` multipliers, or ``None`` when
+    the carrier is not ``float32`` or some column has no such float.
+    """
+    if rq.gemm_dtype != "float32" or rq.m0_adc is None:
+        return None
+    m0 = rq.m0_adc.astype(np.int64).reshape(-1)
+    shift = rq.shift_adc.astype(np.int64).reshape(-1)
+    bound = int(rq.acc_bound)
+    half = (np.int64(1) << shift) >> np.int64(1)
+    lo, hi = int(qmin), int(qmax)
+    # first p with code >= k: ceil((k * 2**shift - half) / M0), k > lo
+    steps = np.arange(lo + 1, hi + 1, dtype=np.int64)[None, :]
+    first = -((half[:, None] - (steps << shift[:, None]))
+              // np.maximum(m0, 1)[:, None])
+    ends = np.broadcast_to(np.array([-bound, bound], np.int64),
+                           (m0.size, 2))
+    p = np.clip(np.concatenate([first - 1, first, ends], axis=1),
+                -bound, bound)                                # (cols, pts)
+    want = np.clip((p * m0[:, None] + half[:, None]) >> shift[:, None],
+                   lo, hi).astype(np.float32)
+    p32 = p.astype(np.float32)
+    nearest = np.ldexp(m0.astype(np.float64), -shift).astype(np.float32)
+    mu = nearest.copy()
+    bad = np.arange(m0.size)
+    for step in (0, 1, -1, 2, -2):     # failing columns: neighbouring floats
+        trial = nearest[bad]
+        for _ in range(abs(step)):
+            trial = np.nextafter(trial, np.float32(np.copysign(np.inf, step)))
+        got = requantize_rint_f32(p32[bad], trial[:, None], qmin, qmax,
+                                  out=np.empty((bad.size, p32.shape[1]),
+                                               np.float32))
+        fits = np.all(got == want[bad], axis=1)
+        mu[bad[fits]] = trial[fits]
+        bad = bad[~fits]
+        if not bad.size:
+            return mu.reshape(rq.m0_adc.shape)
+    return None
+
+
+def requantize_rint_f32(p: np.ndarray, mu32, qmin: float, qmax: float,
+                        out: np.ndarray) -> np.ndarray:
+    """ADC codes ``clip(rint(p * mu32), qmin, qmax)`` on ``float32``.
+
+    Equal to :func:`requantize_up` only for multipliers from
+    :func:`adc_multiplier_f32`, which proves it per column.  Writes into the
+    ``float32`` array ``out`` and returns it.
+    """
+    np.multiply(p, mu32, out=out)
+    np.rint(out, out=out)
+    return np.clip(out, qmin, qmax, out=out)
 
 
 def quantize_multipliers(m: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -319,40 +403,33 @@ def requantize_up(acc, m0, shift, qmin: Optional[int] = None,
 class RequantConstants:
     """Everything the integer execution route of one layer plan needs.
 
-    The integer route computes ``int64`` accumulator sums on a per-channel
-    *output grid* ``s_out`` (the only float constant left — it is applied
-    once, at the layer's output-dequant boundary) and reaches that grid
-    through the fixed-point multipliers below.  Two mutually exclusive
+    The integer route computes an exact integer accumulator per output
+    channel through the fixed-point multipliers below; ``s_out * 2**-shift``
+    is the real value of one accumulator unit.  Two mutually exclusive
     routes:
 
     fused (``psum_quant_enabled`` false)
-        ``acc64 = sum_a (cols_a @ w_bar_a) * m0_fused[a]``; one rounding
-        ``shift`` at the end maps the accumulator onto the output grid.
+        ``acc = sum_a (cols_a @ w_bar_a) * m0_fused[a]``.
 
     ADC (``psum_quant_enabled`` true)
         per-(split, array) partial sums requantize through ``m0_adc`` /
         ``shift_adc`` into saturated ADC codes, which then reduce through
-        ``m0_out`` and the shared output ``shift``.
+        ``m0_out``.
 
-    ``bias_q`` is the bias pre-folded onto the *accumulator* grid
-    (``round(bias / (s_out * 2**-shift))``) so it is added before the single
-    rounding shift — the whole layer rounds exactly once.
-
-    The output grid carries :data:`OUTPUT_FRACTION_BITS` fractional bits
-    below the layer's natural scale (``s_a * max(multiplier)``), so the
-    single output rounding costs ``2**-25`` of the natural scale instead of
-    half of it; the output code is correspondingly wider than int8, which is
-    free — it lives in the ``int64`` accumulator and is dequantized
-    immediately.  ``drift_bound`` is the *declared* worst-case max-abs
-    deviation from the float oracle, computed at compile time from the
-    actual multiplier/rounding error terms of this layer (see
-    :func:`compile_requant`); the differential test harness holds the
-    integer route to it.
+    ``bias_q`` is the bias pre-folded onto the accumulator grid
+    (``round(bias / (s_out * 2**-shift))``).  A stand-alone layer (and the
+    last layer of a model) dequantizes ``(acc + bias_q) * s_out * 2**-shift``
+    once, with no rounding step before it; inside a model the next
+    layer's quantizer folds into the reduce instead (see
+    :mod:`repro.engine.intfold`), which rebuilds its own multipliers from
+    the float scales, so these stored mantissas serve only the dequant.
+    Artifacts written before the output grid was dropped store ``s_out``
+    scaled by ``2**-24`` and a ``shift`` smaller by 24: the same real unit,
+    so they execute identically.
     """
 
-    shift: int                           # output rounding shift
-    s_out: np.ndarray                    # (OC,) float64 output-grid scale
-    drift_bound: float = 0.0             # declared max-abs drift vs float
+    shift: int                           # accumulator fraction bits
+    s_out: np.ndarray                    # (OC,) float64 per-channel scale
     gemm_dtype: str = "float32"          # exact-integer GEMM carrier dtype
     acc_bound: int = 0                   # compile-time max |per-array acc|
     bias_q: Optional[np.ndarray] = None  # (OC,) int64 accumulator-grid bias
@@ -375,7 +452,6 @@ class RequantConstants:
             "shift": int(self.shift),
             "gemm_dtype": self.gemm_dtype,
             "acc_bound": int(self.acc_bound),
-            "drift_bound": float(self.drift_bound),
             "zero_points": [int(self.z_in), int(self.z_w), int(self.z_out)],
         }
 
@@ -387,12 +463,15 @@ class RequantConstants:
     @classmethod
     def from_parts(cls, meta: dict, arrays: Dict[str, np.ndarray]
                    ) -> "RequantConstants":
-        """Inverse of (:meth:`meta`, :meth:`arrays`)."""
+        """Inverse of (:meth:`meta`, :meth:`arrays`).
+
+        Keys that older versions wrote and this one no longer reads (the
+        former declared drift bound) are ignored.
+        """
         z_in, z_w, z_out = meta.get("zero_points", (0, 0, 0))
         return cls(shift=int(meta["shift"]),
                    gemm_dtype=str(meta.get("gemm_dtype", "float32")),
                    acc_bound=int(meta.get("acc_bound", 0)),
-                   drift_bound=float(meta.get("drift_bound", 0.0)),
                    z_in=int(z_in), z_w=int(z_w), z_out=int(z_out),
                    **{name: arrays.get(f"rq_{name}") for name in cls._ARRAYS})
 
@@ -486,9 +565,8 @@ def _verified_adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float,
     Returns ``(m0, shift, unverified)`` with ``m0`` / ``shift`` / ``unverified``
     per-column arrays; ``unverified`` marks the columns whose float tie
     pattern no single mantissa can reproduce (conflicting half-even ties;
-    possible but rare) — those columns stay on the nearest mantissa and
-    their worst-case one-code slip is charged to the layer's declared drift
-    bound instead.
+    possible but rare) — those columns stay on the nearest mantissa, which
+    then *defines* the integer route's code for the tie.
     """
     m064, shift = _adc_multipliers(s_p_cols, qmin, qmax)
     p_lo = np.floor((qmin - 0.5) * s_p_cols).astype(np.int64) - 1
@@ -566,51 +644,25 @@ def compile_requant(state: dict,
         # folded dequant multiplier of the float path, (S, A, OC) -> (A, S, OC)
         m_fold = (s_p * shift_factors[:, None, None]
                   * s_w_grid[None, :, :]).transpose(1, 0, 2)
-        s_out = (s_a * m_fold.max(axis=(0, 1))              # (OC,)
-                 * 2.0 ** -OUTPUT_FRACTION_BITS)
+        s_out = s_a * m_fold.max(axis=(0, 1))               # (OC,)
         m0_out, shift = quantize_multipliers(m_fold / (s_out[None, None, :] / s_a))
         s_p_aso = np.ascontiguousarray(s_p.transpose(1, 0, 2))  # (A, S, OC)
-        m0_adc_flat, shift_adc_flat, unverified = _verified_adc_multipliers(
+        m0_adc_flat, shift_adc_flat, _ = _verified_adc_multipliers(
             s_p_aso.reshape(-1), float(state["psum_qmin"]),
             float(state["psum_qmax"]), np.dtype(dtype))
         m0_adc = m0_adc_flat.reshape(s_p_aso.shape)
         shift_adc = shift_adc_flat.reshape(s_p_aso.shape)
         m0_fused = None
         operand_amax = float(np.abs(splits).max()) if splits.size else 0.0
-        # error budget: the ADC mantissas are verified to reproduce the float
-        # route's codes exactly, so only *unverified* columns (conflicting
-        # half-even ties, see _verified_adc_multipliers) can slip one code —
-        # worth s_a * m_fold each, summed per output channel ...
-        if unverified.any():
-            slip = np.where(unverified.reshape(s_p_aso.shape), m_fold, 0.0)
-            tie_margin = s_a * float(slip.sum(axis=(0, 1)).max())
-        else:
-            tie_margin = 0.0
-        # ... and the 2**-31-relative mantissa error of m0_out acts on the
-        # summed |code| mass, bounded by every code saturated at the clip.
-        psum_amax = max(abs(float(state["psum_qmin"])),
-                        abs(float(state["psum_qmax"])))
-        mantissa_mass = n_splits * n_arrays * psum_amax
     else:
         s_w_grid = _collapse_weight_scale(np.asarray(state["s_w"]),
                                           n_arrays, out_channels)
-        s_out = (s_a * s_w_grid.max(axis=0)                 # (OC,)
-                 * 2.0 ** -OUTPUT_FRACTION_BITS)
+        s_out = s_a * s_w_grid.max(axis=0)                  # (OC,)
         m0_fused, shift = quantize_multipliers(s_w_grid / (s_out / s_a))
         m0_adc, shift_adc, m0_out = None, None, None
         operand_amax = float(np.abs(w_bar).max()) if w_bar.size else 0.0
-        tie_margin = 0.0
-        mantissa_mass = None  # filled from acc_bound below
 
     acc_bound = int(rows_per_array * act_amax * operand_amax)
-    if mantissa_mass is None:
-        mantissa_mass = float(n_arrays * acc_bound)
-    # two output-grid steps (one rounding shift + slack for the bias fold's
-    # own rounding) plus the mantissa representation error scaled onto the
-    # output grid, plus the ADC tie margin.
-    drift_bound = (float(s_out.max())
-                   * (2.0 + mantissa_mass * 2.0 ** -(shift + 1))
-                   + tie_margin)
     if acc_bound < 2 ** 24:
         gemm_dtype = "float32"
     elif acc_bound < 2 ** 30:
@@ -629,7 +681,213 @@ def compile_requant(state: dict,
               np.round(np.asarray(bias, dtype=np.float64)
                        / s_out * 2.0 ** shift).astype(np.int64))
     return RequantConstants(shift=shift, s_out=np.asarray(s_out, np.float64),
-                            drift_bound=drift_bound,
                             gemm_dtype=gemm_dtype, acc_bound=acc_bound,
                             bias_q=bias_q, m0_fused=m0_fused,
                             m0_adc=m0_adc, shift_adc=shift_adc, m0_out=m0_out)
+
+
+# --------------------------------------------------------------------------- #
+# per-channel integer requant of a folded graph
+# --------------------------------------------------------------------------- #
+class RequantFoldError(ValueError):
+    """A folded per-channel requant the ``float64`` carrier cannot execute.
+
+    Raised at load time, before any batch runs: for a real multiplier
+    beyond the int32 fixed-point range, a non-finite constant, or an
+    inexact executed multiply-add that no ulp nudge of its offset repairs.
+    """
+
+
+#: Widest code range (``hi - lo``) a threshold-verified requant may span.
+_MAX_VERIFIED_STEPS = 1 << 12
+#: Ulp nudges tried per channel before a requant is refused.
+_MAX_NUDGES = 16
+
+
+def _requant_step(x: np.ndarray, mu, beta, lo: int, hi: int, out: np.ndarray,
+                  overwrite: bool) -> np.ndarray:
+    """``floor(clip(x * mu + beta, lo, hi))`` into ``out``.
+
+    The one executed form of :class:`IntRequant`: the hot path
+    (:meth:`IntRequant.execute`) and the load-time proof
+    (:meth:`IntRequant._verify`) both run it.  ``overwrite`` reuses ``x``
+    as the working buffer.
+    """
+    # int-pure: begin
+    t = np.multiply(x, mu, out=x if overwrite else None)
+    t += beta
+    np.clip(t, lo, hi, out=t)
+    return np.floor(t, out=out, casting="unsafe")
+    # int-pure: end
+
+
+@dataclass
+class IntRequant:
+    """Per-channel integer requant ``clip((x * m0 + bias) >> shift, lo, hi)``.
+
+    The *definition* is plain integer arithmetic on an integer input ``x``
+    with ``|x| <= xmax``: one signed int32 mantissa ``m0``, an integer
+    ``bias`` and a right ``shift`` per channel (``>>`` floors; a negative
+    shift is a left shift), and a saturation range ``[lo, hi]`` shared by
+    all channels.  A negative
+    ``m0`` (a BatchNorm with negative gamma) makes the map decreasing.
+
+    It *executes* as ``floor(clip(x * mu + beta, lo, hi))`` on ``float64``
+    with ``mu = m0 * 2**-shift`` (exact) and ``beta`` the float nearest
+    ``bias * 2**-shift``.  Equality is settled at construction:
+
+    * when ``xmax * |m0| + |bias| < 2**53`` every executed operation is
+      exact, so the two agree by construction;
+    * otherwise the map is a monotone step function of ``x`` with at most
+      ``hi - lo`` steps, and so is the executed one (float rounding is
+      monotone).  Both sides of every step, plus both ends of the input
+      range, are evaluated both ways; agreement there proves agreement on
+      the whole range.  A mismatch nudges that channel's ``beta`` by one
+      ulp at a time; if that does not converge, :class:`RequantFoldError`.
+    """
+
+    m0: Tuple[int, ...]
+    bias: Tuple[int, ...]
+    shift: Tuple[int, ...]
+    lo: int
+    hi: int
+    xmax: Tuple[int, ...]
+
+    def __post_init__(self):
+        self.mu = np.array([m * 2.0 ** -s for m, s in zip(self.m0, self.shift)],
+                           dtype=np.float64)
+        self.beta = np.array([b / (1 << s) if s >= 0 else float(b << -s)
+                              for b, s in zip(self.bias, self.shift)],
+                             dtype=np.float64)
+        self._verify()
+
+    @classmethod
+    def from_real(cls, mult, offset, lo: int, hi: int, xmax) -> "IntRequant":
+        """Encode ``clip(floor(x * mult + offset), lo, hi)`` per channel.
+
+        ``mult`` and ``offset`` are per-channel real constants (``offset``
+        carries the ``+1/2`` of round-half-up).  Each mantissa uses the full
+        31 bits; ``bias = floor(offset * 2**shift)`` is exact, so only the
+        mantissa rounds.  An offset so large that it saturates every
+        reachable input is clamped, which changes no code.
+        """
+        mult = np.asarray(mult, dtype=np.float64).reshape(-1)
+        offset = np.broadcast_to(np.asarray(offset, dtype=np.float64),
+                                 mult.shape)
+        xmax = np.broadcast_to(np.asarray(xmax, dtype=object), mult.shape)
+        if not (np.all(np.isfinite(mult)) and np.all(np.isfinite(offset))):
+            raise RequantFoldError("requant multipliers and offsets must be "
+                                   "finite")
+        m0s, biases, shifts = [], [], []
+        for m, off, bound in zip(mult.tolist(), offset.tolist(),
+                                 xmax.tolist()):
+            shift = 0
+            if m != 0.0:
+                shift = 31 - math.frexp(abs(m))[1]
+                if round(abs(m) * 2.0 ** shift) > INT32_MAX:
+                    shift -= 1
+                if shift < 0:
+                    raise RequantFoldError(
+                        f"requant multiplier {m!r} exceeds the int32 "
+                        "fixed-point range")
+            m0 = int(round(m * 2.0 ** shift))
+            unit = 1 << shift
+            reach = int(bound) * abs(m0)
+            bias = math.floor(Fraction(off) * unit)
+            bias = min(max(bias, lo * unit - reach - 1),
+                       (hi + 1) * unit + reach)
+            m0s.append(m0)
+            biases.append(bias)
+            shifts.append(shift)
+        return cls(tuple(m0s), tuple(biases), tuple(shifts), int(lo), int(hi),
+                   tuple(int(b) for b in xmax.tolist()))
+
+    # ------------------------------------------------------------------ #
+    def apply(self, x: int, channel: int) -> int:
+        """The definition on one Python ``int`` (the reference semantics).
+
+        A single-channel requant applies to every channel.
+        """
+        channel = channel if len(self.m0) > 1 else 0
+        return min(max(self._unclipped(x, channel), self.lo), self.hi)
+
+    def _unclipped(self, x: int, channel: int) -> int:
+        """``(x * m0 + bias) >> shift`` of one channel, before the clip."""
+        # int-pure: begin
+        value = x * self.m0[channel] + self.bias[channel]
+        shift = self.shift[channel]
+        return value >> shift if shift >= 0 else value << -shift
+        # int-pure: end
+
+    def span(self) -> Tuple[int, int]:
+        """Smallest and largest unclipped value over ``|x| <= xmax``.
+
+        Taken over every channel; the map is monotone in ``x``, so the two
+        ends of each channel's input range decide it.
+        """
+        values = [self._unclipped(x, c) for c, bound in enumerate(self.xmax)
+                  for x in (-bound, bound)]
+        return min(values), max(values)
+
+    def execute(self, x: np.ndarray, out: np.ndarray, channel_axis: int = 1,
+                overwrite: bool = False) -> np.ndarray:
+        """Executed form on a ``float64`` array of integers, written to ``out``.
+
+        Per-channel constants broadcast along ``channel_axis``; a
+        single-channel requant applies to every channel.  ``overwrite=True``
+        uses ``x`` itself as the working buffer (a ``float64`` array the
+        caller no longer needs), so the pass allocates nothing.
+        """
+        shape = [1] * x.ndim
+        shape[channel_axis] = -1
+        return _requant_step(x, self.mu.reshape(shape),
+                             self.beta.reshape(shape), self.lo, self.hi, out,
+                             overwrite)
+
+    def _points(self, c: int) -> list:
+        """Inputs around every step of channel ``c``, plus the range ends."""
+        m0, bias, unit = self.m0[c], self.bias[c], 1 << self.shift[c]
+        bound = self.xmax[c]
+        points = {-bound, bound}
+        if m0 != 0:
+            for k in range(self.lo + 1, self.hi + 1):
+                edge = k * unit - bias
+                if m0 > 0:       # code >= k  iff  x >= ceil(edge / m0)
+                    first = -((-edge) // m0)
+                    points.update((first - 1, first))
+                else:            # code >= k  iff  x <= floor(edge / m0)
+                    last = edge // m0
+                    points.update((last, last + 1))
+        return sorted(p for p in points if -bound <= p <= bound)
+
+    def _verify(self) -> None:
+        """Prove the executed form equals the definition (see class doc)."""
+        for c, (m0, bias) in enumerate(zip(self.m0, self.bias)):
+            if self.xmax[c] * abs(m0) + abs(bias) < 2 ** _FLOAT64_EXACT_BITS:
+                continue
+            if self.hi - self.lo > _MAX_VERIFIED_STEPS or \
+                    self.shift[c] < 0 or \
+                    self.xmax[c] >= 2 ** _FLOAT64_EXACT_BITS:
+                raise RequantFoldError(
+                    f"channel {c}: an inexact requant over {self.hi - self.lo}"
+                    f" steps and |x| <= {self.xmax[c]} cannot be verified")
+            points = self._points(c)
+            want = np.array([self.apply(p, c) for p in points],
+                            dtype=np.float64)
+            xs = np.array(points, dtype=np.float64)
+            for _ in range(_MAX_NUDGES):
+                got = _requant_step(xs, self.mu[c], self.beta[c], self.lo,
+                                    self.hi, np.empty_like(xs), False)
+                if np.array_equal(got, want):
+                    break
+                low, high = bool(np.any(got < want)), bool(np.any(got > want))
+                if low and high:
+                    break
+                self.beta[c] = np.nextafter(self.beta[c],
+                                            np.inf if low else -np.inf)
+            else:
+                got = None
+            if got is None or not np.array_equal(got, want):
+                raise RequantFoldError(
+                    f"channel {c}: no float64 offset reproduces the integer "
+                    "requant at every step")

@@ -31,10 +31,11 @@ work, and lowers it in three passes:
 
 3. **Scheduled execution** (:meth:`CompiledPlan.execute`) — a flat walk over
    prebound step closures: no per-call liveness map, no dict-keyed workspace
-   growth, no per-fused-op dispatch.  Both execution routes thread through:
-   in ``mode="int"`` a ``cim`` step's requantized output grid is written
-   once and the fused element-wise tail transforms it in place, so no extra
-   array materializes between the requant grid and the tail.
+   growth, no per-fused-op dispatch.  In ``mode="int"`` the schedule is
+   that of the folded integer graph (:meth:`ModelPlan.graph`, built by
+   :mod:`repro.engine.intfold`) — the same graph the interpreter runs —
+   whose ``cim`` steps call their layer plan's ``execute`` with its fold
+   and whose integer steps return fresh arrays in their own dtypes.
 
 Interpretation remains the bit-exact reference path; the differential suite
 pins ``CompiledPlan.execute == ModelPlan.execute`` on every golden fixture
@@ -53,6 +54,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .hotpath import hot_path
+from .intfold import INT_OPS
 from .model_plan import (GraphNode, ModelPlan, ModelPlanError, _channel_shape,
                          run_conv2d, run_global_avg_pool, run_linear, run_pool)
 
@@ -64,7 +66,7 @@ _EW_TAIL_OPS = frozenset({"batchnorm", "relu", "relu6"})
 _EW_HEAD_OPS = frozenset({"add", "batchnorm", "relu", "relu6"})
 #: Ops producing a fresh array each call; safe producers for fused tails.
 _PRODUCER_OPS = frozenset({"cim", "conv2d", "linear", "max_pool", "avg_pool",
-                           "global_avg_pool"})
+                           "global_avg_pool"}) | INT_OPS
 #: Every graph op the compiler can lower.  ``flatten`` is schedulable but
 #: never fuses a tail: its output is a view of its input.
 _KNOWN_OPS = _PRODUCER_OPS | _EW_HEAD_OPS | frozenset({"flatten"})
@@ -100,16 +102,28 @@ class FusedStep:
 def compile_plan_graph(plan: ModelPlan) -> "CompiledPlan":
     """Lower a :class:`ModelPlan` op graph into a :class:`CompiledPlan`.
 
-    Pattern-matches element-wise chains into fused steps: a ``batchnorm`` /
-    ``relu`` / ``relu6`` node joins the group ending at its input when it is
-    that value's only consumer and the value is not the graph output.
-    Raises :class:`~repro.engine.model_plan.ModelPlanError` on ops the
-    compiler cannot lower (the same set the interpreter rejects).
+    The float graph is fused here, so unknown ops fail early; the schedule
+    of the folded integer graph is fused the first time the plan executes
+    in ``mode="int"`` (see :class:`CompiledPlan`).  Raises
+    :class:`~repro.engine.model_plan.ModelPlanError` on ops the compiler
+    cannot lower (the same set the interpreter rejects).
     """
-    by_id: Dict[int, GraphNode] = {node.id: node for node in plan.nodes}
+    compiled = CompiledPlan(plan)
+    compiled._schedule_for("float", plan.nodes, plan.output_id)
+    return compiled
+
+
+def _fuse(nodes: List[GraphNode], output_id: int) -> List[FusedStep]:
+    """Group a node list into fused steps.
+
+    Pattern-matches element-wise chains: a ``batchnorm`` / ``relu`` /
+    ``relu6`` node joins the group ending at its input when it is that
+    value's only consumer and the value is not the graph output.
+    """
+    by_id: Dict[int, GraphNode] = {node.id: node for node in nodes}
     n_consumers: Dict[int, int] = {}
     sole_consumer: Dict[int, int] = {}
-    for node in plan.nodes[1:]:
+    for node in nodes[1:]:
         if node.op not in _KNOWN_OPS:
             raise ModelPlanError(
                 f"cannot compile graph op {node.op!r} (node {node.id})")
@@ -119,13 +133,13 @@ def compile_plan_graph(plan: ModelPlan) -> "CompiledPlan":
 
     steps: List[FusedStep] = []
     fused_away: set = set()
-    for node in plan.nodes[1:]:
+    for node in nodes[1:]:
         if node.id in fused_away:
             continue
         group = [node]
         if node.op in _PRODUCER_OPS or node.op in _EW_HEAD_OPS:
             cur = node
-            while n_consumers.get(cur.id, 0) == 1 and cur.id != plan.output_id:
+            while n_consumers.get(cur.id, 0) == 1 and cur.id != output_id:
                 nxt = by_id[sole_consumer[cur.id]]
                 if nxt.op not in _EW_TAIL_OPS or len(nxt.inputs) != 1:
                     break
@@ -133,7 +147,27 @@ def compile_plan_graph(plan: ModelPlan) -> "CompiledPlan":
                 fused_away.add(nxt.id)
                 cur = nxt
         steps.append(FusedStep(group))
-    return CompiledPlan(plan, steps)
+    return steps
+
+
+class _Schedule:
+    """The fused steps of one graph (float, or the folded integer graph).
+
+    ``shape_plans`` is the copy-on-write cache of per-batch-shape plans
+    (see :class:`CompiledPlan`).
+    """
+
+    __slots__ = ("mode", "nodes", "output_id", "steps", "names", "n_values",
+                 "shape_plans")
+
+    def __init__(self, mode: str, nodes: List[GraphNode], output_id: int):
+        self.mode = mode
+        self.nodes = nodes
+        self.output_id = output_id
+        self.steps = _fuse(nodes, output_id)
+        self.names = [step.name for step in self.steps]
+        self.n_values = max(node.id for node in nodes) + 1
+        self.shape_plans: Dict[tuple, "_ShapePlan"] = {}
 
 
 # --------------------------------------------------------------------------- #
@@ -145,6 +179,10 @@ def _infer_shape(plan: ModelPlan, step: FusedStep,
     op = step.op
     head = step.nodes[0]
     x = in_shapes[0]
+    if op in ("quantize", "requant", "dequant"):
+        return tuple(x)
+    if op == "pool_requant":
+        return (x[0], x[1])
     if op == "cim":
         # validate once per shape plan; the prebound step closure then skips
         # the per-call checks of ConvPlan/LinearPlan.execute
@@ -162,7 +200,7 @@ def _infer_shape(plan: ModelPlan, step: FusedStep,
             raise ValueError(f"expected input of shape "
                              f"(N, {lp.in_features}), got {tuple(x)}")
         return (x[0], lp.out_channels)
-    if op == "add":
+    if op in ("add", "iadd"):
         return tuple(np.broadcast_shapes(*in_shapes))
     if op in ("batchnorm", "relu", "relu6"):
         return tuple(x)
@@ -216,11 +254,12 @@ class _ShapePlan:
     serves every executor thread.
     """
 
-    __slots__ = ("input_shape", "exec_fns", "view_specs", "block_items",
-                 "inplace_reuses", "out_shape")
+    __slots__ = ("key", "input_shape", "exec_fns", "view_specs",
+                 "block_items", "inplace_reuses", "out_shape")
 
-    def __init__(self, input_shape, exec_fns, view_specs, block_items,
+    def __init__(self, key, input_shape, exec_fns, view_specs, block_items,
                  inplace_reuses, out_shape):
+        self.key = key                    # (mode, input shape): arena key
         self.input_shape = input_shape
         self.exec_fns = exec_fns
         self.view_specs = view_specs      # per step: None | (block, items, shape)
@@ -297,7 +336,16 @@ def _make_step_fn(plan: ModelPlan, step: FusedStep, si: int,
         def get_out(vals, views, _si=si):
             return views[_si]
 
-    if op == "cim":
+    if op == "cim" and "fold" in head.attrs:
+        # a layer of the folded integer graph: ConvPlan/LinearPlan.execute
+        # itself, writing the fresh codes/grid/dequant array it returns
+        lp = plan.layer_plans[head.plan_index]
+        fold = head.attrs["fold"]
+        i0 = ins[0]
+
+        def produce(vals, views):
+            return lp.execute(vals[i0], fold=fold)
+    elif op == "cim":
         lp = plan.layer_plans[head.plan_index]
         i0 = ins[0]
 
@@ -312,44 +360,31 @@ def _make_step_fn(plan: ModelPlan, step: FusedStep, si: int,
             length = out_shape[2] * out_shape[3]
 
             def produce(vals, views):
-                # ConvPlan.execute op for op (mode dispatch included) with
-                # prebound geometry and the final reshape-copy redirected
-                # into the arena destination: identical element order,
-                # identical bits, no surviving fresh allocation
+                # ConvPlan.execute's float route op for op, with prebound
+                # geometry and the final reshape-copy redirected into the
+                # arena destination: identical element order, identical
+                # bits, no surviving fresh allocation
                 x = lp._cast_input(vals[i0])
-                int_route = lp._int_route(None)
-                a = (lp._quantize_acts_carrier(x) if int_route
-                     else lp._quantize_acts(x))
-                cols = F.unfold_array(a, kernel, stride, padding,
-                                      layout="nlk")
-                cols_flat = cols.reshape(n * length, cols.shape[2])
-                if int_route:
-                    # int-pure: begin
-                    res = lp._contract_int(cols_flat)
-                    # int-pure: end
-                else:
-                    res = lp._contract(cols_flat, None)
-                    if lp.act_scale is not None:
-                        res *= lp.act_scale
+                cols = F.unfold_array(lp._quantize_acts(x), kernel, stride,
+                                      padding, layout="nlk")
+                res = lp._contract(cols.reshape(n * length, cols.shape[2]),
+                                   None)
+                if lp.act_scale is not None:
+                    res *= lp.act_scale
                 dst = get_out(vals, views)
                 np.copyto(dst.reshape(n, oc, length),
                           res.reshape(n, length, oc).transpose(0, 2, 1))
-                if lp.bias is not None and not int_route:
+                if lp.bias is not None:
                     np.add(dst, lp.bias.reshape(1, -1, 1, 1), out=dst)
                 return dst
         else:  # linear layer plan
 
             def produce(vals, views):
-                # LinearPlan.execute op for op; the (small) result lands in
-                # the arena view so no fresh array outlives the step
+                # LinearPlan.execute's float route op for op; the (small)
+                # result lands in the arena view so no fresh array outlives
+                # the step
                 x = lp._cast_input(vals[i0])
                 dst = get_out(vals, views)
-                if lp._int_route(None):
-                    # int-pure: begin
-                    np.copyto(dst,
-                              lp._contract_int(lp._quantize_acts_carrier(x)))
-                    # int-pure: end
-                    return dst
                 res = lp._contract(lp._quantize_acts(x), None)
                 if lp.act_scale is not None:
                     res *= lp.act_scale
@@ -358,6 +393,11 @@ def _make_step_fn(plan: ModelPlan, step: FusedStep, si: int,
                 else:
                     np.copyto(dst, res)
                 return dst
+    elif op in INT_OPS:
+        kernel = head.attrs["spec"]
+
+        def produce(vals, views):
+            return kernel(*[vals[i] for i in ins])
     elif op == "add":
         i0, i1 = ins
 
@@ -457,10 +497,16 @@ def _make_step_fn(plan: ModelPlan, step: FusedStep, si: int,
     return fn
 
 
-def _build_shape_plan(compiled: "CompiledPlan", in_shape: tuple) -> _ShapePlan:
-    """Plan buffers and bind step closures for one input batch shape."""
-    plan = compiled.plan
-    steps = compiled.steps
+def _build_shape_plan(plan: ModelPlan, schedule: _Schedule,
+                      in_shape: tuple) -> _ShapePlan:
+    """Plan buffers and bind step closures for one input batch shape.
+
+    Steps of the folded integer graph (``cim`` layers with a fold and the
+    integer ops) produce fresh arrays of their own dtypes; they stay out
+    of the arena, which holds plan-dtype values only.
+    """
+    steps = schedule.steps
+    output_id = schedule.output_id
     n_steps = len(steps)
 
     # static liveness: last schedule step consuming each SSA value
@@ -468,7 +514,7 @@ def _build_shape_plan(compiled: "CompiledPlan", in_shape: tuple) -> _ShapePlan:
     for si, step in enumerate(steps):
         for vid in step.inputs:
             last_step[vid] = si
-    last_step[plan.output_id] = n_steps  # the output outlives the schedule
+    last_step[output_id] = n_steps  # the output outlives the schedule
 
     shapes: Dict[int, tuple] = {0: tuple(in_shape)}
     storages: Dict[int, _Storage] = {0: _Storage("external", None)}
@@ -488,11 +534,13 @@ def _build_shape_plan(compiled: "CompiledPlan", in_shape: tuple) -> _ShapePlan:
         storage: Optional[_Storage] = None
         if step.op == "flatten":
             src = storages[step.inputs[0]]
-            if step.out_id == plan.output_id and src.tag == "block":
+            if step.out_id == output_id and src.tag == "block":
                 action = ("copy",)  # returned arrays are never arena-backed
             else:
                 storage = src       # a view aliases its input
-        elif step.out_id != plan.output_id:
+        elif step.op in INT_OPS or "fold" in step.nodes[0].attrs:
+            pass                    # fresh integer-graph array
+        elif step.out_id != output_id:
             # every scheduled value lives in the arena — producer outputs
             # included — except the graph output, which must stay a fresh
             # array so returned results survive later calls
@@ -544,8 +592,9 @@ def _build_shape_plan(compiled: "CompiledPlan", in_shape: tuple) -> _ShapePlan:
         exec_fns.append(_make_step_fn(plan, step, si, action, out_shape,
                                       tuple(dead)))
 
-    return _ShapePlan(tuple(in_shape), exec_fns, view_specs, block_items,
-                      inplace_reuses, shapes[plan.output_id])
+    return _ShapePlan((schedule.mode, tuple(in_shape)), tuple(in_shape),
+                      exec_fns, view_specs, block_items, inplace_reuses,
+                      shapes[output_id])
 
 
 # --------------------------------------------------------------------------- #
@@ -557,30 +606,30 @@ class CompiledPlan:
     Exposes the same execution surface as the interpreter (``execute`` /
     ``__call__`` with optional ``timings`` and ``workspace``, ``np_dtype``,
     ``set_mode``), so :class:`~repro.engine.runner.InferenceRunner` and
-    :class:`~repro.engine.server.PlanServer` run it unchanged.  Shape plans
-    (deterministic metadata) are cached on the instance; mutable arena
-    buffers live in the caller's workspace dict, one arena per batch shape
-    (the :data:`least-recently-used <_MAX_ARENAS>` shapes beyond four are
-    evicted), so concurrent executors never share buffers.  Without a
-    workspace, arena blocks are allocated transiently per call.
+    :class:`~repro.engine.server.PlanServer` run it unchanged.  It runs
+    the graph of the plan's *current* mode (:meth:`ModelPlan.graph`): one
+    schedule per mode, built on first use, so a plan compiled before
+    ``set_mode("int")`` schedules the folded integer graph afterwards.
+    Shape plans (deterministic metadata) are cached per schedule; mutable
+    arena buffers live in the caller's workspace dict, one arena per
+    (mode, batch shape) (the :data:`least-recently-used <_MAX_ARENAS>`
+    beyond four are evicted), so concurrent executors never share buffers.
+    Without a workspace, arena blocks are allocated transiently per call.
 
     The step defining the graph output always produces a fresh array —
     never an arena view — so unlike the interpreted workspace path,
     returned results stay valid across subsequent calls.
 
-    Thread model: the shape-plan cache ``_shape_plans`` is copy-on-write —
-    lookups read a stable dict snapshot without locking, and a miss builds
-    the plan and publishes a wholesale-replaced dict under ``_lock`` (so
-    it is deliberately not declared in a ``_GUARDED_BY`` map).  Shape
-    plans themselves are immutable after construction.
+    Thread model: the schedule map and each schedule's shape-plan cache
+    are copy-on-write — lookups read a stable dict snapshot without
+    locking, and a miss builds the entry and publishes a wholesale-replaced
+    dict under ``_lock`` (so neither is declared in a ``_GUARDED_BY``
+    map).  Schedules and shape plans are immutable once published.
     """
 
-    def __init__(self, plan: ModelPlan, steps: List[FusedStep]):
+    def __init__(self, plan: ModelPlan):
         self.plan = plan
-        self.steps = steps
-        self._n_values = max(node.id for node in plan.nodes) + 1
-        self._names = [step.name for step in steps]
-        self._shape_plans: Dict[tuple, _ShapePlan] = {}
+        self._schedules: Dict[str, _Schedule] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -609,7 +658,7 @@ class CompiledPlan:
 
     @property
     def output_id(self) -> int:
-        """SSA id of the graph output value (read-only)."""
+        """SSA id of the float graph's output value (read-only)."""
         return self.plan.output_id
 
     @property
@@ -624,37 +673,45 @@ class CompiledPlan:
         (the serving layer swaps pools instead of flipping modes live)."""
         self.plan.set_mode(mode)
 
-    def int_drift_bound(self) -> float:
-        """Declared max-abs drift of ``mode="int"`` (read-only; delegates
-        to the plan)."""
-        return self.plan.int_drift_bound()
-
     # ------------------------------------------------------------------ #
     # schedule introspection
     # ------------------------------------------------------------------ #
     @property
+    def steps(self) -> List[FusedStep]:
+        """Fused steps of the current mode's schedule (immutable)."""
+        return self._schedule().steps
+
+    @property
     def n_steps(self) -> int:
-        """Number of fused schedule steps (immutable after compilation)."""
+        """Number of fused schedule steps in the current mode (immutable
+        after compilation)."""
         return len(self.steps)
 
     @property
     def n_fused(self) -> int:
-        """Number of graph ops folded into a preceding step's tail
-        (immutable after compilation)."""
-        return (len(self.plan.nodes) - 1) - len(self.steps)
+        """Number of graph ops folded into a preceding step's tail in the
+        current mode (immutable after compilation)."""
+        schedule = self._schedule()
+        return (len(schedule.nodes) - 1) - len(schedule.steps)
+
+    @property
+    def _shape_plans(self) -> Dict[tuple, _ShapePlan]:
+        """Shape-plan cache of the current mode's schedule (a snapshot)."""
+        return self._schedule().shape_plans
 
     def summary(self) -> str:
-        """Fusion groups, schedule order, and per-shape arena footprint.
-        Thread-safe: reads one stable snapshot of the copy-on-write
-        shape-plan cache."""
+        """Fusion groups, schedule order, and per-shape arena footprint of
+        the current mode.  Thread-safe: reads one stable snapshot of the
+        copy-on-write shape-plan cache."""
+        schedule = self._schedule()
         lines = [f"CompiledPlan({self.name or 'model'}, dtype={self.dtype}, "
-                 f"{len(self.plan.nodes) - 1} ops -> {self.n_steps} steps, "
-                 f"{self.n_fused} fused)"]
-        for step in self.steps:
+                 f"mode={schedule.mode}, {len(schedule.nodes) - 1} ops -> "
+                 f"{self.n_steps} steps, {self.n_fused} fused)"]
+        for step in schedule.steps:
             ins = ", ".join(f"%{i}" for i in step.inputs)
             lines.append(f"  %{step.out_id:<3} {step.ops:<28} ({ins}) "
                          f"{step.name}")
-        plans = self._shape_plans   # one stable snapshot (copy-on-write)
+        plans = schedule.shape_plans   # one stable snapshot (copy-on-write)
         if plans:
             itemsize = self.np_dtype.itemsize
             for shape in sorted(plans):
@@ -673,7 +730,7 @@ class CompiledPlan:
     @hot_path
     def execute(self, x: np.ndarray, timings: Optional[Dict[str, float]] = None,
                 workspace: Optional[dict] = None) -> np.ndarray:
-        """Run the compiled schedule on a batch array.
+        """Run the compiled schedule of the current mode on a batch array.
 
         Same contract as :meth:`ModelPlan.execute`: ``timings`` accumulates
         per-step wall-clock seconds keyed by the fused step name;
@@ -687,20 +744,21 @@ class CompiledPlan:
         """
         x = np.asarray(x.data if isinstance(x, Tensor) else x,
                        dtype=self.plan.np_dtype)
-        sp = self._shape_plan(x.shape)
+        schedule = self._schedule()
+        sp = self._shape_plan(schedule, x.shape)
         views = self._arena_views(sp, workspace)
-        vals: List[Optional[np.ndarray]] = [None] * self._n_values
+        vals: List[Optional[np.ndarray]] = [None] * schedule.n_values
         vals[0] = x
         if timings is None:
             for fn in sp.exec_fns:
                 fn(vals, views)
         else:
             perf = time.perf_counter
-            for name, fn in zip(self._names, sp.exec_fns):
+            for name, fn in zip(schedule.names, sp.exec_fns):
                 start = perf()
                 fn(vals, views)
                 timings[name] = timings.get(name, 0.0) + perf() - start
-        return vals[self.plan.output_id]
+        return vals[schedule.output_id]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Alias of :meth:`execute` (no timing, no workspace)."""
@@ -708,8 +766,8 @@ class CompiledPlan:
 
     def workspace_footprint(self, workspace: Optional[dict]) -> tuple:
         """``(resident_bytes, n_blocks)`` of the arenas held by ``workspace``.
-        Read-only; safe against concurrent shape-plan publishes (one stable
-        copy-on-write snapshot), but not against the owner mutating
+        Read-only; safe against concurrent shape-plan publishes (arenas
+        carry their own shape plan), but not against the owner mutating
         ``workspace`` mid-call."""
         if not workspace:
             return (0, 0)
@@ -718,29 +776,47 @@ class CompiledPlan:
             return (0, 0)
         itemsize = self.np_dtype.itemsize
         total = blocks = 0
-        plans = self._shape_plans   # one stable snapshot (copy-on-write)
-        for shape in arenas:
-            sp = plans.get(shape)
-            if sp is not None:
-                total += sum(sp.block_items) * itemsize
-                blocks += len(sp.block_items)
+        for sp, _ in arenas.values():
+            total += sum(sp.block_items) * itemsize
+            blocks += len(sp.block_items)
         return (total, blocks)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _shape_plan(self, shape: tuple) -> _ShapePlan:
-        sp = self._shape_plans.get(shape)
+    def _schedule_for(self, mode: str, nodes, output_id) -> _Schedule:
+        schedule = self._schedules.get(mode)
+        if schedule is None:
+            with self._lock:
+                schedule = self._schedules.get(mode)
+                if schedule is None:
+                    schedule = _Schedule(mode, nodes, output_id)
+                    schedules = dict(self._schedules)
+                    schedules[mode] = schedule
+                    self._schedules = schedules
+        return schedule
+
+    def _schedule(self) -> _Schedule:
+        """The schedule of the plan's current mode (built on first use)."""
+        mode = self.plan.mode
+        schedule = self._schedules.get(mode)
+        if schedule is None:
+            nodes, output_id = self.plan.graph()
+            schedule = self._schedule_for(mode, nodes, output_id)
+        return schedule
+
+    def _shape_plan(self, schedule: _Schedule, shape: tuple) -> _ShapePlan:
+        sp = schedule.shape_plans.get(shape)
         if sp is None:
             with self._lock:
-                sp = self._shape_plans.get(shape)
+                sp = schedule.shape_plans.get(shape)
                 if sp is None:
-                    sp = _build_shape_plan(self, shape)
+                    sp = _build_shape_plan(self.plan, schedule, shape)
                     # copy-on-write publish: concurrent lock-free readers
                     # only ever see a complete dict
-                    plans = dict(self._shape_plans)
+                    plans = dict(schedule.shape_plans)
                     plans[shape] = sp
-                    self._shape_plans = plans
+                    schedule.shape_plans = plans
         return sp
 
     def _materialize(self, sp: _ShapePlan) -> List[Optional[np.ndarray]]:
@@ -763,12 +839,12 @@ class CompiledPlan:
         arenas = workspace.get(_ARENA_KEY)
         if arenas is None:
             arenas = workspace[_ARENA_KEY] = OrderedDict()
-        views = arenas.get(sp.input_shape)
-        if views is None:
-            views = self._materialize(sp)
-            arenas[sp.input_shape] = views
+        entry = arenas.get(sp.key)
+        if entry is None or entry[0] is not sp:
+            entry = (sp, self._materialize(sp))
+            arenas[sp.key] = entry
             while len(arenas) > _MAX_ARENAS:
                 arenas.popitem(last=False)
         else:
-            arenas.move_to_end(sp.input_shape)
-        return views
+            arenas.move_to_end(sp.key)
+        return entry[1]

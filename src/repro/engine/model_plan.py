@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.cim_conv import CIMConv2d
 from ..core.cim_linear import CIMLinear
-from ..core.requant import CarrierRangeError
+from ..core.requant import CarrierRangeError, RequantFoldError
 from ..nn import functional as F
 from ..nn.layers import (AvgPool2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d,
                          Identity, Linear, MaxPool2d, ReLU, ReLU6)
@@ -51,6 +51,7 @@ from ..nn.module import Module, Sequential
 from ..nn.norm import _BatchNorm
 from ..nn.tensor import Tensor, no_grad
 from .frozen import _FrozenLayer
+from .intfold import INT_OPS, fold_int_graph
 from .plan import (compile_plan, load_plan as _load_layer_plan, normalize_dtype,
                    plan_arrays, plan_from_parts, plan_meta)
 
@@ -380,6 +381,8 @@ class ModelPlan:
     name: str = ""
     mode: str = field(default="float", repr=False)  # runtime, not serialized
     _compiled: Any = field(default=None, init=False, repr=False, compare=False)
+    _int_graph: Any = field(default=None, init=False, repr=False,
+                            compare=False)
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -398,13 +401,17 @@ class ModelPlan:
         """Switch every CIM layer plan between the float and integer routes.
 
         ``"float"`` (the default for every freshly loaded plan) is the
-        bit-exact reference; ``"int"`` executes each quantized-input layer
-        through its fixed-point requant constants.  Layers without an input
-        quantizer (``act_scale is None`` — typically the first convolution)
-        have no integer input grid and stay on the float route; that is a
-        property of the model, not an artifact defect.  Raises
-        :class:`ModelPlanError` if any quantized-input layer lacks requant
-        constants (a v1 archive saved before the integer path existed).
+        bit-exact reference.  ``"int"`` runs the folded integer graph of
+        :mod:`repro.engine.intfold`, built here on the first switch: each
+        CIM layer emits the next layer's activation codes (or residual
+        values on the model's fine grid), so no BatchNorm, ReLU or
+        activation re-quantize runs between two CIM layers.  Layers without
+        an input quantizer (``act_scale is None`` — typically the first
+        convolution) have no integer input grid and stay on the float
+        route; that is a property of the model, not an artifact defect.
+        Raises :class:`ModelPlanError` if any quantized-input layer lacks
+        requant constants (a v1 archive saved before the integer path
+        existed) or a folded requant cannot run exactly.
         """
         if mode not in ("float", "int"):
             raise ValueError(f"unknown execution mode {mode!r}; "
@@ -417,25 +424,26 @@ class ModelPlan:
                     f"layer plan(s) {missing} carry no requant constants — "
                     "the artifact predates model-plan version 2; re-freeze "
                     "and re-save the model to enable mode='int'")
+            if self._int_graph is None:
+                try:
+                    self._int_graph = fold_int_graph(self)
+                except (RequantFoldError, CarrierRangeError) as error:
+                    raise ModelPlanError(
+                        f"cannot fold the integer route: {error}") from error
         for plan in self.layer_plans:
             plan.set_mode(mode)
         self.mode = mode
 
-    def int_drift_bound(self) -> float:
-        """Declared max-abs drift of ``mode="int"`` vs the float reference.
+    def graph(self) -> tuple:
+        """``(nodes, output_id)`` of the graph the current mode executes.
 
-        Sum of the per-layer :attr:`~repro.core.requant.RequantConstants.
-        drift_bound` declarations, scaled by a whole-model amplification
-        factor: a layer's output drift passes through folded BatchNorm
-        (where a small running variance divides it up) and through later
-        layers' weights before reaching the logits, so the raw sum is not a
-        bound on its own.  The factor is pinned by the differential suite on
-        the fixture models; a violation there means the integer route
-        regressed, not that the bound needs loosening.
+        The float graph is :attr:`nodes`; in ``mode="int"`` it is the folded
+        integer graph (runtime state, never serialized).  Both executors
+        run exactly this graph.
         """
-        per_layer = sum(plan.requant.drift_bound for plan in self.layer_plans
-                        if plan.requant is not None)
-        return 8.0 * per_layer
+        if self.mode == "int":
+            return self._int_graph
+        return self.nodes, self.output_id
 
     # ------------------------------------------------------------------ #
     # execution
@@ -453,14 +461,15 @@ class ModelPlan:
         """
         x = np.asarray(x.data if isinstance(x, Tensor) else x,
                        dtype=self.np_dtype)
+        nodes, output_id = self.graph()
         values: Dict[int, np.ndarray] = {0: x}
         last_use: Dict[int, int] = {0: 0}
-        for node in self.nodes[1:]:
+        for node in nodes[1:]:
             for input_id in node.inputs:
                 last_use[input_id] = node.id
-        last_use[self.output_id] = len(self.nodes)
+        last_use[output_id] = len(nodes)
 
-        for node in self.nodes[1:]:
+        for node in nodes[1:]:
             args = [values[i] for i in node.inputs]
             if timings is None:
                 values[node.id] = self._run_node(node, args, workspace)
@@ -472,7 +481,7 @@ class ModelPlan:
             for input_id in node.inputs:
                 if last_use.get(input_id, -1) == node.id:
                     del values[input_id]
-        return values[self.output_id]
+        return values[output_id]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Alias of :meth:`execute` (no timing, no workspace)."""
@@ -519,7 +528,10 @@ class ModelPlan:
         op = node.op
         x = args[0]
         if op == "cim":
-            return self.layer_plans[node.plan_index].execute(x)
+            return self.layer_plans[node.plan_index].execute(
+                x, fold=node.attrs.get("fold"))
+        if op in INT_OPS:
+            return node.attrs["spec"](*args)
         if op == "batchnorm":
             a = node.arrays
             mean = a["mean"].reshape(_channel_shape(a["mean"], x.ndim))
@@ -577,9 +589,11 @@ class ModelPlan:
         fusion groups, schedule order, and the arena footprint of every
         batch shape executed so far.
         """
+        nodes, _ = self.graph()
         lines = [f"ModelPlan({self.name or 'model'}, dtype={self.dtype}, "
-                 f"{self.n_cim_layers} CIM layers, {len(self.nodes) - 1} ops)"]
-        for node in self.nodes[1:]:
+                 f"mode={self.mode}, {self.n_cim_layers} CIM layers, "
+                 f"{len(nodes) - 1} ops)"]
+        for node in nodes[1:]:
             detail = ""
             if node.op == "cim":
                 plan = self.layer_plans[node.plan_index]

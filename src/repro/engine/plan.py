@@ -38,10 +38,14 @@ quantized path (partial-sum quantization enabled)
 ``mode="int"`` executes either strategy on integer codes instead (see
 :meth:`_PlanBase._contract_int` and :mod:`repro.core.requant`): the GEMMs
 run on an exact-integer float carrier, the quantized path's per-column ADC
-divide, rounding, clip and reduce run on an exact ``float64`` carrier —
-bit-identical to the ``int64`` fixed-point reference — and the multipliers
-of the fused path, the bias fold and the output rounding shift run in
-``int64``.  Only the final per-channel dequant rounds.
+divide, rounding and clip run on a ``float32`` carrier proved exact per
+column (else ``float64``) and its reduce on an exact ``float64`` carrier —
+bit-identical to the ``int64`` fixed-point reference — and the fused
+path's multiply and reduce run in ``int64``.  A :class:`LayerFold` decides
+how the exact accumulator leaves the layer: as the next layer's codes or
+residual-grid values through an exact per-channel requant (inside a folded
+model graph, :mod:`repro.engine.intfold`), or through the one per-channel
+dequant multiply (a stand-alone layer, or a model's logits).
 
 Plans are plain data (NumPy arrays + geometry) and can be serialized with
 :func:`save_plan` / :func:`load_plan`; the crossbar mapping travels along via
@@ -51,20 +55,24 @@ Plans are plain data (NumPy arrays + geometry) and can be serialized with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..cim.tiling import WeightMapping, mapping_from_dict, mapping_to_dict
 from ..core.pipeline import varied_splits
-from ..core.requant import (RequantConstants, carrier_multiplier,
-                             check_adc_carrier, requantize_up_f64)
+from ..core.requant import (INT32_MAX, CarrierRangeError, IntRequant,
+                             RequantConstants, RequantFoldError,
+                             adc_multiplier_f32, carrier_multiplier,
+                             check_adc_carrier, requantize_rint_f32,
+                             requantize_up_f64)
 from ..nn import functional as F
 from .hotpath import ScratchTable, hot_path
 
 __all__ = [
     "ConvPlan",
+    "LayerFold",
     "LinearPlan",
     "PlanNotReadyError",
     "compile_plan",
@@ -84,6 +92,47 @@ __all__ = [
 #: Target element count of one cache block of the integer route's ADC stage
 #: (float64, so 512 KiB).
 _ADC_BLOCK = 1 << 16
+
+
+#: Exact-integer limit of the ``float64`` epilogue carrier.
+_F64_EXACT = 2 ** 53
+#: Largest left shift of a folded epilogue (keeps results far from overflow).
+_MAX_LEFT_SHIFT = 256
+
+
+@dataclass
+class LayerFold:
+    """How one CIM layer runs on the integer route: its reduce and epilogue.
+
+    ``weights`` are the integer reduce multipliers of the accumulator
+    (``(A, S, OC)`` ``float64`` for the ADC route, ``(A, 1, OC)`` ``int64``
+    for the fused route).  With a ``requant`` the layer emits integer codes
+    ``clip((acc + bias) >> shift, lo, hi)`` (an :class:`~repro.core.requant.
+    IntRequant` with unit mantissas, so the multipliers live in
+    ``weights``) in ``out_dtype``: the next layer's activation codes on its
+    GEMM carrier, or residual values on a model's fine grid.  Without one,
+    it dequantizes ``(acc + bias) * scale`` into ``out_dtype``, the plan's
+    float dtype.  ``codes_in`` says the input already arrives as the
+    layer's activation codes, so no input quantizer runs.
+    """
+
+    codes_in: bool
+    weights: np.ndarray
+    out_dtype: np.dtype
+    requant: Optional[IntRequant] = None
+    bias: Optional[np.ndarray] = None     # dequant: (OC,) int64 bias_q
+    scale: Optional[np.ndarray] = None    # dequant: (OC,) float64 unit value
+
+    def __post_init__(self):
+        self.out_dtype = np.dtype(self.out_dtype)
+
+
+class _IntOperands(NamedTuple):
+    """Integer-route operands of one layer plan (``_build_int_operands``)."""
+
+    mats: list                      # per-array GEMM weights on the carrier
+    mu_adc: Optional[np.ndarray]    # (A, S, OC, 1) ADC divide, ADC route
+    dequant: LayerFold              # the stand-alone dequant fold
 
 
 class PlanNotReadyError(RuntimeError):
@@ -199,51 +248,140 @@ class _PlanBase:
         self._build_int_operands()
 
     def _build_int_operands(self) -> None:
-        """GEMM-ready integer-route operands (no-ops for float-only plans).
+        """GEMM-ready integer-route operands (``None`` for float-only plans).
 
-        The integer operands are carried in the exact-integer GEMM dtype the
+        The integer weights are carried in the exact-integer GEMM dtype the
         compiler certified (``requant.gemm_dtype`` — see
-        :mod:`repro.core.requant`).  The ADC stage's divide ``m0_adc *
-        2**-shift_adc`` and reduce weights ``m0_out`` become exact
-        ``float64`` operands, after :func:`~repro.core.requant.
-        check_adc_carrier` has confirmed the constants keep that carrier
-        exact (raising :class:`~repro.core.requant.CarrierRangeError` for an
-        artifact that does not); the fused route's multipliers are widened
-        to ``int64`` once so the hot loop multiplies without per-batch casts.
+        :mod:`repro.core.requant`).  On the ADC route,
+        :func:`~repro.core.requant.check_adc_carrier` first confirms the
+        constants keep the ``float64`` carrier exact, and the stand-alone
+        dequant's bias must keep the accumulator below ``2**53`` — either
+        failure raises :class:`~repro.core.requant.CarrierRangeError`.  The
+        ADC divide ``m0_adc * 2**-shift_adc`` becomes a ``float32``
+        multiplier where :func:`~repro.core.requant.adc_multiplier_f32`
+        proves that exact for every reachable partial sum, else the exact
+        ``float64`` one.  The stored reduce multipliers and bias form the
+        layer's default :class:`LayerFold`, the dequant used when no folded
+        graph supplies one.
         """
+        self._int_ops = None
         rq = self.requant
-        self._w_int_mats = self._w_split_int_mats = None
-        self._m0_fused64 = self._mu_adc = self._m0_out_f64 = None
-        self._half_out = self._shift_out = None
-        self._s_out_cast = None
         if rq is None:
             return
         carrier = np.dtype(rq.gemm_dtype)
         s, _, _, oc = self.splits.shape
+        mu_adc = None
         if self.psum_quant_enabled:
             check_adc_carrier(rq, self.psum_qmin, self.psum_qmax)
             # per-array (S*OC, rows_a) weights: the GEMM writes partial sums
             # channel-major, (S*OC, NL), so the ADC passes run along the
             # long contiguous batch axis
-            self._w_split_int_mats = [
-                np.ascontiguousarray(
-                    self.splits[:, i, :stop - start, :].transpose(0, 2, 1)
-                    .astype(carrier)).reshape(s * oc, stop - start)
-                for i, (start, stop) in enumerate(self.row_slices)]
+            mats = [np.ascontiguousarray(
+                        self.splits[:, i, :stop - start, :].transpose(0, 2, 1)
+                        .astype(carrier)).reshape(s * oc, stop - start)
+                    for i, (start, stop) in enumerate(self.row_slices)]
             # broadcast-ready (A, S, OC, 1) so the hot loop applies every
             # array's ADC divide in one vectorized pass
-            self._mu_adc = carrier_multiplier(rq.m0_adc,
-                                              rq.shift_adc)[..., None]
-            self._m0_out_f64 = rq.m0_out.astype(np.float64)
+            mu32 = adc_multiplier_f32(rq, self.psum_qmin, self.psum_qmax)
+            mu_adc = (carrier_multiplier(rq.m0_adc, rq.shift_adc)
+                      if mu32 is None else mu32)[..., None]
+            weights = rq.m0_out.astype(np.float64)
+            if rq.bias_q is not None and (
+                    self._acc_reach(weights).max()
+                    + float(np.abs(rq.bias_q).max()) >= _F64_EXACT):
+                raise CarrierRangeError(
+                    "accumulator plus bias_q reaches 2**53; the float64 "
+                    "dequant would round before its multiply")
         else:
-            self._w_int_mats = [
-                np.ascontiguousarray(
-                    self.w_bar[i, :stop - start, :].astype(carrier))
-                for i, (start, stop) in enumerate(self.row_slices)]
-            self._m0_fused64 = rq.m0_fused.astype(np.int64)[:, None]
-        self._half_out = (np.int64(1) << np.int64(rq.shift)) >> np.int64(1)
-        self._shift_out = np.int64(rq.shift)
-        self._s_out_cast = rq.s_out.astype(self.np_dtype)
+            mats = [np.ascontiguousarray(
+                        self.w_bar[i, :stop - start, :].astype(carrier))
+                    for i, (start, stop) in enumerate(self.row_slices)]
+            weights = rq.m0_fused.astype(np.int64)[:, None, :]
+        dequant = LayerFold(
+            codes_in=False, weights=weights, out_dtype=self.np_dtype,
+            bias=None if rq.bias_q is None else rq.bias_q.astype(np.int64),
+            scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)))
+        self._int_ops = _IntOperands(mats, mu_adc, dequant)
+
+    def dequant_fold(self, codes_in: bool) -> LayerFold:
+        """The stand-alone dequant fold, optionally fed activation codes."""
+        return replace(self._int_ops.dequant, codes_in=codes_in)
+
+    def _acc_reach(self, weights: np.ndarray) -> np.ndarray:
+        """Per-channel bound on ``|acc|`` under reduce ``weights``.
+
+        ``float64``: exact below ``2**53``, and rounding is monotone, so
+        every comparison against ``2**53`` is decided correctly.
+        """
+        if self.psum_quant_enabled:
+            unit = max(abs(self.psum_qmin), abs(self.psum_qmax))
+        else:
+            unit = float(self.requant.acc_bound)
+        return np.abs(weights).sum(axis=(0, 1), dtype=np.float64) * unit
+
+    def int_fold(self, codes_in: bool, gain, offset, lo: int, hi: int,
+                 out_dtype) -> LayerFold:
+        """Fold a per-channel affine map and a quantizer into this layer.
+
+        The layer's real output is ``y = s_a * X + bias``, where ``X`` is
+        its accumulator in float units (``sum codes * m_fold`` on the ADC
+        route, ``sum_a (cols_a @ w_bar_a) * s_w[a]`` on the fused route).
+        The returned fold emits ``clip(floor(y * gain + offset), lo, hi)``
+        per channel: ``gain`` and ``offset`` (length ``OC``) carry the
+        downstream BatchNorm affine, divided by the target scale, plus the
+        ``+1/2`` of round-half-up.  The multiplier ``s_a * gain`` folds into
+        the reduce weights — a signed int32 mantissa per (array, split,
+        channel), with one shift per channel — so the epilogue is one exact
+        power-of-two rescale on the ``float64`` carrier: the accumulator
+        plus the integer bias stays below ``2**53``, which bounds each
+        channel's shift.  Raises
+        :class:`~repro.core.requant.RequantFoldError` when no shift fits.
+        """
+        gain = np.asarray(gain, dtype=np.float64).reshape(-1)
+        offset = np.asarray(offset, dtype=np.float64).reshape(-1)
+        k = gain * float(self.act_scale.reshape(-1)[0])
+        if self.bias is not None:
+            offset = offset + gain * self.bias.astype(np.float64)
+        if self.psum_quant_enabled:
+            base = self.m_fold.astype(np.float64)
+        else:
+            base = self.s_w.astype(np.float64).reshape(self.s_w.shape[0], 1,
+                                                       self.s_w.shape[2])
+            base = np.broadcast_to(base, (self.n_arrays, 1, self.out_channels))
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(offset))):
+            raise RequantFoldError("folded multipliers must be finite")
+        scaled = base * k                           # (A, S|1, OC)
+        peak = np.abs(scaled).max(axis=(0, 1))
+        # a negative shift (a grid finer than the layer's own resolution)
+        # is an exact left shift of the integer accumulator
+        shift = np.where(peak > 0, 31 - np.frexp(peak)[1], 0).astype(np.int64)
+        while True:
+            if int(shift.min()) < -_MAX_LEFT_SHIFT:
+                raise RequantFoldError(
+                    "a folded multiplier exceeds the float64 carrier range")
+            w = np.round(np.ldexp(scaled, shift))
+            over = np.abs(w).max(axis=(0, 1)) > INT32_MAX
+            if over.any():
+                shift = shift - over
+                continue
+            reach = self._acc_reach(w)
+            # bias = floor(offset * 2**shift), exact (a power-of-two scale),
+            # clamped where it would saturate every reachable accumulator
+            bias = np.clip(np.floor(np.ldexp(offset, shift)),
+                           np.floor(np.ldexp(float(lo), shift)) - reach - 1,
+                           np.ceil(np.ldexp(float(hi + 1), shift)) + reach)
+            retry = reach + np.abs(bias) >= _F64_EXACT
+            if not retry.any():
+                break
+            shift = shift - retry
+        requant = IntRequant((1,) * self.out_channels,
+                             tuple(int(v) for v in bias),
+                             tuple(int(v) for v in shift), int(lo), int(hi),
+                             tuple(int(v) for v in reach))
+        weights = (np.ascontiguousarray(w) if self.psum_quant_enabled
+                   else w.astype(np.int64))
+        return LayerFold(codes_in=codes_in, weights=weights,
+                         out_dtype=out_dtype, requant=requant)
 
     # ---------------------------------------------------------------- #
     @property
@@ -381,36 +519,36 @@ class _PlanBase:
         return out
 
     @hot_path
-    def _contract_int(self, cols_flat: np.ndarray) -> np.ndarray:
-        """Integer-route contraction: ``(NL, in_features)`` to ``(NL, OC)``.
+    def _contract_int(self, cols_flat: np.ndarray,
+                      fold: LayerFold) -> np.ndarray:
+        """Integer-route accumulator of ``(NL, in_features)`` codes.
 
-        Between the incoming activation codes and the final per-channel
-        output dequant (``* s_out``) every operation is exact integer
-        arithmetic: the GEMMs multiply integer-valued operands in the
-        certified exact-integer carrier dtype; the ADC stage — per-column
-        divide, half-up rounding, saturation and the ``m0_out`` reduce —
-        runs on an exact ``float64`` carrier, bit-identical to
-        :func:`~repro.core.requant.requantize_up` plus an ``int64`` reduce
-        (the argument is in :mod:`repro.core.requant`); the fused route's
-        multipliers, the bias fold and the single output rounding shift run
-        in ``int64``.  The returned array is the finished layer output
-        (scale and bias already applied); callers must not re-apply
-        ``act_scale`` or ``bias``.
+        Returns the ``(OC, NL)`` ``float64`` accumulator reduced through
+        ``fold.weights`` — exact integers throughout: the GEMMs multiply
+        integer-valued operands in the certified exact-integer carrier
+        dtype; the ADC stage — per-column divide, half-up rounding and
+        saturation — runs on the ``float32`` or ``float64`` carrier
+        :meth:`_build_int_operands` chose and the reduce on ``float64``, together
+        bit-identical to :func:`~repro.core.requant.requantize_up` plus an
+        ``int64`` reduce (the argument is in :mod:`repro.core.requant`); the
+        fused route reduces in ``int64``.  A dequant fold's bias is already
+        added.
 
         Registered hot: every intermediate lives in a thread-local buffer of
         the plan's :class:`~repro.engine.hotpath.ScratchTable`, fully
-        overwritten before it is read and consumed before this call returns
-        (the returned array is the fresh output of the final dequant
-        multiply, never a scratch view), so steady-state calls with a stable
-        batch shape allocate only the result.  The ``int64`` sections are
-        fenced with ``int-pure`` markers for the static analyzer.
+        overwritten before it is read; the returned accumulator is one of
+        them, valid until the next call on this thread, so callers consume
+        it at once (:meth:`_epilogue`).  The ``int64`` section is fenced
+        with ``int-pure`` markers for the static analyzer.
         """
-        rq = self.requant
-        cols_c = cols_flat.astype(np.dtype(rq.gemm_dtype), copy=False)
+        ops = self._int_ops
+        cols_c = cols_flat.astype(np.dtype(self.requant.gemm_dtype),
+                                  copy=False)
         nl = cols_flat.shape[0]
         s, oc = self.n_splits, self.out_channels
         n_arrays = len(self.row_slices)
-        acc = self._scratch("ci_acc", (nl, oc), np.int64)
+        weights = fold.weights
+        acc_t = self._scratch("ci_acct", (oc, nl), np.float64)
         if self.psum_quant_enabled:
             # one GEMM per array into a shared buffer, then one vectorized
             # ADC pass over all arrays at once; constants were validated and
@@ -418,8 +556,7 @@ class _PlanBase:
             # call or sign-handling overhead
             p = self._scratch("ci_p", (n_arrays, s * oc, nl), cols_c.dtype)
             for i, (start, stop) in enumerate(self.row_slices):
-                np.matmul(self._w_split_int_mats[i], cols_c[:, start:stop].T,
-                          out=p[i])
+                np.matmul(ops.mats[i], cols_c[:, start:stop].T, out=p[i])
             p = p.reshape(n_arrays, s, oc, nl)
             # the ADC passes are memory-bound; blocking over channels (each
             # reduces on its own) and samples keeps every block of about
@@ -427,46 +564,79 @@ class _PlanBase:
             per_sample = n_arrays * s
             n_blk = max(1, min(nl, _ADC_BLOCK // per_sample))
             c_blk = max(1, _ADC_BLOCK // (per_sample * n_blk))
-            acc_t = self._scratch("ci_acct", (oc, nl), np.float64)
+            mu_adc = ops.mu_adc
+            adc = (requantize_rint_f32 if mu_adc.dtype == np.float32
+                   else requantize_up_f64)
             buf = self._scratch("ci_buf", (n_arrays, s, min(c_blk, oc), n_blk),
-                                np.float64)
+                                mu_adc.dtype)
             for j in range(0, oc, c_blk):
                 cj = min(c_blk, oc - j)
-                mu = self._mu_adc[:, :, j:j + cj]
-                m0_out = self._m0_out_f64[:, :, j:j + cj]
+                mu = mu_adc[:, :, j:j + cj]
+                w = weights[:, :, j:j + cj]
                 for k in range(0, nl, n_blk):
                     ck = min(n_blk, nl - k)
                     b = buf[:, :, :cj, :ck]
-                    np.copyto(b, p[:, :, j:j + cj, k:k + ck])  # widen carrier
-                    requantize_up_f64(b, mu, self.psum_qmin,    # ADC codes
-                                      self.psum_qmax)
-                    # fused multiply-reduce: sum_{a,s} codes * m0_out, an
+                    adc(p[:, :, j:j + cj, k:k + ck], mu,      # ADC codes
+                        self.psum_qmin, self.psum_qmax, out=b)
+                    # fused multiply-reduce: sum_{a,s} codes * weights, an
                     # integer below 2**53, so exact in any summation order
-                    np.einsum("asxn,asx->xn", b, m0_out,
+                    np.einsum("asxn,asx->xn", b, w,
                               out=acc_t[j:j + cj, k:k + ck])
-            np.copyto(acc, acc_t.T, casting="unsafe")
-        else:
-            p = self._scratch("ci_pf", (n_arrays, nl, oc), cols_c.dtype)
-            for i, (start, stop) in enumerate(self.row_slices):
-                np.matmul(cols_c[:, start:stop], self._w_int_mats[i],
-                          out=p[i])
-            p64 = self._scratch("ci_pf64", (n_arrays, nl, oc), np.int64)
-            # int-pure: begin
-            np.multiply(p, self._m0_fused64, out=p64,   # (A, 1, OC) bcast
-                        dtype=np.int64, casting="unsafe")
-            np.add.reduce(p64, axis=0, out=acc)
-            # int-pure: end
+            if fold.requant is None and fold.bias is not None:
+                acc_t += fold.bias[:, None]      # exact: checked below 2**53
+            return acc_t
+        p = self._scratch("ci_pf", (n_arrays, nl, oc), cols_c.dtype)
+        for i, (start, stop) in enumerate(self.row_slices):
+            np.matmul(cols_c[:, start:stop], ops.mats[i], out=p[i])
+        p64 = self._scratch("ci_pf64", (n_arrays, nl, oc), np.int64)
+        acc = self._scratch("ci_acc", (nl, oc), np.int64)
         # int-pure: begin
-        if rq.bias_q is not None:
-            acc += rq.bias_q
-        acc += self._half_out                # one half-up rounding shift for
-        acc >>= self._shift_out              # the whole layer (see requantize_up)
+        np.multiply(p, weights, out=p64,         # (A, 1, OC) bcast
+                    dtype=np.int64, casting="unsafe")
+        np.add.reduce(p64, axis=0, out=acc)
+        if fold.requant is None and fold.bias is not None:
+            acc += fold.bias
         # int-pure: end
-        # output dequant fused with the cast, at the layer boundary: the one
-        # inexact float multiply (codes are exact in float64; float32 plans
-        # narrow here exactly as the float route's output does)
-        return np.multiply(acc, self._s_out_cast, dtype=self.np_dtype,
-                           casting="unsafe")
+        # one conversion: exact for a requant fold (its bound keeps |acc|
+        # below 2**53); a dequant rounds here, once, as float(acc + bias)
+        np.copyto(acc_t, acc.T, casting="unsafe")
+        return acc_t
+
+    def _epilogue(self, acc_t: np.ndarray, fold: LayerFold,
+                  out_shape: tuple) -> np.ndarray:
+        """Finish a ``(OC, NL)`` accumulator into a fresh ``out_shape`` array.
+
+        A requant fold runs :meth:`~repro.core.requant.IntRequant.execute`
+        in place, ``floor(clip(acc * mu + beta, lo, hi))`` — exact, because
+        ``mu`` is a power of two and ``|acc| + |bias| < 2**53`` (see
+        :meth:`int_fold`); a dequant fold writes ``acc * scale``, the
+        layer's one inexact multiply.  Either lands in
+        ``fold.out_dtype`` with the channel axis second (NCHW for
+        convolutions), through a strided view of the result.
+        """
+        oc = self.out_channels
+        out = np.empty(out_shape, dtype=fold.out_dtype)
+        if out.ndim == 4:
+            length = out_shape[2] * out_shape[3]
+            dst = out.reshape(out_shape[0], oc, length).transpose(1, 0, 2)
+            src = acc_t.reshape(oc, out_shape[0], length)
+        else:
+            dst, src = out.T, acc_t
+        rq = fold.requant
+        if rq is None:
+            scale = fold.scale.reshape((oc,) + (1,) * (src.ndim - 1))
+            np.multiply(src, scale, out=dst, casting="unsafe")
+            return out
+        # mu is a power of two and beta an integer / 2**shift: both exact
+        rq.execute(src, dst, channel_axis=0, overwrite=True)
+        return out
+
+    def _run_int(self, cols_flat: np.ndarray, fold: Optional[LayerFold],
+                 out_shape: tuple) -> np.ndarray:
+        """Integer route from activation codes to the finished layer output."""
+        fold = self._int_ops.dequant if fold is None else fold
+        return self._epilogue(self._contract_int(cols_flat, fold), fold,
+                              out_shape)
 
 
 @dataclass
@@ -480,9 +650,18 @@ class ConvPlan(_PlanBase):
 
     layer_type = "conv2d"
 
-    def execute(self, x: np.ndarray, variation=None) -> np.ndarray:
-        """Run the frozen forward on a ``(N, C, H, W)`` activation array."""
-        x = self._cast_input(x)
+    def execute(self, x: np.ndarray, variation=None,
+                fold: Optional[LayerFold] = None) -> np.ndarray:
+        """Run the frozen forward on a ``(N, C, H, W)`` activation array.
+
+        ``fold`` (integer route only) is the :class:`LayerFold` a folded
+        model graph assigns this layer; without it the integer route
+        quantizes a float input and dequantizes its output.
+        """
+        int_route = self._int_route(variation)
+        codes_in = int_route and fold is not None and fold.codes_in
+        if not codes_in:
+            x = self._cast_input(x)
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
@@ -491,22 +670,23 @@ class ConvPlan(_PlanBase):
         out_w = F.conv_output_size(w, kw, self.stride[1], self.padding[1])
         length = out_h * out_w
 
-        int_route = self._int_route(variation)
-        a = (self._quantize_acts_carrier(x) if int_route
-             else self._quantize_acts(x))
+        if int_route:
+            a = x if codes_in else self._quantize_acts_carrier(x)
+        else:
+            a = self._quantize_acts(x)
         cols = F.unfold_array(a, self.kernel_size, self.stride, self.padding,
                               layout="nlk")                 # (N, L, D)
         # explicit D (not -1): zero-row batches make -1 ambiguous
         cols_flat = cols.reshape(n * length, cols.shape[2])
         if int_route:
-            out = self._contract_int(cols_flat)  # scale + bias already folded
-        else:
-            out = self._contract(cols_flat, variation)      # (NL, OC)
-            if self.act_scale is not None:
-                out *= self.act_scale
+            return self._run_int(cols_flat, fold,
+                                 (n, self.out_channels, out_h, out_w))
+        out = self._contract(cols_flat, variation)          # (NL, OC)
+        if self.act_scale is not None:
+            out *= self.act_scale
         out = out.reshape(n, length, self.out_channels).transpose(0, 2, 1)
         out = out.reshape(n, self.out_channels, out_h, out_w)
-        if self.bias is not None and not int_route:
+        if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
 
@@ -519,14 +699,22 @@ class LinearPlan(_PlanBase):
 
     layer_type = "linear"
 
-    def execute(self, x: np.ndarray, variation=None) -> np.ndarray:
-        """Run the frozen forward on a ``(N, in_features)`` activation array."""
-        x = self._cast_input(x)
+    def execute(self, x: np.ndarray, variation=None,
+                fold: Optional[LayerFold] = None) -> np.ndarray:
+        """Run the frozen forward on a ``(N, in_features)`` activation array.
+
+        ``fold`` has the meaning documented on :meth:`ConvPlan.execute`.
+        """
+        int_route = self._int_route(variation)
+        codes_in = int_route and fold is not None and fold.codes_in
+        if not codes_in:
+            x = self._cast_input(x)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (N, {self.in_features}), got {x.shape}")
-        if self._int_route(variation):
-            return self._contract_int(self._quantize_acts_carrier(x))
+        if int_route:
+            a = x if codes_in else self._quantize_acts_carrier(x)
+            return self._run_int(a, fold, (x.shape[0], self.out_channels))
         a = self._quantize_acts(x)
         out = self._contract(a, variation)                  # (N, OC)
         if self.act_scale is not None:

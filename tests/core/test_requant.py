@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 from repro.core.requant import (INT32_MAX, INT32_MIN, MAX_SHIFT,
-                                OUTPUT_FRACTION_BITS, CarrierRangeError,
-                                RequantConstants, _adc_multipliers,
+                                CarrierRangeError, IntRequant,
+                                RequantConstants, RequantFoldError,
+                                _adc_multipliers, adc_multiplier_f32,
                                 _verified_adc_multipliers, adc_shift_cap,
                                 carrier_multiplier, check_adc_carrier,
                                 quantize_multiplier, quantize_multipliers,
-                                requantize, requantize_up, requantize_up_f64)
+                                requantize, requantize_rint_f32,
+                                requantize_up, requantize_up_f64)
 
 
 def exact_requant(acc: int, m0: int, shift: int) -> int:
@@ -198,11 +200,97 @@ class TestQuantizeMultipliers:
         assert m0[1] == 0 and m0[0] > 0
 
 
-class TestOutputGrid:
-    def test_fraction_bits_constant(self):
-        # serialized drift bounds and the int golden fixtures are derived
-        # for 24 fractional bits; changing the constant invalidates both.
-        assert OUTPUT_FRACTION_BITS == 24
+# --------------------------------------------------------------------------- #
+# the per-channel integer requant of the folded graph
+# --------------------------------------------------------------------------- #
+def fraction_floor(x: int, mult: float, offset: float) -> int:
+    q = Fraction(x) * Fraction(mult) + Fraction(offset)
+    return q.numerator // q.denominator
+
+
+def executed(rq: IntRequant, xs, channel: int) -> np.ndarray:
+    x = np.asarray(xs, dtype=np.float64).reshape(-1, 1)
+    out = np.empty(x.shape)
+    if len(rq.m0) > 1:
+        x = np.repeat(x, len(rq.m0), axis=1)
+        out = np.empty(x.shape)
+        return rq.execute(x, out)[:, channel]
+    return rq.execute(x, out)[:, 0]
+
+
+def probe_inputs(rq: IntRequant, channel: int, rng) -> list:
+    """Random inputs plus every step edge and the range ends."""
+    bound = rq.xmax[channel]
+    xs = [int(v) for v in rng.integers(-bound, bound, size=64,
+                                       endpoint=True)]
+    return xs + rq._points(channel)
+
+
+class TestIntRequant:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_executed_equals_integer_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        mult = rng.normal(size=5) * 2.0 ** rng.integers(-40, 2, size=5)
+        mult[0] = 0.0                               # a zero-gamma channel
+        mult[1] = -abs(mult[1])                     # a decreasing channel
+        offset = rng.normal(size=5) * 4 + 0.5
+        rq = IntRequant.from_real(mult, offset, 0, 7, 2 ** 40)
+        for c in range(5):
+            xs = probe_inputs(rq, c, rng)
+            want = [rq.apply(x, c) for x in xs]
+            np.testing.assert_array_equal(executed(rq, xs, c), want)
+
+    def test_definition_tracks_the_real_map(self):
+        rng = np.random.default_rng(3)
+        mult, offset = np.array([3.1e-9]), np.array([0.5])
+        rq = IntRequant.from_real(mult, offset, 0, 7, 2 ** 40)
+        xs = [int(v) for v in rng.integers(0, 2 ** 32, size=2000)]
+        flips = sum(rq.apply(x, 0) != min(max(fraction_floor(
+            x, mult[0], offset[0]), 0), 7) for x in xs)
+        assert flips <= 2        # only within 2**-31 of a step
+
+    def test_exact_channels_skip_the_search(self):
+        # unit mantissa, power-of-two scale: exact by construction, so the
+        # executed form equals the definition at every input
+        rq = IntRequant((1, 1), (5, -3), (2, -3), -100, 100, (1000, 1000))
+        assert rq.mu.tolist() == [0.25, 8.0]
+        for c in range(2):
+            xs = list(range(-1000, 1001, 7))
+            np.testing.assert_array_equal(executed(rq, xs, c),
+                                          [rq.apply(x, c) for x in xs])
+
+    def test_offsets_beyond_reach_are_clamped_harmlessly(self):
+        rq = IntRequant.from_real([1e-12], [1e30], 0, 7, 2 ** 40)
+        assert rq.bias[0] < 2 ** 80
+        assert rq.apply(-2 ** 40, 0) == 7 == executed(rq, [-2 ** 40], 0)[0]
+
+    def test_a_mistuned_offset_is_repaired(self):
+        rq = IntRequant.from_real([2.0 ** -29 / 3], [0.5], 0, 7, 2 ** 40)
+        edges = rq._points(0)
+        rq.beta[0] = np.nextafter(rq.beta[0], -np.inf) - 2e-16
+        rq._verify()
+        np.testing.assert_array_equal(executed(rq, edges, 0),
+                                      [rq.apply(x, 0) for x in edges])
+
+    @pytest.mark.parametrize("mult,offset", [([np.inf], [0.5]),
+                                             ([1.0], [np.nan]),
+                                             ([2.0 ** 40], [0.5])])
+    def test_unrepresentable_constants_are_refused(self, mult, offset):
+        with pytest.raises(RequantFoldError):
+            IntRequant.from_real(mult, offset, 0, 7, 2 ** 20)
+
+    def test_unverifiable_range_is_refused(self):
+        with pytest.raises(RequantFoldError):
+            IntRequant.from_real([1.0 / 3], [0.5], -2 ** 40, 2 ** 40,
+                                 2 ** 50)
+
+    def test_single_channel_broadcasts(self):
+        rq = IntRequant.from_real([0.25], [0.5], 0, 7, 64)
+        x = np.arange(-8, 40, dtype=np.float64).reshape(2, 3, 8)
+        out = rq.execute(x, np.empty(x.shape))
+        want = [[[rq.apply(int(v), c) for v in row]
+                 for c, row in enumerate(plane)] for plane in x]
+        np.testing.assert_array_equal(out, want)
 
 
 # --------------------------------------------------------------------------- #
@@ -238,6 +326,58 @@ def int_window(m0: int, shift: int, amax: int = 4) -> np.ndarray:
 
 
 class TestFloat64Carrier:
+    def test_widening_into_out_matches_in_place(self):
+        # the executed stage multiplies the float32 GEMM output straight
+        # into a float64 block: same codes as widening first
+        rng = np.random.default_rng(5)
+        p = rng.integers(-(2 ** 20), 2 ** 20, size=(3, 4, 50))
+        m0, shift = np.full((3, 4, 1), 2 ** 30 + 7), np.full((3, 4, 1), 40)
+        mu = carrier_multiplier(m0, shift)
+        out = np.empty(p.shape)
+        got = requantize_up_f64(p.astype(np.float32), mu, QMIN, QMAX, out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, carrier_codes(p, m0, shift))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float32_stage_equals_int64_on_the_whole_window(self, seed):
+        # every reachable partial sum, exhaustively, for random constants
+        rng = np.random.default_rng(seed)
+        shape = (2, 3, 5)
+        bound = 300
+        m0 = rng.integers(1, INT32_MAX, size=shape)
+        shift = rng.integers(20, CAP + 1, size=shape)
+        m0[0, 0, 0], shift[0, 0, 0] = 0, 7             # a dead column
+        rq = RequantConstants(shift=0, s_out=np.ones(5), acc_bound=bound,
+                              m0_adc=m0.astype(np.int32), shift_adc=shift)
+        rq.m0_adc = (rng.integers(1, 2 ** 12, size=shape) << 30 >> shift
+                     ).astype(np.int32)                 # codes in range
+        mu32 = adc_multiplier_f32(rq, QMIN, QMAX)
+        assert mu32 is not None and mu32.dtype == np.float32
+        p = np.arange(-bound, bound + 1)
+        for idx in np.ndindex(shape):
+            got = requantize_rint_f32(p.astype(np.float32), mu32[idx],
+                                      QMIN, QMAX, out=np.empty(p.size,
+                                                              np.float32))
+            want = requantize_up(p, int(rq.m0_adc[idx]), int(shift[idx]),
+                                 QMIN, QMAX)
+            np.testing.assert_array_equal(got, want, err_msg=str(idx))
+
+    def test_float32_stage_refuses_exact_ties(self):
+        # p * M0 * 2**-shift = k + 1/2 exactly, for p of both signs: the
+        # definition rounds every tie up, rint to even, and no float32
+        # multiplier moves positive ties up and negative ones toward zero
+        rq = RequantConstants(shift=0, s_out=np.ones(1), acc_bound=40,
+                              m0_adc=np.array([[[1]]], np.int32),
+                              shift_adc=np.array([[[2]]]))
+        assert adc_multiplier_f32(rq, QMIN, QMAX) is None
+
+    def test_float32_stage_needs_a_float32_gemm_carrier(self):
+        rq = RequantConstants(shift=0, s_out=np.ones(1), acc_bound=40,
+                              gemm_dtype="float64",
+                              m0_adc=np.array([[[1]]], np.int32),
+                              shift_adc=np.array([[[2]]]))
+        assert adc_multiplier_f32(rq, QMIN, QMAX) is None
+
     def test_shift_cap_is_the_largest_exact_shift(self):
         assert CAP == 50
         for qmin, qmax in [(-4, 3), (0, 0), (-1, 1), (-128, 127), (0, 255)]:

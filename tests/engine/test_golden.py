@@ -81,12 +81,15 @@ def test_golden_int_route_bit_exact(name, tmp_path):
 
 def test_int_fixture_artifact_also_executes_float(tmp_path):
     """An int fixture's artifact is an ordinary v2 artifact — the default
-    (float) load must still work and produce outputs within the declared
-    drift bound of the int golden."""
+    (float) load must still work and predict the same classes as the int
+    golden; switching the same plan to int reproduces that golden (which
+    ``test_int_oracle.py`` pins to the pure-Python oracle) bit for bit."""
     plan, x, golden = _load_fixture("resnet_tiny_int", tmp_path)
     assert plan.mode == "float"
     out = plan.execute(x)
-    assert np.abs(out - golden).max() <= plan.int_drift_bound()
+    np.testing.assert_array_equal(out.argmax(axis=1), golden.argmax(axis=1))
+    plan.set_mode("int")
+    np.testing.assert_array_equal(plan.execute(x), golden)
 
 
 def test_resnet_tiny_served_bit_exact(tmp_path):

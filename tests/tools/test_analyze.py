@@ -134,6 +134,13 @@ def test_int_purity_fires_on_each_float_reintroduction():
         seeded("bad_intpure.py")
 
 
+def test_int_purity_fires_inside_a_folded_epilogue():
+    # the fence shape of the integer route's requant epilogue
+    result = analyze("bad_epilogue.py", select=["int-purity"])
+    assert {(f.rule, f.line) for f in result.findings} == \
+        seeded("bad_epilogue.py")
+
+
 def test_int_purity_marker_balance():
     result = analyze("bad_markers.py", select=["int-purity"])
     assert {(f.rule, f.line) for f in result.findings} == \

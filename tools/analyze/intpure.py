@@ -1,17 +1,19 @@
 """Int-purity pass: no float ops between the quant/dequant boundaries.
 
 The integer execution route (``plan.py`` ``_contract_int``, the
-``requant.py`` fixed-point primitives, and the compiler's int-route
-branches) quantizes activations into an exact-integer carrier, runs the
-ADC stage on an exact ``float64`` carrier (argued exact in
-``requant.py``, not checkable lexically), and finishes in pure ``int64``
-arithmetic — the fused route's multipliers, the bias fold and the output
-rounding shift — before the single dequant multiply.  The ``int64``
-stretches are marked in the source::
+``requant.py`` fixed-point primitives and the requant step every epilogue
+runs, and the integer ops of ``intfold.py``) quantizes activations into an exact-integer carrier,
+runs the ADC stage on an exact ``float64`` carrier (argued exact in
+``requant.py``, not checkable lexically), reduces the fused route in pure
+``int64`` arithmetic, and finishes each layer in an exact requant epilogue
+that emits the next layer's integer codes.  The integer stretches are
+marked in the source::
 
     # int-pure: begin
-    acc += self._bias_q
-    acc >>= shift
+    t = np.multiply(x, mu, out=x if overwrite else None)
+    t += beta
+    np.clip(t, lo, hi, out=t)
+    return np.floor(t, out=out, casting="unsafe")
     # int-pure: end
 
 Inside a marked region the pass flags anything that would silently
