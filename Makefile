@@ -19,7 +19,6 @@
 #   make bench-runner - batched inference-runner throughput benchmark
 #   make bench-server - concurrent PlanServer throughput benchmark
 #   make bench-int    - integer-requantized route benchmark at default scale
-#   make bench-compiler - compiled (fused + arena) vs interpreted execution
 #   make bench-netserver - HTTP front-end SLO benchmark (sustained + bursty +
 #                       saturation load against a 2-shard NetServer)
 #   make bench-reload - serving-lifecycle benchmark (rolling reload p99 vs
@@ -38,7 +37,7 @@ PYTHONPATH  := src
 
 export PYTHONPATH
 
-.PHONY: verify test lint test-engine test-int coverage bench-smoke bench-engine bench-runner bench-server bench-int bench-compiler bench-netserver bench-reload bench-analyze serve-demo docs-check install
+.PHONY: verify test lint test-engine test-int coverage bench-smoke bench-engine bench-runner bench-server bench-int bench-netserver bench-reload bench-analyze serve-demo docs-check install
 
 verify: test lint docs-check bench-smoke
 
@@ -58,7 +57,7 @@ coverage:
 	$(PYTHON) tools/run_coverage.py --source src/repro/engine --source src/repro/core/pipeline.py --source src/repro/core/requant.py --source tools/analyze --fail-under 90 tests/engine tests/core tests/tools -q
 
 bench-smoke:
-	REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_compiler.py benchmarks/bench_netserver_slo.py benchmarks/bench_reload_autoscale.py benchmarks/bench_analyze.py -q
+	REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_netserver_slo.py benchmarks/bench_reload_autoscale.py benchmarks/bench_analyze.py -q
 
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine_speedup.py
@@ -71,9 +70,6 @@ bench-server:
 
 bench-int:
 	$(PYTHON) benchmarks/bench_int_requant.py
-
-bench-compiler:
-	$(PYTHON) benchmarks/bench_compiler.py
 
 bench-netserver:
 	$(PYTHON) benchmarks/bench_netserver_slo.py

@@ -97,7 +97,7 @@ def _layer_codes(plan, x) -> dict:
             elif layer.act_scale is not None:
                 codes[node.plan_index] = layer._quantize_acts(
                     np.asarray(args[0], dtype=layer.np_dtype))
-        values[node.id] = plan._run_node(node, args, None)
+        values[node.id] = plan._run_node(node, values)
     return codes
 
 

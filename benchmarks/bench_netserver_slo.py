@@ -183,7 +183,7 @@ class _SlowPlan:
     def __init__(self, delay_s):
         self.delay_s = delay_s
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         """``2x + 1`` after a fixed delay per non-empty batch."""
         x = np.asarray(x)
         if x.shape[0]:

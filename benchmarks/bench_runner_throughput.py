@@ -3,7 +3,7 @@
 The model-level artifacts (``repro.engine.model_plan``) make deployment a
 pure-NumPy affair: ``engine.load_plan`` rebuilds a ResNet-8 classifier from
 one ``.npz`` file with no QAT objects, and ``engine.InferenceRunner`` serves
-a sample stream through micro-batched GEMMs with reused activation buffers.
+a sample stream through micro-batched GEMMs.
 This benchmark pins the serving contract:
 
 * **equivalence**: the loaded artifact's logits match the frozen in-process

@@ -17,14 +17,11 @@ compiles that work out, at two granularities:
   — the **model-level artifact**: every layer plan plus folded BatchNorm and
   the inter-layer op graph in one ``.npz`` + JSON manifest, reloadable with
   :func:`load_plan` into a runnable executor without constructing the QAT
-  model or its quantizers;
-* :class:`CompiledPlan` (``ModelPlan.compile()`` /
-  ``load_plan(..., compile=True)``) — the scheduled executor: element-wise
-  chains fused into in-place passes plus a liveness-planned buffer arena,
-  bit-exact vs the interpreted reference path;
+  model or its quantizers; :meth:`ModelPlan.execute` is the engine's one
+  executor;
 * :class:`InferenceRunner` / :class:`PlanExecutor` — micro-batching over a
-  sample stream with reused activation buffers and per-layer timing stats,
-  built on the shared batch-execution core;
+  sample stream with per-layer timing stats, built on the shared
+  batch-execution core;
 * :class:`PlanServer` (+ :class:`DynamicBatcher`) — the concurrent serving
   subsystem: per-request ``submit``/futures, dynamic batching (flush on
   ``max_batch`` / ``max_wait_ms``), a pool of thread- or process-backed
@@ -54,7 +51,6 @@ from ..core.requant import (RequantConstants, compile_requant,
                             quantize_multiplier, quantize_multipliers,
                             requantize)
 from .api import freeze, frozen_layers, is_frozen, thaw
-from .compiler import CompiledPlan, FusedStep, compile_plan_graph
 from .frozen import FrozenCIMConv2d, FrozenCIMLinear
 from .model_plan import (GraphBuilder, GraphNode, ModelPlan, ModelPlanError,
                          compile_model_plan, load_model_plan, load_plan,
@@ -85,7 +81,6 @@ __all__ = [
     "save_plan", "load_plan", "load_layer_plan",
     "GraphBuilder", "GraphNode", "ModelPlan", "ModelPlanError",
     "compile_model_plan", "save_model_plan", "load_model_plan",
-    "CompiledPlan", "FusedStep", "compile_plan_graph",
     "InferenceRunner", "PlanExecutor", "RunnerStats",
     "DynamicBatcher", "Request", "RequestTiming", "SchedulerStats",
     "SchedulerClosed",

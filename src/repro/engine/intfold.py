@@ -1,7 +1,7 @@
 """Graph-level fold of the integer route: integer codes between CIM layers.
 
 ``ModelPlan.set_mode("int")`` rewrites the float op graph once, at load
-time, into the graph both executors run in integer mode.  Every
+time, into the graph ``ModelPlan.execute`` runs in integer mode.  Every
 ``cim -> batchnorm -> relu/relu6 -> consumer`` chain collapses into the CIM
 layer itself: the BatchNorm affine (sign per channel: gamma may be negative
 or zero), the ReLU/ReLU6 clamp and the consumer's LSQ scale and clip fold

@@ -51,6 +51,7 @@ from ..nn.module import Module, Sequential
 from ..nn.norm import _BatchNorm
 from ..nn.tensor import Tensor, no_grad
 from .frozen import _FrozenLayer
+from .hotpath import hot_path
 from .intfold import INT_OPS, fold_int_graph
 from .plan import (compile_plan, load_plan as _load_layer_plan, normalize_dtype,
                    plan_arrays, plan_from_parts, plan_meta)
@@ -267,12 +268,7 @@ def _channel_shape(param: np.ndarray, ndim: int) -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# shared op kernels
-#
-# The interpreter (ModelPlan._run_node) and the scheduled executor
-# (repro.engine.compiler.CompiledPlan) run the exact same NumPy operations in
-# the exact same order, so the shape-producing ops live here as plain
-# functions both paths call.
+# shape-producing op kernels (ModelPlan._run_node dispatches to these)
 # --------------------------------------------------------------------------- #
 def run_flatten(x: np.ndarray) -> np.ndarray:
     """Flatten trailing dims to ``(N, features)`` — a view, zero-batch safe.
@@ -286,83 +282,72 @@ def run_flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], features)
 
 
-def run_global_avg_pool(x: np.ndarray,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
+def run_global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Global average pool ``(N, C, H, W) -> (N, C)``.
 
-    Tensor.mean is ``sum * (1/count)``; mirror it for bit-exactness.  With
-    ``out`` the same reduction and multiply land in the caller's buffer
-    (identical bits, no fresh allocation).
+    Tensor.mean is ``sum * (1/count)``; mirror it for bit-exactness.
     """
-    scale = 1.0 / (x.shape[2] * x.shape[3])
-    if out is None:
-        return x.sum(axis=(2, 3)) * scale
-    x.sum(axis=(2, 3), out=out)
-    np.multiply(out, scale, out=out)
-    return out
+    return x.sum(axis=(2, 3)) * (1.0 / (x.shape[2] * x.shape[3]))
 
 
 def run_pool(x: np.ndarray, op: str, kernel: tuple, stride: tuple,
-             padding: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Windowed ``max_pool`` / ``avg_pool`` via the shared unfold kernel.
-
-    With ``out`` (shape ``(N, C, out_h, out_w)``) the reduction writes into
-    the caller's buffer — same ops, same bits, no fresh result array.
-    """
+             padding: tuple) -> np.ndarray:
+    """Windowed ``max_pool`` / ``avg_pool`` via the shared unfold kernel."""
     n, c, h, w = x.shape
     out_h = F.conv_output_size(h, kernel[0], stride[0], padding[0])
     out_w = F.conv_output_size(w, kernel[1], stride[1], padding[1])
     cols = F.unfold_array(x, kernel, stride, padding)
     cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
-    dst = None if out is None else out.reshape(n, c, out_h * out_w)
     if op == "max_pool":
-        pooled = cols.max(axis=2, out=dst)
+        pooled = cols.max(axis=2)
     else:  # Tensor.mean is sum * (1/count); mirror it for bit-exactness
-        pooled = cols.sum(axis=2, out=dst)
-        scale = 1.0 / (kernel[0] * kernel[1])
-        pooled = np.multiply(pooled, scale, out=dst)
-    return out if out is not None else pooled.reshape(n, c, out_h, out_w)
+        pooled = cols.sum(axis=2) * (1.0 / (kernel[0] * kernel[1]))
+    return pooled.reshape(n, c, out_h, out_w)
 
 
 def run_linear(x: np.ndarray, weight: np.ndarray,
-               bias: Optional[np.ndarray],
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+               bias: Optional[np.ndarray]) -> np.ndarray:
     """Full-precision linear layer ``x @ W.T (+ bias)``.
 
     The bias add runs in place on the matmul output — same bits as
-    ``out + bias``, one less allocation.  With ``out`` the GEMM itself
-    writes into the caller's buffer.
+    ``out + bias``, one less allocation.
     """
-    if out is None:
-        out = x @ weight.T
-    else:
-        np.matmul(x, weight.T, out=out)
+    out = x @ weight.T
     if bias is not None:
         np.add(out, bias, out=out)
     return out
 
 
 def run_conv2d(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray],
-               stride: tuple, padding: tuple,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full-precision conv2d via unfold + batched matmul (+ in-place bias).
-
-    With ``out`` (shape ``(N, C_out, out_h, out_w)``) the batched GEMM
-    writes into the caller's buffer directly — identical bits.
-    """
+               stride: tuple, padding: tuple) -> np.ndarray:
+    """Full-precision conv2d via unfold + batched matmul (+ in-place bias)."""
     c_out, _, kh, kw = weight.shape
     n = x.shape[0]
     out_h = F.conv_output_size(x.shape[2], kh, stride[0], padding[0])
     out_w = F.conv_output_size(x.shape[3], kw, stride[1], padding[1])
     cols = F.unfold_array(x, (kh, kw), stride, padding)   # (N, K, L)
-    w2 = weight.reshape(c_out, -1)
-    if out is None:
-        out = (w2 @ cols).reshape(n, c_out, out_h, out_w)
-    else:
-        np.matmul(w2, cols, out=out.reshape(n, c_out, out_h * out_w))
+    out = (weight.reshape(c_out, -1) @ cols).reshape(n, c_out, out_h, out_w)
     if bias is not None:
         np.add(out, bias.reshape(1, c_out, 1, 1), out=out)
     return out
+
+
+def _liveness(nodes: List[GraphNode], output_id: int) -> tuple:
+    """``(steps, output_id)`` with one ``(node, dead_ids)`` step per node.
+
+    Steps cover every node after the input.  ``dead_ids`` lists the
+    distinct inputs whose last reader is ``node``; the graph output is never
+    among them.
+    """
+    last_use: Dict[int, int] = {}
+    for node in nodes[1:]:
+        for input_id in node.inputs:
+            last_use[input_id] = node.id
+    last_use[output_id] = len(nodes)
+    steps = tuple((node, tuple(i for i in dict.fromkeys(node.inputs)
+                               if last_use[i] == node.id))
+                  for node in nodes[1:])
+    return steps, output_id
 
 
 @dataclass
@@ -380,7 +365,8 @@ class ModelPlan:
     dtype: str = "float64"
     name: str = ""
     mode: str = field(default="float", repr=False)  # runtime, not serialized
-    _compiled: Any = field(default=None, init=False, repr=False, compare=False)
+    _steps_by_mode: Dict[str, tuple] = field(default_factory=dict, init=False,
+                                             repr=False, compare=False)
     _int_graph: Any = field(default=None, init=False, repr=False,
                             compare=False)
 
@@ -438,110 +424,77 @@ class ModelPlan:
         """``(nodes, output_id)`` of the graph the current mode executes.
 
         The float graph is :attr:`nodes`; in ``mode="int"`` it is the folded
-        integer graph (runtime state, never serialized).  Both executors
-        run exactly this graph.
+        integer graph (runtime state, never serialized).
         """
         if self.mode == "int":
             return self._int_graph
         return self.nodes, self.output_id
 
+    def _steps(self) -> tuple:
+        """:func:`_liveness` of :meth:`graph`, built once per mode and cached.
+
+        Concurrent first calls may each build the (identical) tuple; the
+        last store wins, so no lock is needed.
+        """
+        steps = self._steps_by_mode.get(self.mode)
+        if steps is None:
+            steps = self._steps_by_mode[self.mode] = _liveness(*self.graph())
+        return steps
+
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def execute(self, x: np.ndarray, timings: Optional[Dict[str, float]] = None,
-                workspace: Optional[dict] = None) -> np.ndarray:
+    @hot_path
+    def execute(self, x: np.ndarray,
+                timings: Optional[Dict[str, float]] = None) -> np.ndarray:
         """Run the graph on a batch array and return the output array.
 
         ``timings`` (optional) accumulates per-node wall-clock seconds keyed
         by node name — :class:`~repro.engine.runner.InferenceRunner` uses it
-        for per-layer stats.  ``workspace`` (optional dict) lets element-wise
-        nodes reuse preallocated output buffers across calls; outputs of a
-        workspace-backed run are only valid until the next :meth:`execute`
-        with the same workspace.
+        for per-layer stats.  Every call allocates its own activations, so a
+        returned array is never overwritten by a later call.  Registered
+        hot: the per-node liveness lists are precomputed by :meth:`_steps`.
         """
         x = np.asarray(x.data if isinstance(x, Tensor) else x,
                        dtype=self.np_dtype)
-        nodes, output_id = self.graph()
+        steps, output_id = self._steps()
         values: Dict[int, np.ndarray] = {0: x}
-        last_use: Dict[int, int] = {0: 0}
-        for node in nodes[1:]:
-            for input_id in node.inputs:
-                last_use[input_id] = node.id
-        last_use[output_id] = len(nodes)
-
-        for node in nodes[1:]:
-            args = [values[i] for i in node.inputs]
+        for node, dead in steps:
             if timings is None:
-                values[node.id] = self._run_node(node, args, workspace)
+                values[node.id] = self._run_node(node, values)
             else:
                 start = time.perf_counter()
-                values[node.id] = self._run_node(node, args, workspace)
+                values[node.id] = self._run_node(node, values)
                 timings[node.name] = (timings.get(node.name, 0.0)
                                       + time.perf_counter() - start)
-            for input_id in node.inputs:
-                if last_use.get(input_id, -1) == node.id:
-                    del values[input_id]
+            for input_id in dead:
+                del values[input_id]
         return values[output_id]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`execute` (no timing, no workspace)."""
+        """Alias of :meth:`execute` (no timing)."""
         return self.execute(x)
 
-    def compile(self):
-        """Compile the op graph into a :class:`~repro.engine.compiler.CompiledPlan`.
-
-        The compiled plan fuses element-wise chains, plans buffers by
-        liveness, and executes a flat schedule; it shares this plan's layer
-        plans (and therefore its :meth:`set_mode` state).  Interpretation
-        through :meth:`execute` remains the bit-exact reference path; the
-        compiled executor is pinned equal to it by the differential suite.
-        The result is cached, so repeated calls return the same object and
-        :meth:`summary` can report the schedule.
-        """
-        if self._compiled is None:
-            from .compiler import compile_plan_graph
-            self._compiled = compile_plan_graph(self)
-        return self._compiled
-
-    def workspace_footprint(self, workspace: Optional[dict]) -> tuple:
-        """``(resident_bytes, n_buffers)`` held by an interpreter workspace dict."""
-        if not workspace:
-            return (0, 0)
-        buffers = [buf for buf in workspace.values()
-                   if isinstance(buf, np.ndarray)]
-        return (sum(buf.nbytes for buf in buffers), len(buffers))
-
-    def _buffer(self, workspace: Optional[dict], node: GraphNode,
-                shape: tuple) -> Optional[np.ndarray]:
-        """Reusable output buffer for ``node``, or ``None`` without workspace."""
-        if workspace is None:
-            return None
-        buf = workspace.get(node.id)
-        if buf is None or buf.shape != shape or buf.dtype != self.np_dtype:
-            buf = np.empty(shape, dtype=self.np_dtype)
-            workspace[node.id] = buf
-        return buf
-
-    def _run_node(self, node: GraphNode, args: List[np.ndarray],
-                  workspace: Optional[dict]) -> np.ndarray:
-        """Execute one node; each op mirrors its Tensor counterpart bit for bit."""
+    def _run_node(self, node: GraphNode,
+                  values: Dict[int, np.ndarray]) -> np.ndarray:
+        """Execute one node on the live ``values``; each op mirrors its
+        Tensor counterpart bit for bit.  Binary ops (``add``, ``iadd``)
+        read their second operand from ``node.inputs[1]``."""
         op = node.op
-        x = args[0]
+        x = values[node.inputs[0]]
         if op == "cim":
             return self.layer_plans[node.plan_index].execute(
                 x, fold=node.attrs.get("fold"))
         if op in INT_OPS:
-            return node.attrs["spec"](*args)
+            spec = node.attrs["spec"]
+            if len(node.inputs) == 2:
+                return spec(x, values[node.inputs[1]])
+            return spec(x)
         if op == "batchnorm":
             a = node.arrays
             mean = a["mean"].reshape(_channel_shape(a["mean"], x.ndim))
             denom = a["denom"].reshape(_channel_shape(a["denom"], x.ndim))
-            out = self._buffer(workspace, node, x.shape)
-            if out is None:
-                out = (x - mean) / denom
-            else:
-                np.subtract(x, mean, out=out)
-                np.divide(out, denom, out=out)
+            out = (x - mean) / denom
             if "gamma" in a:
                 gamma = a["gamma"].reshape(_channel_shape(a["gamma"], x.ndim))
                 beta = a["beta"].reshape(_channel_shape(a["beta"], x.ndim))
@@ -551,16 +504,12 @@ class ModelPlan:
         if op == "relu":
             # single pass; np.fmax drops NaN in favour of the 0.0 operand, so
             # this is bit-identical to np.where(x > 0, x, 0.0) — NaN -> 0,
-            # -0.0 -> +0.0 — with or without a workspace buffer
-            return np.fmax(x, 0.0, out=self._buffer(workspace, node, x.shape))
+            # -0.0 -> +0.0
+            return np.fmax(x, 0.0)
         if op == "relu6":
-            out = self._buffer(workspace, node, x.shape)
-            return np.clip(x, 0.0, 6.0, out=out)
+            return np.clip(x, 0.0, 6.0)
         if op == "add":
-            out = self._buffer(workspace, node, x.shape)
-            if out is None:
-                return x + args[1]
-            return np.add(x, args[1], out=out)
+            return x + values[node.inputs[1]]
         if op == "flatten":
             return run_flatten(x)
         if op == "global_avg_pool":
@@ -583,12 +532,7 @@ class ModelPlan:
     # introspection
     # ------------------------------------------------------------------ #
     def summary(self) -> str:
-        """Human-readable node list (one line per op, with plan shapes).
-
-        Once :meth:`compile` has run, the compiled schedule is appended:
-        fusion groups, schedule order, and the arena footprint of every
-        batch shape executed so far.
-        """
+        """Human-readable node list (one line per op, with plan shapes)."""
         nodes, _ = self.graph()
         lines = [f"ModelPlan({self.name or 'model'}, dtype={self.dtype}, "
                  f"mode={self.mode}, {self.n_cim_layers} CIM layers, "
@@ -601,8 +545,6 @@ class ModelPlan:
             lines.append(f"  %{node.id:<3} {node.op:<16} "
                          f"({', '.join(f'%{i}' for i in node.inputs)})"
                          f" {node.name}{detail}")
-        if self._compiled is not None:
-            lines.append(self._compiled.summary())
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
@@ -616,11 +558,6 @@ class ModelPlan:
     def load(cls, path, mode: str = "float") -> "ModelPlan":
         """Rebuild a :class:`ModelPlan` saved by :meth:`save`."""
         return load_model_plan(path, mode=mode)
-
-    @property
-    def compiled(self):
-        """The cached :meth:`compile` result, or ``None`` before compiling."""
-        return self._compiled
 
 
 # --------------------------------------------------------------------------- #
@@ -700,18 +637,15 @@ def save_model_plan(plan: ModelPlan, path) -> None:
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
-def load_model_plan(path, mode: str = "float", compile: bool = False):
+def load_model_plan(path, mode: str = "float") -> ModelPlan:
     """Rebuild a :class:`ModelPlan` from a :func:`save_model_plan` archive.
 
     Pure data path: no QAT model, layer, or quantizer objects are
     constructed.  ``mode`` selects the execution route of the returned plan
     (see :meth:`ModelPlan.set_mode`); ``"int"`` raises on v1 archives, which
-    carry no requant constants.  ``compile=True`` returns
-    :meth:`ModelPlan.compile`'s scheduled executor instead of the
-    interpreter — same ``execute`` surface, so runners and servers pick it
-    up unchanged.  Raises :class:`ModelPlanError` on a corrupted manifest,
-    an unknown format/version, missing array entries, or requant constants
-    the integer route cannot execute exactly
+    carry no requant constants.  Raises :class:`ModelPlanError` on a
+    corrupted manifest, an unknown format/version, missing array entries, or
+    requant constants the integer route cannot execute exactly
     (:class:`~repro.core.requant.CarrierRangeError`, chained as the cause).
     """
     with np.load(path) as archive:
@@ -758,12 +692,10 @@ def load_model_plan(path, mode: str = "float", compile: bool = False):
         raise ModelPlanError(f"{path}: corrupted manifest: {error}") from error
     if mode != "float":
         plan.set_mode(mode)
-    if compile:
-        return plan.compile()
     return plan
 
 
-def load_plan(path, mode: str = "float", compile: bool = False):
+def load_plan(path, mode: str = "float"):
     """Load any engine artifact: a :class:`ModelPlan` or a single layer plan.
 
     Dispatches on the archive contents — model plans carry a
@@ -771,15 +703,11 @@ def load_plan(path, mode: str = "float", compile: bool = False):
     deployment code needs one entry point regardless of what was saved.
     ``mode="int"`` returns the plan switched to the integer execution route
     (raises on float-only artifacts saved before the integer path existed).
-    ``compile=True`` returns the scheduled
-    :class:`~repro.engine.compiler.CompiledPlan` executor for model plans;
-    per-layer plans have no op graph to schedule, so the flag is a no-op
-    for them.
     """
     with np.load(path) as archive:
         files = set(archive.files)
     if "__manifest__" in files:
-        return load_model_plan(path, mode=mode, compile=compile)
+        return load_model_plan(path, mode=mode)
     if "__meta__" in files:
         return _load_layer_plan(path, mode=mode)
     raise ModelPlanError(f"{path}: not an engine artifact "

@@ -6,8 +6,8 @@ that stack behind a socket so anything that can POST JSON can be a client,
 and adds the three things a wire boundary makes necessary:
 
 * **multi-model tenancy** — each :meth:`NetServer.add_model` call mounts one
-  artifact (path or in-memory plan, any ``mode=`` / ``compile=``
-  combination) as ``POST /v1/models/{name}/predict``, backed by its own
+  artifact (path or in-memory plan, in either ``mode=``) as
+  ``POST /v1/models/{name}/predict``, backed by its own
   :class:`~repro.engine.server.PlanServer` (private batcher, shard pool and
   caches), with artifact paths deduplicated through
   :func:`~repro.engine.server.load_plan_cached`;
@@ -208,12 +208,9 @@ class ModelEndpoint:
         own error message, instead of poisoning a shard mid-batch.  Each
         distinct accepted shape is probed once and then remembered.
 
-        Probes are serialized under one lock: the probe executes on the
-        endpoint's *shared* plan (possibly compiled and arena-backed, and
-        ``plan.execute`` is only safe concurrently when each caller owns
-        its workspace — which the probe does not), so two handler threads
-        must never run it at the same time.  The remembered-shape fast path
-        stays lock-free.
+        Probes are serialized under one lock, so concurrent first requests
+        of one new shape run a single probe.  The remembered-shape fast
+        path stays lock-free.
         """
         shape = tuple(int(dim) for dim in batch.shape[1:])
         if shape in self._known_shapes:
@@ -447,7 +444,6 @@ class ModelEndpoint:
                 "name": getattr(plan, "name", "") or self.name,
                 "dtype": str(getattr(plan, "np_dtype", "")),
                 "mode": getattr(plan, "mode", "float"),
-                "compiled": type(plan).__name__ == "CompiledPlan",
                 # a version block that changes iff the served bytes can:
                 # artifact identity (stat keys of the plan cache) plus the
                 # lifetime reload count of this endpoint
@@ -832,15 +828,15 @@ class NetServer:
         """Mount a model at ``/v1/models/{name}/predict``.
 
         ``plan`` is anything :class:`PlanServer` accepts — an artifact path
-        (resolved through the plan cache, honoring ``mode=`` /
-        ``compile=``), a :class:`~repro.engine.model_plan.ModelPlan`, or a
-        compiled executor.  ``server_kwargs`` are forwarded verbatim to
-        :class:`PlanServer` (``n_shards``, ``backend``, ``max_batch``,
-        ``max_wait_ms``, ``queue_size``, ``result_cache_entries``,
-        ``mode`` ...).  ``max_request_samples`` caps one request's batch
-        (at most the queue size — a request that can never be admitted is
-        a 413, not an eternal 503); ``request_timeout_s`` bounds how long a
-        handler waits for results before answering 504.
+        (resolved through the plan cache, honoring ``mode=``) or a
+        :class:`~repro.engine.model_plan.ModelPlan`.  ``server_kwargs`` are
+        forwarded verbatim to :class:`PlanServer` (``n_shards``,
+        ``backend``, ``max_batch``, ``max_wait_ms``, ``queue_size``,
+        ``result_cache_entries``, ``mode`` ...).  ``max_request_samples``
+        caps one request's batch (at most the queue size — a request that
+        can never be admitted is a 413, not an eternal 503);
+        ``request_timeout_s`` bounds how long a handler waits for results
+        before answering 504.
 
         ``max_shards`` enables autoscaling: the pool starts at
         ``n_shards`` and an :class:`Autoscaler` grows it up to
@@ -854,9 +850,8 @@ class NetServer:
         if not name or any(ch in name for ch in "/ \t\n"):
             raise ValueError(f"model name {name!r} must be non-empty and "
                              "contain no slashes or whitespace")
-        # `compile` stays inside server_kwargs: the endpoint retains the
-        # *path* as its plan source, so restart/reload rebuilds re-resolve
-        # the artifact (new bytes included) and still come up compiled
+        # the endpoint retains the *path* as its plan source, so
+        # restart/reload rebuilds re-resolve the artifact (new bytes included)
         endpoint = ModelEndpoint(name, plan, server_kwargs,
                                  max_request_samples=max_request_samples,
                                  request_timeout_s=request_timeout_s,

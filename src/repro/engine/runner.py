@@ -5,11 +5,11 @@ serving traffic means feeding it a *stream* of samples at a batch size that
 keeps the GEMMs fat.  Two layers of machinery live here:
 
 * :class:`PlanExecutor` — the reusable execution core: it owns the
-  per-executor mutable state (the activation-buffer workspace and the
-  :class:`RunnerStats` counters) and exposes :meth:`PlanExecutor.execute_batch`,
-  the single entry point every batch in the engine goes through.  The
-  concurrent :class:`~repro.engine.server.PlanServer` builds one executor per
-  shard, so shards never contend on buffers or stats;
+  per-executor :class:`RunnerStats` counters and exposes
+  :meth:`PlanExecutor.execute_batch`, the single entry point every batch in
+  the engine goes through.  The concurrent
+  :class:`~repro.engine.server.PlanServer` builds one executor per shard, so
+  shards never contend on stats;
 * :class:`InferenceRunner` — single-stream micro-batching on top of one
   executor: samples from any iterable are staged into a preallocated batch
   buffer and executed ``batch_size`` at a time (the final partial batch runs
@@ -64,11 +64,8 @@ class RunnerStats:
     bookkeeping excluded); ``layer_seconds`` / ``layer_calls`` break it down
     per graph node name when timing collection is enabled.
 
-    ``arena_bytes`` / ``arena_blocks`` are resident-buffer gauges, not
-    counters: after each batch they hold the executor workspace's current
-    footprint — the fixed arena blocks of a compiled plan, or the per-node
-    activation buffers of the interpreter.  Merging shard stats sums the
-    gauges, giving the total resident across shards.
+    :attr:`arena_bytes` is the resident activation-buffer gauge; executors
+    hold no activation buffers between batches, so it reads 0.
     """
 
     samples: int = 0
@@ -76,8 +73,11 @@ class RunnerStats:
     seconds: float = 0.0
     layer_seconds: Dict[str, float] = field(default_factory=dict)
     layer_calls: Dict[str, int] = field(default_factory=dict)
-    arena_bytes: int = 0
-    arena_blocks: int = 0
+
+    @property
+    def arena_bytes(self) -> int:
+        """Activation-buffer bytes held between batches (always 0)."""
+        return 0
 
     @property
     def throughput(self) -> float:
@@ -98,7 +98,6 @@ class RunnerStats:
             "seconds": self.seconds,
             "throughput": self.throughput,
             "arena_bytes": self.arena_bytes,
-            "arena_blocks": self.arena_blocks,
             "per_layer": [{"name": name, "seconds": secs, "calls": calls}
                           for name, secs, calls in self.per_layer()],
         }
@@ -112,8 +111,6 @@ class RunnerStats:
         self.samples += other.samples
         self.batches += other.batches
         self.seconds += other.seconds
-        self.arena_bytes += other.arena_bytes
-        self.arena_blocks += other.arena_blocks
         for name, secs in other.layer_seconds.items():
             self.layer_seconds[name] = self.layer_seconds.get(name, 0.0) + secs
         for name, calls in other.layer_calls.items():
@@ -125,8 +122,6 @@ class RunnerStats:
         self.samples = 0
         self.batches = 0
         self.seconds = 0.0
-        self.arena_bytes = 0
-        self.arena_blocks = 0
         self.layer_seconds.clear()
         self.layer_calls.clear()
 
@@ -134,8 +129,7 @@ class RunnerStats:
 class PlanExecutor:
     """The reusable batch-execution core over one plan.
 
-    Owns everything mutable about executing batches — the activation-buffer
-    ``workspace`` reused across calls and the :class:`RunnerStats`
+    Owns the mutable part of executing batches — the :class:`RunnerStats`
     accumulator — while the plan itself stays read-only shared data.  One
     plan can therefore back many executors concurrently (one per server
     shard) without any cross-executor contention.
@@ -144,29 +138,21 @@ class PlanExecutor:
     ----------
     plan:
         The model plan (or any object with a compatible
-        ``execute(x, timings=..., workspace=...)`` method and ``np_dtype``).
+        ``execute(x, timings=...)`` method and ``np_dtype``).
     collect_timings:
         When true (default), per-node wall-clock seconds accumulate into
         :attr:`stats`; disable to shave the bookkeeping off the hot path.
-    reuse_buffers:
-        When true (default), element-wise graph nodes write into
-        preallocated activation buffers reused across batches.  Outputs of a
-        buffer-reusing executor are only valid until its next
-        :meth:`execute_batch` — copy rows that must outlive the batch.
 
     The stats accumulator is guarded by ``_stats_lock`` (declared below
-    for the static analyzer); the workspace is deliberately unguarded —
-    it is owned by whichever single thread drives this executor.
+    for the static analyzer).
     """
 
     _GUARDED_BY = {"stats": "_stats_lock"}
 
-    def __init__(self, plan: ModelPlan, collect_timings: bool = True,
-                 reuse_buffers: bool = True):
+    def __init__(self, plan: ModelPlan, collect_timings: bool = True):
         self.plan = plan
         self.collect_timings = collect_timings
         self.stats = RunnerStats()
-        self._workspace: Optional[dict] = {} if reuse_buffers else None
         self._stats_lock = threading.Lock()
 
     @hot_path
@@ -176,27 +162,19 @@ class PlanExecutor:
         Per-batch timings accumulate into a local dict first and merge into
         :attr:`stats` under a lock at the end, so a concurrent
         :meth:`stats_snapshot` (the server's stats report) never observes a
-        half-updated batch.  Registered hot: every batch in the engine goes
-        through here, so the body allocates nothing itself — execution
-        buffers live in the reused workspace.
+        half-updated batch.  The returned array belongs to the caller: a
+        later batch never overwrites it.  Registered hot: every batch in the
+        engine goes through here, so the body allocates nothing itself.
         """
         timings: Optional[Dict[str, float]] = \
             {} if self.collect_timings else None
         start = time.perf_counter()
-        out = self.plan.execute(batch, timings=timings,
-                                workspace=self._workspace)
+        out = self.plan.execute(batch, timings=timings)
         elapsed = time.perf_counter() - start
-        footprint = None
-        if self._workspace is not None:
-            measure = getattr(self.plan, "workspace_footprint", None)
-            if measure is not None:
-                footprint = measure(self._workspace)
         with self._stats_lock:
             self.stats.seconds += elapsed
             self.stats.batches += 1
             self.stats.samples += batch.shape[0]
-            if footprint is not None:
-                self.stats.arena_bytes, self.stats.arena_blocks = footprint
             if timings:
                 for name, secs in timings.items():
                     self.stats.layer_seconds[name] = \
@@ -214,9 +192,7 @@ class PlanExecutor:
                                batches=self.stats.batches,
                                seconds=self.stats.seconds,
                                layer_seconds=dict(self.stats.layer_seconds),
-                               layer_calls=dict(self.stats.layer_calls),
-                               arena_bytes=self.stats.arena_bytes,
-                               arena_blocks=self.stats.arena_blocks)
+                               layer_calls=dict(self.stats.layer_calls))
 
 
 class InferenceRunner:
@@ -226,17 +202,13 @@ class InferenceRunner:
     ----------
     plan:
         The model plan (or any object with a compatible
-        ``execute(x, timings=..., workspace=...)`` method).
+        ``execute(x, timings=...)`` method).
     batch_size:
         Micro-batch size; the staging buffer is ``(batch_size, *sample_shape)``
         and is allocated on the first sample, then reused.
     collect_timings:
         When true (default), per-node wall-clock seconds accumulate into
         :attr:`stats`; disable to shave the bookkeeping off the hot path.
-    reuse_buffers:
-        When true (default), element-wise graph nodes write into
-        preallocated activation buffers reused across batches.  Output rows
-        handed to the caller are always copies, so reuse is invisible.
     mode:
         Optional execution route: ``"float"`` (bit-exact reference) or
         ``"int"`` (fixed-point requantized).  Applied to the plan itself via
@@ -246,14 +218,12 @@ class InferenceRunner:
     """
 
     def __init__(self, plan: ModelPlan, batch_size: int = 32,
-                 collect_timings: bool = True, reuse_buffers: bool = True,
-                 mode: Optional[str] = None):
+                 collect_timings: bool = True, mode: Optional[str] = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if mode is not None:
             plan.set_mode(mode)
-        self.executor = PlanExecutor(plan, collect_timings=collect_timings,
-                                     reuse_buffers=reuse_buffers)
+        self.executor = PlanExecutor(plan, collect_timings=collect_timings)
         self.batch_size = int(batch_size)
         self._staging: Optional[np.ndarray] = None
 

@@ -12,8 +12,8 @@ three layers:
    ``max_batch`` or ``max_wait_ms``, whichever first) and applies
    backpressure when producers outrun the shards;
 3. a pool of **shard workers** — N executors over the same read-only plan,
-   each owning its private activation buffers and
-   :class:`~repro.engine.runner.RunnerStats` so shards never contend.
+   each owning its private :class:`~repro.engine.runner.RunnerStats` so
+   shards never contend.
    Thread-backed shards (default) run the GEMMs in-process; process-backed
    shards (``backend="process"``) fork one child per shard and stream
    batches over a pipe, stepping around the GIL entirely.
@@ -134,19 +134,17 @@ _PLAN_FLIGHTS: dict = {}                 # cache key -> in-flight parse lock
 _PLAN_FLIGHTS_LOCK = threading.Lock()
 
 
-def load_plan_cached(path, mode: str = "float", compile: bool = False):
+def load_plan_cached(path, mode: str = "float"):
     """:func:`~repro.engine.model_plan.load_plan` behind a process-wide LRU.
 
-    Keyed on the absolute path, the file's (mtime, size) stat, the
-    execution mode **and** the ``compile`` flag, so a rewritten artifact is
-    transparently reloaded while hot reloads of an unchanged file cost one
-    ``stat`` call.  Keying on the mode gives each route its own plan object:
-    callers share the returned plan, and a float-mode consumer must never
-    observe its cached plan silently flipped to the integer route (plans are
-    otherwise read-only at execution time, which is what makes the sharing —
-    and the server's shard pool — safe).  ``compile=True`` caches the
-    scheduled :class:`~repro.engine.compiler.CompiledPlan` executor for
-    model-plan artifacts (see :func:`~repro.engine.model_plan.load_plan`).
+    Keyed on the absolute path, the file's (mtime, size) stat **and** the
+    execution mode, so a rewritten artifact is transparently reloaded while
+    hot reloads of an unchanged file cost one ``stat`` call.  Keying on the
+    mode gives each route its own plan object: callers share the returned
+    plan, and a float-mode consumer must never observe its cached plan
+    silently flipped to the integer route (plans are otherwise read-only at
+    execution time, which is what makes the sharing — and the server's shard
+    pool — safe).
 
     Misses are **single-flight**: concurrent callers of the same key share
     one parse and receive the same plan object, instead of each paying the
@@ -156,7 +154,7 @@ def load_plan_cached(path, mode: str = "float", compile: bool = False):
     """
     path = os.path.abspath(os.fspath(path))
     stat = os.stat(path)
-    key = (path, stat.st_mtime_ns, stat.st_size, mode, bool(compile))
+    key = (path, stat.st_mtime_ns, stat.st_size, mode)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
@@ -167,7 +165,7 @@ def load_plan_cached(path, mode: str = "float", compile: bool = False):
         plan = _PLAN_CACHE.get(key)
         if plan is None:
             try:
-                plan = load_plan(path, mode=mode, compile=compile)
+                plan = load_plan(path, mode=mode)
                 _PLAN_CACHE.put(key, plan)
             finally:
                 with _PLAN_FLIGHTS_LOCK:
@@ -326,7 +324,7 @@ class PlanServer:
         serving the same file twice reuses the parsed plan.
     n_shards:
         Number of worker executors.  Shards share the read-only plan but own
-        private activation buffers and stats.
+        private stats.
     backend:
         ``"thread"`` (default) or ``"process"`` (fork-based; POSIX only).
     max_batch / max_wait_ms / queue_size:
@@ -346,15 +344,6 @@ class PlanServer:
         cache key; an in-memory plan is switched via ``plan.set_mode`` (mode
         is plan state, shared with other consumers of the same object).
         ``None`` (default) serves the plan in its current mode.
-    compile:
-        Serve the scheduled (fused + arena) executor instead of the
-        interpreted plan.  Paths resolve through :func:`load_plan_cached`
-        with ``compile`` in the cache key; an in-memory plan is compiled
-        via ``plan.compile()`` when it supports it (an already-compiled
-        plan serves as-is).  Keeping this a *construction* argument — not a
-        pre-converted plan object — is what lets lifecycle rebuilds
-        (restart, rolling reload) re-resolve the artifact path and still
-        come up compiled.
 
     Use as a context manager, or call :meth:`close` — close drains queued
     requests before the workers exit, so no accepted request is dropped.
@@ -376,21 +365,16 @@ class PlanServer:
     def __init__(self, plan, n_shards: int = 2, backend: str = "thread",
                  max_batch: int = 16, max_wait_ms: float = 2.0,
                  queue_size: int = 256, result_cache_entries: int = 0,
-                 collect_timings: bool = True, mode: Optional[str] = None,
-                 compile: bool = False):
+                 collect_timings: bool = True, mode: Optional[str] = None):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r}; "
                              "expected 'thread' or 'process'")
         if isinstance(plan, (str, os.PathLike)):
-            plan = load_plan_cached(plan, mode=mode or "float",
-                                    compile=compile)
-        else:
-            if mode is not None:
-                plan.set_mode(mode)
-            if compile and hasattr(plan, "compile"):
-                plan = plan.compile()
+            plan = load_plan_cached(plan, mode=mode or "float")
+        elif mode is not None:
+            plan.set_mode(mode)
         self.plan = plan
         self.backend = backend
         self.batcher = DynamicBatcher(max_batch=max_batch,

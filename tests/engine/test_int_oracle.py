@@ -9,9 +9,10 @@ the raw-input stem, its quantization onto the integer grids, and the final
 dequant.  :func:`oracle` evaluates a folded graph with Python ``int``
 arithmetic only (the float boundaries with Python floats, which are IEEE
 ``float64`` like NumPy's), and every test demands **bit-exact** equality
-with the executed route — interpreted and compiled — on ``resnet_tiny``,
+with the executed route on ``resnet_tiny``,
 on the golden int fixtures (so a fixture cannot be silently re-blessed),
-and on randomized residual graphs covering identity and 1x1 shortcuts,
+on TinyCNN, MLP and ResNet-8 plans with and without partial-sum
+quantization in both plan dtypes, and on randomized residual graphs covering identity and 1x1 shortcuts,
 ReLU6, negative and zero BatchNorm gamma, near-zero partial-sum scales,
 batch sizes 1 and 0, and activation scales spread past 1000x.
 """
@@ -29,7 +30,7 @@ from repro import engine
 from repro.cim import CIMConfig, QuantScheme
 from repro.core import CIMConv2d
 from repro.engine.intfold import GRID_BITS, GRID_CAP, INT_OPS
-from repro.models import resnet8
+from repro.models import MLP, TinyCNN, resnet8
 from repro.nn import ReLU6, Tensor
 from repro.nn import functional as F
 from repro.nn.tensor import no_grad
@@ -201,7 +202,8 @@ def oracle_node(plan, node, args):
         x = args[0]
         return x.reshape(x.shape[0], -1)
     assert op not in INT_OPS
-    return plan._run_node(node, args, None)     # float op of a float region
+    # float op of a float region
+    return plan._run_node(node, dict(zip(node.inputs, args)))
 
 
 def oracle(plan, x) -> np.ndarray:
@@ -264,6 +266,29 @@ def random_residual_plan(seed: int, quantize_psum: bool = True,
     return plan, x
 
 
+def model_kind_plan(kind: str, quantize_psum: bool, dtype: str):
+    """A calibrated TinyCNN, MLP or ResNet-8 plan, plus an eval batch."""
+    rng = np.random.default_rng(7)
+    cfg = CIMConfig(array_rows=32, array_cols=32, cell_bits=1, adc_bits=3)
+    if kind == "conv":
+        model = TinyCNN(num_classes=4, width=6, scheme=_scheme(quantize_psum),
+                        cim_config=cfg, seed=1)
+        x = np.abs(rng.normal(size=(3, 3, 8, 8)))
+    elif kind == "resnet":
+        model = resnet8(num_classes=5, scheme=_scheme(quantize_psum),
+                        cim_config=cfg, width_multiplier=0.25, seed=2)
+        x = np.abs(rng.normal(size=(2, 3, 12, 12)))
+    else:
+        model = MLP(in_features=24, num_classes=5, hidden=(16,),
+                    scheme=_scheme(quantize_psum), cim_config=cfg, seed=1)
+        x = np.abs(rng.normal(size=(4, 24)))
+    with no_grad():
+        model(Tensor(x))
+    model.eval()
+    plan = engine.compile_model_plan(model, calibrate=x, dtype=dtype)
+    return plan, x.astype(plan.np_dtype)
+
+
 def spread_plan(tiny: float):
     """ResNet-8 whose stage-1 input quantizer has scale ``tiny``.
 
@@ -318,7 +343,6 @@ def assert_route_matches_oracle(plan, x):
     got = plan.execute(x)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(plan.compile().execute(x), want)
     return want
 
 
@@ -344,6 +368,18 @@ def test_random_residual_graph_full_batch_bit_exact():
 def test_fused_route_graph_bit_exact(dtype):
     plan, x = random_residual_plan(5, quantize_psum=False, dtype=dtype)
     assert_route_matches_oracle(plan, x[:2])
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("quantize_psum", [True, False])
+@pytest.mark.parametrize("kind", ["conv", "linear", "resnet"])
+def test_model_kinds_bit_exact(kind, quantize_psum, dtype):
+    """Every model family, with and without partial-sum quantization, in
+    both plan dtypes; rows of a smaller batch equal the full batch's."""
+    plan, x = model_kind_plan(kind, quantize_psum, dtype)
+    out = assert_route_matches_oracle(plan, x)
+    np.testing.assert_array_equal(plan.execute(x[:1]), out[:1])
+    assert plan.execute(x[:0]).shape == (0,) + out.shape[1:]
 
 
 def test_edge_cases_reach_the_folded_graph():
@@ -409,13 +445,11 @@ def test_oversized_pooling_window_is_refused():
     """A window whose int64 sum could overflow fails as ModelPlanError."""
     plan, x = resnet_tiny()
     plan.set_mode("int")
-    compiled = plan.compile()
     nodes, _ = plan.graph()
     pool = next(node for node in nodes if node.op == "pool_requant")
     pool.attrs["spec"].bound = 2 ** 62        # two positions reach 2**63
-    for run in (plan.execute, compiled.execute):
-        with pytest.raises(engine.ModelPlanError, match="pooling window"):
-            run(x)
+    with pytest.raises(engine.ModelPlanError, match="pooling window"):
+        plan.execute(x)
 
 
 # --------------------------------------------------------------------------- #
@@ -449,7 +483,6 @@ def test_no_float_pass_between_cim_layers(build, monkeypatch):
                 return _original(self, a)
             monkeypatch.setattr(cls, name, spy)
     plan.execute(x)
-    plan.compile().execute(x)
     assert calls == []
 
 

@@ -43,7 +43,7 @@ class ToyPlan:
 
     np_dtype = np.dtype(np.float64)
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         return np.asarray(x) * 2.0 + 1.0
 
 
@@ -53,7 +53,7 @@ class SlowPlan(ToyPlan):
     def __init__(self, delay_s: float):
         self.delay_s = delay_s
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         if np.asarray(x).shape[0]:
             time.sleep(self.delay_s)
         return super().execute(x)
@@ -68,7 +68,7 @@ class ProbeTrackingPlan(ToyPlan):
         self.max_active_probes = 0
         self.probes = 0
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         if np.asarray(x).shape[0] == 0:
             with self._lock:
                 self._active_probes += 1
@@ -197,20 +197,21 @@ def test_reload_with_path_switches_artifact(artifact, tmp_path):
         assert predict(net, "cnn", x[:2].tolist(), timeout=30.0)[0] == 200
 
 
-def test_compiled_path_mount_keeps_artifact_identity_across_reload(artifact):
-    """``compile=True`` must not strip the path source: reloads re-resolve
-    the artifact and the rebuilt pool comes up compiled again."""
+def test_int_mode_mount_keeps_mode_and_artifact_identity_across_reload(
+        artifact):
+    """Mount options stay with the path source: a reload re-resolves the
+    artifact and the rebuilt pool serves the integer route again."""
     plan, path, x = artifact
     with engine.NetServer() as net:
-        net.add_model("cnn", path, compile=True, n_shards=1, queue_size=32)
+        net.add_model("cnn", path, mode="int", n_shards=1, queue_size=32)
         metrics = net.metrics()["models"]["cnn"]["plan"]
-        assert metrics["compiled"] is True
+        assert metrics["mode"] == "int"
         assert metrics["version"]["artifact"]["path"].endswith("plan.npz")
         status, _, before = predict(net, "cnn", x[:2].tolist(), timeout=30.0)
         assert status == 200
         assert request(net, "POST", "/v1/models/cnn/reload")[0] == 200
         metrics = net.metrics()["models"]["cnn"]["plan"]
-        assert metrics["compiled"] is True       # rebuild re-compiled
+        assert metrics["mode"] == "int"          # rebuild kept the route
         assert metrics["version"]["reloads"] == 1
         status, _, after = predict(net, "cnn", x[:2].tolist(), timeout=30.0)
         assert status == 200

@@ -18,7 +18,9 @@ from repro import engine
 from repro.cim import CIMConfig, QuantScheme
 from repro.models import MLP, TinyCNN, resnet8
 from repro.nn import Tensor
-from repro.nn.module import Module
+from repro.nn.layers import (AvgPool2d, Conv2d, Flatten, GlobalAvgPool2d,
+                             Linear, MaxPool2d, ReLU, ReLU6)
+from repro.nn.module import Module, Sequential
 from repro.nn.norm import BatchNorm2d
 from repro.nn.tensor import no_grad
 
@@ -32,13 +34,20 @@ def scheme(quantize_psum: bool) -> QuantScheme:
 CFG = CIMConfig(array_rows=32, array_cols=32, cell_bits=1, adc_bits=3)
 
 
-def build_calibrated(kind: str, quantize_psum: bool):
+KINDS = ["conv", "linear", "resnet"]
+
+
+def build_calibrated(kind: str, quantize_psum: bool = True):
     """A small eval-mode model with exercised BN stats, plus an eval batch."""
     rng = np.random.default_rng(3)
     if kind == "conv":
         model = TinyCNN(num_classes=4, width=6, scheme=scheme(quantize_psum),
                         cim_config=CFG, seed=1)
         x = np.abs(rng.normal(size=(3, 3, 8, 8)))
+    elif kind == "resnet":
+        model = resnet8(num_classes=5, scheme=scheme(quantize_psum),
+                        cim_config=CFG, width_multiplier=0.25, seed=2)
+        x = np.abs(rng.normal(size=(2, 3, 12, 12)))
     else:
         model = MLP(in_features=24, num_classes=5, hidden=(16,),
                     scheme=scheme(quantize_psum), cim_config=CFG, seed=1)
@@ -52,7 +61,7 @@ def build_calibrated(kind: str, quantize_psum: bool):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("quantize_psum", [True, False])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_save_load_parity(self, tmp_path, kind, quantize_psum, dtype):
@@ -258,21 +267,294 @@ class TestErrorPaths:
 
 
 class TestReluSemantics:
-    @pytest.mark.parametrize("use_workspace", [False, True])
-    def test_interpreted_relu_maps_nan_to_zero(self, use_workspace):
+    def test_interpreted_relu_maps_nan_to_zero(self):
         """The single-pass ``np.fmax`` ReLU keeps the documented NaN -> 0
-        semantics on both the fresh-array and workspace-buffer paths."""
+        semantics."""
         builder = engine.GraphBuilder("float64")
         relu = builder.add_op("relu", [0], name="relu")
         plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
                                 output_id=relu)
         x = np.array([[np.nan, -np.nan], [-1.0, 2.5], [-0.0, np.inf]])
-        ws = {} if use_workspace else None
-        out = plan.execute(x, workspace=ws)
+        out = plan.execute(x)
         np.testing.assert_array_equal(
             out, np.array([[0.0, 0.0], [0.0, 2.5], [0.0, np.inf]]))
         # -0.0 normalizes to +0.0, matching np.where(x > 0, x, 0.0)
         assert not np.signbit(out[2, 0])
+
+
+class TestExecutor:
+    def test_execute_is_registered_hot(self):
+        assert engine.ModelPlan.execute.__hot_path__
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_liveness_is_built_once_per_mode(self, kind):
+        model, x = build_calibrated(kind)
+        plan = engine.compile_model_plan(model)
+        float_steps = plan._steps()
+        plan.execute(x)
+        assert plan._steps() is float_steps
+        plan.set_mode("int")
+        int_steps, int_output = plan._steps()
+        assert int_steps is not float_steps[0]
+        assert [node for node, _ in int_steps] == plan.graph()[0][1:]
+        assert int_output == plan.graph()[1]
+        plan.execute(x)
+        assert plan._steps()[0] is int_steps
+        # every value but the output is freed exactly once, by its last reader
+        int_freed = [i for _, dead in int_steps for i in dead]
+        assert sorted(int_freed) == sorted(
+            node.id for node in plan.graph()[0] if node.id != int_output)
+        plan.set_mode("float")
+        assert plan._steps() is float_steps
+        freed = [i for _, dead in float_steps[0] for i in dead]
+        assert sorted(freed) == list(range(len(plan.nodes)))[:-1]
+        assert float_steps[1] == plan.output_id == len(plan.nodes) - 1
+
+
+def _eval_reference(model: Module, x: np.ndarray) -> np.ndarray:
+    model.eval()
+    with no_grad():
+        return model(Tensor(x)).data
+
+
+def _trained_bn(bn, rng, shape):
+    """A BatchNorm whose running stats moved off their (0, 1) init."""
+    with no_grad():
+        bn(Tensor(rng.normal(loc=0.3, scale=2.0, size=shape)))
+    return bn
+
+
+class TestInterpreterOps:
+    """Each graph op of the interpreter against the ``repro.nn`` module it
+    replaces (bit for bit), plus the structural edge cases."""
+
+    @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize("kernel,stride,padding",
+                             [(2, 2, 0),
+                              (3, 2, 1),      # padding
+                              (3, 1, 0)])     # stride != kernel
+    def test_pool_geometries(self, pool_cls, kernel, stride, padding):
+        model = pool_cls(kernel, stride, padding)
+        x = np.random.default_rng(3).normal(size=(2, 3, 7, 7))
+        plan = engine.compile_model_plan(model)
+        assert [node.op for node in plan.nodes[1:]] == [
+            "max_pool" if pool_cls is MaxPool2d else "avg_pool"]
+        np.testing.assert_array_equal(plan.execute(x),
+                                      _eval_reference(model, x))
+
+    def test_raw_conv2d_and_linear_with_gammaless_bn_and_relu6(self):
+        """Graph-level ``conv2d``/``linear`` nodes (weights as node arrays,
+        no CIM layer plan) with an affine-free BatchNorm and a ReLU6."""
+        rng = np.random.default_rng(5)
+        model = Sequential(
+            Conv2d(3, 4, 3, padding=1, rng=rng),
+            _trained_bn(BatchNorm2d(4, affine=False), rng, (8, 4, 6, 6)),
+            ReLU6(), Flatten(), Linear(4 * 6 * 6, 5, rng=rng))
+        plan = engine.compile_model_plan(model)
+        ops = [node.op for node in plan.nodes[1:]]
+        assert ops == ["conv2d", "batchnorm", "relu6", "flatten", "linear"]
+        assert "gamma" not in plan.nodes[2].arrays
+        x = rng.normal(size=(2, 3, 6, 6)) * 4.0
+        np.testing.assert_array_equal(plan.execute(x),
+                                      _eval_reference(model, x))
+
+    @pytest.mark.parametrize("op", ["add", "batchnorm", "relu6", "relu",
+                                    "flatten", "global_avg_pool"])
+    def test_standalone_op_as_graph_output(self, op):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 2, 3, 3)) * 4.0
+        if op == "add":
+            builder = engine.GraphBuilder("float64")
+            pre = builder.add_op("relu6", [0], name="pre")
+            out = builder.add_op("add", [pre, 0], name="add")
+            plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
+                                    output_id=out)
+            expected = np.clip(x, 0.0, 6.0) + x
+        else:
+            module = {"batchnorm": lambda: _trained_bn(BatchNorm2d(2), rng,
+                                                       (8, 2, 3, 3)),
+                      "relu6": ReLU6, "relu": ReLU, "flatten": Flatten,
+                      "global_avg_pool": GlobalAvgPool2d}[op]()
+            plan = engine.compile_model_plan(module)
+            expected = _eval_reference(module, x)
+        assert plan.nodes[plan.output_id].op == op
+        np.testing.assert_array_equal(plan.execute(x), expected)
+
+    @pytest.mark.parametrize("mode", ["float", "int"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_batch(self, kind, mode):
+        model, x = build_calibrated(kind)
+        plan = engine.compile_model_plan(model)
+        plan.set_mode(mode)
+        out = plan.execute(np.empty((0,) + x.shape[1:]))
+        full = plan.execute(x)
+        assert out.shape == (0,) + full.shape[1:]
+        assert out.dtype == full.dtype
+
+    @pytest.mark.parametrize("mode", ["float", "int"])
+    def test_channel_mismatch_raises(self, mode):
+        model, x = build_calibrated("conv")
+        plan = engine.compile_model_plan(model)
+        plan.set_mode(mode)
+        with pytest.raises(ValueError, match="channels"):
+            plan.execute(np.zeros((2, x.shape[1] + 1) + x.shape[2:]))
+
+    @pytest.mark.parametrize("mode", ["float", "int"])
+    def test_linear_feature_mismatch_raises(self, mode):
+        model, x = build_calibrated("linear")
+        plan = engine.compile_model_plan(model)
+        plan.set_mode(mode)
+        with pytest.raises(ValueError, match=str(x.shape[1])):
+            plan.execute(np.zeros((2, x.shape[1] + 1)))
+
+    def test_unknown_op_raises(self):
+        builder = engine.GraphBuilder("float64")
+        bad = builder.add_op("fft", [0], name="bad")
+        plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
+                                output_id=bad)
+        with pytest.raises(engine.ModelPlanError, match="fft"):
+            plan.execute(np.zeros((1, 2)))
+
+
+    @pytest.mark.parametrize("tail", [GlobalAvgPool2d, Flatten, None])
+    def test_batchnorm_relu_chain_keeps_nan_semantics(self, tail):
+        """``batchnorm -> relu -> tail`` on NaN-laden input: every NaN the
+        BatchNorm passes on leaves the ReLU as 0, like the module."""
+        rng = np.random.default_rng(0)
+        layers = [_trained_bn(BatchNorm2d(2, affine=False), rng,
+                              (8, 2, 3, 3)), ReLU()]
+        model = Sequential(*(layers + ([tail()] if tail else [])))
+        plan = engine.compile_model_plan(model)
+        x = np.full((2, 2, 3, 3), np.nan)
+        x[0, 0, 0, 0] = -1.0
+        x[1, 1] = rng.normal(size=(3, 3))
+        out = plan.execute(x)
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, _eval_reference(model, x))
+
+    @pytest.mark.parametrize("mode", ["float", "int"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_output_survives_the_next_call(self, kind, mode):
+        model, x = build_calibrated(kind)
+        plan = engine.compile_model_plan(model)
+        plan.set_mode(mode)
+        first = plan.execute(x)
+        kept = first.copy()
+        second = plan.execute(x * 2.0)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+
+    def test_multi_consumer_value(self):
+        """A value read by two nodes stays live until its last reader."""
+        builder = engine.GraphBuilder("float64")
+        bn = builder.add_op("batchnorm", [0], name="bn",
+                            arrays={"mean": np.array([0.5, -0.25]),
+                                    "denom": np.array([2.0, 0.5])})
+        relu = builder.add_op("relu", [bn], name="relu")
+        add = builder.add_op("add", [bn, relu], name="add")
+        plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
+                                output_id=add)
+        x = np.random.default_rng(0).normal(size=(2, 2, 3, 3))
+        normed = ((x - np.array([0.5, -0.25]).reshape(1, 2, 1, 1))
+                  / np.array([2.0, 0.5]).reshape(1, 2, 1, 1))
+        np.testing.assert_array_equal(plan.execute(x),
+                                      normed + np.fmax(normed, 0.0))
+        steps, _ = plan._steps()
+        assert [dead for _, dead in steps] == [(0,), (), (bn, relu)]
+
+    def test_graph_output_read_by_a_later_node(self):
+        """The output value is never freed or overwritten, even when a node
+        after it reads it."""
+        builder = engine.GraphBuilder("float64")
+        bn = builder.add_op("batchnorm", [0], name="bn",
+                            arrays={"mean": np.zeros(2), "denom": np.ones(2)})
+        builder.add_op("relu", [bn], name="relu")
+        plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
+                                output_id=bn)
+        x = np.random.default_rng(1).normal(size=(2, 2, 3, 3))
+        np.testing.assert_array_equal(plan.execute(x), x)
+        steps, _ = plan._steps()
+        assert [dead for _, dead in steps] == [(0,), ()]
+
+
+class TestModeSwitching:
+    """One plan object moves between the float and int routes; each mode's
+    graph and liveness are built once and never go stale."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_trip_reproduces_both_routes(self, kind):
+        model, x = build_calibrated(kind)
+        plan = engine.compile_model_plan(model)
+        float_out = plan.execute(x)
+        plan.set_mode("int")
+        int_out = plan.execute(x)
+        np.testing.assert_array_equal(int_out.argmax(axis=1),
+                                      float_out.argmax(axis=1))
+        plan.set_mode("float")
+        np.testing.assert_array_equal(plan.execute(x), float_out)
+        plan.set_mode("int")
+        np.testing.assert_array_equal(plan.execute(x), int_out)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_switch_after_float_execution_equals_fresh_switch(self, kind):
+        model, x = build_calibrated(kind)
+        early = engine.compile_model_plan(model)
+        early.execute(x)
+        early.set_mode("int")
+        late = engine.compile_model_plan(model)
+        late.set_mode("int")
+        np.testing.assert_array_equal(early.execute(x), late.execute(x))
+        assert ([node.op for node in early.graph()[0]]
+                == [node.op for node in late.graph()[0]])
+
+    def test_int_route_is_batch_invariant(self):
+        """Rows of any batch size equal the rows of one big batch, bit for
+        bit, on one plan (the int route has no batch-dependent rounding)."""
+        model, _ = build_calibrated("conv")
+        plan = engine.compile_model_plan(model)
+        plan.set_mode("int")
+        rng = np.random.default_rng(11)
+        x = np.abs(rng.normal(size=(8, 3, 8, 8)))
+        whole = plan.execute(x)
+        start = 0
+        for n in (1, 2, 5):
+            np.testing.assert_array_equal(plan.execute(x[start:start + n]),
+                                          whole[start:start + n])
+            start += n
+
+    @pytest.mark.parametrize("mode", ["float", "int"])
+    def test_timings_keyed_by_node_name(self, mode):
+        model, x = build_calibrated("conv")
+        plan = engine.compile_model_plan(model)
+        plan.set_mode(mode)
+        timings = {}
+        out = plan.execute(x, timings=timings)
+        np.testing.assert_array_equal(out, plan.execute(x))
+        assert set(timings) == {node.name for node in plan.graph()[0][1:]}
+        assert all(t >= 0.0 for t in timings.values())
+
+    @pytest.mark.parametrize("mode", ["float", "int"])
+    def test_summary_lists_the_executed_graph(self, mode):
+        model, _ = build_calibrated("resnet")
+        plan = engine.compile_model_plan(model)
+        plan.set_mode(mode)
+        nodes, _ = plan.graph()
+        lines = plan.summary().splitlines()
+        assert lines[0] == (f"ModelPlan(ResNet, dtype=float64, mode={mode}, "
+                            f"{plan.n_cim_layers} CIM layers, "
+                            f"{len(nodes) - 1} ops)")
+        assert len(lines) == len(nodes)
+        assert [line.split()[1] for line in lines[1:]] == [
+            node.op for node in nodes[1:]]
+        cim_lines = [line for line in lines if " -> " in line]
+        assert len(cim_lines) == sum(node.op == "cim" for node in nodes)
+        assert cim_lines[0].endswith("stem.0 -> conv2d[4ch]")
+        assert cim_lines[-1].endswith("fc -> linear[5ch]")
+
+    def test_call_aliases_execute(self):
+        model, x = build_calibrated("linear")
+        plan = engine.compile_model_plan(model)
+        np.testing.assert_array_equal(plan(x), plan.execute(x))
 
 
 class TestBatchNormFolding:

@@ -29,7 +29,7 @@ class ToyPlan:
 
     np_dtype = np.dtype(np.float64)
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         x = np.asarray(x)
         if x.ndim < 2:
             raise ValueError(f"toy plan needs a batch axis, got {x.shape}")
@@ -39,16 +39,16 @@ class ToyPlan:
 class PoisonPlan(ToyPlan):
     """Raises on any sample containing the magic value 666.0."""
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         if np.any(np.asarray(x) == 666.0):
             raise RuntimeError("poisoned batch")
-        return super().execute(x, timings=timings, workspace=workspace)
+        return super().execute(x, timings=timings)
 
 
 class FixedShapePlan(ToyPlan):
     """Accepts only ``(N, 3)`` samples — exercises the 422 probe path."""
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != 3:
             raise ValueError(f"expected (N, 3) input, got {x.shape}")

@@ -4,8 +4,8 @@ Three contracts:
 
 * **end-to-end parity** — outputs served over HTTP are bit-identical
   (drift exactly 0.0) to the in-process :class:`InferenceRunner` on the
-  same artifact, in every route combination ``mode in {float, int}`` x
-  ``{interpreted, compiled}``, including under concurrent clients (float64
+  same artifact, on both routes ``mode in {float, int}``, including under
+  concurrent clients (float64
   survives the JSON round-trip exactly — Python emits the shortest string
   that reparses to the same double);
 * **admission control** — a saturated model answers 503 + ``Retry-After``
@@ -50,21 +50,15 @@ def artifact(tmp_path_factory):
     return str(path), x
 
 
-ROUTES = [("float", False), ("float", True), ("int", False), ("int", True)]
-
-
-@pytest.mark.parametrize("mode,compiled", ROUTES,
-                         ids=[f"{m}-{'comp' if c else 'interp'}"
-                              for m, c in ROUTES])
-def test_socket_outputs_bit_identical_to_runner(artifact, mode, compiled):
+@pytest.mark.parametrize("mode", ["float", "int"])
+def test_socket_outputs_bit_identical_to_runner(artifact, mode):
     path, x = artifact
-    reference = engine.InferenceRunner(
-        engine.load_plan(path, mode=mode, compile=compiled), batch_size=8)
+    reference = engine.InferenceRunner(engine.load_plan(path, mode=mode),
+                                       batch_size=8)
     expected = reference.predict(x)
     with engine.NetServer() as net:
-        net.add_model("tiny", path, mode=mode, compile=compiled,
-                      n_shards=2, max_batch=4, max_wait_ms=1.0,
-                      queue_size=64)
+        net.add_model("tiny", path, mode=mode, n_shards=2, max_batch=4,
+                      max_wait_ms=1.0, queue_size=64)
         status, _headers, body = predict(net, "tiny", x.tolist(), timeout=60.0)
         assert status == 200
         served = np.asarray(body["outputs"], dtype=np.float64)
@@ -131,7 +125,7 @@ class SlowPlan:
     def __init__(self, delay_s: float):
         self.delay_s = delay_s
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         x = np.asarray(x)
         if x.shape[0]:                   # the zero-row probe stays free
             time.sleep(self.delay_s)
@@ -208,7 +202,7 @@ def test_result_cache_hits_counted_over_socket():
         np_dtype = np.dtype(np.float64)
         calls = 0
 
-        def execute(self, x, timings=None, workspace=None):
+        def execute(self, x, timings=None):
             x = np.asarray(x)
             if x.shape[0]:
                 CountingPlan.calls += 1

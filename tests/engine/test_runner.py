@@ -63,11 +63,37 @@ class TestMicroBatching:
         np.testing.assert_array_equal(np.concatenate([first, second]),
                                       plan.execute(x))
 
-    def test_no_reuse_mode_matches(self, plan_and_data):
+    def test_untimed_runner_matches(self, plan_and_data):
         _, plan, x = plan_and_data
-        runner = engine.InferenceRunner(plan, batch_size=4, reuse_buffers=False,
+        runner = engine.InferenceRunner(plan, batch_size=4,
                                         collect_timings=False)
         np.testing.assert_array_equal(runner.predict(x), plan.execute(x))
+        assert not runner.stats.layer_seconds
+
+    @pytest.mark.parametrize("output_op", ["relu", "add", "batchnorm"])
+    def test_execute_batch_output_outlives_the_next_batch(self, output_op):
+        """An array returned by execute_batch is the caller's: a second batch
+        through the same executor leaves it unchanged, whatever op produces
+        the graph output."""
+        builder = engine.GraphBuilder("float64")
+        bn = builder.add_op("batchnorm", [0], name="bn",
+                            arrays={"mean": np.array([0.5, -0.25]),
+                                    "denom": np.array([2.0, 0.5])})
+        if output_op == "relu":
+            out = builder.add_op("relu", [bn], name="relu")
+        elif output_op == "add":
+            out = builder.add_op("add", [bn, 0], name="add")
+        else:
+            out = bn
+        plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
+                                output_id=out)
+        executor = engine.PlanExecutor(plan)
+        rng = np.random.default_rng(4)
+        first = executor.execute_batch(rng.normal(size=(3, 2, 4, 4)))
+        kept = first.copy()
+        executor.execute_batch(rng.normal(size=(3, 2, 4, 4)))
+        np.testing.assert_array_equal(first, kept)
+        assert executor.stats.arena_bytes == 0
 
     def test_invalid_batch_size(self, plan_and_data):
         _, plan, _ = plan_and_data
@@ -173,8 +199,7 @@ class TestStats:
         executor = engine.PlanExecutor(plan)
         direct = executor.execute_batch(np.asarray(x[:4], dtype=plan.np_dtype))
         runner = engine.InferenceRunner(plan, batch_size=4)
-        np.testing.assert_array_equal(np.array(direct, copy=True),
-                                      runner.predict(x[:4]))
+        np.testing.assert_array_equal(direct, runner.predict(x[:4]))
         assert executor.stats.samples == 4 and executor.stats.batches == 1
         assert runner.executor.stats.samples == 4
         assert set(executor.stats.layer_calls) == \

@@ -32,7 +32,7 @@ class ToyPlan:
         self.batch_sizes = []
         self.delay = delay
 
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         self.batch_sizes.append(int(np.asarray(x).shape[0]))
         if self.delay:
             time.sleep(self.delay)
@@ -40,7 +40,7 @@ class ToyPlan:
 
 
 class FailingPlan(ToyPlan):
-    def execute(self, x, timings=None, workspace=None):
+    def execute(self, x, timings=None):
         raise RuntimeError("boom")
 
 

@@ -1,0 +1,43 @@
+"""``tools/serve.py`` command line: the ``--model`` spec parser."""
+
+import argparse
+
+import pytest
+
+from tools.serve import MODEL_OPTIONS, build_parser, parse_model_spec
+
+
+def test_good_spec_splits_name_path_and_options():
+    assert parse_model_spec("resnet=plans/r8.npz:mode=int:shards=3:max_shards=4") \
+        == ("resnet", "plans/r8.npz",
+            {"mode": "int", "shards": "3", "max_shards": "4"})
+    assert parse_model_spec("r=plan.npz") == ("r", "plan.npz", {})
+
+
+# a typo, and a flag of the removed plan-graph compiler
+@pytest.mark.parametrize("key,value", [("shard", "3"), ("compile", "true")])
+def test_unknown_option_is_refused_naming_the_allowed_keys(key, value):
+    with pytest.raises(argparse.ArgumentTypeError) as info:
+        parse_model_spec(f"r=plan.npz:{key}={value}")
+    message = str(info.value)
+    assert repr(key) in message
+    for allowed in MODEL_OPTIONS:
+        assert allowed in message
+
+
+@pytest.mark.parametrize("spec", ["r=plan.npz:mode", "r=plan.npz:mode=int:"])
+def test_malformed_option_item_is_refused(spec):
+    with pytest.raises(argparse.ArgumentTypeError, match="key=value"):
+        parse_model_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["=plan.npz", "r=", "r=:mode=int",
+                                  "no-equals-sign"])
+def test_empty_name_or_path_is_refused(spec):
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_model_spec(spec)
+
+
+def test_parser_exits_on_an_unknown_option():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--model", "r=plan.npz:shard=3"])

@@ -87,7 +87,7 @@ class HotPathAllocationPass(AnalysisPass):
 
     pass_id = "hot-path-allocation"
     description = ("functions registered @hot_path route buffers through "
-                   "out=/workspace instead of allocating per call")
+                   "out=/ScratchTable instead of allocating per call")
 
     def run(self, module: SourceModule) -> List[Finding]:
         """Flag banned constructs inside every registered hot function."""

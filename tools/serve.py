@@ -14,8 +14,8 @@ Usage::
         --port 8080 --shards 2 --max-batch 16
 
 Each ``--model`` is ``name=path[:key=value...]`` where the per-model
-options ``mode`` (``float``/``int``), ``compile`` (``true``/``false``),
-``shards`` and ``max_shards`` override the global flags — so one process
+options ``mode`` (``float``/``int``), ``shards`` and ``max_shards``
+override the global flags (any other key is refused) — so one process
 can serve the same artifact on several routes (e.g. a float reference next
 to the integer route).  ``--port 0`` binds an ephemeral port and prints
 it, which is how ``examples/serve_http.py`` and the tests drive this file.
@@ -45,6 +45,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from repro.engine import NetServer   # noqa: E402 — after the path shim
 
+#: Per-model option keys ``--model name=path:key=value`` accepts.
+MODEL_OPTIONS = ("mode", "shards", "max_shards")
+
 
 def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
     """Split ``name=path[:key=value...]`` into its parts.
@@ -52,6 +55,9 @@ def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
     The path may itself contain ``=``-free colons only in the option tail,
     so artifact paths with drive letters are not supported — keep artifacts
     on POSIX paths (the rest of the toolchain already assumes fork).
+    An option key outside :data:`MODEL_OPTIONS` raises
+    :class:`argparse.ArgumentTypeError`, so a stale or misspelled option
+    fails the command line instead of being ignored.
     """
     if "=" not in spec:
         raise argparse.ArgumentTypeError(
@@ -67,6 +73,10 @@ def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
                     f"--model {spec!r}: bad option {item!r} "
                     "(expected key=value)")
             key, value = item.split("=", 1)
+            if key not in MODEL_OPTIONS:
+                raise argparse.ArgumentTypeError(
+                    f"--model {spec!r}: unknown option {key!r} "
+                    f"(allowed: {', '.join(MODEL_OPTIONS)})")
             options[key] = value
     if not name or not path:
         raise argparse.ArgumentTypeError(
@@ -81,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", action="append", required=True,
                         metavar="NAME=PATH[:k=v...]", type=parse_model_spec,
                         help="mount an artifact (repeatable); per-model "
-                             "options: mode=float|int, compile=true|false, "
-                             "shards=N, max_shards=N")
+                             "options: mode=float|int, shards=N, "
+                             "max_shards=N")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="0 binds an ephemeral port (printed on start)")
@@ -108,10 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes", "on")
-
-
 def build_server(args: argparse.Namespace) -> NetServer:
     """Construct and populate the :class:`NetServer` from parsed flags."""
     net = NetServer(host=args.host, port=args.port)
@@ -126,7 +132,6 @@ def build_server(args: argparse.Namespace) -> NetServer:
             queue_size=args.queue_size,
             result_cache_entries=args.result_cache,
             mode=options.get("mode"),
-            compile=_flag(options.get("compile", "false")),
             request_timeout_s=args.request_timeout_s,
             max_shards=None if max_shards is None else int(max_shards),
         )
