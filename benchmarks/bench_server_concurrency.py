@@ -6,9 +6,8 @@ arrives, i.e. one ``predict(sample[None])`` per request, and its own
 docstring "leaves concurrency to the caller".  The
 :class:`~repro.engine.server.PlanServer` is that caller: requests coalesce
 through the dynamic batcher into fat batches across a pool of shard
-executors, and repeated inputs resolve from the LRU result cache without
-executing at all.  This benchmark pins the serving contract on a realistic
-request mix (a fraction of requests repeat, as classifier traffic does):
+executors.  This benchmark pins the serving contract on a stream of
+distinct single-sample requests:
 
 * **equivalence**: every server response is bit-identical to the
   per-request single-runner response (float64 plans);
@@ -37,12 +36,12 @@ from repro import engine
 
 
 def _settings():
-    """Workload per benchmark scale (image/width/request mix/knobs)."""
+    """Workload per benchmark scale (image/width/request count/knobs)."""
     if bench_scale() == "tiny":
-        return dict(image=10, width=0.25, unique=16, repeat_fraction=0.25,
-                    max_batch=8, max_wait_ms=1.0, cache_entries=64, repeats=2)
-    return dict(image=14, width=0.5, unique=72, repeat_fraction=0.25,
-                max_batch=16, max_wait_ms=2.0, cache_entries=256, repeats=3)
+        return dict(image=10, width=0.25, requests=20, max_batch=8,
+                    max_wait_ms=1.0, repeats=2)
+    return dict(image=14, width=0.5, requests=96, max_batch=16,
+                max_wait_ms=2.0, repeats=3)
 
 
 def _build_artifact(tmp_dir, cfg):
@@ -57,52 +56,37 @@ def _build_artifact(tmp_dir, cfg):
 
 
 def _request_stream(cfg):
-    """Two waves of single-sample requests: fresh inputs, then a repeat wave.
-
-    Wave one is ``unique`` fresh inputs; wave two re-submits a seeded draw of
-    them, modelling the share of identical inputs sustained classifier
-    traffic sees *after* the originals were served — the requests the
-    server's result cache converts into queue-free responses.
-    """
+    """``requests`` distinct seeded single-sample inputs."""
     rng = np.random.default_rng(1)
-    unique = np.abs(rng.normal(
-        size=(cfg["unique"], 3, cfg["image"], cfg["image"])))
-    n_repeats = int(cfg["unique"] * cfg["repeat_fraction"] /
-                    (1.0 - cfg["repeat_fraction"]))
-    wave_two = [int(rng.integers(0, cfg["unique"])) for _ in range(n_repeats)]
-    return unique, wave_two
+    return np.abs(rng.normal(
+        size=(cfg["requests"], 3, cfg["image"], cfg["image"])))
 
 
-def _time_per_request_runner(plan, unique, wave_two, repeats: int):
+def _time_per_request_runner(plan, samples, repeats: int):
     """Per-request serving through a single InferenceRunner (the PR 3 path)."""
     runner = engine.InferenceRunner(plan, batch_size=1)
-    order = list(range(unique.shape[0])) + wave_two
     best = float("inf")
     outputs = None
     for _ in range(repeats):
         start = time.perf_counter()
-        outputs = [runner.predict(unique[i][None])[0] for i in order]
+        outputs = [runner.predict(sample[None])[0] for sample in samples]
         best = min(best, time.perf_counter() - start)
     return best, outputs
 
 
-def _time_server(plan, unique, wave_two, cfg, n_shards: int, repeats: int):
-    """Aggregate time for both request waves through one PlanServer."""
+def _time_server(plan, samples, cfg, n_shards: int, repeats: int):
+    """Aggregate time for the whole request stream through one PlanServer."""
     best = float("inf")
     outputs = None
     report = None
     for _ in range(repeats):
         with engine.PlanServer(plan, n_shards=n_shards,
                                max_batch=cfg["max_batch"],
-                               max_wait_ms=cfg["max_wait_ms"],
-                               result_cache_entries=cfg["cache_entries"]) as server:
+                               max_wait_ms=cfg["max_wait_ms"]) as server:
             start = time.perf_counter()
-            futures = server.submit_many(unique)
-            first = [future.result(timeout=60.0) for future in futures]
-            futures = [server.submit(unique[i]) for i in wave_two]
-            second = [future.result(timeout=60.0) for future in futures]
+            futures = server.submit_many(samples)
+            outputs = [future.result(timeout=60.0) for future in futures]
             best = min(best, time.perf_counter() - start)
-            outputs = first + second
             report = server.stats_report()
     return best, outputs, report
 
@@ -113,17 +97,15 @@ def run_server_concurrency():
     import tempfile
     with tempfile.TemporaryDirectory() as tmp_dir:
         plan = _build_artifact(tmp_dir, cfg)
-    unique, wave_two = _request_stream(cfg)
-    n_requests = unique.shape[0] + len(wave_two)
-    plan.execute(unique[: cfg["max_batch"]])   # warm up caches and lazy state
+    samples = _request_stream(cfg)
+    n_requests = samples.shape[0]
+    plan.execute(samples[: cfg["max_batch"]])  # warm up lazy state
 
-    t_runner, runner_out = _time_per_request_runner(plan, unique, wave_two,
+    t_runner, runner_out = _time_per_request_runner(plan, samples,
                                                     cfg["repeats"])
-    t_one, one_out, one_report = _time_server(plan, unique, wave_two, cfg,
-                                              n_shards=1,
-                                              repeats=cfg["repeats"])
-    t_two, two_out, two_report = _time_server(plan, unique, wave_two, cfg,
-                                              n_shards=2,
+    t_one, one_out, _ = _time_server(plan, samples, cfg, n_shards=1,
+                                     repeats=cfg["repeats"])
+    t_two, two_out, two_report = _time_server(plan, samples, cfg, n_shards=2,
                                               repeats=cfg["repeats"])
 
     drift = max(float(np.abs(np.asarray(server_out) -
@@ -131,8 +113,6 @@ def run_server_concurrency():
                 for server_out in (one_out, two_out))
     return {
         "requests": n_requests,
-        "unique_inputs": cfg["unique"],
-        "repeat_fraction": 1.0 - cfg["unique"] / n_requests,
         "max_batch": cfg["max_batch"],
         "max_wait_ms": cfg["max_wait_ms"],
         "parity_max_abs_diff": drift,
@@ -146,7 +126,6 @@ def run_server_concurrency():
         "speedup_2shard": t_runner / t_two,
         "server_2shard_stats": {
             "scheduler": two_report["scheduler"],
-            "cache": two_report.get("cache"),
             "shard_samples": [shard["samples"]
                               for shard in two_report["shards"]],
         },
@@ -166,8 +145,6 @@ def write_artifact(results, path=None):
 def _report(results) -> None:
     print()
     print(f"requests={results['requests']}  "
-          f"(unique={results['unique_inputs']}, "
-          f"repeat={results['repeat_fraction']:.0%})  "
           f"max_batch={results['max_batch']}  "
           f"parity max|diff|={results['parity_max_abs_diff']:.2e}")
     print(f"runner/request : {results['runner_per_request_s'] * 1e3:8.1f} ms  "
@@ -181,7 +158,6 @@ def _report(results) -> None:
     stats = results["server_2shard_stats"]
     print(f"  scheduler: {stats['scheduler']['batches']} batches, "
           f"mean {stats['scheduler']['mean_batch']:.1f}, "
-          f"cache hits {stats['cache']['hits'] if stats['cache'] else 0}, "
           f"shard split {stats['shard_samples']}")
 
 

@@ -1,7 +1,7 @@
 """Concurrent serving walkthrough: one artifact, many simultaneous callers.
 
 Builds a calibrated ResNet-8 CIM model, ships it as a model-level engine
-artifact, and then serves it three ways to show what each serving layer
+artifact, and then serves it two ways to show what the serving layer
 buys:
 
 1. **per-request** — the no-scheduler baseline: a single
@@ -9,12 +9,9 @@ buys:
    (batch of one, the PR-3 deployment story);
 2. **dynamically batched** — a ``PlanServer`` whose scheduler coalesces the
    same requests into fat batches across 2 shard executors (flush on
-   ``max_batch`` or ``max_wait_ms``);
-3. **batched + cached** — the same server with the LRU result cache turned
-   on, serving a second traffic wave in which a quarter of the requests
-   repeat earlier inputs.
+   ``max_batch`` or ``max_wait_ms``).
 
-All three produce bit-identical responses; the throughput gap is the point.
+Both produce bit-identical responses; the throughput gap is the point.
 Clients submit from several threads at once to show that `submit` is safe to
 call concurrently and that futures keep request/response pairing intact.
 
@@ -66,19 +63,16 @@ def main() -> None:
 
         rng = np.random.default_rng(1)
         requests = np.abs(rng.normal(size=(64, 3, 14, 14)))
-        repeats = [int(rng.integers(0, 64)) for _ in range(16)]
 
         # 1. per-request baseline -------------------------------------- #
         runner = engine.InferenceRunner(plan, batch_size=1)
         start = time.perf_counter()
         baseline = [runner.predict(sample[None])[0] for sample in requests]
-        baseline += [runner.predict(requests[i][None])[0] for i in repeats]
         t_baseline = time.perf_counter() - start
 
-        # 2 + 3. dynamically batched, sharded, cached ------------------ #
+        # 2. dynamically batched, sharded ----------------------------- #
         with engine.PlanServer(path, n_shards=2, max_batch=16,
-                               max_wait_ms=2.0,
-                               result_cache_entries=128) as server:
+                               max_wait_ms=2.0) as server:
             start = time.perf_counter()
             # several client threads submitting concurrently
             futures = [None] * len(requests)
@@ -93,36 +87,26 @@ def main() -> None:
                 thread.start()
             for thread in clients:
                 thread.join()
-            wave_one = [future.result(timeout=30.0) for future in futures]
-            # second wave: repeated inputs resolve from the result cache
-            wave_two = [server.submit(requests[i]).result(timeout=30.0)
-                        for i in repeats]
+            served = [future.result(timeout=30.0) for future in futures]
             t_server = time.perf_counter() - start
             report = server.stats_report()
 
-        # responses are bit-identical across the three paths ----------- #
-        by_index = {tuple(requests[i].ravel()[:4]): row
-                    for i, row in zip(range(64), wave_one)}
-        for i, row in enumerate(wave_one):
-            assert np.array_equal(row, baseline[i])
-        for j, i in enumerate(repeats):
-            assert np.array_equal(wave_two[j], baseline[64 + j])
-            assert np.array_equal(wave_two[j], by_index[tuple(requests[i].ravel()[:4])])
+        # responses are bit-identical across both paths ---------------- #
+        for row, expected in zip(served, baseline):
+            assert np.array_equal(row, expected)
 
         n = len(baseline)
-        print(f"requests                 : {n} (64 unique + 16 repeats)")
-        print(f"per-request runner       : {t_baseline * 1e3:7.1f} ms "
+        print(f"requests           : {n}")
+        print(f"per-request runner : {t_baseline * 1e3:7.1f} ms "
               f"({n / t_baseline:7.1f} req/s)")
-        print(f"server (2 shards, cache) : {t_server * 1e3:7.1f} ms "
+        print(f"server (2 shards)  : {t_server * 1e3:7.1f} ms "
               f"({n / t_server:7.1f} req/s)  "
               f"{t_baseline / t_server:.2f}x")
         sched = report["scheduler"]
-        print(f"scheduler                : {sched['batches']} batches, "
+        print(f"scheduler          : {sched['batches']} batches, "
               f"mean size {sched['mean_batch']:.1f}, "
               f"high water {sched['queue_high_water']}")
-        print(f"result cache             : {report['cache']['hits']} hits / "
-              f"{report['cache']['misses']} misses")
-        print(f"shard load               : "
+        print(f"shard load         : "
               f"{[shard['samples'] for shard in report['shards']]}")
 
 

@@ -9,7 +9,7 @@ compiles that work out, at two granularities:
   into eval fast-path mode and back, losslessly;
 * :class:`ConvPlan` / :class:`LinearPlan` — the compiled per-layer plans
   (cached integer tiled weights, bit-splits, folded ``s_w * s_p * shift``
-  dequantization scales) with :func:`save_plan` serialization;
+  dequantization scales);
 * :class:`FrozenCIMConv2d` / :class:`FrozenCIMLinear` — drop-in wrapper
   modules that execute the plan and transparently fall back to the original
   QAT forward for training, recording, or uncalibrated quantizers;
@@ -17,7 +17,8 @@ compiles that work out, at two granularities:
   — the **model-level artifact**: every layer plan plus folded BatchNorm and
   the inter-layer op graph in one ``.npz`` + JSON manifest, reloadable with
   :func:`load_plan` into a runnable executor without constructing the QAT
-  model or its quantizers; :meth:`ModelPlan.execute` is the engine's one
+  model or its quantizers; it is the engine's one artifact format (a single
+  layer ships as a one-node graph) and :meth:`ModelPlan.execute` its one
   executor;
 * :class:`InferenceRunner` / :class:`PlanExecutor` — micro-batching over a
   sample stream with per-layer timing stats, built on the shared
@@ -25,8 +26,8 @@ compiles that work out, at two granularities:
 * :class:`PlanServer` (+ :class:`DynamicBatcher`) — the concurrent serving
   subsystem: per-request ``submit``/futures, dynamic batching (flush on
   ``max_batch`` / ``max_wait_ms``), a pool of thread- or process-backed
-  shard executors, bounded-queue backpressure, and an LRU result cache;
-  :func:`load_plan_cached` adds an artifact-path plan cache for hot reloads;
+  shard executors and bounded-queue backpressure; :func:`load_plan_cached`
+  adds an artifact-path plan cache for hot reloads;
 * :class:`NetServer` — the HTTP/1.1 network front end over
   :class:`PlanServer`: multi-model tenancy
   (``POST /v1/models/{name}/predict``), admission control (503 +
@@ -34,14 +35,13 @@ compiles that work out, at two granularities:
   histograms (:class:`LatencyHistogram`) exported on ``GET /metrics``,
   zero-downtime rolling artifact reloads (``POST
   /v1/models/{name}/reload`` — probe-validated atomic pool swap with a
-  background drain), optional shard-pool autoscaling
-  (:class:`Autoscaler`, mounted via ``max_shards=``) and a graceful drain
-  on close; the JSON payload contract lives in :mod:`repro.engine.wire`.
+  background drain, also the recovery path after shard death), optional
+  shard-pool autoscaling (:class:`Autoscaler`, mounted via
+  ``max_shards=``) and a graceful drain on close; the JSON payload
+  contract lives in :mod:`repro.engine.wire`.
 
-:func:`load_plan` accepts both artifact kinds (model archives carry a
-``__manifest__`` entry, layer archives a ``__meta__`` entry).  The fast
-paths are numerically equivalent to the seed layers — see ``tests/engine/``,
-``benchmarks/bench_engine_speedup.py``,
+The fast paths are numerically equivalent to the seed layers — see
+``tests/engine/``, ``benchmarks/bench_engine_speedup.py``,
 ``benchmarks/bench_runner_throughput.py`` and
 ``benchmarks/bench_server_concurrency.py``, and ``docs/engine.md`` for the
 full lifecycle guide, artifact schema and serving knobs.
@@ -57,16 +57,15 @@ from .model_plan import (GraphBuilder, GraphNode, ModelPlan, ModelPlanError,
                          save_model_plan)
 from .plan import (ConvPlan, LinearPlan, PlanNotReadyError, compile_conv_plan,
                    compile_linear_plan, compile_plan, layer_signature,
-                   load_plan as load_layer_plan, normalize_dtype, save_plan,
-                   signature_ready)
+                   normalize_dtype, signature_ready)
 from .latency import LatencyHistogram
 from .netserver import (Autoscaler, EndpointCounters, ModelEndpoint,
                         NetServer, Saturated)
 from .runner import InferenceRunner, PlanExecutor, RunnerStats
 from .scheduler import (DynamicBatcher, Request, RequestTiming,
                         SchedulerClosed, SchedulerStats)
-from .server import (LRUCache, PlanServer, ServerClosed, ShardDied,
-                     clear_plan_cache, load_plan_cached)
+from .server import (PlanServer, ServerClosed, ShardDied, clear_plan_cache,
+                     load_plan_cached)
 from .wire import (BadRequest, PayloadTooLarge, ReloadRejected,
                    UnprocessableInput, WireError, decode_predict_request,
                    decode_reload_request, encode_error,
@@ -78,13 +77,13 @@ __all__ = [
     "ConvPlan", "LinearPlan", "PlanNotReadyError",
     "compile_plan", "compile_conv_plan", "compile_linear_plan",
     "layer_signature", "signature_ready", "normalize_dtype",
-    "save_plan", "load_plan", "load_layer_plan",
+    "load_plan",
     "GraphBuilder", "GraphNode", "ModelPlan", "ModelPlanError",
     "compile_model_plan", "save_model_plan", "load_model_plan",
     "InferenceRunner", "PlanExecutor", "RunnerStats",
     "DynamicBatcher", "Request", "RequestTiming", "SchedulerStats",
     "SchedulerClosed",
-    "PlanServer", "ServerClosed", "ShardDied", "LRUCache",
+    "PlanServer", "ServerClosed", "ShardDied",
     "load_plan_cached", "clear_plan_cache",
     "NetServer", "ModelEndpoint", "EndpointCounters", "Saturated",
     "Autoscaler",

@@ -10,21 +10,24 @@ enforced statically by ``tools/analyze`` (hot-path-allocation pass):
   instead route through ``out=`` arguments or a :class:`ScratchTable`.
 
 * :class:`ScratchTable` — keyed, thread-local, reusable buffers owned by
-  one object (a layer plan holds one).  The first call for a ``(key,
-  shape, dtype)`` allocates with ``np.empty``; every subsequent call from
-  the same thread with the same shape returns the same array, so a
-  steady-state serving loop stops allocating entirely.  Buffers are
+  one object (a model plan shares one across its layer plans).  Each key
+  names one byte buffer that grows to the largest request seen; a call
+  returns a ``(shape, dtype)`` view of it, so a steady-state serving loop
+  stops allocating entirely, and layers that run one after another reuse
+  the same memory instead of each holding their own.  Buffers are
   uninitialized on reuse, exactly like ``np.empty`` — the caller must
-  fully overwrite before reading.  Thread-locality makes the buffers safe
-  under the shard pool (each worker thread gets its own set) but also
-  means a buffer must never escape to another thread: use a scratch array
-  only for intermediates consumed before the function's caller returns,
-  never for returned results.  Because the table lives on its owner, every
-  thread's buffers are freed together with the owner.
+  fully overwrite before reading, and two requests for one key alias, so
+  a view is dead once its key is requested again.  Thread-locality makes
+  the buffers safe under the shard pool (each worker thread gets its own
+  set) but also means a buffer must never escape to another thread: use a
+  scratch array only for intermediates consumed before the function's
+  caller returns, never for returned results.  Because the table lives on
+  its owner, every thread's buffers are freed together with the owner.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Hashable, Tuple
 
@@ -44,10 +47,11 @@ def hot_path(func):
 class ScratchTable(threading.local):
     """Reusable buffers of one owner, private to each calling thread.
 
-    Call the table as ``table(key, shape, dtype)`` to get a buffer of
-    exactly ``shape`` and ``dtype``.  Contents are undefined (like
-    ``np.empty``); the buffer is replaced when ``shape`` or ``dtype``
-    changes for the same ``key``.
+    Call the table as ``table(key, shape, dtype)`` to get an array of
+    exactly ``shape`` and ``dtype``: a view of the key's byte buffer, which
+    is replaced by a larger one only when a request outgrows it.  Contents
+    are undefined (like ``np.empty``), and every request for a key aliases
+    the previous ones.
 
     Thread-safe by construction: a ``threading.local`` gives every thread
     a private buffer dict, so two shard workers never receive the same
@@ -60,14 +64,16 @@ class ScratchTable(threading.local):
 
     def __call__(self, key: Hashable, shape: Tuple[int, ...],
                  dtype) -> np.ndarray:
-        """The calling thread's buffer for ``key``, (re)allocated to fit.
+        """The calling thread's buffer for ``key``, grown to fit if needed.
 
         Thread-safe: each thread sees only its own buffers.
         """
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * math.prod(shape)
         buf = self.buffers.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
-            buf = self.buffers[key] = np.empty(shape, dtype)
-        return buf
+        if buf is None or buf.nbytes < nbytes:
+            buf = self.buffers[key] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
     def __len__(self) -> int:
         """Number of live buffers the calling thread holds in this table.

@@ -51,10 +51,10 @@ from ..nn.module import Module, Sequential
 from ..nn.norm import _BatchNorm
 from ..nn.tensor import Tensor, no_grad
 from .frozen import _FrozenLayer
-from .hotpath import hot_path
+from .hotpath import ScratchTable, hot_path
 from .intfold import INT_OPS, fold_int_graph
-from .plan import (compile_plan, load_plan as _load_layer_plan, normalize_dtype,
-                   plan_arrays, plan_from_parts, plan_meta)
+from .plan import (compile_plan, normalize_dtype, plan_arrays, plan_from_parts,
+                   plan_meta)
 
 __all__ = [
     "GraphNode",
@@ -370,6 +370,14 @@ class ModelPlan:
     _int_graph: Any = field(default=None, init=False, repr=False,
                             compare=False)
 
+    def __post_init__(self):
+        # layers run one after another on a thread, so they can share one
+        # scratch table: each thread then holds the largest layer's
+        # intermediates once instead of every layer's
+        scratch = ScratchTable()
+        for layer_plan in self.layer_plans:
+            layer_plan._scratch = scratch
+
     @property
     def np_dtype(self) -> np.dtype:
         """NumPy dtype the plan executes in."""
@@ -650,7 +658,7 @@ def load_model_plan(path, mode: str = "float") -> ModelPlan:
     """
     with np.load(path) as archive:
         if "__manifest__" not in archive.files:
-            raise ModelPlanError(f"{path}: not a model-plan archive "
+            raise ModelPlanError(f"{path}: not an engine artifact "
                                  "(no __manifest__ entry)")
         try:
             manifest = json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
@@ -695,20 +703,6 @@ def load_model_plan(path, mode: str = "float") -> ModelPlan:
     return plan
 
 
-def load_plan(path, mode: str = "float"):
-    """Load any engine artifact: a :class:`ModelPlan` or a single layer plan.
-
-    Dispatches on the archive contents — model plans carry a
-    ``__manifest__`` entry, per-layer plans a ``__meta__`` entry — so
-    deployment code needs one entry point regardless of what was saved.
-    ``mode="int"`` returns the plan switched to the integer execution route
-    (raises on float-only artifacts saved before the integer path existed).
-    """
-    with np.load(path) as archive:
-        files = set(archive.files)
-    if "__manifest__" in files:
-        return load_model_plan(path, mode=mode)
-    if "__meta__" in files:
-        return _load_layer_plan(path, mode=mode)
-    raise ModelPlanError(f"{path}: not an engine artifact "
-                         "(expected a __manifest__ or __meta__ entry)")
+#: The artifact entry point: every engine artifact is a model plan (a single
+#: layer ships as a one-node graph, see :meth:`GraphBuilder.add_layer_plan`).
+load_plan = load_model_plan

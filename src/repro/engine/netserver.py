@@ -8,8 +8,8 @@ and adds the three things a wire boundary makes necessary:
 * **multi-model tenancy** — each :meth:`NetServer.add_model` call mounts one
   artifact (path or in-memory plan, in either ``mode=``) as
   ``POST /v1/models/{name}/predict``, backed by its own
-  :class:`~repro.engine.server.PlanServer` (private batcher, shard pool and
-  caches), with artifact paths deduplicated through
+  :class:`~repro.engine.server.PlanServer` (private batcher and shard
+  pool), with artifact paths deduplicated through
   :func:`~repro.engine.server.load_plan_cached`;
 * **admission control** — when a model's bounded request queue cannot take a
   request's samples, the request is rejected *immediately* with
@@ -32,19 +32,19 @@ Method   Path                              Meaning
 GET      ``/healthz``                      liveness + mounted model names
 GET      ``/metrics``                      full serving metrics document
 POST     ``/v1/models/{name}/predict``     run a ``(N, *sample)`` input batch
-POST     ``/v1/models/{name}/restart``     replace the model's shard pool
 POST     ``/v1/models/{name}/reload``      zero-downtime rolling artifact swap
 =======  ================================  =====================================
 
-Serving lifecycle: ``restart`` is the blunt recovery tool (old pool closed
-in place), ``reload`` is the zero-downtime path — the replacement artifact
-is loaded and probe-validated *before* an atomic swap under the admission
-lock, the old pool drains in the background (no accepted request dropped,
-bit-identical responses across the swap), and a bad artifact is refused
-with 409 while the old pool keeps serving.  Mounting a model with
-``max_shards=N`` attaches an :class:`Autoscaler` that grows the shard pool
-under queue pressure and shrinks it back when idle; scale events and the
-artifact/reload version are visible in ``/metrics``.
+Serving lifecycle: ``reload`` is the one pool-swap path — the replacement
+artifact (or, for a bodiless reload, the mounted source again) is loaded
+and probe-validated *before* an atomic swap under the admission lock, the
+old pool drains in the background (no accepted request dropped,
+bit-identical responses across the swap), and a bad or vanished artifact
+is refused with 409 while the old pool keeps serving.  A bodiless reload
+is also the recovery path after every process shard has died.  Mounting a
+model with ``max_shards=N`` attaches an :class:`Autoscaler` that grows the
+shard pool under queue pressure and shrinks it back when idle; scale events
+and the artifact/reload version are visible in ``/metrics``.
 
 Error surface: 400 broken body, 404 unknown route/model, 411 missing
 length, 413 oversized body or batch, 422 well-formed input the model cannot
@@ -105,13 +105,12 @@ class EndpointCounters:
     withdrawn and counted wholly rejected, never half-accepted.
     ``bad_requests`` counts bodies refused before admission (400/413/422)
     and is deliberately outside the conservation sum, as are the lifecycle
-    counters (``restarts``, ``reloads``, ``scale_ups``, ``scale_downs``).
+    counters (``reloads``, ``scale_ups``, ``scale_downs``).
     """
 
     FIELDS = ("offered", "accepted", "rejected", "completed", "failed",
               "bad_requests", "samples_offered", "samples_accepted",
-              "samples_rejected", "cache_hits", "restarts", "reloads",
-              "scale_ups", "scale_downs")
+              "samples_rejected", "reloads", "scale_ups", "scale_downs")
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -152,10 +151,10 @@ class ModelEndpoint:
     Constructed through :meth:`NetServer.add_model`.  The endpoint owns
     admission control (one lock serializes capacity checks against submits,
     so an admitted request never blocks on a full queue), the per-request
-    latency histograms, and the serving-lifecycle machinery: restart (a
-    fresh shard pool from the retained plan source — the recovery path when
-    process shards die), rolling :meth:`reload` (probe-validated atomic
-    swap to a new artifact with a background drain of the old pool), and —
+    latency histograms, and the serving-lifecycle machinery: rolling
+    :meth:`reload` (probe-validated atomic swap to a new artifact, or to a
+    fresh pool from the retained source — the recovery path when process
+    shards die — with a background drain of the old pool), and —
     when ``max_shards`` is set — the :class:`Autoscaler` controller thread
     that grows and shrinks the shard pool with load.
 
@@ -315,9 +314,7 @@ class ModelEndpoint:
         self.latency["total"].record(total_s)
         self.latency["queue"].record(queue_s)
         self.latency["compute"].record(compute_s)
-        self.counters.add(
-            completed=1,
-            cache_hits=sum(1 for timing in known if timing.cached))
+        self.counters.add(completed=1)
         timing_ms = {"total": total_s * 1e3, "queue": queue_s * 1e3,
                      "compute": compute_s * 1e3}
         return (wire.encode_predict_response(self.name, np.stack(rows),
@@ -325,32 +322,6 @@ class ModelEndpoint:
                 timing_ms)
 
     # ------------------------------------------------------------------ #
-    def restart(self) -> None:
-        """Replace the shard pool with a fresh one from the retained source.
-
-        The recovery path after shard death: the old :class:`PlanServer` is
-        closed (drained where possible — a pool whose shards all died has
-        nothing left to drain) and a new one is built with the original
-        construction arguments.  In-flight requests against the old pool
-        fail with their pool's error; requests admitted after the swap are
-        served by the new shards.  For a zero-downtime swap to a *healthy*
-        pool use :meth:`reload` instead.
-
-        Thread-safe: the swap happens under the admission lock, so every
-        request is admitted into exactly one pool.
-        """
-        with self._admission:
-            old = self.server
-            self.server = PlanServer(self._plan_source, **self._server_kwargs)
-            self._artifact = _stat_artifact(self._plan_source)
-            with self._probe_lock:
-                self._known_shapes = frozenset()   # the rebuilt plan may differ
-            self.counters.add(restarts=1)
-        try:
-            old.close(timeout=10.0)
-        except TimeoutError:
-            pass   # old pool keeps draining in the background; new pool serves
-
     def _probe_validate(self, server: PlanServer) -> None:
         """Run every shape this endpoint has served through a fresh pool.
 
@@ -377,11 +348,12 @@ class ModelEndpoint:
         bit-identically; nothing accepted is ever dropped.  The probe-shape
         cache is invalidated (the new plan revalidates from scratch) and
         the ``/metrics`` plan block is re-versioned (artifact mtime/size +
-        reload counter).
+        reload counter).  A bodiless reload over a pool whose process
+        shards all died is how the endpoint recovers.
 
-        A reload that fails — unreadable or corrupt artifact, probe
-        failure — raises :class:`~repro.engine.wire.ReloadRejected` (409)
-        and leaves the serving pool untouched.
+        A reload that fails — unreadable, corrupt or vanished artifact,
+        probe failure — raises :class:`~repro.engine.wire.ReloadRejected`
+        (409) and leaves the serving pool untouched.
         """
         with self._reload_lock:             # swaps are strictly sequential
             source = self._plan_source if path is None else path
@@ -483,7 +455,7 @@ class Autoscaler:
     last action is observed before the next one (no thrashing).  Scale
     events land in the endpoint counters (``scale_ups``/``scale_downs``)
     and the controller re-reads ``endpoint.server`` every tick, so it
-    follows the pool across restarts and rolling reloads.  Stop with
+    follows the pool across rolling reloads.  Stop with
     :meth:`stop`; ticks that race a pool swap or shutdown are skipped, not
     fatal.
     """
@@ -690,11 +662,11 @@ class _Handler(BaseHTTPRequestHandler):
         return self._read_body()
 
     def do_POST(self):   # noqa: N802 — stdlib naming
-        """Serve ``/v1/models/{name}/`` ``predict`` / ``restart`` / ``reload``."""
+        """Serve ``/v1/models/{name}/`` ``predict`` / ``reload``."""
         path = urlparse(self.path).path
         parts = [part for part in path.split("/") if part]
         if len(parts) != 4 or parts[:2] != ["v1", "models"] \
-                or parts[3] not in ("predict", "restart", "reload"):
+                or parts[3] not in ("predict", "reload"):
             self._send_error(404, "not found", f"no route for POST {path}")
             return
         name, action = parts[2], parts[3]
@@ -703,12 +675,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(404, "not found",
                              f"no model {name!r} is mounted; available: "
                              f"{sorted(self.net.model_names())}")
-            return
-        if action == "restart":
-            endpoint.restart()
-            self._send_json(200, json.dumps(
-                {"model": name, "restarted": True,
-                 "n_shards": endpoint.server.n_shards}).encode())
             return
         if action == "reload":
             body = self._read_optional_body()
@@ -738,7 +704,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ServerClosed as error:
             self._send_error(503, "unavailable",
                              f"model {name!r} is not serving: {error}; "
-                             "restart the model or retry later",
+                             "reload the model or retry later",
                              headers={"Retry-After": "1"})
             return
         except TimeoutError as error:
@@ -832,7 +798,7 @@ class NetServer:
         :class:`~repro.engine.model_plan.ModelPlan`.  ``server_kwargs`` are
         forwarded verbatim to :class:`PlanServer` (``n_shards``,
         ``backend``, ``max_batch``, ``max_wait_ms``, ``queue_size``,
-        ``result_cache_entries``, ``mode`` ...).  ``max_request_samples``
+        ``mode`` ...).  ``max_request_samples``
         caps one request's batch (at most the queue size — a request that
         can never be admitted is a 413, not an eternal 503);
         ``request_timeout_s`` bounds how long a handler waits for results
@@ -851,7 +817,7 @@ class NetServer:
             raise ValueError(f"model name {name!r} must be non-empty and "
                              "contain no slashes or whitespace")
         # the endpoint retains the *path* as its plan source, so
-        # restart/reload rebuilds re-resolve the artifact (new bytes included)
+        # bodiless reloads re-resolve the artifact (new bytes included)
         endpoint = ModelEndpoint(name, plan, server_kwargs,
                                  max_request_samples=max_request_samples,
                                  request_timeout_s=request_timeout_s,

@@ -47,14 +47,15 @@ residual-grid values through an exact per-channel requant (inside a folded
 model graph, :mod:`repro.engine.intfold`), or through the one per-channel
 dequant multiply (a stand-alone layer, or a model's logits).
 
-Plans are plain data (NumPy arrays + geometry) and can be serialized with
-:func:`save_plan` / :func:`load_plan`; the crossbar mapping travels along via
-:func:`repro.cim.tiling.mapping_to_dict`.
+Plans are plain data (NumPy arrays + geometry): :func:`plan_meta` /
+:func:`plan_arrays` give the manifest entry and array payload a
+:class:`~repro.engine.model_plan.ModelPlan` archive stores per layer, and
+:func:`plan_from_parts` rebuilds the plan; the crossbar mapping travels
+along via :func:`repro.cim.tiling.mapping_to_dict`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Tuple
 
@@ -84,8 +85,6 @@ __all__ = [
     "plan_meta",
     "plan_arrays",
     "plan_from_parts",
-    "save_plan",
-    "load_plan",
 ]
 
 
@@ -207,7 +206,8 @@ class _PlanBase:
     w_eff_valid: np.ndarray = field(init=False, repr=False, default=None)
     s_p_full: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     m_fold: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    # per-thread hot-path buffers, freed with the plan
+    # per-thread hot-path buffers, freed with the plan; a ModelPlan shares
+    # one table across its layer plans
     _scratch: ScratchTable = field(init=False, repr=False, compare=False,
                                    default_factory=ScratchTable)
 
@@ -808,10 +808,9 @@ _ARRAY_FIELDS = ("w_bar", "splits", "s_w", "valid_mask", "shift_factors",
 def plan_meta(plan) -> dict:
     """JSON-serializable metadata of one layer plan (everything non-array).
 
-    This is the single owner of the layer-plan manifest schema: the per-layer
-    :func:`save_plan` archives and the ``layers`` section of a
-    :class:`~repro.engine.model_plan.ModelPlan` manifest both embed exactly
-    this dictionary.
+    This is the single owner of the layer-plan manifest schema: the
+    ``layers`` section of a :class:`~repro.engine.model_plan.ModelPlan`
+    manifest embeds exactly this dictionary per layer.
     """
     meta = {
         "layer_type": plan.layer_type,
@@ -856,8 +855,8 @@ def plan_arrays(plan) -> dict:
 def plan_from_parts(meta: dict, arrays: dict):
     """Rebuild a :class:`ConvPlan` / :class:`LinearPlan` from manifest + arrays.
 
-    Inverse of (:func:`plan_meta`, :func:`plan_arrays`); shared by
-    :func:`load_plan` and the model-plan loader.
+    Inverse of (:func:`plan_meta`, :func:`plan_arrays`); used by the
+    model-plan loader.
     """
     common = dict(
         out_channels=int(meta["out_channels"]),
@@ -884,27 +883,3 @@ def plan_from_parts(meta: dict, arrays: dict):
                         padding=tuple(meta["padding"]),
                         **common)
     return LinearPlan(in_features=int(meta["in_features"]), **common)
-
-
-def save_plan(plan, path) -> None:
-    """Serialize a plan to an ``.npz`` archive (arrays + JSON metadata)."""
-    np.savez(path, __meta__=np.frombuffer(
-        json.dumps(plan_meta(plan)).encode("utf-8"), dtype=np.uint8),
-        **plan_arrays(plan))
-
-
-def load_plan(path, mode: str = "float"):
-    """Rebuild a :class:`ConvPlan` / :class:`LinearPlan` saved by :func:`save_plan`.
-
-    ``mode`` selects the execution route of the returned plan (see
-    :meth:`_PlanBase.set_mode`); ``"int"`` raises :class:`ValueError` on
-    float-only artifacts saved before the integer path existed.
-    """
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-        arrays = {name: archive[name] for name in archive.files
-                  if name != "__meta__"}
-    plan = plan_from_parts(meta, arrays)
-    if mode != "float":
-        plan.set_mode(mode)
-    return plan

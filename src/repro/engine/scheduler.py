@@ -49,12 +49,10 @@ class RequestTiming:
     **before** the future resolves, so any reader that observed the result
     also observes a fully written timing — the network front end feeds these
     into its per-request latency histograms (queue-wait vs compute split).
-    ``cached`` marks result-cache hits, which never queue or execute.
     """
 
     queue_s: float = 0.0          # submit -> batch claimed by a shard
     compute_s: float = 0.0        # batch claimed -> batch results ready
-    cached: bool = False          # resolved from the result cache
 
     @property
     def total_s(self) -> float:
@@ -70,7 +68,6 @@ class Request:
     payload: np.ndarray           # one sample, no batch axis
     future: Future                # resolves to this sample's output row
     arrival: float = field(default_factory=time.monotonic)
-    cache_key: Optional[bytes] = None   # set when result caching is on
     dispatched: Optional[float] = None  # stamped when a batch claims it
 
 

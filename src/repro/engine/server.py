@@ -3,15 +3,13 @@
 :class:`~repro.engine.runner.InferenceRunner` serves one stream from one
 caller; :class:`PlanServer` serves *many* callers.  Requests enter through
 :meth:`PlanServer.submit` / :meth:`PlanServer.submit_many` and flow through
-three layers:
+two layers:
 
-1. an optional **LRU result cache** — requests whose input digest was served
-   before resolve immediately, without touching the queue;
-2. the :class:`~repro.engine.scheduler.DynamicBatcher` — a bounded FIFO
+1. the :class:`~repro.engine.scheduler.DynamicBatcher` — a bounded FIFO
    queue that coalesces individual requests into batches (flush on
    ``max_batch`` or ``max_wait_ms``, whichever first) and applies
    backpressure when producers outrun the shards;
-3. a pool of **shard workers** — N executors over the same read-only plan,
+2. a pool of **shard workers** — N executors over the same read-only plan,
    each owning its private :class:`~repro.engine.runner.RunnerStats` so
    shards never contend.
    Thread-backed shards (default) run the GEMMs in-process; process-backed
@@ -20,7 +18,7 @@ three layers:
 
 Every request gets a :class:`concurrent.futures.Future` resolving to its own
 output row, so per-request ordering is trivially preserved no matter how
-batches are formed or which shard finishes first.  A second, module-level
+batches are formed or which shard finishes first.  A module-level
 **plan cache** (:func:`load_plan_cached`) makes constructing servers from
 artifact paths cheap: hot reloads of the same ``.npz`` skip the disk parse
 until the file actually changes.
@@ -34,7 +32,6 @@ aggregate-throughput contract of dynamic batching over per-request serving.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -48,8 +45,8 @@ from .model_plan import load_plan
 from .runner import PlanExecutor, RunnerStats, empty_batch_result
 from .scheduler import DynamicBatcher, Request, RequestTiming, SchedulerClosed
 
-__all__ = ["PlanServer", "ServerClosed", "ShardDied", "LRUCache",
-           "load_plan_cached", "clear_plan_cache"]
+__all__ = ["PlanServer", "ServerClosed", "ShardDied", "load_plan_cached",
+           "clear_plan_cache"]
 
 
 class ServerClosed(RuntimeError):
@@ -67,35 +64,31 @@ class ShardDied(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# caches
+# plan cache
 # --------------------------------------------------------------------------- #
 class LRUCache:
-    """A small thread-safe least-recently-used cache with hit/miss counters.
+    """A small thread-safe least-recently-used cache (backs the plan cache).
 
     All state is guarded by one internal lock (declared below for the
     static analyzer); every method is safe to call from any thread.
     """
 
-    _GUARDED_BY = {"_data": "_lock", "hits": "_lock", "misses": "_lock"}
+    _GUARDED_BY = {"_data": "_lock"}
 
     def __init__(self, max_entries: int):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self.hits = 0
-        self.misses = 0
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, key):
         """Return the cached value or ``None``; touches LRU order on hit.
-        Thread-safe: lookup and counter update happen under the lock."""
+        Thread-safe: lookup and reordering happen under the lock."""
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-                self.hits += 1
                 return self._data[key]
-            self.misses += 1
             return None
 
     def put(self, key, value) -> None:
@@ -108,25 +101,13 @@ class LRUCache:
                 self._data.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry and zero the hit/miss counters.
-        Thread-safe: one atomic reset under the lock."""
+        """Drop every entry.  Thread-safe: one atomic reset under the lock."""
         with self._lock:
             self._data.clear()
-            self.hits = 0
-            self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable counters for the server stats report.
-        Thread-safe: one consistent snapshot under the lock (``hits`` and
-        ``misses`` can otherwise tear against a concurrent ``get``)."""
-        with self._lock:
-            return {"entries": len(self._data),
-                    "max_entries": self.max_entries,
-                    "hits": self.hits, "misses": self.misses}
 
 
 _PLAN_CACHE = LRUCache(max_entries=8)
@@ -176,15 +157,6 @@ def load_plan_cached(path, mode: str = "float"):
 def clear_plan_cache() -> None:
     """Drop every cached plan (e.g. between benchmark phases)."""
     _PLAN_CACHE.clear()
-
-
-def _digest(sample: np.ndarray) -> bytes:
-    """Cache key of one request payload: shape + dtype + content hash."""
-    h = hashlib.sha1()
-    h.update(str(sample.shape).encode())
-    h.update(str(sample.dtype).encode())
-    h.update(np.ascontiguousarray(sample).tobytes())
-    return h.digest()
 
 
 # --------------------------------------------------------------------------- #
@@ -332,9 +304,6 @@ class PlanServer:
         :class:`~repro.engine.scheduler.DynamicBatcher`: flush when
         ``max_batch`` requests are pending or the oldest has waited
         ``max_wait_ms``; ``queue_size`` bounds the backlog (backpressure).
-    result_cache_entries:
-        When > 0, an LRU cache keyed on the input digest serves repeated
-        requests without executing; cached rows are returned read-only.
     collect_timings:
         Forwarded to each shard's executor (per-layer timing stats).
     mode:
@@ -364,8 +333,8 @@ class PlanServer:
 
     def __init__(self, plan, n_shards: int = 2, backend: str = "thread",
                  max_batch: int = 16, max_wait_ms: float = 2.0,
-                 queue_size: int = 256, result_cache_entries: int = 0,
-                 collect_timings: bool = True, mode: Optional[str] = None):
+                 queue_size: int = 256, collect_timings: bool = True,
+                 mode: Optional[str] = None):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if backend not in ("thread", "process"):
@@ -380,8 +349,6 @@ class PlanServer:
         self.batcher = DynamicBatcher(max_batch=max_batch,
                                       max_wait_ms=max_wait_ms,
                                       queue_size=queue_size)
-        self.result_cache = (LRUCache(result_cache_entries)
-                             if result_cache_entries > 0 else None)
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._closed = False
@@ -441,12 +408,8 @@ class PlanServer:
                 out = shard.execute_batch(stacked)
                 completed = time.monotonic()
                 for row, request in zip(out, batch):
-                    result = np.array(row, copy=True)
-                    if self.result_cache is not None and request.cache_key:
-                        result.flags.writeable = False
-                        self.result_cache.put(request.cache_key, result)
                     self._stamp_timing(request, completed)
-                    request.future.set_result(result)
+                    request.future.set_result(np.array(row, copy=True))
             except ShardDied as error:
                 completed = time.monotonic()
                 for request in batch:
@@ -579,26 +542,16 @@ class PlanServer:
         the caller's array can be reused immediately.  Blocks while the
         bounded queue is full (``timeout`` seconds at most —
         :class:`TimeoutError` after that); raises :class:`ServerClosed` on a
-        closed server.  With result caching enabled, a digest hit resolves
-        the future immediately with a read-only cached row.
+        closed server.
         """
         if self._closed:
             raise ServerClosed("server is closed")
         payload = np.array(sample, dtype=self.plan.np_dtype, copy=True)
         future: Future = Future()
-        cache_key = None
-        if self.result_cache is not None:
-            cache_key = _digest(payload)
-            cached = self.result_cache.get(cache_key)
-            if cached is not None:
-                future.timing = RequestTiming(cached=True)
-                future.set_result(cached)
-                return future
         with self._seq_lock:
             seq = self._seq
             self._seq += 1
-        request = Request(seq=seq, payload=payload, future=future,
-                          cache_key=cache_key)
+        request = Request(seq=seq, payload=payload, future=future)
         try:
             self.batcher.put(request, timeout=timeout)
         except SchedulerClosed as error:
@@ -691,8 +644,7 @@ class PlanServer:
         breakdown (useful for spotting load imbalance); ``scheduler``
         describes batch shaping and queue depth (snapshotted under the
         batcher lock — counters in the report are mutually consistent);
-        ``pool`` counts scale events; ``cache`` appears when result caching
-        is enabled.
+        ``pool`` counts scale events.
         """
         with self._pool_lock:
             shards = [slot.shard for slot in self._slots]
@@ -703,7 +655,7 @@ class PlanServer:
         snapshots = [shard.stats_snapshot() for shard in shards]
         for snapshot in snapshots:
             total.merge(snapshot)
-        report = {
+        return {
             "backend": self.backend,
             "n_shards": self.n_shards,
             "pool": pool,
@@ -711,9 +663,6 @@ class PlanServer:
             "shards": [snapshot.to_dict() for snapshot in snapshots],
             "total": total.to_dict(),
         }
-        if self.result_cache is not None:
-            report["cache"] = self.result_cache.to_dict()
-        return report
 
     def close(self, timeout: Optional[float] = None) -> None:
         """Drain queued requests, stop the workers, release the shards.

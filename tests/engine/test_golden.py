@@ -22,9 +22,10 @@ FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "fixtures")
 CASES = ["conv", "linear", "resnet_tiny"]
 INT_CASES = ["conv_int", "linear_int", "resnet_tiny_int"]
-EXPECTED_KINDS = {"conv": engine.ConvPlan, "linear": engine.LinearPlan,
+# every artifact is a model plan; the layer cases are one-node graphs
+EXPECTED_KINDS = {"conv": engine.ModelPlan, "linear": engine.ModelPlan,
                   "resnet_tiny": engine.ModelPlan,
-                  "conv_int": engine.ConvPlan, "linear_int": engine.LinearPlan,
+                  "conv_int": engine.ModelPlan, "linear_int": engine.ModelPlan,
                   "resnet_tiny_int": engine.ModelPlan}
 
 

@@ -227,8 +227,7 @@ def _scheme(quantize_psum=True):
 
 
 def resnet_tiny():
-    _, plan, x = _load_tool("make_golden_fixtures")._build_resnet_tiny()
-    return plan, x
+    return _load_tool("make_golden_fixtures")._build_resnet_tiny()
 
 
 def random_residual_plan(seed: int, quantize_psum: bool = True,
@@ -410,9 +409,7 @@ def test_golden_int_fixtures_equal_the_oracle(name, tmp_path):
     path = tmp_path / f"{name}.npz"
     path.write_bytes(artifact.tobytes())
     plan = engine.load_plan(path, mode="int")
-    want = oracle(plan, x) if isinstance(plan, engine.ModelPlan) \
-        else oracle_layer(plan, x)
-    np.testing.assert_array_equal(golden, want)
+    np.testing.assert_array_equal(golden, oracle(plan, x))
 
 
 @pytest.mark.parametrize("tiny", [1e-4, 1e-12], ids=["5000x", "coarse"])

@@ -37,6 +37,8 @@ from repro.models import resnet8
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
 
+from planutil import save_layer_artifact
+
 plan_module = importlib.import_module("repro.engine.plan")
 
 
@@ -157,9 +159,9 @@ class TestSerialization:
         layer, x = make_layer(kind, quantize_psum, (32, 2), 9)
         plan = compile_layer(layer)
         path = tmp_path / "plan.npz"
-        engine.save_plan(plan, path)
+        save_layer_artifact(plan, path)
         loaded = engine.load_plan(path)
-        rq, rq2 = plan.requant, loaded.requant
+        rq, rq2 = plan.requant, loaded.layer_plans[0].requant
         assert rq2 is not None
         assert rq2.shift == rq.shift
         assert rq2.gemm_dtype == rq.gemm_dtype
@@ -181,7 +183,7 @@ class TestSerialization:
         plan.set_mode("int")
         out = plan.execute(x)
         path = tmp_path / "plan.npz"
-        engine.save_plan(plan, path)
+        save_layer_artifact(plan, path)
         loaded = engine.load_plan(path)
         assert loaded.mode == "float"          # mode is runtime state
         loaded.set_mode("int")
@@ -473,13 +475,16 @@ class TestCarrierGuard:
         layer, _ = make_layer("conv", True, (32, 1), 3)
         plan = compile_layer(layer)
         path = tmp_path / "plan.npz"
-        engine.save_plan(plan, path)
+        save_layer_artifact(plan, path)
         with np.load(path) as archive:
             stored = {key: archive[key] for key in archive.files}
-        stored["rq_shift_adc"] = np.full_like(stored["rq_shift_adc"], 55)
+        key = "layer0.rq_shift_adc"
+        stored[key] = np.full_like(stored[key], 55)
         np.savez(path, **stored)
-        with pytest.raises(CarrierRangeError):
+        with pytest.raises(engine.ModelPlanError,
+                           match="unsupported requant") as info:
             engine.load_plan(path, mode="int")
+        assert isinstance(info.value.__cause__, CarrierRangeError)
 
     def test_model_artifact_load_raises_model_plan_error(self, tmp_path):
         plan, _ = build_model_plan()
@@ -499,10 +504,16 @@ class TestCarrierGuard:
 # --------------------------------------------------------------------------- #
 # hot-path scratch buffers belong to their plan
 # --------------------------------------------------------------------------- #
+def _scratch_tables(model_plan):
+    """The distinct scratch tables of a model plan's layers."""
+    return list({id(lp._scratch): lp._scratch
+                 for lp in model_plan.layer_plans}.values())
+
+
 def _scratch_refs(model_plan):
     """Weak references to every scratch buffer the calling thread holds."""
-    return [weakref.ref(buf) for lp in model_plan.layer_plans
-            for buf in lp._scratch.buffers.values()]
+    return [weakref.ref(buf) for table in _scratch_tables(model_plan)
+            for buf in table.buffers.values()]
 
 
 class TestScratchOwnership:
@@ -518,9 +529,9 @@ class TestScratchOwnership:
             for _ in range(8):
                 loaded = engine.load_plan(path, mode="int")
                 loaded.execute(x)
-                per_plan = sum(lp._scratch.buffers[key].nbytes
-                               for lp in loaded.layer_plans
-                               for key in lp._scratch.buffers)
+                per_plan = sum(buf.nbytes
+                               for table in _scratch_tables(loaded)
+                               for buf in table.buffers.values())
                 refs.extend(_scratch_refs(loaded))
                 del loaded
                 gc.collect()
@@ -535,9 +546,14 @@ class TestScratchOwnership:
     def test_tables_are_private_per_thread_and_per_owner(self):
         table, other = ScratchTable(), ScratchTable()
         mine = table("k", (4,), np.float64)
-        assert table("k", (4,), np.float64) is mine
-        assert other("k", (4,), np.float64) is not mine
-        assert table("k", (5,), np.float64) is not mine   # reshaped: new
+        assert mine.shape == (4,) and mine.dtype == np.float64
+        assert np.shares_memory(table("k", (4,), np.float64), mine)
+        assert not np.shares_memory(other("k", (4,), np.float64), mine)
+        # a request that fits reuses the key's buffer, in any shape/dtype
+        small = table("k", (2, 3), np.int32)
+        assert small.shape == (2, 3) and np.shares_memory(small, mine)
+        grown = table("k", (5,), np.float64)          # outgrown: new buffer
+        assert not np.shares_memory(grown, mine)
         seen = {}
 
         def worker():
@@ -547,8 +563,18 @@ class TestScratchOwnership:
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
-        assert seen["buf"] is not table("k", (5,), np.float64)
+        assert not np.shares_memory(seen["buf"], table("k", (5,), np.float64))
         assert seen["len"] == 1 and len(table) == 1
+
+    def test_model_layers_share_one_table(self):
+        """Layers run one after another, so a model plan keeps one set of
+        intermediates per thread, sized by its largest layer."""
+        plan, x = build_model_plan()
+        plan.set_mode("int")
+        want = plan.execute(x)
+        tables = _scratch_tables(plan)
+        assert len(tables) == 1 and plan.n_cim_layers > 1
+        np.testing.assert_array_equal(plan.execute(x), want)   # reused
 
     def test_plans_stay_copyable(self):
         # copies get an empty table of their own and execute identically

@@ -19,6 +19,7 @@ The serving stack's lifecycle contract has three legs, each pinned here:
 """
 
 import json
+import shutil
 import threading
 import time
 
@@ -218,23 +219,34 @@ def test_int_mode_mount_keeps_mode_and_artifact_identity_across_reload(
         assert after["outputs"] == before["outputs"]
 
 
+@pytest.mark.parametrize("fault", ["corrupt", "vanished"])
 def test_reload_corrupt_artifact_rejected_409_old_pool_serves(artifact,
-                                                              tmp_path):
+                                                              tmp_path, fault):
+    """A corrupt replacement, or a bodiless reload after the mounted
+    artifact was deleted, answers 409 (never a dropped connection) while
+    the old pool keeps serving."""
     _, path, x = artifact
+    mounted = tmp_path / "mounted.npz"
+    shutil.copyfile(path, mounted)
     corrupt = tmp_path / "corrupt.npz"
     corrupt.write_bytes(b"this is not an npz archive")
     with engine.NetServer() as net:
-        net.add_model("cnn", path, n_shards=1, queue_size=32)
+        net.add_model("cnn", str(mounted), n_shards=1, queue_size=32)
+        payload = {"path": str(corrupt)}
+        if fault == "vanished":
+            mounted.unlink()
+            payload = None                   # reload the mounted source
         status, _, body = request(net, "POST", "/v1/models/cnn/reload",
-                                  payload={"path": str(corrupt)})
+                                  payload=payload)
         assert status == 409
         assert body["error"]["reason"] == "reload rejected"
         assert "keeps serving" in body["error"]["detail"]
         metrics = net.metrics()["models"]["cnn"]
         assert metrics["requests"]["reloads"] == 0       # nothing swapped
         assert metrics["plan"]["version"]["artifact"]["path"].endswith(
-            "plan.npz")
+            "mounted.npz")
         assert predict(net, "cnn", x[:2].tolist(), timeout=30.0)[0] == 200
+        assert net.client_disconnects == 0
 
 
 def test_reload_probe_rejects_shape_incompatible_artifact(artifact):
@@ -250,7 +262,7 @@ def test_reload_probe_rejects_shape_incompatible_artifact(artifact):
         assert predict(net, "toy", [[1.0, 2.0]])[0] == 200   # untouched
 
 
-def test_reload_clears_probe_shape_cache_and_restart_does_too():
+def test_reload_clears_probe_shape_cache():
     with engine.NetServer() as net:
         net.add_model("toy", ToyPlan(), n_shards=1, queue_size=32)
         endpoint = net.endpoint("toy")
@@ -260,8 +272,6 @@ def test_reload_clears_probe_shape_cache_and_restart_does_too():
         assert endpoint._known_shapes == set()   # new plan revalidates
         assert predict(net, "toy", [[1.0, 2.0, 3.0]])[0] == 200
         assert (3,) in endpoint._known_shapes
-        endpoint.restart()
-        assert endpoint._known_shapes == set()
 
 
 def test_reload_route_rejects_bad_bodies_and_unknown_models():
@@ -276,6 +286,9 @@ def test_reload_route_rejects_bad_bodies_and_unknown_models():
         assert status == 400
         status, _, _ = request(net, "POST", "/v1/models/ghost/reload")
         assert status == 404
+        # the removed restart route: recovery is a bodiless reload
+        status, _, body = request(net, "POST", "/v1/models/toy/restart")
+        assert status == 404 and "no route" in body["error"]["detail"]
         assert predict(net, "toy", [[1.0]])[0] == 200
 
 

@@ -24,6 +24,8 @@ from repro.nn.module import Module, Sequential
 from repro.nn.norm import BatchNorm2d
 from repro.nn.tensor import no_grad
 
+from planutil import save_layer_artifact
+
 
 def scheme(quantize_psum: bool) -> QuantScheme:
     return QuantScheme(weight_bits=3, act_bits=3, psum_bits=3,
@@ -133,7 +135,7 @@ class TestRoundTrip:
         logits = engine.load_plan(path).execute(x)
         assert np.abs(logits - reference).max() <= 1e-10
 
-    def test_unified_load_plan_still_loads_layer_archives(self, tmp_path):
+    def test_load_plan_loads_one_node_layer_artifacts(self, tmp_path):
         from repro.core import CIMConv2d
         conv = CIMConv2d(4, 4, 3, scheme=scheme(True), cim_config=CFG,
                          rng=np.random.default_rng(0))
@@ -142,9 +144,10 @@ class TestRoundTrip:
         conv(x)
         path = tmp_path / "layer.npz"
         plan = engine.compile_conv_plan(conv)
-        engine.save_plan(plan, path)
+        save_layer_artifact(plan, path)
         loaded = engine.load_plan(path)
-        assert isinstance(loaded, engine.ConvPlan)
+        assert isinstance(loaded, engine.ModelPlan)
+        assert [type(p) for p in loaded.layer_plans] == [engine.ConvPlan]
         np.testing.assert_array_equal(loaded.execute(x.data), plan.execute(x.data))
 
 

@@ -256,7 +256,7 @@ def test_process_shard_kill_one_of_two_keeps_serving():
         assert net.endpoint("toy").server.n_shards >= 1
 
 
-def test_process_shard_total_death_then_restart_recovers():
+def test_process_shard_total_death_then_reload_recovers():
     with engine.NetServer() as net:
         net.add_model("toy", ToyPlan(), n_shards=1, backend="process",
                       max_batch=2, max_wait_ms=0.5, queue_size=16)
@@ -266,14 +266,19 @@ def test_process_shard_total_death_then_restart_recovers():
         shard._proc.join()
         # last shard died: requests fail as 500 (ShardDied in-flight) or
         # 503 (pool closed itself afterwards) — but the front end stays up
-        statuses = {predict(net, "toy", [[1.0, 1.0]])[0] for _ in range(4)}
+        replies = [predict(net, "toy", [[1.0, 1.0]]) for _ in range(4)]
+        statuses = {status for status, _headers, _body in replies}
         assert statuses <= {500, 503} and statuses
+        for status, _headers, body in replies:
+            if status == 503:            # the detail names the recovery
+                assert "reload the model" in body["error"]["detail"]
+        # a bodiless reload rebuilds the pool from the mounted source
         status, _headers, body = request(net, "POST",
-                                         "/v1/models/toy/restart")
-        assert status == 200 and body["restarted"] is True
+                                         "/v1/models/toy/reload")
+        assert status == 200 and body["reloaded"] is True
         assert_serving(net)
         counters = net.endpoint("toy").counters.to_dict()
-        assert counters["restarts"] == 1
+        assert counters["reloads"] == 1
         # metrics still render after the whole episode
         status, _headers, metrics = request(net, "GET", "/metrics")
         assert status == 200

@@ -195,28 +195,3 @@ def test_queue_and_compute_split_reported(artifact):
         assert metrics["latency"]["queue"]["count"] == 1
         assert metrics["latency"]["compute"]["p50_ms"] == \
             pytest.approx(timing["compute"], rel=0.5)
-
-
-def test_result_cache_hits_counted_over_socket():
-    class CountingPlan:
-        np_dtype = np.dtype(np.float64)
-        calls = 0
-
-        def execute(self, x, timings=None):
-            x = np.asarray(x)
-            if x.shape[0]:
-                CountingPlan.calls += 1
-            return x + 1.0
-
-    with engine.NetServer() as net:
-        net.add_model("memo", CountingPlan(), n_shards=1, max_batch=4,
-                      queue_size=16, result_cache_entries=32)
-        first = predict(net, "memo", [[5.0, 5.0]])
-        again = predict(net, "memo", [[5.0, 5.0]])
-        assert first[0] == again[0] == 200
-        assert first[2]["outputs"] == again[2]["outputs"] == [[6.0, 6.0]]
-        counters = net.endpoint("memo").counters.to_dict()
-        assert counters["cache_hits"] == 1
-        assert counters["completed"] == 2
-        # cached responses report zero queue/compute
-        assert again[2]["timing_ms"]["compute"] == 0.0

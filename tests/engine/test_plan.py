@@ -10,6 +10,8 @@ from repro.core import CIMConv2d, CIMLinear
 from repro.nn import Tensor
 from repro.nn import functional as F
 
+from planutil import save_layer_artifact
+
 
 @pytest.fixture
 def cfg():
@@ -64,10 +66,10 @@ class TestSerialization:
         conv(x)
         plan = engine.compile_conv_plan(conv)
         path = tmp_path / "conv_plan.npz"
-        engine.save_plan(plan, path)
+        save_layer_artifact(plan, path)
         loaded = engine.load_plan(path)
-        assert isinstance(loaded, engine.ConvPlan)
-        assert loaded.signature == plan.signature
+        assert isinstance(loaded.layer_plans[0], engine.ConvPlan)
+        assert loaded.layer_plans[0].signature == plan.signature
         np.testing.assert_allclose(loaded.execute(x.data), plan.execute(x.data), atol=0)
 
     def test_linear_plan_round_trip(self, rng, cfg, tmp_path):
@@ -78,9 +80,9 @@ class TestSerialization:
         lin(x)
         plan = engine.compile_linear_plan(lin)
         path = tmp_path / "linear_plan.npz"
-        engine.save_plan(plan, path)
+        save_layer_artifact(plan, path)
         loaded = engine.load_plan(path)
-        assert isinstance(loaded, engine.LinearPlan)
+        assert isinstance(loaded.layer_plans[0], engine.LinearPlan)
         np.testing.assert_allclose(loaded.execute(x.data), plan.execute(x.data), atol=0)
 
     @pytest.mark.parametrize("strategy", ["kernel_preserving", "im2col"])

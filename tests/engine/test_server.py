@@ -18,6 +18,7 @@ import pytest
 
 from repro import engine
 from repro.cim import CIMConfig, QuantScheme
+from repro.engine.server import LRUCache
 from repro.models import TinyCNN
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
@@ -88,8 +89,7 @@ class TestOrderingAndParity:
             plan,
             n_shards=int(rng.integers(1, 4)),
             max_batch=int(rng.integers(1, 9)),
-            max_wait_ms=float(rng.choice([0.0, 0.5, 2.0])),
-            result_cache_entries=int(rng.choice([0, 64])))
+            max_wait_ms=float(rng.choice([0.0, 0.5, 2.0])))
         try:
             futures = []
             start = 0
@@ -122,42 +122,17 @@ class TestOrderingAndParity:
         assert out.dtype == plan.np_dtype
 
 
-class TestResultCache:
-    def test_repeated_requests_hit_cache(self):
-        plan = ToyPlan()
-        with engine.PlanServer(plan, n_shards=1, max_batch=4, max_wait_ms=0.0,
-                               result_cache_entries=32) as server:
-            sample = np.array([3.0, 4.0])
-            first = server.submit(sample).result(timeout=10.0)
-            executed = sum(plan.batch_sizes)
-            second = server.submit(sample).result(timeout=10.0)
-            assert sum(plan.batch_sizes) == executed     # no re-execution
-            np.testing.assert_array_equal(first, second)
-            assert server.result_cache.hits == 1
-            assert not second.flags.writeable            # cached rows read-only
-
-    def test_cache_distinguishes_contents_and_dtype_shape(self):
-        plan = ToyPlan()
-        with engine.PlanServer(plan, n_shards=1, max_wait_ms=0.0,
-                               result_cache_entries=32) as server:
-            a = server.submit(np.array([1.0, 2.0])).result(timeout=10.0)
-            b = server.submit(np.array([2.0, 1.0])).result(timeout=10.0)
-            assert server.result_cache.hits == 0
-            np.testing.assert_array_equal(a, np.array([3.0, 5.0]))
-            np.testing.assert_array_equal(b, np.array([5.0, 3.0]))
-
-    def test_clear_resets_entries_and_counters(self):
-        cache = engine.LRUCache(max_entries=4)
+class TestPlanCache:
+    def test_lru_clear_drops_entries(self):
+        cache = LRUCache(max_entries=4)
         cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
+        assert cache.get("a") == 1
         cache.clear()
         assert len(cache) == 0
-        assert cache.to_dict() == {"entries": 0, "max_entries": 4,
-                                   "hits": 0, "misses": 0}
+        assert cache.get("a") is None
 
     def test_lru_eviction_bounds_entries(self):
-        cache = engine.LRUCache(max_entries=2)
+        cache = LRUCache(max_entries=2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1          # refresh "a"; "b" is now LRU
@@ -166,10 +141,8 @@ class TestResultCache:
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert len(cache) == 2
         with pytest.raises(ValueError):
-            engine.LRUCache(max_entries=0)
+            LRUCache(max_entries=0)
 
-
-class TestPlanCache:
     def test_hot_reload_shares_and_rewrite_invalidates(self, model_plan_and_data,
                                                        tmp_path):
         plan, x = model_plan_and_data
@@ -309,13 +282,14 @@ class TestLifecycleAndFailure:
             engine.PlanServer(ToyPlan(), n_shards=0)
         with pytest.raises(ValueError):
             engine.PlanServer(ToyPlan(), backend="coroutine")
+        with pytest.raises(TypeError, match="result_cache_entries"):
+            engine.PlanServer(ToyPlan(), result_cache_entries=8)   # removed
 
 
 class TestStatsReport:
     def test_rollup_sums_shards_and_scheduler(self, model_plan_and_data):
         plan, x = model_plan_and_data
-        with engine.PlanServer(plan, n_shards=2, max_batch=4,
-                               result_cache_entries=8) as server:
+        with engine.PlanServer(plan, n_shards=2, max_batch=4) as server:
             server.predict(x[:10])
             report = server.stats_report()
         assert report["n_shards"] == 2 and report["backend"] == "thread"
@@ -323,7 +297,6 @@ class TestStatsReport:
         assert sum(shard["samples"] for shard in report["shards"]) == 10
         assert report["scheduler"]["requests"] == 10
         assert report["scheduler"]["batches"] >= 3
-        assert report["cache"]["misses"] == 10
         per_layer = report["total"]["per_layer"]
         assert per_layer and any("fc" in row["name"] for row in per_layer)
 

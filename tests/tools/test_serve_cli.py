@@ -41,3 +41,10 @@ def test_empty_name_or_path_is_refused(spec):
 def test_parser_exits_on_an_unknown_option():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--model", "r=plan.npz:shard=3"])
+
+
+def test_removed_result_cache_flag_is_refused(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--model", "r=plan.npz",
+                                   "--result-cache", "8"])
+    assert "--result-cache" in capsys.readouterr().err

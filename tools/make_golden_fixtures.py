@@ -3,9 +3,9 @@
 Each fixture is one compressed ``.npz`` under ``tests/engine/fixtures/``
 with three entries:
 
-* ``artifact`` — the raw bytes (``uint8``) of a saved engine artifact
-  (``save_plan`` for the layer cases, ``save_model_plan`` for the model
-  case), exactly as they would sit on disk;
+* ``artifact`` — the raw bytes (``uint8``) of a ``save_model_plan``
+  artifact, exactly as it would sit on disk (the layer cases are one-node
+  model plans built with ``GraphBuilder.add_layer_plan``);
 * ``input``   — a small float64 activation batch;
 * ``golden``  — the artifact's output on that batch, recorded at fixture
   generation time.
@@ -16,7 +16,8 @@ which pins two contracts at once across future PRs: the on-disk artifact
 format stays loadable, and the execution math stays numerically identical.
 
 The float cases cover the artifact surface: a quantized-psum ``ConvPlan``, a
-``LinearPlan``, and a whole-model ``ModelPlan`` of a reduced ResNet-8
+``LinearPlan`` (each as a one-node model plan), and a whole-model
+``ModelPlan`` of a reduced ResNet-8
 (residual adds, folded BatchNorm, pooling — every graph op kind).  Each has
 an ``*_int`` twin built from the *same seeded layers* whose golden output is
 recorded on the integer-requantized route (``mode="int"``), pinning the
@@ -27,8 +28,9 @@ when the artifact format version changes **intentionally** (bump the plan
 format/version, regenerate, and say so in the PR — a diff in these files is
 an artifact-format break, not noise).  Pass case names to regenerate a
 subset, e.g. ``python tools/make_golden_fixtures.py conv_int linear_int`` —
-the committed float fixtures double as the version-1 compatibility proof
-and must not be rewritten by a version-2 engine.
+the committed float fixtures carry layer payloads saved before requant
+constants existed (``resnet_tiny`` is a version-1 manifest), double as the
+compatibility proof and must not be rewritten by a version-2 engine.
 """
 
 from __future__ import annotations
@@ -57,15 +59,25 @@ SCHEME = QuantScheme(weight_bits=3, act_bits=3, psum_bits=3,
 CIM = CIMConfig(array_rows=32, array_cols=32, cell_bits=1, adc_bits=3)
 
 
-def _artifact_bytes(save, obj) -> np.ndarray:
+def _artifact_bytes(plan) -> np.ndarray:
     """Serialized artifact as a ``uint8`` array (via an in-memory buffer)."""
     buffer = io.BytesIO()
-    save(obj, buffer)
+    engine.save_model_plan(plan, buffer)
     return np.frombuffer(buffer.getvalue(), dtype=np.uint8)
 
 
+def _one_node(layer_plan) -> engine.ModelPlan:
+    """A compiled layer plan wrapped as a one-node model plan."""
+    builder = engine.GraphBuilder(layer_plan.dtype)
+    output_id = builder.add_layer_plan(layer_plan, [builder.input_id])
+    return engine.ModelPlan(nodes=builder.nodes,
+                            layer_plans=builder.layer_plans,
+                            output_id=output_id, dtype=layer_plan.dtype,
+                            name=layer_plan.layer_type)
+
+
 def _build_conv():
-    """Quantized-psum ConvPlan of one calibrated CIMConv2d, plus a batch."""
+    """One-node plan of a calibrated quantized-psum CIMConv2d, plus a batch."""
     rng = np.random.default_rng(11)
     layer = CIMConv2d(3, 4, 3, stride=1, padding=1, bias=True,
                       scheme=SCHEME, cim_config=CIM,
@@ -74,13 +86,12 @@ def _build_conv():
     with no_grad():
         layer.eval()
         layer(Tensor(calib))                 # initialize the LSQ scales
-    plan = engine.compile_conv_plan(layer)
     x = np.abs(rng.normal(size=(3, 3, 8, 8)))
-    return engine.save_plan, plan, x
+    return _one_node(engine.compile_conv_plan(layer)), x
 
 
 def _build_linear():
-    """LinearPlan of one calibrated CIMLinear, plus a batch."""
+    """One-node plan of one calibrated CIMLinear, plus a batch."""
     rng = np.random.default_rng(13)
     layer = CIMLinear(24, 5, bias=True, scheme=SCHEME, cim_config=CIM,
                       rng=np.random.default_rng(1))
@@ -88,9 +99,8 @@ def _build_linear():
     with no_grad():
         layer.eval()
         layer(Tensor(calib))
-    plan = engine.compile_linear_plan(layer)
     x = np.abs(rng.normal(size=(4, 24)))
-    return engine.save_plan, plan, x
+    return _one_node(engine.compile_linear_plan(layer)), x
 
 
 def _build_resnet_tiny():
@@ -104,17 +114,17 @@ def _build_resnet_tiny():
     model.eval()
     plan = engine.compile_model_plan(model, calibrate=calib)
     x = np.abs(rng.normal(size=(3, 3, 8, 8)))
-    return engine.save_model_plan, plan, x
+    return plan, x
 
 
 def _float_case(build):
-    save, plan, x = build()
-    return _artifact_bytes(save, plan), x, plan.execute(x)
+    plan, x = build()
+    return _artifact_bytes(plan), x, plan.execute(x)
 
 
 def _int_case(build):
-    save, plan, x = build()
-    artifact = _artifact_bytes(save, plan)   # mode is runtime state, not disk
+    plan, x = build()
+    artifact = _artifact_bytes(plan)         # mode is runtime state, not disk
     plan.set_mode("int")
     return artifact, x, plan.execute(x)
 

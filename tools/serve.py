@@ -109,9 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--queue-size", type=int, default=256,
                         help="bounded backlog per model; admission control "
                              "answers 503 past it")
-    parser.add_argument("--result-cache", type=int, default=0,
-                        metavar="ENTRIES",
-                        help="LRU result-cache entries per model (0 = off)")
     parser.add_argument("--request-timeout-s", type=float, default=60.0)
     parser.add_argument("--drain-timeout-s", type=float, default=30.0,
                         help="max seconds close() waits for queued requests")
@@ -130,7 +127,6 @@ def build_server(args: argparse.Namespace) -> NetServer:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             queue_size=args.queue_size,
-            result_cache_entries=args.result_cache,
             mode=options.get("mode"),
             request_timeout_s=args.request_timeout_s,
             max_shards=None if max_shards is None else int(max_shards),
