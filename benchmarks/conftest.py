@@ -24,7 +24,15 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.engine import cpu
 from repro.training import reduced_experiment
+
+# One BLAS thread per process, set through the engine's CPU policy: the
+# benches time many small GEMMs, which multi-threaded OpenBLAS slows down on
+# a small machine, and extra cores go to the runner's row chunks and the
+# server's shards instead (``repro.engine.cpu``).  Setting the library's own
+# count works after NumPy is imported, unlike ``OPENBLAS_NUM_THREADS``.
+cpu.set_blas_threads(1)
 
 
 def bench_scale() -> str:

@@ -277,12 +277,17 @@ def requantize_rint_f32(p: np.ndarray, mu32, qmin: float, qmax: float,
     """ADC codes ``clip(rint(p * mu32), qmin, qmax)`` on ``float32``.
 
     Equal to :func:`requantize_up` only for multipliers from
-    :func:`adc_multiplier_f32`, which proves it per column.  Writes into the
-    ``float32`` array ``out`` and returns it.
+    :func:`adc_multiplier_f32`, which proves it per column.  Writes into
+    ``out`` and returns it.  The multiply and the rounding run in
+    ``float32`` either way: in ``out`` when it is ``float32``; for a
+    ``float64`` ``out`` (the exact carrier of a downstream reduce) in place
+    in the ``float32`` array ``p``, which the call overwrites, and only the
+    clip widens the (small-integer, so exact) codes into ``out``.
     """
-    np.multiply(p, mu32, out=out)
-    np.rint(out, out=out)
-    return np.clip(out, qmin, qmax, out=out)
+    work = out if out.dtype == np.float32 else p
+    np.multiply(p, mu32, out=work)
+    np.rint(work, out=work)
+    return np.clip(work, qmin, qmax, out=out)
 
 
 def quantize_multipliers(m: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -22,7 +22,8 @@ compiles that work out, at two granularities:
   executor;
 * :class:`InferenceRunner` / :class:`PlanExecutor` — micro-batching over a
   sample stream with per-layer timing stats, built on the shared
-  batch-execution core;
+  batch-execution core; the runner splits each batch over the cores that
+  :mod:`repro.engine.cpu` (the BLAS-thread and worker policy) grants it;
 * :class:`PlanServer` (+ :class:`DynamicBatcher`) — the concurrent serving
   subsystem: per-request ``submit``/futures, dynamic batching (flush on
   ``max_batch`` / ``max_wait_ms``), a pool of thread- or process-backed

@@ -36,12 +36,14 @@ quantized path (partial-sum quantization enabled)
     with one ``einsum`` against the folded multiplier ``M``.
 
 ``mode="int"`` executes either strategy on integer codes instead (see
-:meth:`_PlanBase._contract_int` and :mod:`repro.core.requant`): the GEMMs
-run on an exact-integer float carrier, the quantized path's per-column ADC
-divide, rounding and clip run on a ``float32`` carrier proved exact per
-column (else ``float64``) and its reduce on an exact ``float64`` carrier —
-bit-identical to the ``int64`` fixed-point reference — and the fused
-path's multiply and reduce run in ``int64``.  A :class:`LayerFold` decides
+:meth:`_PlanBase._contract_int` and :mod:`repro.core.requant`), one tile
+of samples at a time (:data:`_INT_TILE` bounds every tile buffer): the
+GEMMs run on an exact-integer float carrier, the quantized path's
+per-column ADC divide, rounding and clip run on a ``float32`` carrier
+proved exact per column (else ``float64``) and its reduce, one batched
+GEMM, on an exact ``float64`` carrier — bit-identical to the ``int64``
+fixed-point reference — and the fused path's multiply and reduce run in
+``int64``.  A :class:`LayerFold` decides
 how the exact accumulator leaves the layer: as the next layer's codes or
 residual-grid values through an exact per-channel requant (inside a folded
 model graph, :mod:`repro.engine.intfold`), or through the one per-channel
@@ -88,9 +90,11 @@ __all__ = [
 ]
 
 
-#: Target element count of one cache block of the integer route's ADC stage
-#: (float64, so 512 KiB).
-_ADC_BLOCK = 1 << 16
+#: Element budget of one sample tile of the integer route: a layer runs
+#: its unfold, GEMMs, ADC, reduce and epilogue tile by tile, with as many
+#: samples per tile as keep the largest tile buffer, ``max(D, A*S*OC)``
+#: by the tile's columns, within it (at least one sample).
+_INT_TILE = 1 << 17
 
 
 #: Exact-integer limit of the ``float64`` epilogue carrier.
@@ -105,7 +109,9 @@ class LayerFold:
 
     ``weights`` are the integer reduce multipliers of the accumulator
     (``(A, S, OC)`` ``float64`` for the ADC route, ``(A, 1, OC)`` ``int64``
-    for the fused route).  With a ``requant`` the layer emits integer codes
+    for the fused route); the ADC route reduces through ``reduce_rows``,
+    the same values laid out ``(OC, 1, A*S)`` for one batched GEMM.  With
+    a ``requant`` the layer emits integer codes
     ``clip((acc + bias) >> shift, lo, hi)`` (an :class:`~repro.core.requant.
     IntRequant` with unit mantissas, so the multipliers live in
     ``weights``) in ``out_dtype``: the next layer's activation codes on its
@@ -121,9 +127,15 @@ class LayerFold:
     requant: Optional[IntRequant] = None
     bias: Optional[np.ndarray] = None     # dequant: (OC,) int64 bias_q
     scale: Optional[np.ndarray] = None    # dequant: (OC,) float64 unit value
+    reduce_rows: Optional[np.ndarray] = field(init=False, repr=False,
+                                              default=None)
 
     def __post_init__(self):
         self.out_dtype = np.dtype(self.out_dtype)
+        if self.weights.dtype == np.float64:
+            a, s, oc = self.weights.shape
+            self.reduce_rows = np.ascontiguousarray(
+                self.weights.transpose(2, 0, 1)).reshape(oc, 1, a * s)
 
 
 class _IntOperands(NamedTuple):
@@ -518,10 +530,16 @@ class _PlanBase:
                 out += np.einsum("xso,so->xo", p, m, optimize=True)
         return out
 
+    def _tile_samples(self, length: int) -> int:
+        """Samples per integer-route tile for ``length`` columns per sample."""
+        width = max(self.mapping.in_features,
+                    self.n_arrays * self.n_splits * self.out_channels)
+        return max(1, _INT_TILE // (width * length))
+
     @hot_path
     def _contract_int(self, cols_flat: np.ndarray,
                       fold: LayerFold) -> np.ndarray:
-        """Integer-route accumulator of ``(NL, in_features)`` codes.
+        """Integer-route accumulator of one tile's ``(NL, in_features)`` codes.
 
         Returns the ``(OC, NL)`` ``float64`` accumulator reduced through
         ``fold.weights`` — exact integers throughout: the GEMMs multiply
@@ -538,8 +556,10 @@ class _PlanBase:
         the plan's :class:`~repro.engine.hotpath.ScratchTable`, fully
         overwritten before it is read; the returned accumulator is one of
         them, valid until the next call on this thread, so callers consume
-        it at once (:meth:`_epilogue`).  The ``int64`` section is fenced
-        with ``int-pure`` markers for the static analyzer.
+        it at once (:meth:`_epilogue`).  Callers pass one sample tile
+        (:meth:`_tile_samples`), which bounds every buffer and keeps the
+        ADC passes cache-resident.  The ``int64`` section is fenced with
+        ``int-pure`` markers for the static analyzer.
         """
         ops = self._int_ops
         cols_c = cols_flat.astype(np.dtype(self.requant.gemm_dtype),
@@ -558,30 +578,22 @@ class _PlanBase:
             for i, (start, stop) in enumerate(self.row_slices):
                 np.matmul(ops.mats[i], cols_c[:, start:stop].T, out=p[i])
             p = p.reshape(n_arrays, s, oc, nl)
-            # the ADC passes are memory-bound; blocking over channels (each
-            # reduces on its own) and samples keeps every block of about
-            # _ADC_BLOCK elements cache-resident across all of them
-            per_sample = n_arrays * s
-            n_blk = max(1, min(nl, _ADC_BLOCK // per_sample))
-            c_blk = max(1, _ADC_BLOCK // (per_sample * n_blk))
             mu_adc = ops.mu_adc
             adc = (requantize_rint_f32 if mu_adc.dtype == np.float32
                    else requantize_up_f64)
-            buf = self._scratch("ci_buf", (n_arrays, s, min(c_blk, oc), n_blk),
-                                mu_adc.dtype)
-            for j in range(0, oc, c_blk):
-                cj = min(c_blk, oc - j)
-                mu = mu_adc[:, :, j:j + cj]
-                w = weights[:, :, j:j + cj]
-                for k in range(0, nl, n_blk):
-                    ck = min(n_blk, nl - k)
-                    b = buf[:, :, :cj, :ck]
-                    adc(p[:, :, j:j + cj, k:k + ck], mu,      # ADC codes
-                        self.psum_qmin, self.psum_qmax, out=b)
-                    # fused multiply-reduce: sum_{a,s} codes * weights, an
-                    # integer below 2**53, so exact in any summation order
-                    np.einsum("asxn,asx->xn", b, w,
-                              out=acc_t[j:j + cj, k:k + ck])
+            # float64 codes for the reduce; a float64 carrier is rounded
+            # in place
+            codes = (p if p.dtype == np.float64 else
+                     self._scratch("ci_codes", p.shape, np.float64))
+            adc(p, mu_adc, self.psum_qmin, self.psum_qmax, out=codes)
+            # the reduce sum_{a,s} codes * weights as one batched GEMM per
+            # channel over an (OC, A*S, NL) view of the codes (no copy):
+            # every product and partial sum is an integer below 2**53, so
+            # exact in any summation order
+            np.matmul(fold.reduce_rows,
+                      codes.transpose(2, 0, 1, 3).reshape(oc, n_arrays * s,
+                                                          nl),
+                      out=acc_t.reshape(oc, 1, nl))
             if fold.requant is None and fold.bias is not None:
                 acc_t += fold.bias[:, None]      # exact: checked below 2**53
             return acc_t
@@ -602,41 +614,64 @@ class _PlanBase:
         np.copyto(acc_t, acc.T, casting="unsafe")
         return acc_t
 
+    @hot_path
     def _epilogue(self, acc_t: np.ndarray, fold: LayerFold,
-                  out_shape: tuple) -> np.ndarray:
-        """Finish a ``(OC, NL)`` accumulator into a fresh ``out_shape`` array.
+                  out: np.ndarray) -> None:
+        """Finish a tile's ``(OC, NL)`` accumulator into its output rows.
 
         A requant fold runs :meth:`~repro.core.requant.IntRequant.execute`
         in place, ``floor(clip(acc * mu + beta, lo, hi))`` — exact, because
         ``mu`` is a power of two and ``|acc| + |bias| < 2**53`` (see
         :meth:`int_fold`); a dequant fold writes ``acc * scale``, the
-        layer's one inexact multiply.  Either lands in
-        ``fold.out_dtype`` with the channel axis second (NCHW for
-        convolutions), through a strided view of the result.
+        layer's one inexact multiply.  Either lands in ``out`` (the tile's
+        rows of the ``fold.out_dtype`` result, channel axis second: NCHW
+        for convolutions) through a strided view.
         """
         oc = self.out_channels
-        out = np.empty(out_shape, dtype=fold.out_dtype)
         if out.ndim == 4:
-            length = out_shape[2] * out_shape[3]
-            dst = out.reshape(out_shape[0], oc, length).transpose(1, 0, 2)
-            src = acc_t.reshape(oc, out_shape[0], length)
+            rows, length = out.shape[0], out.shape[2] * out.shape[3]
+            dst = out.reshape(rows, oc, length).transpose(1, 0, 2)
+            src = acc_t.reshape(oc, rows, length)
         else:
             dst, src = out.T, acc_t
         rq = fold.requant
         if rq is None:
             scale = fold.scale.reshape((oc,) + (1,) * (src.ndim - 1))
             np.multiply(src, scale, out=dst, casting="unsafe")
-            return out
+            return
         # mu is a power of two and beta an integer / 2**shift: both exact
         rq.execute(src, dst, channel_axis=0, overwrite=True)
-        return out
 
-    def _run_int(self, cols_flat: np.ndarray, fold: Optional[LayerFold],
+    @hot_path
+    def _row_tiles(self, cols: np.ndarray, fold: LayerFold,
+                   out: np.ndarray) -> None:
+        """Integer route of an ``(M, in_features)`` code matrix into ``out``.
+
+        Runs :meth:`_contract_int` and :meth:`_epilogue` on tiles of
+        :meth:`_tile_samples` rows; ``out`` is the ``(M, OC)`` result.
+        Registered hot: tiles are views, buffers come from the scratch table.
+        """
+        step = self._tile_samples(1)
+        for k in range(0, cols.shape[0], step):
+            self._epilogue(self._contract_int(cols[k:k + step], fold), fold,
+                           out[k:k + step])
+
+    def _run_int(self, a: np.ndarray, fold: Optional[LayerFold],
                  out_shape: tuple) -> np.ndarray:
-        """Integer route from activation codes to the finished layer output."""
+        """Integer route from activation codes to a fresh layer output.
+
+        ``a`` is a code matrix (run by :meth:`_row_tiles`) or, for a
+        convolution, the ``(N, C, H, W)`` input codes (run by
+        :meth:`ConvPlan._conv_tiles`); either finishes every tile straight
+        into its rows of the result.
+        """
         fold = self._int_ops.dequant if fold is None else fold
-        return self._epilogue(self._contract_int(cols_flat, fold), fold,
-                              out_shape)
+        out = np.empty(out_shape, dtype=fold.out_dtype)
+        if a.ndim == 4:
+            self._conv_tiles(a, fold, out)
+        else:
+            self._row_tiles(a, fold, out)
+        return out
 
 
 @dataclass
@@ -672,15 +707,12 @@ class ConvPlan(_PlanBase):
 
         if int_route:
             a = x if codes_in else self._quantize_acts_carrier(x)
-        else:
-            a = self._quantize_acts(x)
+            return self._run_int(a, fold, (n, self.out_channels, out_h, out_w))
+        a = self._quantize_acts(x)
         cols = F.unfold_array(a, self.kernel_size, self.stride, self.padding,
                               layout="nlk")                 # (N, L, D)
         # explicit D (not -1): zero-row batches make -1 ambiguous
         cols_flat = cols.reshape(n * length, cols.shape[2])
-        if int_route:
-            return self._run_int(cols_flat, fold,
-                                 (n, self.out_channels, out_h, out_w))
         out = self._contract(cols_flat, variation)          # (NL, OC)
         if self.act_scale is not None:
             out *= self.act_scale
@@ -689,6 +721,44 @@ class ConvPlan(_PlanBase):
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
+
+    @hot_path
+    def _conv_tiles(self, a: np.ndarray, fold: LayerFold,
+                    out: np.ndarray) -> None:
+        """Integer route of ``(N, C, H, W)`` input codes into ``out``.
+
+        Each tile of :meth:`_tile_samples` samples is padded into a scratch
+        buffer (its zero border written once per call), gathered into its
+        im2col rows with one ``np.take``, contracted (:meth:`_contract_int`)
+        and finished (:meth:`_epilogue`) into its rows of the
+        ``(N, OC, H', W')`` result, so no buffer scales with the batch.
+        Registered hot: every buffer comes from the scratch table.
+        """
+        n, c, h, w = a.shape
+        ph, pw = self.padding
+        hp, wp = h + 2 * ph, w + 2 * pw
+        index = F.unfold_index(c, hp, wp, self.kernel_size, self.stride,
+                               layout="nlk")                # (L, D)
+        length, depth = index.shape
+        step = max(1, min(self._tile_samples(length), n))
+        padded = None
+        if ph or pw:
+            padded = self._scratch("ci_pad", (step, c, hp, wp), a.dtype)
+            padded.fill(0)
+        for k in range(0, n, step):
+            rows = min(step, n - k)
+            src = a[k:k + rows]
+            if padded is not None:
+                padded[:rows, :, ph:ph + h, pw:pw + w] = src
+                src = padded[:rows]
+            cols = self._scratch("ci_cols", (rows, length, depth), a.dtype)
+            # mode="clip" skips the bounds-check buffering of mode="raise";
+            # every index is in range by construction
+            np.take(src.reshape(rows, c * hp * wp), index, axis=1, out=cols,
+                    mode="clip")
+            acc_t = self._contract_int(cols.reshape(rows * length, depth),
+                                       fold)
+            self._epilogue(acc_t, fold, out[k:k + rows])
 
 
 @dataclass

@@ -17,9 +17,13 @@ keeps the GEMMs fat.  Two layers of machinery live here:
   :attr:`InferenceRunner.stats`.
 
 The runner is throughput-oriented, not a scheduler: it preserves input
-order, yields one output row per input sample, and leaves concurrency to
+order and yields one output row per input sample.  Each flushed batch runs
+on every core the CPU policy (:mod:`repro.engine.cpu`) grants it: split into
+contiguous row chunks, one per worker, executed at once and written back
+into their result rows.  Request concurrency is left to
 :class:`~repro.engine.server.PlanServer` (dynamic batching over sharded
-executors).  ``benchmarks/bench_runner_throughput.py`` pins the contract that
+executors; shards never split a batch).
+``benchmarks/bench_runner_throughput.py`` pins the contract that
 micro-batched execution beats a naive per-sample loop by >= 1.5x.
 """
 
@@ -27,11 +31,13 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import cpu
 from .hotpath import hot_path
 from .model_plan import ModelPlan
 
@@ -60,9 +66,12 @@ def empty_batch_result(plan, batch: np.ndarray) -> np.ndarray:
 class RunnerStats:
     """Aggregated execution statistics of one executor (or a merged roll-up).
 
-    ``seconds`` counts time spent inside plan execution (staging and
+    ``seconds`` counts wall time spent inside plan execution (staging and
     bookkeeping excluded); ``layer_seconds`` / ``layer_calls`` break it down
-    per graph node name when timing collection is enabled.
+    per graph node name when timing collection is enabled.  A batch split
+    across worker threads adds every chunk's time to ``layer_seconds``
+    (thread-seconds, so the per-layer sum may exceed ``seconds``) and counts
+    one call per node, as an unsplit batch does.
 
     :attr:`arena_bytes` is the resident activation-buffer gauge; executors
     hold no activation buffers between batches, so it reads 0.
@@ -156,8 +165,13 @@ class PlanExecutor:
         self._stats_lock = threading.Lock()
 
     @hot_path
-    def execute_batch(self, batch: np.ndarray) -> np.ndarray:
+    def execute_batch(self, batch: np.ndarray, workers: int = 1) -> np.ndarray:
         """Run one ``(N, ...)`` batch through the plan, updating :attr:`stats`.
+
+        ``workers > 1`` splits the batch into up to that many contiguous row
+        chunks of at least two rows each, run at once on the CPU policy's
+        thread pool plus the calling thread (:meth:`_execute_split`); every
+        chunk's per-node timings merge into the batch's.
 
         Per-batch timings accumulate into a local dict first and merge into
         :attr:`stats` under a lock at the end, so a concurrent
@@ -168,8 +182,12 @@ class PlanExecutor:
         """
         timings: Optional[Dict[str, float]] = \
             {} if self.collect_timings else None
+        chunks = min(workers, batch.shape[0] // 2)
         start = time.perf_counter()
-        out = self.plan.execute(batch, timings=timings)
+        if chunks > 1:
+            out = self._execute_split(batch, chunks, timings)
+        else:
+            out = self.plan.execute(batch, timings=timings)
         elapsed = time.perf_counter() - start
         with self._stats_lock:
             self.stats.seconds += elapsed
@@ -181,6 +199,39 @@ class PlanExecutor:
                         self.stats.layer_seconds.get(name, 0.0) + secs
                     self.stats.layer_calls[name] = \
                         self.stats.layer_calls.get(name, 0) + 1
+        return out
+
+    def _execute_split(self, batch: np.ndarray, chunks: int,
+                       timings: Optional[Dict[str, float]]) -> np.ndarray:
+        """Run ``chunks`` contiguous row ranges of ``batch`` at once.
+
+        The first range runs on the calling thread, the others on
+        :func:`~repro.engine.cpu.runner_pool`; each output lands in its rows
+        of one fresh result array.  Every chunk finishes before this returns
+        or raises, so no worker outlives the batch it reads.  Rows are
+        independent through the whole plan, so the result equals the
+        unsplit batch's bit for bit.
+        """
+        n = batch.shape[0]
+        pool = cpu.runner_pool()
+        parts = []
+        for i in range(1, chunks):
+            part_timings = None if timings is None else {}
+            lo, hi = i * n // chunks, (i + 1) * n // chunks
+            parts.append((lo, hi, part_timings,
+                          pool.submit(self.plan.execute, batch[lo:hi],
+                                      timings=part_timings)))
+        try:
+            head = self.plan.execute(batch[:n // chunks], timings=timings)
+        finally:
+            wait([future for _, _, _, future in parts])
+        out = np.empty((n,) + head.shape[1:], dtype=head.dtype)
+        out[:head.shape[0]] = head
+        for lo, hi, part_timings, future in parts:
+            out[lo:hi] = future.result()
+            if timings is not None:
+                for name, secs in part_timings.items():
+                    timings[name] = timings.get(name, 0.0) + secs
         return out
 
     def stats_snapshot(self) -> RunnerStats:
@@ -215,6 +266,11 @@ class InferenceRunner:
         ``plan.set_mode`` — mode is plan state, so it also affects other
         consumers sharing the same plan object.  ``None`` (default) leaves
         the plan's current mode untouched.
+
+    Every flushed batch runs on :func:`repro.engine.cpu.runner_workers`
+    threads, split into contiguous row chunks
+    (:meth:`PlanExecutor.execute_batch`); outputs are bit-identical to an
+    unsplit batch.
     """
 
     def __init__(self, plan: ModelPlan, batch_size: int = 32,
@@ -253,7 +309,8 @@ class InferenceRunner:
         return staging
 
     def _flush(self, count: int) -> np.ndarray:
-        return self.executor.execute_batch(self._staging[:count])
+        return self.executor.execute_batch(self._staging[:count],
+                                           workers=cpu.runner_workers())
 
     # ------------------------------------------------------------------ #
     def run(self, stream: Iterable[np.ndarray]) -> Iterator[np.ndarray]:

@@ -20,6 +20,7 @@ from .tensor import Tensor
 __all__ = [
     "unfold",
     "unfold_array",
+    "unfold_index",
     "fold_grad",
     "conv2d",
     "conv_output_size",
@@ -118,6 +119,26 @@ def _im2col_indices(x_padded_shape, kernel, stride):
                                int(kh), int(kw), int(sh), int(sw))
 
 
+def unfold_index(channels: int, height: int, width: int,
+                 kernel_size: IntPair, stride: IntPair = 1,
+                 layout: str = "nkl") -> np.ndarray:
+    """Cached flat im2col gather indices of one padded ``(C, H, W)`` sample.
+
+    ``np.take(x.reshape(n, C * H * W), index, axis=1)`` on an already
+    padded ``(N, C, H, W)`` array yields exactly the columns of
+    :func:`unfold_array` (``index`` is ``(K, L)`` for ``"nkl"``, ``(L, K)``
+    for ``"nlk"``).  The array is shared across callers: treat it as
+    read-only.
+    """
+    if layout not in ("nkl", "nlk"):
+        raise ValueError(f"unknown layout {layout!r}; expected 'nkl' or 'nlk'")
+    kernel = _pair(kernel_size)
+    stride = _pair(stride)
+    return _im2col_flat_index_cache(int(channels), int(height), int(width),
+                                    int(kernel[0]), int(kernel[1]),
+                                    int(stride[0]), int(stride[1]), layout)[0]
+
+
 def unfold_array(x: np.ndarray, kernel_size: IntPair, stride: IntPair = 1,
                  padding: IntPair = 0, layout: str = "nkl") -> np.ndarray:
     """Pure-NumPy im2col (no autograd graph).
@@ -149,12 +170,7 @@ def unfold_array(x: np.ndarray, kernel_size: IntPair, stride: IntPair = 1,
         padded[:, :, ph:ph + h0, pw:pw + w0] = x
         x = padded
     n, channels, height, width = x.shape
-    if layout not in ("nkl", "nlk"):
-        raise ValueError(f"unknown layout {layout!r}; expected 'nkl' or 'nlk'")
-    flat, _, _ = _im2col_flat_index_cache(int(channels), int(height),
-                                          int(width), int(kernel[0]),
-                                          int(kernel[1]), int(stride[0]),
-                                          int(stride[1]), layout)
+    flat = unfold_index(channels, height, width, kernel, stride, layout)
     return np.take(x.reshape(n, channels * height * width), flat, axis=1)
 
 

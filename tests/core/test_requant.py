@@ -11,6 +11,7 @@ edges of its exactness argument (largest shift, largest mantissa,
 accumulator extremes, exact half ties, saturation).
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -340,7 +341,8 @@ class TestFloat64Carrier:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_float32_stage_equals_int64_on_the_whole_window(self, seed):
-        # every reachable partial sum, exhaustively, for random constants
+        # every reachable partial sum, exhaustively, for random constants;
+        # a float64 out (the reduce's carrier) rounds in float32 all the same
         rng = np.random.default_rng(seed)
         shape = (2, 3, 5)
         bound = 300
@@ -354,10 +356,11 @@ class TestFloat64Carrier:
         mu32 = adc_multiplier_f32(rq, QMIN, QMAX)
         assert mu32 is not None and mu32.dtype == np.float32
         p = np.arange(-bound, bound + 1)
-        for idx in np.ndindex(shape):
+        for idx, out_dtype in itertools.product(np.ndindex(shape),
+                                                (np.float32, np.float64)):
             got = requantize_rint_f32(p.astype(np.float32), mu32[idx],
                                       QMIN, QMAX, out=np.empty(p.size,
-                                                              np.float32))
+                                                              out_dtype))
             want = requantize_up(p, int(rq.m0_adc[idx]), int(shift[idx]),
                                  QMIN, QMAX)
             np.testing.assert_array_equal(got, want, err_msg=str(idx))

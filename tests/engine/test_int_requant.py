@@ -11,7 +11,7 @@ pins the requant constants bit-exactly through the ``.npz`` round trip,
 and the error cases pin the mode-switching contract.  The ADC stage of the integer route runs on an
 exact float64 carrier; it is held bit for bit to a plain ``int64``
 reference (``requantize_up`` + an ``int64`` reduce) at the edges of its
-exactness argument and across every cache-blocking remainder, and loading
+exactness argument and across every sample-tile remainder, and loading
 refuses constants outside that argument.
 """
 
@@ -414,17 +414,19 @@ class TestFloat64AdcStage:
     @pytest.mark.parametrize("block", ["default", "tiny", "rows4", "rows3"])
     @pytest.mark.parametrize("nl", [0, 1, 2, 3, 4, 9, 13])
     def test_blocking_remainders(self, monkeypatch, block, nl):
-        # the ADC loop blocks over channels and batch rows; every remainder
-        # shape (nl = 0, 1, k * rows + r, a channel tail) must stay exact
+        # the int route runs in tiles of rows sized by the tile bound; every
+        # remainder shape (nl = 0, 1, k * rows + r) must stay exact, down to
+        # the one-row tile
         layer, _ = make_layer("linear", True, (16, 1), 4)
         plan = compile_layer(layer)
         rng = np.random.default_rng(nl)
         saturating_splits(plan)
         retune(plan, "ties", rng)
-        per_sample = plan.n_arrays * plan.n_splits
-        size = {"default": plan_module._ADC_BLOCK, "tiny": 1,
-                "rows4": 4 * per_sample, "rows3": 3 * per_sample}[block]
-        monkeypatch.setattr(plan_module, "_ADC_BLOCK", size)
+        per_row = max(plan.mapping.in_features,
+                      plan.n_arrays * plan.n_splits * plan.out_channels)
+        size = {"default": plan_module._INT_TILE, "tiny": 1,
+                "rows4": 4 * per_row, "rows3": 3 * per_row}[block]
+        monkeypatch.setattr(plan_module, "_INT_TILE", size)
         cols = code_batch(plan, nl, rng)
         for carrier in ("auto", "float64"):
             np.testing.assert_array_equal(run_int(plan, cols, carrier),
