@@ -8,8 +8,10 @@ buys:
    ``InferenceRunner`` executing every request the moment it arrives
    (batch of one, the PR-3 deployment story);
 2. **dynamically batched** — a ``PlanServer`` whose scheduler coalesces the
-   same requests into fat batches across 2 shard executors (flush on
-   ``max_batch`` or ``max_wait_ms``).
+   same requests into batches of up to ``max_batch`` across 2 shard
+   executors (at the default ``max_wait_ms=0`` an idle shard takes pending
+   work at once; batches form from requests that arrive while shards are
+   busy).
 
 Both produce bit-identical responses; the throughput gap is the point.
 Clients submit from several threads at once to show that `submit` is safe to
@@ -71,8 +73,7 @@ def main() -> None:
         t_baseline = time.perf_counter() - start
 
         # 2. dynamically batched, sharded ----------------------------- #
-        with engine.PlanServer(path, n_shards=2, max_batch=16,
-                               max_wait_ms=2.0) as server:
+        with engine.PlanServer(path, n_shards=2, max_batch=16) as server:
             start = time.perf_counter()
             # several client threads submitting concurrently
             futures = [None] * len(requests)

@@ -25,8 +25,9 @@ compiles that work out, at two granularities:
   batch-execution core; the runner splits each batch over the cores that
   :mod:`repro.engine.cpu` (the BLAS-thread and worker policy) grants it;
 * :class:`PlanServer` (+ :class:`DynamicBatcher`) — the concurrent serving
-  subsystem: per-request ``submit``/futures, dynamic batching (flush on
-  ``max_batch`` / ``max_wait_ms``), a pool of thread- or process-backed
+  subsystem: per-request ``submit``/futures, work-conserving batching (an
+  idle shard takes pending work at once, up to ``max_batch``; each call's
+  rows enter the queue as one unit), a pool of thread- or process-backed
   shard executors and bounded-queue backpressure; :func:`load_plan_cached`
   adds an artifact-path plan cache for hot reloads;
 * :class:`NetServer` — the HTTP/1.1 network front end over

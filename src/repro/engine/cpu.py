@@ -17,7 +17,10 @@ policy gives the runner only the cores BLAS leaves idle:
   queue work that no thread ever runs;
 * :func:`blas_threads` / :func:`set_blas_threads` — the live OpenBLAS
   thread count, read and set through the library itself (setting
-  ``OPENBLAS_NUM_THREADS`` only works before NumPy is imported).
+  ``OPENBLAS_NUM_THREADS`` only works before NumPy is imported);
+* :func:`policy` — the three numbers above as one report, which
+  :meth:`~repro.engine.server.PlanServer.stats_report` (and so
+  ``/metrics``) carries as its ``cpu`` block.
 
 :class:`~repro.engine.server.PlanServer` does not split batches: its shards
 are its parallelism.
@@ -32,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Tuple
 
 __all__ = ["blas_threads", "set_blas_threads", "runner_workers",
-           "runner_pool"]
+           "runner_pool", "policy"]
 
 _GETTERS = ("scipy_openblas_get_num_threads64_",
             "openblas_get_num_threads64_", "openblas_get_num_threads")
@@ -121,6 +124,15 @@ def runner_workers() -> int:
     if threads is None:
         return 1
     return max(1, _usable_cores() // threads)
+
+
+def policy() -> dict:
+    """The CPU policy in effect in this process, as a JSON-ready dict.
+
+    ``blas_threads`` is ``None`` when the count cannot be read.
+    """
+    return {"blas_threads": blas_threads(), "usable_cores": _usable_cores(),
+            "runner_workers": runner_workers()}
 
 
 def runner_pool() -> ThreadPoolExecutor:

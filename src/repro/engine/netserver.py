@@ -101,8 +101,9 @@ class EndpointCounters:
     trustworthy for capacity math; ``tests/engine/test_netserver_load.py``
     asserts it over a live socket.  The same sum holds at sample
     granularity (``samples_offered == samples_accepted +
-    samples_rejected``): a request whose submission fails partway is
-    withdrawn and counted wholly rejected, never half-accepted.
+    samples_rejected``): a request's samples enter the queue in one step
+    or not at all, so a failed submission is counted wholly rejected,
+    never half-accepted.
     ``bad_requests`` counts bodies refused before admission (400/413/422)
     and is deliberately outside the conservation sum, as are the lifecycle
     counters (``reloads``, ``scale_ups``, ``scale_downs``).
@@ -231,16 +232,16 @@ class ModelEndpoint:
 
         Holding the admission lock across check-then-submit means capacity
         seen by the check cannot be stolen by a sibling handler thread, so
-        ``submit(timeout=0)`` never spuriously times out — the queue only
-        drains concurrently.  Raises :class:`Saturated` (503) on a full
+        ``submit_many(timeout=0)`` never spuriously times out — the queue
+        only drains concurrently.  Raises :class:`Saturated` (503) on a full
         queue and :class:`ServerClosed` (503) while shutting down or after
         every shard died.
 
         Conservation holds at request *and* sample level through every exit:
-        a submission that fails partway (shards dying mid-call) is withdrawn
-        by :meth:`PlanServer.submit_many` itself, so the whole request is
-        counted rejected — never half-accepted with reader-less samples
-        left executing.
+        :meth:`PlanServer.submit_many` enqueues all of a request's rows in
+        one step or none of them, so a request that fails to enqueue is
+        counted rejected as a whole — never half-accepted with reader-less
+        samples left executing.
         """
         n = int(batch.shape[0])
         batcher = self.server.batcher
@@ -259,9 +260,9 @@ class ModelEndpoint:
                 self.counters.add(rejected=1, samples_rejected=n)
                 raise
             except TimeoutError as error:
-                # capacity vanished despite the check (e.g. the pool was
-                # swapped or a shard died mid-submit); the partial prefix
-                # was withdrawn — classify as a clean saturation reject
+                # capacity vanished despite the check (a producer outside
+                # this endpoint filled the queue); submit_many queued
+                # nothing — classify as a clean saturation reject
                 self.counters.add(rejected=1, samples_rejected=n)
                 raise Saturated(
                     f"model {self.name!r} could not take all {n} samples "

@@ -2,23 +2,30 @@
 
 Serving traffic arrives one request at a time, but the engine is fastest on
 fat batches (``benchmarks/bench_runner_throughput.py``).  The
-:class:`DynamicBatcher` bridges the two: requests enqueue individually and
-worker shards dequeue *batches*, formed by whichever of two triggers fires
-first —
+:class:`DynamicBatcher` bridges the two: producers enqueue each request's
+rows as one unit and worker shards dequeue *batches* of up to
+``max_batch`` rows.  The batcher is **work-conserving** by default
+(``max_wait_ms=0``): an idle shard takes whatever is pending at once, and
+batches still form, up to ``max_batch``, from rows that arrive while every
+shard is busy.  A positive ``max_wait_ms`` instead holds a partial batch
+until the first of
 
-* the pending queue reaches ``max_batch`` (a full batch leaves immediately),
-* the oldest pending request has waited ``max_wait_ms`` (a partial batch
-  leaves rather than stalling the stream).
+* the pending queue reaching ``max_batch`` (a full batch leaves immediately),
+* the oldest pending row having waited ``max_wait_ms``.
 
-The queue is **bounded**: :meth:`DynamicBatcher.put` blocks (or times out)
-when ``queue_size`` requests are already pending, which is the server's
-backpressure mechanism — producers slow to the pace of the shards instead of
-growing an unbounded backlog.  Requests leave in strict FIFO order, so batch
-formation never reorders a stream; per-request ordering of *results* is the
-futures' job (see :class:`~repro.engine.server.PlanServer`).
+Enqueueing is **request-atomic**: :meth:`DynamicBatcher.put_many` appends
+all of a request's rows under one lock hold, so a consumer never wakes on a
+request's first row and splits it off, and a request is either wholly
+queued or not queued at all.  The queue is **bounded**: ``put_many`` blocks
+(or times out) until all the rows fit under ``queue_size``, which is the
+server's backpressure mechanism — producers slow to the pace of the shards
+instead of growing an unbounded backlog.  Rows leave in strict FIFO order,
+so batch formation never reorders a stream; per-row ordering of *results*
+is the futures' job (see :class:`~repro.engine.server.PlanServer`).
 
 The batcher is plan-agnostic plumbing: it moves :class:`Request` objects and
-never touches their payloads, which keeps it independently testable (see
+reads nothing of their payloads but the shape (a batch holds one sample
+shape), which keeps it independently testable (see
 ``tests/engine/test_scheduler.py``).
 """
 
@@ -29,7 +36,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -93,7 +100,8 @@ class SchedulerStats:
     batches: int = 0              # batches handed to workers
     batched_samples: int = 0      # sum of batch sizes (= requests dispatched)
     max_batch_seen: int = 0       # largest batch formed
-    timeout_flushes: int = 0      # batches flushed by max_wait_ms, not size
+    timeout_flushes: int = 0      # partial batches held until a positive
+                                  # max_wait_ms deadline elapsed
     queue_high_water: int = 0     # deepest the pending queue ever got
 
     @property
@@ -135,7 +143,7 @@ class SchedulerStats:
 
 
 class DynamicBatcher:
-    """Bounded FIFO request queue with size- and deadline-triggered batching.
+    """Bounded FIFO request queue, work-conserving unless told to hold.
 
     Parameters
     ----------
@@ -143,22 +151,22 @@ class DynamicBatcher:
         Upper bound on formed batch size; a full queue segment of this many
         requests is dispatched without waiting.
     max_wait_ms:
-        Deadline for partial batches: once the oldest pending request has
-        waited this long, whatever is queued (up to ``max_batch``) is
-        dispatched.  ``0`` means "never hold a request" — every
-        :meth:`next_batch` drains what is pending immediately.
+        Hold for partial batches.  ``0`` (default) never holds a request:
+        every :meth:`next_batch` takes what is pending (up to
+        ``max_batch``) at once.  A positive value holds a partial batch
+        until the oldest pending request has waited this long.
     queue_size:
         Backpressure bound on pending (not yet dispatched) requests.
 
-    Thread model: any number of producers call :meth:`put`; any number of
-    consumers (the server's shard workers) call :meth:`next_batch`.  All
-    state is guarded by one lock with two conditions (space / work), as
-    declared below for the static analyzer.
+    Thread model: any number of producers call :meth:`put_many`; any
+    number of consumers (the server's shard workers) call
+    :meth:`next_batch`.  All state is guarded by one lock with two
+    conditions (space / work), as declared below for the static analyzer.
     """
 
     _GUARDED_BY = {"_pending": "_lock", "stats": "_lock", "_closed": "_lock"}
 
-    def __init__(self, max_batch: int = 16, max_wait_ms: float = 2.0,
+    def __init__(self, max_batch: int = 16, max_wait_ms: float = 0.0,
                  queue_size: int = 256):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -181,29 +189,47 @@ class DynamicBatcher:
     # producer side
     # ------------------------------------------------------------------ #
     def put(self, request: Request, timeout: Optional[float] = None) -> None:
-        """Enqueue one request, blocking while the queue is full.
+        """Enqueue one request: :meth:`put_many` of one.  Thread-safe."""
+        self.put_many([request], timeout=timeout)
 
-        Raises :class:`SchedulerClosed` if the batcher is (or becomes)
-        closed, and :class:`TimeoutError` if ``timeout`` seconds pass without
-        space freeing up — the caller-visible face of backpressure.
+    def put_many(self, requests: Sequence[Request],
+                 timeout: Optional[float] = None) -> None:
+        """Enqueue a request's rows as one unit, blocking until all fit.
+
+        Thread-safe: the rows are appended under one hold of the batcher
+        lock and consumers are notified once, so they sit contiguously in
+        the queue (FIFO with respect to every other caller) and no consumer
+        can claim a prefix of them before the rest arrive.  All-or-nothing:
+        either every row is queued or none is.
+
+        Raises :class:`ValueError` at once if there are more rows than
+        ``queue_size`` (they could never fit), :class:`SchedulerClosed` if
+        the batcher is (or becomes) closed, and :class:`TimeoutError` if
+        ``timeout`` seconds pass without room for all the rows — the
+        caller-visible face of backpressure.
         """
+        n = len(requests)
+        if n > self.queue_size:
+            raise ValueError(f"{n} rows can never fit a queue of "
+                             f"{self.queue_size}")
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
                 if self._closed:
                     raise SchedulerClosed("batcher is closed")
-                if len(self._pending) < self.queue_size:
+                if len(self._pending) + n <= self.queue_size:
                     break
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise TimeoutError(
-                            f"queue full ({self.queue_size} pending) and no "
-                            f"shard freed space within {timeout}s")
+                            f"queue full ({len(self._pending)}/"
+                            f"{self.queue_size} pending, {n} rows offered) "
+                            f"and no shard freed room within {timeout}s")
                 self._space.wait(remaining)
-            self._pending.append(request)
-            self.stats.requests += 1
+            self._pending.extend(requests)
+            self.stats.requests += n
             self.stats.queue_high_water = max(self.stats.queue_high_water,
                                               len(self._pending))
             self._work.notify()
@@ -214,17 +240,25 @@ class DynamicBatcher:
     def _pop_batch(self, timed_out: bool) -> List[Request]:
         """Claim up to ``max_batch`` pending requests as one batch.
 
+        A batch holds one sample shape: it ends before the first request
+        whose payload shape differs from the oldest's, so requests of two
+        valid shapes queued together never fail each other's stack.
+
         :guarded-by: _lock
         """
-        batch = [self._pending.popleft()
-                 for _ in range(min(self.max_batch, len(self._pending)))]
+        limit = min(self.max_batch, len(self._pending))
+        shape = self._pending[0].payload.shape
+        size = 1
+        while size < limit and self._pending[size].payload.shape == shape:
+            size += 1
+        batch = [self._pending.popleft() for _ in range(size)]
         now = time.monotonic()
         for request in batch:
             request.dispatched = now   # ends the queue-wait clock
         self.stats.batches += 1
         self.stats.batched_samples += len(batch)
         self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(batch))
-        if timed_out and len(batch) < self.max_batch:
+        if timed_out:
             self.stats.timeout_flushes += 1
         self._space.notify_all()
         if self._pending:
@@ -235,10 +269,11 @@ class DynamicBatcher:
                    ) -> Optional[List[Request]]:
         """Block until a batch is ready; ``None`` once closed and drained.
 
-        A batch is ready when ``max_batch`` requests are pending, when the
-        oldest pending request's ``max_wait_ms`` deadline has passed, or when
-        the batcher is closed (remaining requests leave in final batches so
-        close never drops work).
+        A batch is ready as soon as anything is pending when ``max_wait_ms``
+        is 0.  With a positive hold, it is ready when ``max_batch`` requests
+        are pending, when the oldest pending request's deadline has passed,
+        or when the batcher is closed (remaining requests leave in final
+        batches so close never drops work).
 
         ``stop`` makes the wait interruptible for one consumer: when the
         event is set, the call returns ``[]`` (no batch claimed) instead of
@@ -253,7 +288,7 @@ class DynamicBatcher:
                 if len(self._pending) >= self.max_batch:
                     return self._pop_batch(timed_out=False)
                 if self._pending:
-                    if self._closed:
+                    if self._closed or self.max_wait == 0:
                         return self._pop_batch(timed_out=False)
                     wait = (self._pending[0].arrival + self.max_wait
                             - time.monotonic())

@@ -6,9 +6,10 @@ caller; :class:`PlanServer` serves *many* callers.  Requests enter through
 two layers:
 
 1. the :class:`~repro.engine.scheduler.DynamicBatcher` — a bounded FIFO
-   queue that coalesces individual requests into batches (flush on
-   ``max_batch`` or ``max_wait_ms``, whichever first) and applies
-   backpressure when producers outrun the shards;
+   queue that takes each call's rows as one unit and hands them to shards
+   in batches of up to ``max_batch`` (an idle shard takes pending work at
+   once; a positive ``max_wait_ms`` holds partial batches instead) and
+   applies backpressure when producers outrun the shards;
 2. a pool of **shard workers** — N executors over the same read-only plan,
    each owning its private :class:`~repro.engine.runner.RunnerStats` so
    shards never contend.
@@ -41,6 +42,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
+from . import cpu
 from .model_plan import load_plan
 from .runner import PlanExecutor, RunnerStats, empty_batch_result
 from .scheduler import DynamicBatcher, Request, RequestTiming, SchedulerClosed
@@ -301,9 +303,11 @@ class PlanServer:
         ``"thread"`` (default) or ``"process"`` (fork-based; POSIX only).
     max_batch / max_wait_ms / queue_size:
         Dynamic batching knobs, passed to
-        :class:`~repro.engine.scheduler.DynamicBatcher`: flush when
-        ``max_batch`` requests are pending or the oldest has waited
-        ``max_wait_ms``; ``queue_size`` bounds the backlog (backpressure).
+        :class:`~repro.engine.scheduler.DynamicBatcher`: batches hold at
+        most ``max_batch`` rows; ``max_wait_ms=0`` (default) lets an idle
+        shard take pending work at once, a positive value holds a partial
+        batch until its oldest row has waited that long; ``queue_size``
+        bounds the backlog (backpressure) and one call's rows.
     collect_timings:
         Forwarded to each shard's executor (per-layer timing stats).
     mode:
@@ -332,7 +336,7 @@ class PlanServer:
                    "_shards_died": "_pool_lock"}
 
     def __init__(self, plan, n_shards: int = 2, backend: str = "thread",
-                 max_batch: int = 16, max_wait_ms: float = 2.0,
+                 max_batch: int = 16, max_wait_ms: float = 0.0,
                  queue_size: int = 256, collect_timings: bool = True,
                  mode: Optional[str] = None):
         if n_shards < 1:
@@ -538,35 +542,51 @@ class PlanServer:
                timeout: Optional[float] = None) -> Future:
         """Queue one sample; the future resolves to its output row.
 
-        The sample is cast to the plan dtype and copied into the queue, so
-        the caller's array can be reused immediately.  Blocks while the
-        bounded queue is full (``timeout`` seconds at most —
-        :class:`TimeoutError` after that); raises :class:`ServerClosed` on a
-        closed server.
+        :meth:`submit_many` of one sample (thread-safe, same errors).
+        """
+        return self.submit_many([sample], timeout=timeout)[0]
+
+    def submit_many(self, samples: Iterable[np.ndarray],
+                    timeout: Optional[float] = None) -> List[Future]:
+        """Queue all samples as one unit; futures come back in input order.
+
+        Thread-safe.  Each sample is cast to the plan dtype and copied, so
+        the caller's arrays can be reused immediately.  The rows enter the
+        batcher in one :meth:`~repro.engine.scheduler.DynamicBatcher.put_many`
+        call: contiguous, never split by a shard waking on the first row
+        (a call of up to ``max_batch`` rows lands in one batch), and
+        all-or-nothing — on an error nothing was queued, so the caller
+        never leaks accepted-but-unreadable work.
+
+        Blocks until all rows fit in the bounded queue (``timeout`` seconds
+        at most — :class:`TimeoutError` after that); raises
+        :class:`ValueError` for more rows than ``queue_size`` and
+        :class:`ServerClosed` on a closed server.
         """
         if self._closed:
             raise ServerClosed("server is closed")
-        payload = np.array(sample, dtype=self.plan.np_dtype, copy=True)
-        future: Future = Future()
+        payloads = [np.array(sample, dtype=self.plan.np_dtype, copy=True)
+                    for sample in samples]
         with self._seq_lock:
-            seq = self._seq
-            self._seq += 1
-        request = Request(seq=seq, payload=payload, future=future)
+            first = self._seq
+            self._seq += len(payloads)
+        requests = [Request(seq=first + i, payload=payload, future=Future())
+                    for i, payload in enumerate(payloads)]
         try:
-            self.batcher.put(request, timeout=timeout)
+            self.batcher.put_many(requests, timeout=timeout)
         except SchedulerClosed as error:
             raise ServerClosed("server is closed") from error
-        return future
+        return [request.future for request in requests]
 
     @staticmethod
     def _abandon(futures: List[Future]) -> int:
-        """Withdraw a partially-submitted prefix; returns how many cancelled.
+        """Withdraw queued futures whose results nobody will read.
 
-        Still-queued futures cancel outright (the worker loop drops
-        cancelled requests before batching).  Futures a shard already
-        claimed cannot be cancelled; a done-callback marks their eventual
-        outcome observed so no enqueued work resolves reader-less.  Never
-        blocks — safe to call under the endpoint admission lock.
+        Returns how many were cancelled.  Still-queued futures cancel
+        outright (the worker loop drops cancelled requests before
+        batching).  Futures a shard already claimed cannot be cancelled; a
+        done-callback marks their eventual outcome observed so no enqueued
+        work resolves reader-less.  Never blocks.
         """
         cancelled = 0
         for future in futures:
@@ -576,41 +596,21 @@ class PlanServer:
                 future.add_done_callback(lambda f: f.exception())
         return cancelled
 
-    def submit_many(self, samples: Iterable[np.ndarray],
-                    timeout: Optional[float] = None) -> List[Future]:
-        """Queue each sample of an iterable; futures come back in input order.
-
-        Thread-safe, like :meth:`submit`, and all-or-nothing: when a submit
-        fails mid-iteration (backpressure timeout, server closing), the
-        already-enqueued prefix is withdrawn via :meth:`_abandon` before
-        the error propagates — the caller never leaks
-        accepted-but-unreadable work, and sample-level accounting can
-        treat the whole call as rejected.
-        """
-        futures: List[Future] = []
-        try:
-            for sample in samples:
-                futures.append(self.submit(sample, timeout=timeout))
-        except BaseException:
-            self._abandon(futures)
-            raise
-        return futures
-
     def predict(self, batch: np.ndarray,
                 timeout: Optional[float] = None) -> np.ndarray:
         """Batch-in / batch-out convenience: submit rows, gather, stack.
 
-        Thread-safe: any number of callers may predict concurrently; their
-        rows interleave in the shared queue.  Row ``i`` of the result is
-        the output for row ``i`` of ``batch`` — the futures preserve
-        per-request order no matter how the scheduler batched them or
-        which shard ran them.
+        Thread-safe: any number of callers may predict concurrently; each
+        call's rows enter the shared queue as one unit
+        (:meth:`submit_many`), so at most ``queue_size`` rows per call.
+        Row ``i`` of the result is the output for row ``i`` of ``batch`` —
+        the futures preserve per-request order no matter how the scheduler
+        batched them or which shard ran them.
 
         ``timeout`` is **one shared deadline** for the whole call — queue
-        admission and result gathering together.  (It used to be applied to
-        each future in turn, so an N-sample request could wait up to
-        N x timeout before failing.)  On expiry the not-yet-claimed
-        remainder is withdrawn and :class:`TimeoutError` propagates.
+        admission and result gathering together.  On expiry while
+        gathering, the not-yet-claimed remainder is withdrawn and
+        :class:`TimeoutError` propagates.
         """
         batch = np.asarray(batch)
         if batch.shape[0] == 0:
@@ -622,10 +622,8 @@ class PlanServer:
                 return None
             return max(0.0, deadline - time.monotonic())
 
-        futures: List[Future] = []
+        futures = self.submit_many(batch, timeout=remaining())
         try:
-            for sample in batch:
-                futures.append(self.submit(sample, timeout=remaining()))
             return np.stack([future.result(timeout=remaining())
                              for future in futures])
         except BaseException:
@@ -644,7 +642,8 @@ class PlanServer:
         breakdown (useful for spotting load imbalance); ``scheduler``
         describes batch shaping and queue depth (snapshotted under the
         batcher lock — counters in the report are mutually consistent);
-        ``pool`` counts scale events.
+        ``pool`` counts scale events; ``cpu`` is the CPU policy in effect in
+        this process (:func:`repro.engine.cpu.policy`).
         """
         with self._pool_lock:
             shards = [slot.shard for slot in self._slots]
@@ -659,6 +658,7 @@ class PlanServer:
             "backend": self.backend,
             "n_shards": self.n_shards,
             "pool": pool,
+            "cpu": cpu.policy(),
             "scheduler": self.batcher.stats_snapshot().to_dict(),
             "shards": [snapshot.to_dict() for snapshot in snapshots],
             "total": total.to_dict(),

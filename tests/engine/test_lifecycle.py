@@ -449,8 +449,10 @@ def test_submit_many_is_all_or_nothing_and_conserves_samples():
                 for i in range(5)]          # 1 executing + 4 filling the queue
         with pytest.raises(TimeoutError):
             # one slot may free mid-call; a 3-sample request cannot fit, and
-            # any enqueued prefix must be withdrawn with it
-            server.submit_many(np.ones((8, 2)), timeout=0.0)
+            # none of its samples may be enqueued
+            server.submit_many(np.ones((3, 2)), timeout=0.0)
+        with pytest.raises(ValueError, match="never fit"):
+            server.submit_many(np.ones((8, 2)), timeout=0.0)   # > queue_size
         rows = [future.result(timeout=10.0) for future in held]
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(row, [2.0 * i + 1.0, 1.0])

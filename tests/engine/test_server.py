@@ -18,6 +18,7 @@ import pytest
 
 from repro import engine
 from repro.cim import CIMConfig, QuantScheme
+from repro.engine import cpu
 from repro.engine.server import LRUCache
 from repro.models import TinyCNN
 from repro.nn import Tensor
@@ -75,6 +76,23 @@ class TestOrderingAndParity:
                                               samples[i] * 2.0 + 1.0)
         assert all(size <= 4 for size in plan.batch_sizes)
         assert sum(plan.batch_sizes) == len(samples)     # nothing dropped
+
+    def test_submit_many_within_max_batch_lands_in_one_batch(self):
+        """An idle shard must not wake on a call's first row and split it:
+        rows that fit ``max_batch`` leave as one batch even when the caller
+        produces them slowly."""
+        def slow_rows(count):
+            for i in range(count):
+                time.sleep(0.002)
+                yield np.array([float(i)])
+
+        plan = ToyPlan()
+        with engine.PlanServer(plan, n_shards=2, max_batch=8,
+                               max_wait_ms=0.0) as server:
+            for count in range(1, 9):
+                for future in server.submit_many(slow_rows(count)):
+                    future.result(timeout=10.0)
+            assert plan.batch_sizes == list(range(1, 9))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_schedules_match_single_runner(self, model_plan_and_data,
@@ -299,6 +317,15 @@ class TestStatsReport:
         assert report["scheduler"]["batches"] >= 3
         per_layer = report["total"]["per_layer"]
         assert per_layer and any("fc" in row["name"] for row in per_layer)
+
+    def test_report_carries_the_cpu_policy(self):
+        with engine.PlanServer(ToyPlan(), n_shards=1) as server:
+            report = server.stats_report()
+        assert {"backend", "n_shards", "pool", "scheduler", "shards",
+                "total"} <= set(report)
+        assert report["cpu"] == cpu.policy()
+        assert report["cpu"]["usable_cores"] >= 1
+        assert report["cpu"]["runner_workers"] >= 1
 
     def test_runner_stats_merge(self):
         a = engine.RunnerStats(samples=4, batches=2, seconds=1.0,

@@ -1,9 +1,12 @@
-"""``tools/serve.py`` command line: the ``--model`` spec parser."""
+"""``tools/serve.py`` command line: the ``--model`` spec parser and the
+serving-flag defaults."""
 
 import argparse
+import inspect
 
 import pytest
 
+from repro.engine import PlanServer
 from tools.serve import MODEL_OPTIONS, build_parser, parse_model_spec
 
 
@@ -48,3 +51,14 @@ def test_removed_result_cache_flag_is_refused(capsys):
         build_parser().parse_args(["--model", "r=plan.npz",
                                    "--result-cache", "8"])
     assert "--result-cache" in capsys.readouterr().err
+
+
+def test_serving_flag_defaults_are_plan_server_defaults():
+    args = build_parser().parse_args(["--model", "r=plan.npz"])
+    defaults = {name: param.default for name, param
+                in inspect.signature(PlanServer).parameters.items()}
+    assert (args.shards, args.backend, args.max_batch, args.max_wait_ms,
+            args.queue_size) == (defaults["n_shards"], defaults["backend"],
+                                 defaults["max_batch"],
+                                 defaults["max_wait_ms"],
+                                 defaults["queue_size"])

@@ -34,6 +34,7 @@ mounted ``shards`` and ``N``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import signal
 import sys
@@ -43,10 +44,15 @@ from typing import Dict, Tuple
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.engine import NetServer   # noqa: E402 — after the path shim
+from repro.engine import NetServer, PlanServer   # noqa: E402 — path shim
 
 #: Per-model option keys ``--model name=path:key=value`` accepts.
 MODEL_OPTIONS = ("mode", "shards", "max_shards")
+
+#: :class:`PlanServer`'s keyword defaults: the serving flags take theirs
+#: from here, so the CLI and the library cannot drift apart.
+SERVER_DEFAULTS = {name: param.default for name, param
+                   in inspect.signature(PlanServer).parameters.items()}
 
 
 def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
@@ -96,17 +102,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="0 binds an ephemeral port (printed on start)")
-    parser.add_argument("--shards", type=int, default=2,
+    parser.add_argument("--shards", type=int,
+                        default=SERVER_DEFAULTS["n_shards"],
                         help="shard executors per model")
     parser.add_argument("--max-shards", type=int, default=None,
                         help="enable autoscaling: grow each model's pool "
                              "up to this many shards under queue pressure, "
                              "shrink back when idle (default: off)")
     parser.add_argument("--backend", choices=("thread", "process"),
-                        default="thread")
-    parser.add_argument("--max-batch", type=int, default=16)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
-    parser.add_argument("--queue-size", type=int, default=256,
+                        default=SERVER_DEFAULTS["backend"])
+    parser.add_argument("--max-batch", type=int,
+                        default=SERVER_DEFAULTS["max_batch"])
+    parser.add_argument("--max-wait-ms", type=float,
+                        default=SERVER_DEFAULTS["max_wait_ms"],
+                        help="hold a partial batch this long (default 0: "
+                             "an idle shard takes pending work at once)")
+    parser.add_argument("--queue-size", type=int,
+                        default=SERVER_DEFAULTS["queue_size"],
                         help="bounded backlog per model; admission control "
                              "answers 503 past it")
     parser.add_argument("--request-timeout-s", type=float, default=60.0)
