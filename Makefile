@@ -22,8 +22,7 @@
 #   make bench-netserver - HTTP front-end SLO benchmark (sustained + bursty +
 #                       saturation load against a 2-shard NetServer)
 #   make bench-reload - serving-lifecycle benchmark (rolling reload p99 vs
-#                       steady state, autoscaled vs fixed pool under
-#                       saturation, scale-up reaction time)
+#                       steady state; no request dropped, rows bit-exact)
 #   make bench-analyze - analyzer self-runtime benchmark (full-tree + per-pass
 #                       timings against the 5s lint budget)
 #   make serve-demo   - end-to-end HTTP serving walkthrough
@@ -57,7 +56,7 @@ coverage:
 	$(PYTHON) tools/run_coverage.py --source src/repro/engine --source src/repro/core/pipeline.py --source src/repro/core/requant.py --source tools/analyze --fail-under 90 tests/engine tests/core tests/tools -q
 
 bench-smoke:
-	REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_netserver_slo.py benchmarks/bench_reload_autoscale.py benchmarks/bench_analyze.py -q
+	REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_netserver_slo.py benchmarks/bench_reload.py benchmarks/bench_analyze.py -q
 
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine_speedup.py
@@ -75,7 +74,7 @@ bench-netserver:
 	$(PYTHON) benchmarks/bench_netserver_slo.py
 
 bench-reload:
-	$(PYTHON) benchmarks/bench_reload_autoscale.py
+	$(PYTHON) benchmarks/bench_reload.py
 
 bench-analyze:
 	$(PYTHON) benchmarks/bench_analyze.py

@@ -37,10 +37,10 @@ compiles that work out, at two granularities:
   histograms (:class:`LatencyHistogram`) exported on ``GET /metrics``,
   zero-downtime rolling artifact reloads (``POST
   /v1/models/{name}/reload`` — probe-validated atomic pool swap with a
-  background drain, also the recovery path after shard death), optional
-  shard-pool autoscaling (:class:`Autoscaler`, mounted via
-  ``max_shards=``) and a graceful drain on close; the JSON payload
-  contract lives in :mod:`repro.engine.wire`.
+  background drain, also the recovery path after shard death and the
+  one way to change a pool, whose size is fixed at mount) and a graceful
+  drain on close; the JSON payload contract lives in
+  :mod:`repro.engine.wire`.
 
 The fast paths are numerically equivalent to the seed layers — see
 ``tests/engine/``, ``benchmarks/bench_engine_speedup.py``,
@@ -61,8 +61,7 @@ from .plan import (ConvPlan, LinearPlan, PlanNotReadyError, compile_conv_plan,
                    compile_linear_plan, compile_plan, layer_signature,
                    normalize_dtype, signature_ready)
 from .latency import LatencyHistogram
-from .netserver import (Autoscaler, EndpointCounters, ModelEndpoint,
-                        NetServer, Saturated)
+from .netserver import EndpointCounters, ModelEndpoint, NetServer, Saturated
 from .runner import InferenceRunner, PlanExecutor, RunnerStats
 from .scheduler import (DynamicBatcher, Request, RequestTiming,
                         SchedulerClosed, SchedulerStats)
@@ -88,7 +87,6 @@ __all__ = [
     "PlanServer", "ServerClosed", "ShardDied",
     "load_plan_cached", "clear_plan_cache",
     "NetServer", "ModelEndpoint", "EndpointCounters", "Saturated",
-    "Autoscaler",
     "LatencyHistogram",
     "WireError", "BadRequest", "PayloadTooLarge", "UnprocessableInput",
     "ReloadRejected",

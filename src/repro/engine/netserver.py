@@ -41,10 +41,9 @@ and probe-validated *before* an atomic swap under the admission lock, the
 old pool drains in the background (no accepted request dropped,
 bit-identical responses across the swap), and a bad or vanished artifact
 is refused with 409 while the old pool keeps serving.  A bodiless reload
-is also the recovery path after every process shard has died.  Mounting a
-model with ``max_shards=N`` attaches an :class:`Autoscaler` that grows the
-shard pool under queue pressure and shrinks it back when idle; scale events
-and the artifact/reload version are visible in ``/metrics``.
+is also the recovery path after every process shard has died.  A pool's
+size is fixed at mount (``n_shards``); a reload is the only way to change
+it.  The artifact/reload version is visible in ``/metrics``.
 
 Error surface: 400 broken body, 404 unknown route/model, 411 missing
 length, 413 oversized body or batch, 422 well-formed input the model cannot
@@ -79,8 +78,7 @@ from . import wire
 from .latency import LatencyHistogram
 from .server import PlanServer, ServerClosed
 
-__all__ = ["NetServer", "ModelEndpoint", "EndpointCounters", "Saturated",
-           "Autoscaler"]
+__all__ = ["NetServer", "ModelEndpoint", "EndpointCounters", "Saturated"]
 
 
 class Saturated(RuntimeError):
@@ -105,13 +103,13 @@ class EndpointCounters:
     or not at all, so a failed submission is counted wholly rejected,
     never half-accepted.
     ``bad_requests`` counts bodies refused before admission (400/413/422)
-    and is deliberately outside the conservation sum, as are the lifecycle
-    counters (``reloads``, ``scale_ups``, ``scale_downs``).
+    and is deliberately outside the conservation sum, as is the lifecycle
+    counter ``reloads``.
     """
 
     FIELDS = ("offered", "accepted", "rejected", "completed", "failed",
               "bad_requests", "samples_offered", "samples_accepted",
-              "samples_rejected", "reloads", "scale_ups", "scale_downs")
+              "samples_rejected", "reloads")
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -129,6 +127,13 @@ class EndpointCounters:
         Thread-safe: reads under the internal lock."""
         with self._lock:
             return {field: getattr(self, field) for field in self.FIELDS}
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left until ``deadline`` (never negative); ``None`` if unset."""
+    if deadline is None:
+        return None
+    return max(0.0, deadline - time.monotonic())
 
 
 def _stat_artifact(source) -> Optional[dict]:
@@ -152,12 +157,10 @@ class ModelEndpoint:
     Constructed through :meth:`NetServer.add_model`.  The endpoint owns
     admission control (one lock serializes capacity checks against submits,
     so an admitted request never blocks on a full queue), the per-request
-    latency histograms, and the serving-lifecycle machinery: rolling
-    :meth:`reload` (probe-validated atomic swap to a new artifact, or to a
-    fresh pool from the retained source — the recovery path when process
-    shards die — with a background drain of the old pool), and —
-    when ``max_shards`` is set — the :class:`Autoscaler` controller thread
-    that grows and shrinks the shard pool with load.
+    latency histograms, and the serving lifecycle: rolling :meth:`reload`
+    (probe-validated atomic swap to a new artifact, or to a fresh pool from
+    the retained source — the recovery path when process shards die — with
+    a background drain of the old pool).
 
     Lock map (declared below for the static analyzer): ``_drains`` is
     guarded by ``_reload_lock``.  ``_known_shapes`` is deliberately *not*
@@ -170,9 +173,7 @@ class ModelEndpoint:
 
     def __init__(self, name: str, plan_source, server_kwargs: dict,
                  max_request_samples: Optional[int] = None,
-                 request_timeout_s: float = 60.0,
-                 max_shards: Optional[int] = None,
-                 autoscale: Optional[dict] = None):
+                 request_timeout_s: float = 60.0):
         self.name = name
         self._plan_source = plan_source
         self._server_kwargs = dict(server_kwargs)
@@ -193,10 +194,6 @@ class ModelEndpoint:
         self._reload_lock = threading.Lock()
         self._known_shapes: frozenset = frozenset()   # copy-on-write
         self._drains: list = []
-        self.autoscaler: Optional[Autoscaler] = None
-        if max_shards is not None:
-            self.autoscaler = Autoscaler(self, max_shards=max_shards,
-                                         **(autoscale or {}))
 
     # ------------------------------------------------------------------ #
     def _validate_sample_shape(self, batch: np.ndarray) -> None:
@@ -300,9 +297,8 @@ class ModelEndpoint:
         # budget N-fold before the 504
         deadline = time.monotonic() + self.request_timeout_s
         try:
-            rows = [future.result(
-                timeout=max(0.0, deadline - time.monotonic()))
-                for future in futures]
+            rows = [future.result(timeout=_remaining(deadline))
+                    for future in futures]
         except Exception:
             self.counters.add(failed=1)
             self.server._abandon(futures)   # free the still-queued tail
@@ -396,15 +392,30 @@ class ModelEndpoint:
                     "n_shards": fresh.n_shards, "artifact": artifact}
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Stop the autoscaler, drain the pool, join pending reload drains.
-        Thread-safe: the drain list is snapshotted under the reload lock."""
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-        self.server.close(timeout=timeout)
+        """Drain the pool and join pending reload drains, in one deadline.
+
+        ``timeout`` (seconds, ``None`` waits for everything) bounds the pool
+        drain and the reload-drain joins together.  On expiry the pool is
+        still closed to new submits and :class:`TimeoutError` is raised;
+        call :meth:`close` again to finish the drain.  Thread-safe: the
+        drain list is snapshotted under the reload lock.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            self.server.close(timeout=_remaining(deadline))
+            draining = 0
+        except TimeoutError:
+            draining = 1
         with self._reload_lock:
             drains = list(self._drains)
         for drain in drains:
-            drain.join(timeout=10.0)
+            drain.join(timeout=_remaining(deadline))
+        draining += sum(drain.is_alive() for drain in drains)
+        if draining:
+            raise TimeoutError(
+                f"model {self.name!r}: close({timeout=}) expired with "
+                f"{draining} pool(s) still draining; call close() again "
+                "to finish")
 
     def metrics(self) -> dict:
         """This endpoint's full metrics document (one entry of ``/metrics``).
@@ -430,110 +441,10 @@ class ModelEndpoint:
                 "pending": self.server.batcher.pending,
                 "max_request_samples": self.max_request_samples,
             },
-            "autoscaler": (self.autoscaler.to_dict()
-                           if self.autoscaler is not None
-                           else {"enabled": False}),
             "requests": counters,
             "latency": {kind: histogram.to_dict()
                         for kind, histogram in self.latency.items()},
             "serving": self.server.stats_report(),
-        }
-
-
-class Autoscaler:
-    """Per-endpoint shard-pool controller: grow on queue pressure, shrink on idle.
-
-    A daemon thread samples the endpoint's batcher every ``interval_s`` and
-    applies two rules:
-
-    * **grow** — pending queue depth at or above ``up_queue_frac`` of the
-      queue bound (the backlog is building faster than the pool drains it)
-      adds one shard, up to ``max_shards``;
-    * **shrink** — no pending work and no new request for ``idle_s``
-      retires one shard, down to the pool's mounted size (``min_shards``).
-
-    Each decision is followed by a ``cooldown_s`` hold so the effect of the
-    last action is observed before the next one (no thrashing).  Scale
-    events land in the endpoint counters (``scale_ups``/``scale_downs``)
-    and the controller re-reads ``endpoint.server`` every tick, so it
-    follows the pool across rolling reloads.  Stop with
-    :meth:`stop`; ticks that race a pool swap or shutdown are skipped, not
-    fatal.
-    """
-
-    def __init__(self, endpoint: ModelEndpoint, max_shards: int,
-                 interval_s: float = 0.05, up_queue_frac: float = 0.5,
-                 idle_s: float = 2.0, cooldown_s: float = 0.25):
-        if max_shards < endpoint.server.n_shards:
-            raise ValueError(
-                f"max_shards={max_shards} is below the mounted pool size "
-                f"{endpoint.server.n_shards}")
-        if not 0.0 < up_queue_frac <= 1.0:
-            raise ValueError("up_queue_frac must be in (0, 1]")
-        self.endpoint = endpoint
-        self.max_shards = int(max_shards)
-        self.min_shards = endpoint.server.n_shards
-        self.interval_s = float(interval_s)
-        self.up_queue_frac = float(up_queue_frac)
-        self.idle_s = float(idle_s)
-        self.cooldown_s = float(cooldown_s)
-        self.errors = 0
-        self._last_busy = time.monotonic()
-        self._last_requests: Optional[int] = None
-        self._hold_until = 0.0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"autoscale-{endpoint.name}")
-        self._thread.start()
-
-    def _tick(self, now: float) -> None:
-        server = self.endpoint.server       # re-read: reloads swap the pool
-        batcher = server.batcher
-        pending = batcher.pending
-        requests = batcher.stats_snapshot().requests
-        if pending > 0 or requests != self._last_requests:
-            self._last_busy = now
-        self._last_requests = requests
-        if now < self._hold_until:
-            return
-        n_shards = server.n_shards
-        high_water = max(1, int(self.up_queue_frac * batcher.queue_size))
-        if pending >= high_water and n_shards < self.max_shards:
-            server.add_shard()
-            self.endpoint.counters.add(scale_ups=1)
-            self._hold_until = now + self.cooldown_s
-        elif (n_shards > self.min_shards
-              and now - self._last_busy >= self.idle_s):
-            server.retire_shard()
-            self.endpoint.counters.add(scale_downs=1)
-            self._hold_until = now + self.cooldown_s
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self._tick(time.monotonic())
-            except Exception:   # noqa: BLE001 — raced a swap/shutdown
-                self.errors += 1
-
-    def stop(self) -> None:
-        """Halt the controller thread (idempotent; joins it briefly)."""
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def to_dict(self) -> dict:
-        """The ``/metrics`` autoscaler block: configuration + liveness.
-        Thread-safe: reads immutable config plus a racy-but-monotonic
-        error count."""
-        return {
-            "enabled": True,
-            "alive": self._thread.is_alive(),
-            "min_shards": self.min_shards,
-            "max_shards": self.max_shards,
-            "interval_s": self.interval_s,
-            "up_queue_frac": self.up_queue_frac,
-            "idle_s": self.idle_s,
-            "cooldown_s": self.cooldown_s,
-            "errors": self.errors,
         }
 
 
@@ -789,8 +700,6 @@ class NetServer:
     def add_model(self, name: str, plan, *,
                   max_request_samples: Optional[int] = None,
                   request_timeout_s: float = 60.0,
-                  max_shards: Optional[int] = None,
-                  autoscale: Optional[dict] = None,
                   **server_kwargs) -> ModelEndpoint:
         """Mount a model at ``/v1/models/{name}/predict``.
 
@@ -803,13 +712,8 @@ class NetServer:
         caps one request's batch (at most the queue size — a request that
         can never be admitted is a 413, not an eternal 503);
         ``request_timeout_s`` bounds how long a handler waits for results
-        before answering 504.
-
-        ``max_shards`` enables autoscaling: the pool starts at
-        ``n_shards`` and an :class:`Autoscaler` grows it up to
-        ``max_shards`` under queue pressure, shrinking back on sustained
-        idle; ``autoscale`` tunes the controller (``interval_s``,
-        ``up_queue_frac``, ``idle_s``, ``cooldown_s``).
+        before answering 504.  The pool keeps ``n_shards`` shards until a
+        :meth:`ModelEndpoint.reload` replaces it.
 
         Thread-safe: the mount table is updated under the endpoints lock;
         a duplicate name is refused (and its endpoint torn down).
@@ -821,8 +725,7 @@ class NetServer:
         # bodiless reloads re-resolve the artifact (new bytes included)
         endpoint = ModelEndpoint(name, plan, server_kwargs,
                                  max_request_samples=max_request_samples,
-                                 request_timeout_s=request_timeout_s,
-                                 max_shards=max_shards, autoscale=autoscale)
+                                 request_timeout_s=request_timeout_s)
         with self._endpoints_lock:
             if name in self._endpoints:
                 endpoint.close()
@@ -860,20 +763,31 @@ class NetServer:
 
         New connections are refused first; requests already admitted into a
         model's queue are served to completion by
-        :meth:`PlanServer.close` (per-model ``timeout`` forwarded).  Safe
-        to call more than once.
+        :meth:`ModelEndpoint.close`.  ``timeout`` (seconds, ``None`` waits
+        for everything) is one deadline shared by every model's drain.
+        Every model is closed to new submits even when an earlier one runs
+        out of time; on expiry :class:`TimeoutError` names the models still
+        draining, and calling :meth:`close` again finishes the drain.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-        self._httpd.server_close()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._closed:
+            self._closed = True
+            if self._serve_thread is not None:
+                self._httpd.shutdown()
+                self._serve_thread.join(timeout=5.0)
+            self._httpd.server_close()
         with self._endpoints_lock:
             endpoints = list(self._endpoints.values())
+        draining = []
         for endpoint in endpoints:
-            endpoint.close(timeout=timeout)
+            try:
+                endpoint.close(timeout=_remaining(deadline))
+            except TimeoutError:
+                draining.append(endpoint.name)
+        if draining:
+            raise TimeoutError(
+                f"close({timeout=}) expired with models {draining} still "
+                "draining; call close() again to finish")
 
     def __enter__(self) -> "NetServer":
         return self.start()

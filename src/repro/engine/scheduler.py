@@ -265,8 +265,7 @@ class DynamicBatcher:
             self._work.notify()   # leftover work: wake another consumer now
         return batch
 
-    def next_batch(self, stop: Optional[threading.Event] = None
-                   ) -> Optional[List[Request]]:
+    def next_batch(self) -> Optional[List[Request]]:
         """Block until a batch is ready; ``None`` once closed and drained.
 
         A batch is ready as soon as anything is pending when ``max_wait_ms``
@@ -274,17 +273,9 @@ class DynamicBatcher:
         are pending, when the oldest pending request's deadline has passed,
         or when the batcher is closed (remaining requests leave in final
         batches so close never drops work).
-
-        ``stop`` makes the wait interruptible for one consumer: when the
-        event is set, the call returns ``[]`` (no batch claimed) instead of
-        blocking further — how a retiring shard worker leaves the pool
-        without waiting for traffic.  Pair it with :meth:`kick`, which wakes
-        every blocked consumer so the event is observed promptly.
         """
         with self._lock:
             while True:
-                if stop is not None and stop.is_set():
-                    return []
                 if len(self._pending) >= self.max_batch:
                     return self._pop_batch(timed_out=False)
                 if self._pending:
@@ -299,11 +290,6 @@ class DynamicBatcher:
                     if self._closed:
                         return None
                     self._work.wait()
-
-    def kick(self) -> None:
-        """Wake every blocked consumer to re-check its ``stop`` event."""
-        with self._lock:
-            self._work.notify_all()
 
     # ------------------------------------------------------------------ #
     def stats_snapshot(self) -> SchedulerStats:

@@ -58,10 +58,10 @@ class ServerClosed(RuntimeError):
 class ShardDied(RuntimeError):
     """A worker shard became unusable mid-serving (e.g. its process was killed).
 
-    Requests in the failing batch receive this exception; the dead shard is
-    retired and the remaining shards keep serving.  If the *last* shard
-    dies, the server closes itself and fails all queued requests with this
-    error rather than letting them hang.
+    Requests in the failing batch receive this exception; the dead shard
+    leaves the pool and the remaining shards keep serving.  If the *last*
+    shard dies, the server closes itself and fails all queued requests with
+    this error rather than letting them hang.
     """
 
 
@@ -269,18 +269,11 @@ class _ProcessShard:
 
 
 class _ShardSlot:
-    """One pool slot: a shard executor, its worker thread, its retire flag.
-
-    The slot is the unit the pool grows and shrinks by — the shard executes
-    batches, the worker thread pulls them from the shared batcher, and the
-    ``retire`` event asks the worker to leave the pool at the next batch
-    boundary (no batch is ever abandoned mid-execution).
-    """
+    """One pool slot: a shard executor and the worker thread feeding it."""
 
     def __init__(self, shard):
         self.shard = shard
         self.worker: Optional[threading.Thread] = None
-        self.retire = threading.Event()
 
 
 # --------------------------------------------------------------------------- #
@@ -297,8 +290,9 @@ class PlanServer:
         saved artifact — paths go through :func:`load_plan_cached`, so
         serving the same file twice reuses the parsed plan.
     n_shards:
-        Number of worker executors.  Shards share the read-only plan but own
-        private stats.
+        Number of worker executors, fixed for the server's life (a rolling
+        reload builds a new server to change it).  Shards share the
+        read-only plan but own private stats.
     backend:
         ``"thread"`` (default) or ``"process"`` (fork-based; POSIX only).
     max_batch / max_wait_ms / queue_size:
@@ -321,8 +315,8 @@ class PlanServer:
     Use as a context manager, or call :meth:`close` — close drains queued
     requests before the workers exit, so no accepted request is dropped.
 
-    Thread model: the shard pool membership and scale counters live under
-    ``_pool_lock``, submission sequencing under ``_seq_lock`` (declared
+    Thread model: the shard pool membership and the death counter live
+    under ``_pool_lock``, submission sequencing under ``_seq_lock`` (declared
     below for the static analyzer); ``_closed`` is an advisory fast-fail
     flag read without a lock — the authoritative rejection of late submits
     is the batcher's own closed check, made under the batcher lock.
@@ -331,8 +325,6 @@ class PlanServer:
     _GUARDED_BY = {"_seq": "_seq_lock",
                    "_slots": "_pool_lock",
                    "_drained_stats": "_pool_lock",
-                   "_shards_added": "_pool_lock",
-                   "_shards_retired": "_pool_lock",
                    "_shards_died": "_pool_lock"}
 
     def __init__(self, plan, n_shards: int = 2, backend: str = "thread",
@@ -356,51 +348,29 @@ class PlanServer:
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._closed = False
-        self._collect_timings = collect_timings
-        self._shard_cls = _ThreadShard if backend == "thread" else _ProcessShard
         self._pool_lock = threading.Lock()
         self._slots: List[_ShardSlot] = []
-        self._drained_stats = RunnerStats()   # stats of retired/dead shards
-        self._shards_added = 0
-        self._shards_retired = 0
+        self._drained_stats = RunnerStats()   # stats of dead shards
         self._shards_died = 0
-        for _ in range(n_shards):
-            self._spawn_shard()
+        shard_cls = _ThreadShard if backend == "thread" else _ProcessShard
+        for index in range(n_shards):
+            slot = _ShardSlot(shard_cls(self.plan, collect_timings))
+            slot.worker = threading.Thread(
+                target=self._worker_loop, args=(slot,),
+                name=f"plan-server-shard-{index}", daemon=True)
+            self._slots.append(slot)
+        for slot in self._slots:
+            slot.worker.start()
 
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
-    def _spawn_shard(self) -> _ShardSlot:
-        """Build one shard + worker and put it into rotation (pool lock held
-        or construction-time single-threaded)."""
-        slot = _ShardSlot(self._shard_cls(self.plan, self._collect_timings))
-        with self._pool_lock:
-            if self._closed:
-                slot.shard.close()
-                raise ServerClosed("server is closed")
-            index = self._shards_added
-            self._shards_added += 1
-            self._slots.append(slot)
-        slot.worker = threading.Thread(target=self._worker_loop, args=(slot,),
-                                       name=f"plan-server-shard-{index}",
-                                       daemon=True)
-        slot.worker.start()
-        return slot
-
     def _worker_loop(self, slot: _ShardSlot) -> None:
         shard = slot.shard
         while True:
-            batch = self.batcher.next_batch(stop=slot.retire)
+            batch = self.batcher.next_batch()
             if batch is None:
                 return                    # closed and drained; close() cleans up
-            if not batch:                 # woken to retire, no batch claimed
-                with self._pool_lock:
-                    alone = all(other is slot for other in self._slots)
-                if alone and not self._closed:
-                    slot.retire.clear()   # raced a dying sibling: the pool
-                    continue              # must keep its last shard serving
-                self._leave_pool(slot, died=False)
-                return
             # claim each future; drop requests the client cancelled while
             # they sat in the queue (a cancelled future rejects set_result)
             batch = [request for request in batch
@@ -420,7 +390,7 @@ class PlanServer:
                     if not request.future.done():
                         self._stamp_timing(request, completed)
                         request.future.set_exception(error)
-                self._leave_pool(slot, died=True, error=error)
+                self._leave_pool(slot, error)
                 return
             except Exception as error:   # noqa: BLE001 — fail the whole batch
                 completed = time.monotonic()
@@ -445,25 +415,19 @@ class PlanServer:
             queue_s=max(0.0, dispatched - request.arrival),
             compute_s=max(0.0, completed - dispatched))
 
-    def _leave_pool(self, slot: _ShardSlot, died: bool,
-                    error: Optional[Exception] = None) -> None:
-        """Take one shard out of rotation; keep the rest serving.
+    def _leave_pool(self, slot: _ShardSlot, error: Exception) -> None:
+        """Take a dead shard out of rotation; keep the rest serving.
 
-        The leaving shard stops pulling batches (a dead one can no longer
-        poison the shared queue); its final stats fold into the drained
-        accumulator so server totals stay monotonic across scale-downs.
-        When the *last* shard dies the server closes itself and fails every
-        queued request with :class:`ShardDied` instead of letting callers
-        hang.
+        The dead shard stops pulling batches (it can no longer poison the
+        shared queue); its final stats fold into the drained accumulator so
+        server totals keep the work it did.  When the *last* shard dies the
+        server closes itself and fails every queued request with
+        :class:`ShardDied` instead of letting callers hang.
         """
         with self._pool_lock:
-            if slot in self._slots:
-                self._slots.remove(slot)
+            self._slots.remove(slot)
             self._drained_stats.merge(slot.shard.stats_snapshot())
-            if died:
-                self._shards_died += 1
-            else:
-                self._shards_retired += 1
+            self._shards_died += 1
             pool_empty = not self._slots
         slot.shard.close()
         if not pool_empty:
@@ -480,57 +444,14 @@ class PlanServer:
                         f"all shards died; last error: {error}"))
 
     # ------------------------------------------------------------------ #
-    # pool scaling
-    # ------------------------------------------------------------------ #
-    def add_shard(self) -> int:
-        """Grow the pool by one shard while serving; returns the new size.
-
-        Thread-safe: the pool mutates under the pool lock.  The new worker
-        joins the existing batcher immediately, so queued requests start
-        landing on it without any pause in service.  Raises
-        :class:`ServerClosed` on a closed (or all-shards-dead) server.
-        """
-        if self._closed:
-            raise ServerClosed("server is closed")
-        self._spawn_shard()
-        return self.n_shards
-
-    def retire_shard(self, wait: bool = False,
-                     timeout: Optional[float] = None) -> int:
-        """Shrink the pool by one shard without dropping any request.
-
-        Thread-safe: the retirement mark is placed under the pool lock.
-        Marks one live shard for retirement and wakes the workers; the
-        marked worker leaves at its next batch boundary (an executing batch
-        always completes — accepted requests are never abandoned).  The
-        leave is asynchronous unless ``wait=True`` joins the worker (bounded
-        by ``timeout``).  Returns the pool size still in rotation; refuses
-        to retire the last shard (:class:`ValueError`).
-        """
-        with self._pool_lock:
-            if self._closed:
-                raise ServerClosed("server is closed")
-            live = [slot for slot in self._slots if not slot.retire.is_set()]
-            if len(live) <= 1:
-                raise ValueError("cannot retire the last shard of the pool")
-            slot = live[-1]
-            slot.retire.set()
-            remaining = len(live) - 1
-        self.batcher.kick()
-        if wait:
-            slot.worker.join(timeout)
-        return remaining
-
-    # ------------------------------------------------------------------ #
     # producer side
     # ------------------------------------------------------------------ #
     @property
     def n_shards(self) -> int:
-        """Number of worker shards in rotation (retiring shards excluded).
+        """Number of live worker shards (dead process shards excluded).
         Thread-safe: counts under the pool lock."""
         with self._pool_lock:
-            return sum(1 for slot in self._slots
-                       if not slot.retire.is_set())
+            return len(self._slots)
 
     @property
     def _shards(self) -> List:
@@ -637,20 +558,18 @@ class PlanServer:
         """Roll the per-shard stats and scheduler counters into one report.
 
         ``total`` merges every live shard's :class:`RunnerStats` plus the
-        drained stats of shards that retired or died, so totals stay
-        monotonic across pool scaling; ``shards`` keeps the live per-shard
-        breakdown (useful for spotting load imbalance); ``scheduler``
-        describes batch shaping and queue depth (snapshotted under the
-        batcher lock — counters in the report are mutually consistent);
-        ``pool`` counts scale events; ``cpu`` is the CPU policy in effect in
-        this process (:func:`repro.engine.cpu.policy`).
+        drained stats of shards that died, so totals keep the work a dead
+        shard did; ``shards`` keeps the live per-shard breakdown (useful
+        for spotting load imbalance); ``scheduler`` describes batch shaping
+        and queue depth (snapshotted under the batcher lock — counters in
+        the report are mutually consistent); ``pool`` counts dead shards;
+        ``cpu`` is the CPU policy in effect in this process
+        (:func:`repro.engine.cpu.policy`).
         """
         with self._pool_lock:
             shards = [slot.shard for slot in self._slots]
             total = RunnerStats().merge(self._drained_stats)
-            pool = {"added": self._shards_added,
-                    "retired": self._shards_retired,
-                    "died": self._shards_died}
+            pool = {"died": self._shards_died}
         snapshots = [shard.stats_snapshot() for shard in shards]
         for snapshot in snapshots:
             total.merge(snapshot)

@@ -1,4 +1,4 @@
-"""Serving-lifecycle tests: rolling reloads, autoscaling, and their races.
+"""Serving-lifecycle tests: rolling reloads, shutdown, and their races.
 
 The serving stack's lifecycle contract has three legs, each pinned here:
 
@@ -7,10 +7,10 @@ The serving stack's lifecycle contract has three legs, each pinned here:
   answered row is bit-identical across the swap, a corrupt replacement is
   refused with 409 while the old pool keeps serving, and the probe-shape
   cache plus the ``/metrics`` version block roll over with the artifact;
-* **shard-pool scaling** — ``add_shard``/``retire_shard`` grow and shrink a
-  live pool without dropping requests or losing stats, and the
-  :class:`~repro.engine.netserver.Autoscaler` drives them from queue
-  pressure (grow) and sustained idle (shrink);
+* **fixed pools and shutdown** — a pool keeps its mounted size (the
+  removed autoscaler options are refused), and ``NetServer.close(timeout)``
+  is one deadline over every model that closes them all and can be
+  called again to finish the drain;
 * **request-lifetime correctness** — the regressions fixed alongside:
   one *shared* deadline per request (not one per queued sample), an
   all-or-nothing ``submit_many`` (sample counters conserve through partial
@@ -303,103 +303,75 @@ def test_decode_reload_request_contract():
 
 
 # --------------------------------------------------------------------------- #
-# shard-pool scaling
+# fixed pools and shutdown
 # --------------------------------------------------------------------------- #
-def test_add_and_retire_shard_preserve_service_and_stats():
-    server = engine.PlanServer(ToyPlan(), n_shards=1, max_batch=4,
-                               max_wait_ms=0.5, queue_size=32)
-    try:
-        batch = np.arange(8.0).reshape(4, 2)
-        np.testing.assert_array_equal(server.predict(batch),
-                                      batch * 2.0 + 1.0)
-        assert server.add_shard() == 2
-        np.testing.assert_array_equal(server.predict(batch),
-                                      batch * 2.0 + 1.0)
-        served = server.stats_report()["total"]["samples"]
-        assert served == 8
-        assert server.retire_shard(wait=True, timeout=5.0) == 1
-        report = server.stats_report()
-        # the retired shard's work moved to the drained accumulator: totals
-        # stay monotonic across pool scaling ("added" counts lifetime
-        # spawns, mount included)
-        assert report["total"]["samples"] == served
-        assert report["pool"] == {"added": 2, "retired": 1, "died": 0}
-        np.testing.assert_array_equal(server.predict(batch),
-                                      batch * 2.0 + 1.0)
-    finally:
-        server.close()
-
-
-def test_retire_refuses_to_empty_the_pool():
-    server = engine.PlanServer(ToyPlan(), n_shards=1, queue_size=32)
-    try:
-        with pytest.raises(ValueError, match="last shard"):
-            server.retire_shard()
-        assert server.n_shards == 1
-    finally:
-        server.close()
-
-
-def test_add_shard_on_closed_server_raises():
-    server = engine.PlanServer(ToyPlan(), n_shards=1, queue_size=32)
-    server.close()
-    with pytest.raises(engine.ServerClosed):
-        server.add_shard()
-
-
-def test_autoscaler_grows_under_pressure_and_shrinks_when_idle():
+@pytest.mark.parametrize("option", [{"max_shards": 4},
+                                    {"autoscale": {"idle_s": 1.0}}])
+def test_removed_autoscaler_options_are_refused(option):
     with engine.NetServer() as net:
-        net.add_model("slow", SlowPlan(0.02), n_shards=1, max_batch=1,
-                      max_wait_ms=0.0, queue_size=16, max_shards=3,
-                      autoscale=dict(interval_s=0.01, up_queue_frac=0.25,
-                                     idle_s=0.25, cooldown_s=0.05))
-        endpoint = net.endpoint("slow")
-        assert endpoint.autoscaler is not None
-        stop = threading.Event()
-
-        def hammer():
-            while not stop.is_set():
-                predict(net, "slow", [[1.0, 2.0]])
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 10.0
-        try:
-            while endpoint.server.n_shards < 2:
-                assert time.monotonic() < deadline, "autoscaler never grew"
-                time.sleep(0.01)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-        assert endpoint.counters.to_dict()["scale_ups"] >= 1
-
-        deadline = time.monotonic() + 10.0      # idle now: must shrink back
-        while endpoint.server.n_shards > 1:
-            assert time.monotonic() < deadline, "autoscaler never shrank"
-            time.sleep(0.01)
-        counters = endpoint.counters.to_dict()
-        assert counters["scale_downs"] >= 1
-        _assert_conserves(counters)
-        block = net.metrics()["models"]["slow"]["autoscaler"]
-        assert block["enabled"] and block["alive"]
-        assert block["min_shards"] == 1 and block["max_shards"] == 3
-        assert predict(net, "slow", [[1.0, 2.0]])[0] == 200
+        with pytest.raises(TypeError):
+            net.add_model("m", ToyPlan(), n_shards=1, queue_size=32, **option)
+        assert net.model_names() == []
 
 
-def test_autoscaler_metrics_block_reports_disabled_without_max_shards():
+def test_netserver_close_timeout_is_one_deadline_over_every_model():
+    """A timed-out close still closes every model, within one deadline, and
+    a repeat close() finishes the drain without dropping a request."""
+    net = engine.NetServer().start()
+    futures = {}
+    for name in ("a", "b"):
+        net.add_model(name, SlowPlan(0.1), n_shards=1, max_batch=1,
+                      queue_size=16)
+        futures[name] = net.endpoint(name).server.submit_many(
+            np.ones((10, 2)))
+    t0 = time.monotonic()
+    with pytest.raises(TimeoutError, match=r"\['a', 'b'\]"):
+        net.close(timeout=0.2)
+    assert time.monotonic() - t0 < 0.5, "close overstayed its 0.2s deadline"
+    for name in ("a", "b"):
+        server = net.endpoint(name).server
+        assert server.batcher.closed, f"model {name!r} still takes submits"
+        with pytest.raises(engine.ServerClosed):
+            server.submit(np.ones(2))
+    net.close()                             # finishes the drain
+    for name in ("a", "b"):
+        rows = [future.result(timeout=0) for future in futures[name]]
+        np.testing.assert_array_equal(rows, np.full((10, 2), 3.0))
+
+
+def test_endpoint_close_timeout_also_bounds_the_reload_drain_join():
+    """An old pool still draining after a reload is joined within the same
+    close deadline (not a fixed wait), and a repeat close() finishes it."""
     with engine.NetServer() as net:
-        net.add_model("toy", ToyPlan(), n_shards=1, queue_size=32)
-        assert net.metrics()["models"]["toy"]["autoscaler"] \
-            == {"enabled": False}
+        net.add_model("m", SlowPlan(0.1), n_shards=1, max_batch=1,
+                      queue_size=16)
+        endpoint = net.endpoint("m")
+        old = endpoint.server
+        futures = old.submit_many(np.ones((10, 2)))
+        endpoint.reload()                   # the old pool drains behind
+        assert endpoint.server is not old
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="1 pool"):
+            endpoint.close(timeout=0.2)
+        assert time.monotonic() - t0 < 0.5, "drain join ignored the deadline"
+        endpoint.close()                    # finishes the old pool's drain
+        rows = [future.result(timeout=0) for future in futures]
+        np.testing.assert_array_equal(rows, np.full((10, 2), 3.0))
 
 
-def test_autoscaler_rejects_max_shards_below_pool_size():
+def test_metrics_of_a_fixed_pool_carry_no_scaling_state():
+    """The pool keeps its mounted size; ``/metrics`` reports it without an
+    autoscaler block or scale counters, and the pool block only counts
+    deaths."""
     with engine.NetServer() as net:
-        with pytest.raises(ValueError, match="below the mounted pool"):
-            net.add_model("toy", ToyPlan(), n_shards=3, max_shards=2,
-                          queue_size=32)
+        net.add_model("toy", ToyPlan(), n_shards=2, queue_size=32)
+        assert predict(net, "toy", [[1.0, 2.0]])[0] == 200
+        block = net.metrics()["models"]["toy"]
+        assert "autoscaler" not in block
+        assert not {"scale_ups", "scale_downs"} & set(block["requests"])
+        _assert_conserves(block["requests"])
+        assert block["serving"]["n_shards"] == 2
+        assert block["serving"]["pool"] == {"died": 0}
 
 
 # --------------------------------------------------------------------------- #
@@ -533,8 +505,8 @@ def test_scheduler_snapshot_is_never_torn():
                 pass            # racing shutdown is part of the test
 
     def consume():
-        while not stop.is_set():
-            batcher.next_batch(stop=stop)
+        while batcher.next_batch() is not None:
+            pass                # drains until close
 
     def read():
         while not stop.is_set():
@@ -551,23 +523,7 @@ def test_scheduler_snapshot_is_never_torn():
         thread.start()
     time.sleep(0.3)
     stop.set()
-    batcher.kick()
     batcher.close()
     for thread in threads:
         thread.join()
     assert violations == []
-
-
-def test_next_batch_stop_event_interrupts_a_blocked_consumer():
-    batcher = DynamicBatcher(max_batch=4, max_wait_ms=5.0, queue_size=8)
-    stop = threading.Event()
-    result = []
-    consumer = threading.Thread(
-        target=lambda: result.append(batcher.next_batch(stop=stop)))
-    consumer.start()
-    time.sleep(0.05)            # let it block on the empty queue
-    stop.set()
-    batcher.kick()
-    consumer.join(timeout=2.0)
-    assert not consumer.is_alive()
-    assert result == [[]]       # interrupted: no batch claimed, not closed

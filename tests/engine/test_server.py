@@ -263,19 +263,34 @@ class TestLifecycleAndFailure:
         and failing them forever — it retires, the live shard serves on."""
         with engine.PlanServer(ToyPlan(), n_shards=2, backend="process",
                                max_batch=1, max_wait_ms=0.0) as server:
-            server._shards[0]._proc.kill()
-            server._shards[0]._proc.join()
+            doomed = server._shards[0]
+            served = 0
+            for i in range(200):            # the doomed shard works first,
+                server.submit(np.array([float(i)])).result(timeout=10.0)
+                served += 1                 # so its stats must outlive it
+                if doomed.stats_snapshot().samples:
+                    break
+            assert doomed.stats_snapshot().samples > 0
+            doomed._proc.kill()
+            doomed._proc.join()
             failures = 0
             for i in range(6):              # sequential: retire happens early
                 try:
                     out = server.submit(np.array([float(i)])).result(timeout=10.0)
                     np.testing.assert_array_equal(out,
                                                   np.array([2.0 * i + 1.0]))
+                    served += 1
                 except engine.ShardDied:
                     failures += 1
             assert failures <= 1            # only the batch caught mid-death
             out = server.submit(np.array([7.0])).result(timeout=10.0)
             np.testing.assert_array_equal(out, np.array([15.0]))
+            served += 1
+            report = server.stats_report()
+            # the dead shard's samples stay in the totals (drained stats)
+            assert report["total"]["samples"] == served
+            assert report["pool"] == {"died": 1}
+            assert report["n_shards"] == 1
 
     def test_last_dead_shard_fails_queue_instead_of_hanging(self):
         server = engine.PlanServer(ToyPlan(), n_shards=1, backend="process",

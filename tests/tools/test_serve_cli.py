@@ -11,14 +11,15 @@ from tools.serve import MODEL_OPTIONS, build_parser, parse_model_spec
 
 
 def test_good_spec_splits_name_path_and_options():
-    assert parse_model_spec("resnet=plans/r8.npz:mode=int:shards=3:max_shards=4") \
-        == ("resnet", "plans/r8.npz",
-            {"mode": "int", "shards": "3", "max_shards": "4"})
+    assert parse_model_spec("resnet=plans/r8.npz:mode=int:shards=3") \
+        == ("resnet", "plans/r8.npz", {"mode": "int", "shards": "3"})
     assert parse_model_spec("r=plan.npz") == ("r", "plan.npz", {})
 
 
-# a typo, and a flag of the removed plan-graph compiler
-@pytest.mark.parametrize("key,value", [("shard", "3"), ("compile", "true")])
+# a typo, a flag of the removed plan-graph compiler, and the removed
+# autoscaler's pool bound
+@pytest.mark.parametrize("key,value", [("shard", "3"), ("compile", "true"),
+                                       ("max_shards", "4")])
 def test_unknown_option_is_refused_naming_the_allowed_keys(key, value):
     with pytest.raises(argparse.ArgumentTypeError) as info:
         parse_model_spec(f"r=plan.npz:{key}={value}")
@@ -46,11 +47,12 @@ def test_parser_exits_on_an_unknown_option():
         build_parser().parse_args(["--model", "r=plan.npz:shard=3"])
 
 
-def test_removed_result_cache_flag_is_refused(capsys):
+# flags of the removed result cache and autoscaler
+@pytest.mark.parametrize("flag", ["--result-cache", "--max-shards"])
+def test_removed_flag_is_refused(capsys, flag):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["--model", "r=plan.npz",
-                                   "--result-cache", "8"])
-    assert "--result-cache" in capsys.readouterr().err
+        build_parser().parse_args(["--model", "r=plan.npz", flag, "4"])
+    assert flag in capsys.readouterr().err
 
 
 def test_serving_flag_defaults_are_plan_server_defaults():

@@ -14,10 +14,10 @@ Usage::
         --port 8080 --shards 2 --max-batch 16
 
 Each ``--model`` is ``name=path[:key=value...]`` where the per-model
-options ``mode`` (``float``/``int``), ``shards`` and ``max_shards``
-override the global flags (any other key is refused) — so one process
-can serve the same artifact on several routes (e.g. a float reference next
-to the integer route).  ``--port 0`` binds an ephemeral port and prints
+options ``mode`` (``float``/``int``) and ``shards`` override the global
+flags (any other key is refused) — so one process can serve the same
+artifact on several routes (e.g. a float reference next to the integer
+route).  ``--port 0`` binds an ephemeral port and prints
 it, which is how ``examples/serve_http.py`` and the tests drive this file.
 
 Lifecycle signals: SIGTERM/SIGINT drain and exit; **SIGHUP rolls every
@@ -26,9 +26,8 @@ endpoint's pool is rebuilt from a re-stat of its mounted path, probe
 validated, atomically swapped, old pool drained in the background) — the
 operational path for ``cp new_plan.npz artifacts/... && kill -HUP $pid``.
 A model whose new artifact is corrupt keeps serving the old one (the
-rejection is printed, not fatal).  ``--max-shards N`` (or the per-model
-``max_shards=N`` option) turns on shard-pool autoscaling between the
-mounted ``shards`` and ``N``.
+rejection is printed, not fatal).  Each model's shard pool keeps its
+mounted size; a reload is the only way to rebuild it.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from repro.engine import NetServer, PlanServer   # noqa: E402 — path shim
 
 #: Per-model option keys ``--model name=path:key=value`` accepts.
-MODEL_OPTIONS = ("mode", "shards", "max_shards")
+MODEL_OPTIONS = ("mode", "shards")
 
 #: :class:`PlanServer`'s keyword defaults: the serving flags take theirs
 #: from here, so the CLI and the library cannot drift apart.
@@ -97,18 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", action="append", required=True,
                         metavar="NAME=PATH[:k=v...]", type=parse_model_spec,
                         help="mount an artifact (repeatable); per-model "
-                             "options: mode=float|int, shards=N, "
-                             "max_shards=N")
+                             "options: mode=float|int, shards=N")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="0 binds an ephemeral port (printed on start)")
     parser.add_argument("--shards", type=int,
                         default=SERVER_DEFAULTS["n_shards"],
                         help="shard executors per model")
-    parser.add_argument("--max-shards", type=int, default=None,
-                        help="enable autoscaling: grow each model's pool "
-                             "up to this many shards under queue pressure, "
-                             "shrink back when idle (default: off)")
     parser.add_argument("--backend", choices=("thread", "process"),
                         default=SERVER_DEFAULTS["backend"])
     parser.add_argument("--max-batch", type=int,
@@ -131,7 +125,6 @@ def build_server(args: argparse.Namespace) -> NetServer:
     """Construct and populate the :class:`NetServer` from parsed flags."""
     net = NetServer(host=args.host, port=args.port)
     for name, path, options in args.model:
-        max_shards = options.get("max_shards", args.max_shards)
         net.add_model(
             name, path,
             n_shards=int(options.get("shards", args.shards)),
@@ -141,7 +134,6 @@ def build_server(args: argparse.Namespace) -> NetServer:
             queue_size=args.queue_size,
             mode=options.get("mode"),
             request_timeout_s=args.request_timeout_s,
-            max_shards=None if max_shards is None else int(max_shards),
         )
     return net
 
