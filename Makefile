@@ -29,6 +29,8 @@
 #                       (examples/serve_http.py: mount, predict, metrics, drain)
 #   make docs-check   - fail on undocumented public APIs in the documented
 #                       modules + run the fenced python snippets of docs/engine.md
+#   make loc          - print engine LOC (all lines of src/repro/engine/*.py),
+#                       the size metric ROADMAP.md tracks
 #   make install      - editable install (works without the wheel package)
 
 PYTHON      ?= python
@@ -36,7 +38,7 @@ PYTHONPATH  := src
 
 export PYTHONPATH
 
-.PHONY: verify test lint test-engine test-int coverage bench-smoke bench-engine bench-runner bench-server bench-int bench-netserver bench-reload bench-analyze serve-demo docs-check install
+.PHONY: verify test lint test-engine test-int coverage bench-smoke bench-engine bench-runner bench-server bench-int bench-netserver bench-reload bench-analyze serve-demo docs-check loc install
 
 verify: test lint docs-check bench-smoke
 
@@ -85,6 +87,9 @@ serve-demo:
 docs-check:
 	$(PYTHON) tools/check_docstrings.py src/repro/engine src/repro/models src/repro/core/psum.py src/repro/core/pipeline.py src/repro/core/requant.py src/repro/cim/cost.py tools/serve.py tools/analyze
 	$(PYTHON) tools/run_doc_snippets.py docs/engine.md
+
+loc:
+	@cat src/repro/engine/*.py | wc -l
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop

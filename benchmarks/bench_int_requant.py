@@ -85,7 +85,7 @@ def _layer_codes(plan, x) -> dict:
     input.
     """
     nodes, _ = plan.graph()
-    values = {0: np.asarray(x, dtype=plan.np_dtype)}
+    values = {0: np.asarray(x, dtype=np.float64)}
     codes = {}
     for node in nodes[1:]:
         args = [values[i] for i in node.inputs]
@@ -96,7 +96,7 @@ def _layer_codes(plan, x) -> dict:
                 codes[node.plan_index] = np.asarray(args[0], np.float64)
             elif layer.act_scale is not None:
                 codes[node.plan_index] = layer._quantize_acts(
-                    np.asarray(args[0], dtype=layer.np_dtype))
+                    np.asarray(args[0], dtype=np.float64))
         values[node.id] = plan._run_node(node, values)
     return codes
 

@@ -178,8 +178,6 @@ def _run_bursty(net, cfg, pool):
 class _SlowPlan:
     """Fixed-delay toy plan so the saturation scenario is deterministic."""
 
-    np_dtype = np.dtype(np.float64)
-
     def __init__(self, delay_s):
         self.delay_s = delay_s
 

@@ -100,7 +100,7 @@ def main() -> None:
               f"({os.path.getsize(artifact) / 1024:.0f} KiB)")
         deployed = engine.load_plan(artifact)
     print(f"  loaded: {deployed.n_cim_layers} CIM layer plans, "
-          f"{len(deployed.nodes) - 1} graph ops, dtype={deployed.dtype}")
+          f"{len(deployed.nodes) - 1} graph ops")
     runner = engine.InferenceRunner(deployed, batch_size=16)
     served = runner.predict(images.data)
     drift = float(np.abs(served - reference).max())

@@ -291,10 +291,9 @@ def varied_splits(splits: np.ndarray, w_bar: np.ndarray, variation) -> np.ndarra
     ``target="cells"`` perturbs every programmed bit-split cell independently;
     ``target="weights"`` moves all cells of one weight together by scaling
     each slice with the ratio between the varied and the ideal integer weight.
-    This is the single implementation behind both the QAT
-    :class:`VariationStage` and the frozen plans — same math, same RNG draw
-    order, so a frozen layer with an identical variation-model state produces
-    identical perturbed cells.
+    :class:`VariationStage` runs it in the QAT forward; a frozen layer with
+    an enabled variation model falls back to that forward, so frozen and
+    unfrozen layers draw the same perturbed cells from the same RNG state.
     """
     if variation.target == "cells":
         return variation.perturb(splits)
@@ -649,7 +648,7 @@ class CIMPipeline:
     # ------------------------------------------------------------------ #
     # plan compilation
     # ------------------------------------------------------------------ #
-    def compile_state(self, dtype: Any = np.float64) -> dict:
+    def compile_state(self) -> dict:
         """Snapshot the static state of every stage for a frozen plan.
 
         Returns the keyword arguments shared by
@@ -658,12 +657,8 @@ class CIMPipeline:
         layer-kind extras and the signature).  The geometry contributes the
         structural fields; each stage contributes its own arrays, in stage
         order — so the engine compiles from the same stage list the QAT
-        forward executes.
-
-        ``dtype`` selects the floating-point width the snapshot is stored
-        (and therefore executed) in.  The Tensor math of the QAT forward is
-        always float64; ``np.float32`` plans trade the last digits of parity
-        for half the memory traffic at deployment time.
+        forward executes.  Every array is ``float64`` (or integer), the
+        precision of the QAT Tensor math, and plans execute in it.
         """
         g = self.geometry
         state = dict(
@@ -677,17 +672,7 @@ class CIMPipeline:
         )
         for stage in self.stages:
             stage.compile_into(state, self.layer, g, self.adapter)
-        # Fixed-point requant constants are derived from the float64 scales
-        # BEFORE any narrowing cast — the cast below only touches plain float
-        # arrays, so the constants ship at full precision in float32 plans.
-        # The target dtype is still passed through: the ADC verification
-        # replays the float route's rounding in the plan's execution dtype.
-        dtype = np.dtype(dtype)
-        state["requant"] = compile_requant(state, dtype=dtype)
-        if dtype != np.float64:
-            for key, value in state.items():
-                if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-                    state[key] = value.astype(dtype)
+        state["requant"] = compile_requant(state)
         return state
 
 

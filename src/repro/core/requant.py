@@ -541,13 +541,12 @@ def _adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float
     return np.clip(m0, 0, INT32_MAX).astype(np.int64), shift
 
 
-def _verified_adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float,
-                              dtype: np.dtype
+def _verified_adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float
                               ) -> Tuple[np.ndarray, int, np.ndarray]:
     """ADC mantissas for ``1/s_p``, exhaustively verified per column.
 
-    The float route computes ADC codes as ``round(clip(psum / s_p))`` in the
-    plan's ``dtype`` — half-even ties and all.  The executed fixed-point
+    The float route computes ADC codes as ``round(clip(psum / s_p))`` in
+    ``float64`` — half-even ties and all.  The executed fixed-point
     divide (:func:`requantize_up`) rounds halves up, so near a tie the two
     can land one code apart.  But the *disagreement domain is enumerable*:
     outside ``|psum / s_p| <= qmax + 0.5`` both paths saturate identically,
@@ -585,7 +584,7 @@ def _verified_adc_multipliers(s_p_cols: np.ndarray, qmin: float, qmax: float,
         rows = slice(start, min(start + chunk, n_cols))
         p = p_lo[rows, None] + offsets
         in_window = p <= p_hi[rows, None]
-        vals = p.astype(dtype) / s_p_cols[rows].astype(dtype)[:, None]
+        vals = p.astype(np.float64) / s_p_cols[rows][:, None]
         np.clip(vals, qmin, qmax, out=vals)
         oracle = np.round(vals).astype(np.int64)
         codes = requantize_up(p, m064[rows, None], shift[rows, None],
@@ -615,17 +614,14 @@ def _collapse_weight_scale(s_w: np.ndarray, n_arrays: int,
         np.broadcast_to(flat, (n_arrays, out_channels)).astype(np.float64))
 
 
-def compile_requant(state: dict,
-                    dtype: np.dtype = np.float64
-                    ) -> Optional[RequantConstants]:
+def compile_requant(state: dict) -> Optional[RequantConstants]:
     """Derive a layer's :class:`RequantConstants` from its compile-state dict.
 
     ``state`` is the snapshot produced by
-    :meth:`repro.core.pipeline.CIMPipeline.compile_state` *before* any
-    narrowing dtype cast — the float64 scales are the ground truth the
-    fixed-point constants approximate.  ``dtype`` is the float width the
-    plan will *execute* in: the ADC verification replays the float route's
-    rounding in exactly that dtype.  Returns ``None`` for layers without an
+    :meth:`repro.core.pipeline.CIMPipeline.compile_state`: its float64
+    scales are the ground truth the fixed-point constants approximate, and
+    the ADC verification replays the float route's ``float64`` rounding.
+    Returns ``None`` for layers without an
     activation quantizer (a raw-float input has no integer grid, so there is
     nothing for an integer route to execute on; such layers stay on the
     float path even in integer mode).
@@ -654,7 +650,7 @@ def compile_requant(state: dict,
         s_p_aso = np.ascontiguousarray(s_p.transpose(1, 0, 2))  # (A, S, OC)
         m0_adc_flat, shift_adc_flat, _ = _verified_adc_multipliers(
             s_p_aso.reshape(-1), float(state["psum_qmin"]),
-            float(state["psum_qmax"]), np.dtype(dtype))
+            float(state["psum_qmax"]))
         m0_adc = m0_adc_flat.reshape(s_p_aso.shape)
         shift_adc = shift_adc_flat.reshape(s_p_aso.shape)
         m0_fused = None

@@ -12,7 +12,8 @@ compiles that work out, at two granularities:
   dequantization scales);
 * :class:`FrozenCIMConv2d` / :class:`FrozenCIMLinear` — drop-in wrapper
   modules that execute the plan and transparently fall back to the original
-  QAT forward for training, recording, or uncalibrated quantizers;
+  QAT forward for training, recording, device variation or uncalibrated
+  quantizers;
 * :class:`ModelPlan` (:func:`compile_model_plan` / :func:`save_model_plan`)
   — the **model-level artifact**: every layer plan plus folded BatchNorm and
   the inter-layer op graph in one ``.npz`` + JSON manifest, reloadable with
@@ -59,7 +60,7 @@ from .model_plan import (GraphBuilder, GraphNode, ModelPlan, ModelPlanError,
                          save_model_plan)
 from .plan import (ConvPlan, LinearPlan, PlanNotReadyError, compile_conv_plan,
                    compile_linear_plan, compile_plan, layer_signature,
-                   normalize_dtype, signature_ready)
+                   signature_ready)
 from .latency import LatencyHistogram
 from .netserver import EndpointCounters, ModelEndpoint, NetServer, Saturated
 from .runner import InferenceRunner, PlanExecutor, RunnerStats
@@ -77,7 +78,7 @@ __all__ = [
     "FrozenCIMConv2d", "FrozenCIMLinear",
     "ConvPlan", "LinearPlan", "PlanNotReadyError",
     "compile_plan", "compile_conv_plan", "compile_linear_plan",
-    "layer_signature", "signature_ready", "normalize_dtype",
+    "layer_signature", "signature_ready",
     "load_plan",
     "GraphBuilder", "GraphNode", "ModelPlan", "ModelPlanError",
     "compile_model_plan", "save_model_plan", "load_model_plan",

@@ -13,6 +13,9 @@ code path — whenever the fast path cannot reproduce it:
 * a :class:`~repro.core.psum.PartialSumRecorder` is attached (the recorder
   must observe the raw ``(S, A, N, L, OC)`` partial sums; see
   :mod:`repro.core.psum` for the axis convention),
+* an enabled :class:`~repro.cim.variation.VariationModel` is attached (a
+  plan is a deterministic recipe; device variation perturbs the cells on
+  every call, which the seed forward does with its own RNG draws),
 * the layer's quantizers are not yet initialized (the fallback initializes
   them, after which the plan compiles automatically on the next call).
 
@@ -22,8 +25,6 @@ trainer toggles partial-sum quantization.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -51,7 +52,9 @@ class _FrozenLayer(Module):
     # ---------------------------------------------------------------- #
     def forward(self, x: Tensor) -> Tensor:
         layer = self.layer
+        variation = layer.variation
         if (self.training or layer.training or layer.recorder is not None
+                or (variation is not None and variation.enabled)
                 or (is_grad_enabled() and isinstance(x, Tensor) and x.requires_grad)):
             return layer.forward(x)
         signature = layer_signature(layer)
@@ -65,12 +68,8 @@ class _FrozenLayer(Module):
                     self.plan = type(self)._compile(layer)
                 return out
             plan = self.plan = type(self)._compile(layer)
-        variation = layer.variation
-        if variation is not None and not variation.enabled:
-            variation = None
-        data = plan.execute(x.data if isinstance(x, Tensor) else np.asarray(x),
-                            variation=variation)
-        return Tensor(data)
+        return Tensor(plan.execute(x.data if isinstance(x, Tensor)
+                                   else np.asarray(x)))
 
     def refresh(self) -> None:
         """Recompile the plan from the wrapped layer's current parameters."""
@@ -84,7 +83,8 @@ class _FrozenLayer(Module):
         self.layer.set_psum_quant_enabled(enabled)
 
     def set_variation(self, variation) -> None:
-        """Attach (or remove) a device-variation model on the wrapped layer."""
+        """Attach (or remove) a device-variation model on the wrapped layer;
+        while it is enabled, forwards fall back to the seed path."""
         self.layer.set_variation(variation)
 
     def attach_recorder(self, recorder, layer_name: str = "") -> None:

@@ -169,7 +169,7 @@ class PoolRequant:
 
 @dataclass
 class Dequant:
-    """A grid value back to float: ``x * scale`` in the plan dtype."""
+    """A grid value back to float: ``x * scale`` in ``out_dtype``."""
 
     scale: float
     out_dtype: np.dtype
@@ -372,7 +372,7 @@ class _Folder:
             return self.floats[vid]
         nid = self._emit("dequant", [self.grids[vid]],
                          f"{self.src[vid].name}.dequant",
-                         spec=Dequant(self.grid, self.plan.np_dtype))
+                         spec=Dequant(self.grid, np.float64))
         self.floats[vid] = nid
         return nid
 

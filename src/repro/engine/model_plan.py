@@ -26,10 +26,11 @@ for the residual-add example) and leaf modules are handled by the builder's
 dispatch table below.  Models composed purely of ``Sequential`` containers
 and known leaves need no hook at all.
 
-Execution math is kept bit-identical to the frozen in-process model: every
+Execution math is kept bit-identical to the frozen in-process model: a plan
+executes in ``float64``, the precision of the QAT Tensor math, and every
 node applies the same NumPy operations, in the same order, as the Tensor op
-it replaces, so a float64 ``ModelPlan`` reproduces the frozen model exactly
-(the test suite pins <= 1e-10; in practice the difference is 0.0).
+it replaces, so a ``ModelPlan`` reproduces the frozen model exactly (the
+test suite pins <= 1e-10; in practice the difference is 0.0).
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from ..nn.tensor import Tensor, no_grad
 from .frozen import _FrozenLayer
 from .hotpath import ScratchTable, hot_path
 from .intfold import INT_OPS, fold_int_graph
-from .plan import (compile_plan, normalize_dtype, plan_arrays, plan_from_parts,
-                   plan_meta)
+from .plan import compile_plan, plan_arrays, plan_from_parts, plan_meta
 
 __all__ = [
     "GraphNode",
@@ -126,8 +126,7 @@ class GraphBuilder:
     node names match the module paths of the source model.
     """
 
-    def __init__(self, dtype: str = "float64"):
-        self.dtype = normalize_dtype(dtype)
+    def __init__(self):
         self.nodes: List[GraphNode] = [GraphNode(id=0, op="input", inputs=[],
                                                  name="input")]
         self.layer_plans: list = []
@@ -148,7 +147,7 @@ class GraphBuilder:
                **attrs) -> int:
         """Append a node and return its id.
 
-        Array operands are cast to the plan dtype here, once, so every
+        Float array operands are cast to ``float64`` here, once, so every
         executor run serves pre-cast static data.
         """
         cast = {}
@@ -157,7 +156,7 @@ class GraphBuilder:
                 continue
             value = np.asarray(value)
             if value.dtype.kind == "f":
-                value = value.astype(self.dtype, copy=False)
+                value = value.astype(np.float64, copy=False)
             cast[key] = value
         node = GraphNode(id=len(self.nodes), op=op, inputs=list(inputs),
                          name=name or self.scope_name() or op,
@@ -201,8 +200,7 @@ class GraphBuilder:
                     "plans are deterministic artifacts; run variation studies "
                     "through the in-process freeze path, or detach the model "
                     "(set_variation(None)) before compiling")
-            return self.add_layer_plan(compile_plan(module, dtype=self.dtype),
-                                       [node])
+            return self.add_layer_plan(compile_plan(module), [node])
         hook = getattr(module, "export_graph", None)
         if hook is not None:
             return hook(self, node)
@@ -362,7 +360,6 @@ class ModelPlan:
     nodes: List[GraphNode]
     layer_plans: list
     output_id: int
-    dtype: str = "float64"
     name: str = ""
     mode: str = field(default="float", repr=False)  # runtime, not serialized
     _steps_by_mode: Dict[str, tuple] = field(default_factory=dict, init=False,
@@ -377,11 +374,6 @@ class ModelPlan:
         scratch = ScratchTable()
         for layer_plan in self.layer_plans:
             layer_plan._scratch = scratch
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        """NumPy dtype the plan executes in."""
-        return np.dtype(self.dtype)
 
     @property
     def n_cim_layers(self) -> int:
@@ -464,7 +456,7 @@ class ModelPlan:
         hot: the per-node liveness lists are precomputed by :meth:`_steps`.
         """
         x = np.asarray(x.data if isinstance(x, Tensor) else x,
-                       dtype=self.np_dtype)
+                       dtype=np.float64)
         steps, output_id = self._steps()
         values: Dict[int, np.ndarray] = {0: x}
         for node, dead in steps:
@@ -542,8 +534,8 @@ class ModelPlan:
     def summary(self) -> str:
         """Human-readable node list (one line per op, with plan shapes)."""
         nodes, _ = self.graph()
-        lines = [f"ModelPlan({self.name or 'model'}, dtype={self.dtype}, "
-                 f"mode={self.mode}, {self.n_cim_layers} CIM layers, "
+        lines = [f"ModelPlan({self.name or 'model'}, mode={self.mode}, "
+                 f"{self.n_cim_layers} CIM layers, "
                  f"{len(nodes) - 1} ops)"]
         for node in nodes[1:]:
             detail = ""
@@ -571,7 +563,7 @@ class ModelPlan:
 # --------------------------------------------------------------------------- #
 # compilation
 # --------------------------------------------------------------------------- #
-def compile_model_plan(model: Module, calibrate=None, dtype="float64",
+def compile_model_plan(model: Module, calibrate=None, *,
                        name: str = "") -> ModelPlan:
     """Capture a whole frozen/calibrated model into a :class:`ModelPlan`.
 
@@ -587,23 +579,18 @@ def compile_model_plan(model: Module, calibrate=None, dtype="float64",
         lazily-initialized LSQ scales observe data.  Without it, compiling a
         model with uncalibrated quantizers raises
         :class:`~repro.engine.plan.PlanNotReadyError`.
-    dtype:
-        Execution precision of the artifact: ``"float64"`` (bit-exact vs the
-        frozen in-process model) or ``"float32"`` (half the memory traffic).
     name:
         Stored in the manifest; defaults to the model's class name.
     """
-    dtype = normalize_dtype(dtype)
     model.eval()
     if calibrate is not None:
         with no_grad():
             model(calibrate if isinstance(calibrate, Tensor)
                   else Tensor(np.asarray(calibrate, dtype=np.float64)))
-    builder = GraphBuilder(dtype)
+    builder = GraphBuilder()
     output_id = builder.emit(model, builder.input_id)
     return ModelPlan(nodes=builder.nodes, layer_plans=builder.layer_plans,
-                     output_id=output_id, dtype=dtype,
-                     name=name or type(model).__name__)
+                     output_id=output_id, name=name or type(model).__name__)
 
 
 # --------------------------------------------------------------------------- #
@@ -612,7 +599,7 @@ def compile_model_plan(model: Module, calibrate=None, dtype="float64",
 def save_model_plan(plan: ModelPlan, path) -> None:
     """Write a :class:`ModelPlan` to one ``.npz`` archive.
 
-    Layout: a ``__manifest__`` JSON entry (format tag, dtype, node graph,
+    Layout: a ``__manifest__`` JSON entry (format tag, node graph,
     per-layer metadata) plus flat array entries named ``node{i}.{field}`` and
     ``layer{j}.{field}`` — see ``docs/engine.md`` for the full schema.
     """
@@ -636,13 +623,27 @@ def save_model_plan(plan: ModelPlan, path) -> None:
         "format": MODEL_PLAN_FORMAT,
         "version": MODEL_PLAN_VERSION,
         "name": plan.name,
-        "dtype": plan.dtype,
         "output": plan.output_id,
         "nodes": node_docs,
         "layers": layer_docs,
     }
     np.savez(path, __manifest__=np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8), **arrays)
+
+
+def _check_float64(path, doc: dict, what: str) -> None:
+    """Refuse a manifest document that stores a plan dtype other than float64.
+
+    Current archives carry no ``dtype`` key; archives of older writers say
+    ``"float64"`` (accepted) or ``"float32"``, a route the engine no longer
+    executes.
+    """
+    dtype = doc.get("dtype", "float64")
+    if dtype != "float64":
+        raise ModelPlanError(
+            f"{path}: {what} was stored as a {dtype!r} plan, and plans execute "
+            "in float64 only; recompile the model (compile_model_plan) and "
+            "re-save the artifact")
 
 
 def load_model_plan(path, mode: str = "float") -> ModelPlan:
@@ -652,8 +653,10 @@ def load_model_plan(path, mode: str = "float") -> ModelPlan:
     constructed.  ``mode`` selects the execution route of the returned plan
     (see :meth:`ModelPlan.set_mode`); ``"int"`` raises on v1 archives, which
     carry no requant constants.  Raises :class:`ModelPlanError` on a
-    corrupted manifest, an unknown format/version, missing array entries, or
-    requant constants the integer route cannot execute exactly
+    corrupted manifest, an unknown format/version, missing array entries,
+    a plan stored in a dtype other than ``float64`` (older writers could
+    store ``float32`` plans; recompile those), or requant constants the
+    integer route cannot execute exactly
     (:class:`~repro.core.requant.CarrierRangeError`, chained as the cause).
     """
     with np.load(path) as archive:
@@ -674,8 +677,10 @@ def load_model_plan(path, mode: str = "float") -> ModelPlan:
                              f"{manifest.get('version')!r} (expected one of "
                              f"{sorted(SUPPORTED_MODEL_PLAN_VERSIONS)})")
     try:
+        _check_float64(path, manifest, "the model")
         layer_plans = []
         for index, meta in enumerate(manifest["layers"]):
+            _check_float64(path, meta, f"layer {index}")
             arrays = {key.split(".", 1)[1]: value for key, value in stored.items()
                       if key.startswith(f"layer{index}.")}
             layer_plans.append(plan_from_parts(meta, arrays))
@@ -691,7 +696,6 @@ def load_model_plan(path, mode: str = "float") -> ModelPlan:
             nodes.append(node)
         plan = ModelPlan(nodes=nodes, layer_plans=layer_plans,
                          output_id=int(manifest["output"]),
-                         dtype=normalize_dtype(manifest.get("dtype", "float64")),
                          name=manifest.get("name", ""))
     except CarrierRangeError as error:
         raise ModelPlanError(f"{path}: unsupported requant constants: "

@@ -215,7 +215,7 @@ class ModelEndpoint:
         with self._probe_lock:
             if shape in self._known_shapes:   # probed while we waited
                 return
-            probe = np.zeros((0,) + shape, dtype=self.server.plan.np_dtype)
+            probe = np.zeros((0,) + shape)
             try:
                 self.server.plan.execute(probe)
             except Exception as error:   # noqa: BLE001 — classified as 422
@@ -285,8 +285,7 @@ class ModelEndpoint:
         t_start = time.monotonic()
         try:
             batch = wire.decode_predict_request(
-                body, self.server.plan.np_dtype,
-                max_samples=self.max_request_samples)
+                body, max_samples=self.max_request_samples)
             self._validate_sample_shape(batch)
         except wire.WireError:
             self.counters.add(bad_requests=1)
@@ -328,7 +327,7 @@ class ModelEndpoint:
         with self._probe_lock:
             shapes = sorted(self._known_shapes)
         for shape in shapes:
-            probe = np.zeros((0,) + shape, dtype=server.plan.np_dtype)
+            probe = np.zeros((0,) + shape)
             server.plan.execute(probe)
 
     def reload(self, path: Optional[str] = None) -> dict:
@@ -426,7 +425,6 @@ class ModelEndpoint:
         return {
             "plan": {
                 "name": getattr(plan, "name", "") or self.name,
-                "dtype": str(getattr(plan, "np_dtype", "")),
                 "mode": getattr(plan, "mode", "float"),
                 # a version block that changes iff the served bytes can:
                 # artifact identity (stat keys of the plan cache) plus the

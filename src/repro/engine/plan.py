@@ -64,7 +64,6 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..cim.tiling import WeightMapping, mapping_from_dict, mapping_to_dict
-from ..core.pipeline import varied_splits
 from ..core.requant import (INT32_MAX, CarrierRangeError, IntRequant,
                              RequantConstants, RequantFoldError,
                              adc_multiplier_f32, carrier_multiplier,
@@ -83,7 +82,6 @@ __all__ = [
     "compile_linear_plan",
     "layer_signature",
     "signature_ready",
-    "normalize_dtype",
     "plan_meta",
     "plan_arrays",
     "plan_from_parts",
@@ -116,8 +114,8 @@ class LayerFold:
     IntRequant` with unit mantissas, so the multipliers live in
     ``weights``) in ``out_dtype``: the next layer's activation codes on its
     GEMM carrier, or residual values on a model's fine grid.  Without one,
-    it dequantizes ``(acc + bias) * scale`` into ``out_dtype``, the plan's
-    float dtype.  ``codes_in`` says the input already arrives as the
+    it dequantizes ``(acc + bias) * scale`` into ``out_dtype``,
+    ``float64``.  ``codes_in`` says the input already arrives as the
     layer's activation codes, so no input quantizer runs.
     """
 
@@ -209,7 +207,6 @@ class _PlanBase:
     psum_qmax: float
     mapping: WeightMapping
     signature: Tuple[bool, bool, bool]
-    dtype: str = "float64"        # execution dtype ("float64" | "float32")
     requant: Optional[RequantConstants] = None  # None = float-only artifact
     mode: str = field(default="float", repr=False)  # runtime, not serialized
     # derived operands, rebuilt by _build_derived()
@@ -310,7 +307,7 @@ class _PlanBase:
                     for i, (start, stop) in enumerate(self.row_slices)]
             weights = rq.m0_fused.astype(np.int64)[:, None, :]
         dequant = LayerFold(
-            codes_in=False, weights=weights, out_dtype=self.np_dtype,
+            codes_in=False, weights=weights, out_dtype=np.float64,
             bias=None if rq.bias_q is None else rq.bias_q.astype(np.int64),
             scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)))
         self._int_ops = _IntOperands(mats, mu_adc, dequant)
@@ -396,20 +393,6 @@ class _PlanBase:
                          out_dtype=out_dtype, requant=requant)
 
     # ---------------------------------------------------------------- #
-    @property
-    def ready(self) -> bool:
-        """Compiled plans are always executable for their signature."""
-        return True
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        """NumPy dtype the plan's arrays are stored (and executed) in."""
-        return np.dtype(self.dtype)
-
-    def _cast_input(self, x: np.ndarray) -> np.ndarray:
-        """View/copy the activation array in the plan's execution dtype."""
-        return np.asarray(x, dtype=self.np_dtype)
-
     def set_mode(self, mode: str) -> None:
         """Select the execution route: ``"float"`` (reference) or ``"int"``.
 
@@ -431,16 +414,9 @@ class _PlanBase:
                 "or re-save the artifact to enable mode='int'")
         self.mode = mode
 
-    def _int_route(self, variation) -> bool:
-        """True when this call executes on the integer route."""
-        if self.mode != "int" or self.requant is None:
-            return False
-        if variation is not None:
-            raise ValueError(
-                "device variation perturbs the programmed cells with float "
-                "noise and has no fixed-point equivalent; run variation "
-                "studies in mode='float'")
-        return True
+    def _int_route(self) -> bool:
+        """True when this plan executes on the integer route."""
+        return self.mode == "int" and self.requant is not None
 
     def _quantize_acts(self, x: np.ndarray) -> np.ndarray:
         """LSQ activation quantization: ``round(clamp(x / s_a))`` codes."""
@@ -453,7 +429,7 @@ class _PlanBase:
     def _quantize_acts_carrier(self, x: np.ndarray) -> np.ndarray:
         """Activation codes cast onto the integer route's GEMM carrier.
 
-        The divide/clamp/round runs in the plan dtype — bit-identical codes
+        The divide/clamp/round runs in ``float64`` — bit-identical codes
         to :meth:`_quantize_acts` — and only the final (exact, small-integer)
         values land in the carrier, fused into the rounding pass; with a
         ``float32`` carrier every downstream unfold and GEMM then moves half
@@ -470,49 +446,19 @@ class _PlanBase:
                               np.dtype(self.requant.gemm_dtype))
         return np.rint(a, out=codes, casting="unsafe")
 
-    def _varied_splits(self, variation) -> np.ndarray:
-        """Apply a device-variation model to the cached cell codes.
-
-        Delegates to the layers' own
-        :func:`~repro.core.pipeline.varied_splits` — same math, same RNG draw
-        order — so a frozen layer with the same
-        :class:`~repro.cim.variation.VariationModel` state produces the same
-        perturbed cells as the unfrozen one.
-        """
-        return varied_splits(self.splits, self.w_bar, variation)
-
-    def _varied_wsplit_mats(self, variation) -> list:
-        """Per-array ``(rows_a, S*OC)`` operands under device variation."""
-        s, _, _, oc = self.splits.shape
-        sv = self._varied_splits(variation)
-        return [np.ascontiguousarray(
-                    sv[:, i, :stop - start, :].transpose(1, 0, 2)
-                ).reshape(stop - start, s * oc)
-                for i, (start, stop) in enumerate(self.row_slices)]
-
-    def _varied_w_eff(self, variation) -> np.ndarray:
-        """Fused ``(in_features, OC)`` weight with variation folded through the shifts."""
-        sv = self._varied_splits(variation)
-        w_eff = (sv * self.shift_factors.reshape(-1, 1, 1, 1)).sum(axis=0) * self.s_w
-        return np.concatenate(
-            [w_eff[i, :stop - start, :]
-             for i, (start, stop) in enumerate(self.row_slices)], axis=0)
-
-    def _contract(self, cols_flat: np.ndarray, variation) -> np.ndarray:
+    def _contract(self, cols_flat: np.ndarray) -> np.ndarray:
         """Contract activation columns ``(NL, in_features)`` into ``(NL, OC)``.
 
         Dispatches between the fused single-GEMM path and the quantized
         (ADC-observing) path; see the module docstring for when each applies.
         """
         if not self.psum_quant_enabled:
-            w_eff = self.w_eff_valid if variation is None else self._varied_w_eff(variation)
-            return cols_flat @ w_eff
+            return cols_flat @ self.w_eff_valid
         nl = cols_flat.shape[0]
         s, oc = self.n_splits, self.out_channels
-        w_mats = self.w_split_mats if variation is None else self._varied_wsplit_mats(variation)
         out = np.zeros((nl, oc), dtype=cols_flat.dtype)
         for i, (start, stop) in enumerate(self.row_slices):
-            p = cols_flat[:, start:stop] @ w_mats[i]        # (NL, S*OC) partial sums
+            p = cols_flat[:, start:stop] @ self.w_split_mats[i]  # (NL, S*OC) psums
             p = p.reshape(nl, s, oc)
             p /= self.s_p_full[i]
             np.clip(p, self.psum_qmin, self.psum_qmax, out=p)
@@ -685,7 +631,7 @@ class ConvPlan(_PlanBase):
 
     layer_type = "conv2d"
 
-    def execute(self, x: np.ndarray, variation=None,
+    def execute(self, x: np.ndarray,
                 fold: Optional[LayerFold] = None) -> np.ndarray:
         """Run the frozen forward on a ``(N, C, H, W)`` activation array.
 
@@ -693,10 +639,10 @@ class ConvPlan(_PlanBase):
         model graph assigns this layer; without it the integer route
         quantizes a float input and dequantizes its output.
         """
-        int_route = self._int_route(variation)
+        int_route = self._int_route()
         codes_in = int_route and fold is not None and fold.codes_in
         if not codes_in:
-            x = self._cast_input(x)
+            x = np.asarray(x, dtype=np.float64)
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
@@ -713,7 +659,7 @@ class ConvPlan(_PlanBase):
                               layout="nlk")                 # (N, L, D)
         # explicit D (not -1): zero-row batches make -1 ambiguous
         cols_flat = cols.reshape(n * length, cols.shape[2])
-        out = self._contract(cols_flat, variation)          # (NL, OC)
+        out = self._contract(cols_flat)                     # (NL, OC)
         if self.act_scale is not None:
             out *= self.act_scale
         out = out.reshape(n, length, self.out_channels).transpose(0, 2, 1)
@@ -769,16 +715,16 @@ class LinearPlan(_PlanBase):
 
     layer_type = "linear"
 
-    def execute(self, x: np.ndarray, variation=None,
+    def execute(self, x: np.ndarray,
                 fold: Optional[LayerFold] = None) -> np.ndarray:
         """Run the frozen forward on a ``(N, in_features)`` activation array.
 
         ``fold`` has the meaning documented on :meth:`ConvPlan.execute`.
         """
-        int_route = self._int_route(variation)
+        int_route = self._int_route()
         codes_in = int_route and fold is not None and fold.codes_in
         if not codes_in:
-            x = self._cast_input(x)
+            x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (N, {self.in_features}), got {x.shape}")
@@ -786,7 +732,7 @@ class LinearPlan(_PlanBase):
             a = x if codes_in else self._quantize_acts_carrier(x)
             return self._run_int(a, fold, (x.shape[0], self.out_channels))
         a = self._quantize_acts(x)
-        out = self._contract(a, variation)                  # (N, OC)
+        out = self._contract(a)                             # (N, OC)
         if self.act_scale is not None:
             out *= self.act_scale
         if self.bias is not None:
@@ -797,21 +743,7 @@ class LinearPlan(_PlanBase):
 # --------------------------------------------------------------------------- #
 # compilation
 # --------------------------------------------------------------------------- #
-def normalize_dtype(dtype) -> str:
-    """Canonical plan-dtype name (``"float64"`` / ``"float32"``) for ``dtype``.
-
-    Accepts the canonical strings, NumPy dtypes and dtype-like objects; any
-    other width is rejected — plans are pure floating-point GEMM recipes and
-    only ship in the two widths the engine supports.
-    """
-    name = np.dtype(dtype).name
-    if name not in ("float64", "float32"):
-        raise ValueError(f"unsupported plan dtype {name!r}; "
-                         "expected 'float64' or 'float32'")
-    return name
-
-
-def _snapshot_common(layer, signature, dtype: str) -> dict:
+def _snapshot_common(layer, signature) -> dict:
     """Detached copies of everything both plan kinds cache.
 
     Compiled from the layer's own stage list: each
@@ -821,18 +753,17 @@ def _snapshot_common(layer, signature, dtype: str) -> dict:
     :class:`~repro.core.pipeline.LayerGeometry` contributes the structural
     fields.  The plan never re-derives stage math.
     """
-    state = layer.pipeline.compile_state(dtype=np.dtype(dtype))
+    state = layer.pipeline.compile_state()
     state["signature"] = signature
-    state["dtype"] = dtype
     return state
 
 
-def compile_conv_plan(layer, dtype="float64") -> ConvPlan:
+def compile_conv_plan(layer) -> ConvPlan:
     """Compile a :class:`~repro.core.cim_conv.CIMConv2d` into a :class:`ConvPlan`.
 
     Raises :class:`PlanNotReadyError` if the layer's lazily-initialized LSQ
-    scales have not yet observed a batch.  ``dtype`` selects the execution
-    precision of the compiled plan (QAT Tensor math stays float64).
+    scales have not yet observed a batch.  The plan executes in ``float64``,
+    the precision of the QAT Tensor math it snapshots.
     """
     signature = layer_signature(layer)
     if not signature_ready(signature):
@@ -843,10 +774,10 @@ def compile_conv_plan(layer, dtype="float64") -> ConvPlan:
                     kernel_size=layer.kernel_size,
                     stride=layer.stride,
                     padding=layer.padding,
-                    **_snapshot_common(layer, signature, normalize_dtype(dtype)))
+                    **_snapshot_common(layer, signature))
 
 
-def compile_linear_plan(layer, dtype="float64") -> LinearPlan:
+def compile_linear_plan(layer) -> LinearPlan:
     """Compile a :class:`~repro.core.cim_linear.CIMLinear` into a :class:`LinearPlan`."""
     signature = layer_signature(layer)
     if not signature_ready(signature):
@@ -854,17 +785,17 @@ def compile_linear_plan(layer, dtype="float64") -> LinearPlan:
             "activation / partial-sum quantizers are uninitialized; run one "
             "forward pass (or freeze with calibrate=...) before compiling")
     return LinearPlan(in_features=layer.in_features,
-                      **_snapshot_common(layer, signature, normalize_dtype(dtype)))
+                      **_snapshot_common(layer, signature))
 
 
-def compile_plan(layer, dtype="float64"):
+def compile_plan(layer):
     """Compile a plan for any CIM layer (dispatch on the layer type)."""
     from ..core.cim_conv import CIMConv2d
     from ..core.cim_linear import CIMLinear
     if isinstance(layer, CIMConv2d):
-        return compile_conv_plan(layer, dtype=dtype)
+        return compile_conv_plan(layer)
     if isinstance(layer, CIMLinear):
-        return compile_linear_plan(layer, dtype=dtype)
+        return compile_linear_plan(layer)
     raise TypeError(f"cannot compile a plan for {type(layer).__name__}")
 
 
@@ -895,7 +826,6 @@ def plan_meta(plan) -> dict:
         "psum_qmin": plan.psum_qmin,
         "psum_qmax": plan.psum_qmax,
         "signature": list(plan.signature),
-        "dtype": plan.dtype,
         "mapping": mapping_to_dict(plan.mapping),
         "requant": None if plan.requant is None else plan.requant.meta(),
     }
@@ -940,7 +870,6 @@ def plan_from_parts(meta: dict, arrays: dict):
         psum_qmin=float(meta["psum_qmin"]),
         psum_qmax=float(meta["psum_qmax"]),
         signature=tuple(meta["signature"]),
-        dtype=normalize_dtype(meta.get("dtype", "float64")),
         mapping=mapping_from_dict(meta["mapping"]),
         requant=(None if meta.get("requant") is None else
                  RequantConstants.from_parts(meta["requant"], arrays)),

@@ -58,7 +58,7 @@ def empty_batch_result(plan, batch: np.ndarray) -> np.ndarray:
             "empty predict() input must keep its sample axes, e.g. "
             "shape (0, C, H, W); a bare (0,) array carries no "
             "geometry to infer the output shape from")
-    empty = np.empty((0,) + batch.shape[1:], dtype=plan.np_dtype)
+    empty = np.empty((0,) + batch.shape[1:], dtype=np.float64)
     return np.asarray(plan.execute(empty))
 
 
@@ -147,7 +147,7 @@ class PlanExecutor:
     ----------
     plan:
         The model plan (or any object with a compatible
-        ``execute(x, timings=...)`` method and ``np_dtype``).
+        ``execute(x, timings=...)`` method taking ``float64`` batches).
     collect_timings:
         When true (default), per-node wall-clock seconds accumulate into
         :attr:`stats`; disable to shave the bookkeeping off the hot path.
@@ -301,10 +301,9 @@ class InferenceRunner:
     # ------------------------------------------------------------------ #
     def _ensure_staging(self, sample: np.ndarray) -> np.ndarray:
         staging = self._staging
-        if (staging is None or staging.shape[1:] != sample.shape
-                or staging.dtype != self.plan.np_dtype):
+        if staging is None or staging.shape[1:] != sample.shape:
             staging = np.empty((self.batch_size,) + sample.shape,
-                               dtype=self.plan.np_dtype)
+                               dtype=np.float64)
             self._staging = staging
         return staging
 
@@ -360,7 +359,7 @@ class InferenceRunner:
         done = 0
         for start in range(0, batch.shape[0], self.batch_size):
             chunk = np.asarray(batch[start:start + self.batch_size],
-                               dtype=self.plan.np_dtype)
+                               dtype=np.float64)
             staging = self._ensure_staging(chunk[0])
             staging[:chunk.shape[0]] = chunk
             out = self._flush(chunk.shape[0])

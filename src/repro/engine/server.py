@@ -285,8 +285,8 @@ class PlanServer:
     Parameters
     ----------
     plan:
-        A :class:`~repro.engine.model_plan.ModelPlan` (or any executor with a
-        compatible ``execute``/``np_dtype`` surface), **or** a path to a
+        A :class:`~repro.engine.model_plan.ModelPlan` (or any executor
+        whose ``execute`` takes ``float64`` batches), **or** a path to a
         saved artifact — paths go through :func:`load_plan_cached`, so
         serving the same file twice reuses the parsed plan.
     n_shards:
@@ -471,7 +471,7 @@ class PlanServer:
                     timeout: Optional[float] = None) -> List[Future]:
         """Queue all samples as one unit; futures come back in input order.
 
-        Thread-safe.  Each sample is cast to the plan dtype and copied, so
+        Thread-safe.  Each sample is cast to ``float64`` and copied, so
         the caller's arrays can be reused immediately.  The rows enter the
         batcher in one :meth:`~repro.engine.scheduler.DynamicBatcher.put_many`
         call: contiguous, never split by a shard waking on the first row
@@ -486,7 +486,7 @@ class PlanServer:
         """
         if self._closed:
             raise ServerClosed("server is closed")
-        payloads = [np.array(sample, dtype=self.plan.np_dtype, copy=True)
+        payloads = [np.array(sample, dtype=np.float64, copy=True)
                     for sample in samples]
         with self._seq_lock:
             first = self._seq

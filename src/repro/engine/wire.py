@@ -89,9 +89,9 @@ class ReloadRejected(WireError):
     reason = "reload rejected"
 
 
-def decode_predict_request(body: bytes, dtype,
+def decode_predict_request(body: bytes,
                            max_samples: Optional[int] = None) -> np.ndarray:
-    """Parse a predict body into a ``(N, *sample_shape)`` batch array.
+    """Parse a predict body into a ``float64`` ``(N, *sample_shape)`` batch.
 
     Applies the protocol checks that need no model knowledge: valid JSON
     object, an ``"inputs"`` field, rectangular numeric content, an explicit
@@ -110,7 +110,7 @@ def decode_predict_request(body: bytes, dtype,
     if "inputs" not in payload:
         raise BadRequest('body is missing the "inputs" field')
     try:
-        batch = np.asarray(payload["inputs"], dtype=dtype)
+        batch = np.asarray(payload["inputs"], dtype=np.float64)
     except (TypeError, ValueError) as error:
         raise BadRequest(
             f'"inputs" must be a rectangular numeric array: {error}'

@@ -480,7 +480,7 @@ class TestAdcShiftCap:
     def test_verified_multipliers_respect_the_cap(self):
         rng = np.random.default_rng(9)
         s_p = np.exp(rng.uniform(-4, 3, size=64))
-        m0, shift, _ = _verified_adc_multipliers(s_p, QMIN, QMAX, np.float64)
+        m0, shift, _ = _verified_adc_multipliers(s_p, QMIN, QMAX)
         assert int(shift.max()) <= CAP and int(shift.min()) >= 0
         assert int(m0.min()) >= 0
 

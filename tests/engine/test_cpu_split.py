@@ -93,7 +93,7 @@ class TestSplitRunner:
         plan, x = int_plan
         force_workers(monkeypatch, 2)
         out = engine.InferenceRunner(plan).predict(x[:0])
-        assert out.shape == (0, 5) and out.dtype == plan.np_dtype
+        assert out.shape == (0, 5) and out.dtype == np.float64
         executor = engine.PlanExecutor(plan)
         assert executor.execute_batch(x[:0], workers=2).shape == (0, 5)
 
@@ -178,8 +178,6 @@ class RecordingPlan:
     """Stub plan: doubles its input, records each call's row range (read
     off :func:`row_ids` values) and thread, and reports ``rows`` ms for one
     node in ``timings``."""
-
-    np_dtype = np.dtype(np.float64)
 
     def __init__(self, delay: float = 0.0, fail_from: int = -1):
         self.delay = delay

@@ -5,7 +5,9 @@ import pytest
 
 from repro import engine
 from repro.cim import CIMConfig, QuantScheme, VariationModel
-from repro.core import CIMConv2d, CIMLinear, PartialSumRecorder, set_psum_quant_enabled
+from repro.core import (CIMConv2d, CIMLinear, PartialSumRecorder, apply_variation,
+                        set_psum_quant_enabled)
+from repro.engine.plan import ConvPlan, LinearPlan
 from repro.models import TinyCNN
 from repro.nn import Tensor
 
@@ -230,3 +232,73 @@ class TestFallbacks:
         engine.thaw(model)
         assert all(not layer.psum_quant_enabled
                    for layer in [model.features[0], model.features[3], model.fc])
+
+
+def refuse_plan_execute(monkeypatch):
+    """Make every compiled plan raise if it is asked to execute."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("plan.execute ran under an enabled variation model")
+    for plan_cls in (ConvPlan, LinearPlan):
+        monkeypatch.setattr(plan_cls, "execute", refuse)
+
+
+class TestVariationFallback:
+    """A plan is a deterministic recipe: while an enabled variation model is
+    attached, a frozen layer runs the seed forward and never its plan."""
+
+    @staticmethod
+    def calibrated(kind, cfg, rng):
+        if kind == "conv":
+            layer, x = make_conv(cfg, QuantScheme()), eval_input(rng, (2, 6, 6, 6))
+        else:
+            layer = CIMLinear(40, 10, scheme=QuantScheme(), cim_config=cfg,
+                              rng=np.random.default_rng(3))
+            x = eval_input(rng, (4, 40))
+        layer.eval()
+        layer(x)  # initialize quantizers, so freeze compiles a plan
+        return layer, x
+
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_enabled_variation_never_runs_the_plan(self, rng, cfg, monkeypatch,
+                                                   kind):
+        layer, x = self.calibrated(kind, cfg, rng)
+        frozen = engine.freeze(layer)
+        assert frozen.plan is not None
+        refuse_plan_execute(monkeypatch)
+        frozen.set_variation(VariationModel(sigma=0.1, seed=7))
+        out = frozen(x).data.copy()
+        layer.set_variation(VariationModel(sigma=0.1, seed=7))
+        np.testing.assert_array_equal(out, layer(x).data)
+
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_disabled_variation_runs_the_plan(self, rng, cfg, monkeypatch,
+                                              kind):
+        layer, x = self.calibrated(kind, cfg, rng)
+        ref = layer(x).data.copy()
+        frozen = engine.freeze(layer)
+        frozen.set_variation(VariationModel(sigma=0.0, seed=7))
+        calls = []
+        for plan_cls in (ConvPlan, LinearPlan):
+            original = plan_cls.execute
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(plan_cls, "execute", counted)
+        np.testing.assert_allclose(frozen(x).data, ref, atol=1e-10)
+        assert calls == [type(frozen.plan).__name__]
+
+    def test_apply_variation_after_freeze_reaches_the_seed_path(
+            self, rng, cfg, monkeypatch):
+        """``apply_variation`` on a frozen model sets the variation model on
+        the wrapped layers directly; the check at forward time still sees
+        it, and the frozen model draws the unfrozen model's cells."""
+        model = TinyCNN(num_classes=4, scheme=QuantScheme(), cim_config=cfg)
+        x = eval_input(rng, (2, 3, 8, 8))
+        engine.freeze(model, calibrate=x)
+        assert apply_variation(model, VariationModel(sigma=0.1, seed=3)) == 3
+        with monkeypatch.context() as patch:
+            refuse_plan_execute(patch)
+            out = model(x).data.copy()
+        engine.thaw(model)
+        apply_variation(model, VariationModel(sigma=0.1, seed=3))
+        np.testing.assert_array_equal(out, model(x).data)

@@ -12,7 +12,7 @@ arithmetic only (the float boundaries with Python floats, which are IEEE
 with the executed route on ``resnet_tiny``,
 on the golden int fixtures (so a fixture cannot be silently re-blessed),
 on TinyCNN, MLP and ResNet-8 plans with and without partial-sum
-quantization in both plan dtypes, and on randomized residual graphs covering identity and 1x1 shortcuts,
+quantization, and on randomized residual graphs covering identity and 1x1 shortcuts,
 ReLU6, negative and zero BatchNorm gamma, near-zero partial-sum scales,
 batch sizes 1 and 0, and activation scales spread past 1000x.
 """
@@ -69,7 +69,7 @@ def _codes_of(lp, x, fold) -> np.ndarray:
     """The layer's input codes: given, or its own float input quantizer."""
     if fold.codes_in:
         return _ints(x)
-    x = np.asarray(x, dtype=lp.np_dtype)
+    x = np.asarray(x, dtype=np.float64)
     # the float boundary of a layer fed float input: LSQ's round(clip(x/s))
     return _ints(np.rint(np.clip(x / lp.act_scale, lp.act_qmin,
                                  lp.act_qmax)))
@@ -210,7 +210,7 @@ def oracle(plan, x) -> np.ndarray:
     """The folded integer graph of ``plan`` evaluated by :func:`oracle_node`."""
     assert plan.mode == "int"
     nodes, output_id = plan.graph()
-    values = {0: np.asarray(x, dtype=plan.np_dtype)}
+    values = {0: np.asarray(x, dtype=np.float64)}
     for node in nodes[1:]:
         values[node.id] = oracle_node(plan, node,
                                       [values[i] for i in node.inputs])
@@ -230,8 +230,7 @@ def resnet_tiny():
     return _load_tool("make_golden_fixtures")._build_resnet_tiny()
 
 
-def random_residual_plan(seed: int, quantize_psum: bool = True,
-                         dtype: str = "float64"):
+def random_residual_plan(seed: int, quantize_psum: bool = True):
     """A calibrated ResNet-8 with its edge cases forced in.
 
     Identity (stage 0) and 1x1 (stages 1-2) shortcuts come with the
@@ -260,12 +259,12 @@ def random_residual_plan(seed: int, quantize_psum: bool = True,
         for layer in (block.conv1, model.stages[2][0].conv2):
             s_p = layer.psum_quant.scale.data
             s_p.reshape(-1)[::3] = 1e-8
-    plan = engine.compile_model_plan(model, calibrate=calib, dtype=dtype)
+    plan = engine.compile_model_plan(model, calibrate=calib)
     x = np.abs(rng.normal(size=(3, 3, 8, 8))) * 2
     return plan, x
 
 
-def model_kind_plan(kind: str, quantize_psum: bool, dtype: str):
+def model_kind_plan(kind: str, quantize_psum: bool):
     """A calibrated TinyCNN, MLP or ResNet-8 plan, plus an eval batch."""
     rng = np.random.default_rng(7)
     cfg = CIMConfig(array_rows=32, array_cols=32, cell_bits=1, adc_bits=3)
@@ -284,8 +283,8 @@ def model_kind_plan(kind: str, quantize_psum: bool, dtype: str):
     with no_grad():
         model(Tensor(x))
     model.eval()
-    plan = engine.compile_model_plan(model, calibrate=x, dtype=dtype)
-    return plan, x.astype(plan.np_dtype)
+    plan = engine.compile_model_plan(model, calibrate=x)
+    return plan, x
 
 
 def spread_plan(tiny: float):
@@ -363,19 +362,17 @@ def test_random_residual_graph_full_batch_bit_exact():
     assert np.all(np.isfinite(out))
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_fused_route_graph_bit_exact(dtype):
-    plan, x = random_residual_plan(5, quantize_psum=False, dtype=dtype)
+def test_fused_route_graph_bit_exact():
+    plan, x = random_residual_plan(5, quantize_psum=False)
     assert_route_matches_oracle(plan, x[:2])
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("quantize_psum", [True, False])
 @pytest.mark.parametrize("kind", ["conv", "linear", "resnet"])
-def test_model_kinds_bit_exact(kind, quantize_psum, dtype):
-    """Every model family, with and without partial-sum quantization, in
-    both plan dtypes; rows of a smaller batch equal the full batch's."""
-    plan, x = model_kind_plan(kind, quantize_psum, dtype)
+def test_model_kinds_bit_exact(kind, quantize_psum):
+    """Every model family, with and without partial-sum quantization; rows
+    of a smaller batch equal the full batch's."""
+    plan, x = model_kind_plan(kind, quantize_psum)
     out = assert_route_matches_oracle(plan, x)
     np.testing.assert_array_equal(plan.execute(x[:1]), out[:1])
     assert plan.execute(x[:0]).shape == (0,) + out.shape[1:]
@@ -538,7 +535,7 @@ def test_fallback_boundaries_bit_exact():
             layer.eval()
             layer(Tensor(calib))
         convs.append(engine.compile_conv_plan(layer))
-    graph = engine.GraphBuilder("float64")
+    graph = engine.GraphBuilder()
     c1 = graph.add_layer_plan(convs[0], [0], name="c1")
     bn = graph.add_op("batchnorm", [c1], name="bn", arrays={
         "mean": np.array([0.1, -0.2, 0.3]), "denom": np.array([1.5, 0.7, 2.0]),

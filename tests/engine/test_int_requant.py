@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.cim import CIMConfig, QuantScheme, VariationModel
+from repro.cim import CIMConfig, QuantScheme
 from repro.core import CIMConv2d, CIMLinear
 from repro.core.requant import (INT32_MAX, CarrierRangeError, adc_shift_cap,
                                 carrier_multiplier, requantize_up)
@@ -138,7 +138,7 @@ class TestLayerDifferential:
         plan = compile_layer(layer)
         plan.set_mode("int")
         rq = plan.requant
-        codes = plan._quantize_acts(np.asarray(x, plan.np_dtype))
+        codes = plan._quantize_acts(np.asarray(x, np.float64))
         codes = codes.astype(np.int64)
         acc = np.zeros((codes.shape[0], plan.out_channels), dtype=np.int64)
         for i, (start, stop) in enumerate(plan.row_slices):
@@ -147,7 +147,7 @@ class TestLayerDifferential:
         if rq.bias_q is not None:
             acc += rq.bias_q
         unit = np.ldexp(rq.s_out.astype(np.float64), -rq.shift)
-        want = np.multiply(acc, unit, dtype=np.float64).astype(plan.np_dtype)
+        want = np.multiply(acc, unit, dtype=np.float64)
         np.testing.assert_array_equal(plan.execute(x), want)
 
 
@@ -256,16 +256,6 @@ class TestModeContract:
         with pytest.raises(ValueError, match="unknown execution mode"):
             plan.set_mode("int8")
 
-    def test_variation_on_int_route_raises(self):
-        layer, x = make_layer("conv", True, (32, 1), 1)
-        plan = compile_layer(layer)
-        plan.set_mode("int")
-        with pytest.raises(ValueError, match="variation"):
-            plan.execute(x, variation=VariationModel(sigma=0.1, seed=0))
-        # float mode still accepts variation
-        plan.set_mode("float")
-        plan.execute(x, variation=VariationModel(sigma=0.1, seed=0))
-
     def test_plan_without_requant_refuses_int(self):
         layer, _ = make_layer("linear", False, (32, 1), 1)
         plan = compile_layer(layer)
@@ -291,20 +281,6 @@ class TestModeContract:
         plan.set_mode("int")
         np.testing.assert_array_equal(plan.execute(x), ref)
 
-    def test_int_mode_float32_plan_executes(self):
-        """Requant constants survive the narrowing cast: a float32 plan
-        still carries full-precision multipliers and runs the int route."""
-        layer, x = make_layer("conv", True, (32, 1), 4)
-        state = layer.pipeline.compile_state(dtype=np.float32)
-        assert state["requant"] is not None
-        plan = compile_layer(layer)
-        f32 = engine.compile_conv_plan(layer, dtype="float32")
-        f32.set_mode("int")
-        plan.set_mode("int")
-        out32, out64 = f32.execute(x), plan.execute(x)
-        assert out32.dtype == np.float32
-        assert np.abs(out32.astype(np.float64) - out64).max() <= 1e-4
-
 
 # --------------------------------------------------------------------------- #
 # the float64-carrier ADC stage against its int64 reference
@@ -324,7 +300,7 @@ def int64_reference(plan, cols: np.ndarray) -> np.ndarray:
     if rq.bias_q is not None:
         acc += rq.bias_q
     unit = np.ldexp(rq.s_out.astype(np.float64), -rq.shift)
-    return np.multiply(acc, unit, dtype=np.float64).astype(plan.np_dtype)
+    return np.multiply(acc, unit, dtype=np.float64)
 
 
 def run_int(plan, cols: np.ndarray, carrier: str = "auto") -> np.ndarray:

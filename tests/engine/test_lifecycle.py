@@ -42,8 +42,6 @@ from concurrent.futures import Future
 class ToyPlan:
     """``2x + 1`` over arbitrary trailing shape — fast structural target."""
 
-    np_dtype = np.dtype(np.float64)
-
     def execute(self, x, timings=None):
         return np.asarray(x) * 2.0 + 1.0
 

@@ -11,6 +11,8 @@ Acceptance criteria pinned here:
 * corrupted archives fail loudly with :class:`engine.ModelPlanError`.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -65,26 +67,21 @@ def build_calibrated(kind: str, quantize_psum: bool = True):
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("quantize_psum", [True, False])
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_save_load_parity(self, tmp_path, kind, quantize_psum, dtype):
+    def test_save_load_parity(self, tmp_path, kind, quantize_psum):
         """Saved-then-loaded plans match the frozen in-process model <= 1e-10
-        (float64) and their own pre-save execution exactly (both dtypes)."""
+        and their own pre-save execution exactly."""
         model, x = build_calibrated(kind, quantize_psum)
         engine.freeze(model)
         reference = model(Tensor(x)).data.copy()
-        plan = engine.compile_model_plan(model, dtype=dtype)
+        plan = engine.compile_model_plan(model)
         path = tmp_path / f"{kind}.npz"
         engine.save_model_plan(plan, path)
         loaded = engine.load_plan(path)
         assert isinstance(loaded, engine.ModelPlan)
-        assert loaded.dtype == dtype
         out = loaded.execute(x)
+        assert out.dtype == np.float64
         np.testing.assert_array_equal(out, plan.execute(x))
-        if dtype == "float64":
-            assert np.abs(out - reference).max() <= 1e-10
-        else:
-            assert out.dtype == np.float32
-            assert np.abs(out - reference).max() <= 1e-2
+        assert np.abs(out - reference).max() <= 1e-10
 
     def test_non_power_of_two_pooling_stays_exact(self):
         """Global pooling over a 3x3 map divides by 9; the executor must use
@@ -252,9 +249,55 @@ class TestErrorPaths:
         with pytest.raises(engine.ModelPlanError, match="graph-capture hook"):
             engine.compile_model_plan(Weird())
 
-    def test_unsupported_dtype_rejected(self):
-        with pytest.raises(ValueError, match="unsupported plan dtype"):
-            engine.normalize_dtype("float16")
+    @staticmethod
+    def _rewrite_manifest(path, edit):
+        with np.load(path) as archive:
+            manifest = json.loads(bytes(archive["__manifest__"]).decode())
+            arrays = {k: archive[k] for k in archive.files if k != "__manifest__"}
+        edit(manifest)
+        np.savez(path, __manifest__=np.frombuffer(
+            json.dumps(manifest).encode(), dtype=np.uint8), **arrays)
+
+    @pytest.mark.parametrize("where", ["manifest", "layer"])
+    def test_stored_float32_plan_must_be_recompiled(self, tmp_path, where):
+        """Plans execute in float64 only: an artifact that stored a float32
+        plan, at the top level or in one layer document, is refused."""
+        model, _ = build_calibrated("linear", False)
+        path = tmp_path / "plan.npz"
+        engine.save_model_plan(engine.compile_model_plan(model), path)
+
+        def to_float32(manifest):
+            doc = manifest if where == "manifest" else manifest["layers"][-1]
+            doc["dtype"] = "float32"
+
+        self._rewrite_manifest(path, to_float32)
+        with pytest.raises(engine.ModelPlanError, match="recompile"):
+            engine.load_plan(path)
+
+    def test_dtype_key_absent_or_float64_loads(self, tmp_path):
+        """The writer stores no dtype key; a stored "float64" (older
+        writers) loads to the same plan."""
+        model, x = build_calibrated("conv", True)
+        path = tmp_path / "plan.npz"
+        plan = engine.compile_model_plan(model)
+        engine.save_model_plan(plan, path)
+        with np.load(path) as archive:
+            manifest = json.loads(bytes(archive["__manifest__"]).decode())
+        assert "dtype" not in manifest
+        assert all("dtype" not in meta for meta in manifest["layers"])
+
+        def to_float64(manifest):
+            for doc in [manifest] + manifest["layers"]:
+                doc["dtype"] = "float64"
+
+        self._rewrite_manifest(path, to_float64)
+        np.testing.assert_array_equal(engine.load_plan(path).execute(x),
+                                      plan.execute(x))
+
+    def test_plan_dtype_argument_is_gone(self):
+        model, _ = build_calibrated("linear", False)
+        with pytest.raises(TypeError):
+            engine.compile_model_plan(model, dtype="float32")
 
     def test_enabled_variation_model_rejected(self):
         """Model plans are deterministic artifacts: an enabled variation
@@ -273,7 +316,7 @@ class TestReluSemantics:
     def test_interpreted_relu_maps_nan_to_zero(self):
         """The single-pass ``np.fmax`` ReLU keeps the documented NaN -> 0
         semantics."""
-        builder = engine.GraphBuilder("float64")
+        builder = engine.GraphBuilder()
         relu = builder.add_op("relu", [0], name="relu")
         plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
                                 output_id=relu)
@@ -367,7 +410,7 @@ class TestInterpreterOps:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 2, 3, 3)) * 4.0
         if op == "add":
-            builder = engine.GraphBuilder("float64")
+            builder = engine.GraphBuilder()
             pre = builder.add_op("relu6", [0], name="pre")
             out = builder.add_op("add", [pre, 0], name="add")
             plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
@@ -411,7 +454,7 @@ class TestInterpreterOps:
             plan.execute(np.zeros((2, x.shape[1] + 1)))
 
     def test_unknown_op_raises(self):
-        builder = engine.GraphBuilder("float64")
+        builder = engine.GraphBuilder()
         bad = builder.add_op("fft", [0], name="bad")
         plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
                                 output_id=bad)
@@ -449,7 +492,7 @@ class TestInterpreterOps:
 
     def test_multi_consumer_value(self):
         """A value read by two nodes stays live until its last reader."""
-        builder = engine.GraphBuilder("float64")
+        builder = engine.GraphBuilder()
         bn = builder.add_op("batchnorm", [0], name="bn",
                             arrays={"mean": np.array([0.5, -0.25]),
                                     "denom": np.array([2.0, 0.5])})
@@ -468,7 +511,7 @@ class TestInterpreterOps:
     def test_graph_output_read_by_a_later_node(self):
         """The output value is never freed or overwritten, even when a node
         after it reads it."""
-        builder = engine.GraphBuilder("float64")
+        builder = engine.GraphBuilder()
         bn = builder.add_op("batchnorm", [0], name="bn",
                             arrays={"mean": np.zeros(2), "denom": np.ones(2)})
         builder.add_op("relu", [bn], name="relu")
@@ -543,7 +586,7 @@ class TestModeSwitching:
         plan.set_mode(mode)
         nodes, _ = plan.graph()
         lines = plan.summary().splitlines()
-        assert lines[0] == (f"ModelPlan(ResNet, dtype=float64, mode={mode}, "
+        assert lines[0] == (f"ModelPlan(ResNet, mode={mode}, "
                             f"{plan.n_cim_layers} CIM layers, "
                             f"{len(nodes) - 1} ops)")
         assert len(lines) == len(nodes)

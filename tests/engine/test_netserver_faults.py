@@ -27,8 +27,6 @@ from repro.engine import wire
 class ToyPlan:
     """``2x + 1`` over arbitrary trailing shape — fast structural target."""
 
-    np_dtype = np.dtype(np.float64)
-
     def execute(self, x, timings=None):
         x = np.asarray(x)
         if x.ndim < 2:
@@ -81,21 +79,21 @@ def test_wire_rejects_broken_json_as_400():
                  b'{"no_inputs": 1}', b'{"inputs": "strings"}',
                  b'{"inputs": [[1], [2, 3]]}'):   # ragged
         with pytest.raises(wire.BadRequest):
-            wire.decode_predict_request(body, np.float64)
+            wire.decode_predict_request(body)
 
 
 def test_wire_rejects_unrunnable_shapes_as_422():
     with pytest.raises(wire.UnprocessableInput):
-        wire.decode_predict_request(b'{"inputs": [1.0, 2.0]}', np.float64)
+        wire.decode_predict_request(b'{"inputs": [1.0, 2.0]}')
     with pytest.raises(wire.UnprocessableInput):
-        wire.decode_predict_request(b'{"inputs": []}', np.float64)
+        wire.decode_predict_request(b'{"inputs": []}')
 
 
 def test_wire_rejects_oversized_batches_as_413():
     body = json.dumps({"inputs": [[1.0]] * 9}).encode()
     with pytest.raises(wire.PayloadTooLarge):
-        wire.decode_predict_request(body, np.float64, max_samples=8)
-    batch = wire.decode_predict_request(body, np.float64, max_samples=9)
+        wire.decode_predict_request(body, max_samples=8)
+    batch = wire.decode_predict_request(body, max_samples=9)
     assert batch.shape == (9, 1)
 
 

@@ -120,8 +120,6 @@ def test_concurrent_clients_bit_identical(artifact):
 class SlowPlan:
     """A deliberately slow toy plan to force saturation deterministically."""
 
-    np_dtype = np.dtype(np.float64)
-
     def __init__(self, delay_s: float):
         self.delay_s = delay_s
 

@@ -75,7 +75,7 @@ class TestMicroBatching:
         """An array returned by execute_batch is the caller's: a second batch
         through the same executor leaves it unchanged, whatever op produces
         the graph output."""
-        builder = engine.GraphBuilder("float64")
+        builder = engine.GraphBuilder()
         bn = builder.add_op("batchnorm", [0], name="bn",
                             arrays={"mean": np.array([0.5, -0.25]),
                                     "denom": np.array([2.0, 0.5])})
@@ -107,7 +107,7 @@ class TestMicroBatching:
         runner = engine.InferenceRunner(plan)
         out = runner.predict(x[:0])
         assert out.shape == (0, 4)
-        assert out.dtype == plan.np_dtype
+        assert out.dtype == np.float64
         assert runner.stats.samples == 0 and runner.stats.batches == 0
 
     def test_empty_predict_without_sample_axes_raises(self, plan_and_data):
@@ -197,21 +197,10 @@ class TestStats:
         through: direct use gives identical outputs and equivalent stats."""
         _, plan, x = plan_and_data
         executor = engine.PlanExecutor(plan)
-        direct = executor.execute_batch(np.asarray(x[:4], dtype=plan.np_dtype))
+        direct = executor.execute_batch(np.asarray(x[:4], dtype=np.float64))
         runner = engine.InferenceRunner(plan, batch_size=4)
         np.testing.assert_array_equal(direct, runner.predict(x[:4]))
         assert executor.stats.samples == 4 and executor.stats.batches == 1
         assert runner.executor.stats.samples == 4
         assert set(executor.stats.layer_calls) == \
             set(runner.stats.layer_calls)
-
-    def test_float32_plan_runs(self, plan_and_data, tmp_path):
-        """The runner serves half-width artifacts end to end (save/load/run)."""
-        model, plan, x = plan_and_data
-        path = tmp_path / "f32.npz"
-        engine.save_model_plan(engine.compile_model_plan(model, dtype="float32"),
-                               path)
-        loaded = engine.load_plan(path)
-        out = engine.InferenceRunner(loaded, batch_size=4).predict(x)
-        assert out.dtype == np.float32
-        assert np.abs(out - plan.execute(x)).max() <= 1e-2

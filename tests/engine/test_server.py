@@ -28,8 +28,6 @@ from repro.nn.tensor import no_grad
 class ToyPlan:
     """Minimal executor: ``2x + 1`` with recorded batch sizes and a delay knob."""
 
-    np_dtype = np.dtype(np.float64)
-
     def __init__(self, delay: float = 0.0):
         self.batch_sizes = []
         self.delay = delay
@@ -137,7 +135,7 @@ class TestOrderingAndParity:
         with engine.PlanServer(plan, n_shards=1) as server:
             out = server.predict(x[:0])
         assert out.shape == (0, 4)
-        assert out.dtype == plan.np_dtype
+        assert out.dtype == np.float64
 
 
 class TestPlanCache:

@@ -68,12 +68,11 @@ def _artifact_bytes(plan) -> np.ndarray:
 
 def _one_node(layer_plan) -> engine.ModelPlan:
     """A compiled layer plan wrapped as a one-node model plan."""
-    builder = engine.GraphBuilder(layer_plan.dtype)
+    builder = engine.GraphBuilder()
     output_id = builder.add_layer_plan(layer_plan, [builder.input_id])
     return engine.ModelPlan(nodes=builder.nodes,
                             layer_plans=builder.layer_plans,
-                            output_id=output_id, dtype=layer_plan.dtype,
-                            name=layer_plan.layer_type)
+                            output_id=output_id, name=layer_plan.layer_type)
 
 
 def _build_conv():
