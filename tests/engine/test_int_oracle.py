@@ -378,6 +378,20 @@ def test_model_kinds_bit_exact(kind, quantize_psum):
     assert plan.execute(x[:0]).shape == (0,) + out.shape[1:]
 
 
+@pytest.mark.parametrize("quantize_psum", [True, False])
+@pytest.mark.parametrize("kind", ["conv", "linear", "resnet"])
+def test_float32_input_widens_bit_exact(kind, quantize_psum):
+    """A plan computes in float64 whatever its input dtype: a float32 batch
+    is widened once at the entry, so the route equals the oracle on the
+    widened batch and returns float64."""
+    plan, x = model_kind_plan(kind, quantize_psum)
+    x32 = x.astype(np.float32)
+    out = assert_route_matches_oracle(plan, x32.astype(np.float64))
+    got = plan.execute(x32)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, out)
+
+
 def test_edge_cases_reach_the_folded_graph():
     """The random graphs really exercise what they claim to."""
     plan, _ = random_residual_plan(1)

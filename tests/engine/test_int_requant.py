@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.cim import CIMConfig, QuantScheme
+from repro.cim import CIMConfig, QuantScheme, VariationModel
 from repro.core import CIMConv2d, CIMLinear
 from repro.core.requant import (INT32_MAX, CarrierRangeError, adc_shift_cap,
                                 carrier_multiplier, requantize_up)
@@ -255,6 +255,40 @@ class TestModeContract:
         plan = compile_layer(layer)
         with pytest.raises(ValueError, match="unknown execution mode"):
             plan.set_mode("int8")
+
+    def test_execute_takes_no_variation(self):
+        """A plan is a deterministic recipe: ``execute`` has no variation
+        argument on either route (a frozen layer runs its seed forward
+        while a variation model is enabled)."""
+        for kind in ("conv", "linear"):
+            layer, x = make_layer(kind, True, (32, 1), 1)
+            plan = compile_layer(layer)
+            for mode in ("float", "int"):
+                plan.set_mode(mode)
+                with pytest.raises(TypeError):
+                    plan.execute(x, variation=VariationModel(sigma=0.1, seed=0))
+
+    def test_compile_state_is_float64(self):
+        """Every float array a plan compiles from is float64, and the
+        requant constants are compiled alongside them."""
+        layer, _ = make_layer("conv", True, (32, 1), 4)
+        state = layer.pipeline.compile_state()
+        assert state["requant"] is not None
+        floats = [v for v in state.values() if isinstance(v, np.ndarray)
+                  and v.dtype.kind == "f"]
+        assert floats and all(v.dtype == np.float64 for v in floats)
+
+    def test_int_mode_widens_float32_input(self):
+        """The int route quantizes a float32 batch exactly as its float64
+        widening and returns float64."""
+        layer, x = make_layer("conv", True, (32, 1), 4)
+        plan = compile_layer(layer)
+        plan.set_mode("int")
+        x32 = x.astype(np.float32)
+        out = plan.execute(x32)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out,
+                                      plan.execute(x32.astype(np.float64)))
 
     def test_plan_without_requant_refuses_int(self):
         layer, _ = make_layer("linear", False, (32, 1), 1)

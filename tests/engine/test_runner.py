@@ -204,3 +204,16 @@ class TestStats:
         assert runner.executor.stats.samples == 4
         assert set(executor.stats.layer_calls) == \
             set(runner.stats.layer_calls)
+
+    def test_float32_input_runs_in_float64(self, plan_and_data, tmp_path):
+        """A saved-then-loaded plan served by the runner widens a float32
+        input stream to float64 and returns float64 rows."""
+        model, plan, x = plan_and_data
+        path = tmp_path / "plan.npz"
+        engine.save_model_plan(plan, path)
+        loaded = engine.load_plan(path)
+        x32 = x.astype(np.float32)
+        out = engine.InferenceRunner(loaded, batch_size=4).predict(x32)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out,
+                                      plan.execute(x32.astype(np.float64)))
