@@ -1,8 +1,8 @@
 """Engine — integer-requantized execution vs the float reference route.
 
 ``mode="int"`` runs the folded integer graph (``repro.engine.intfold``):
-the GEMMs run on an exact-integer ``float32`` carrier, the ADC stage on an
-exact ``float64`` carrier, and each layer's epilogue folds its BatchNorm,
+the GEMMs, the ADC stage and (where certified) the reduce run on exact
+``float32`` carriers, and each layer's epilogue folds its BatchNorm,
 ReLU and the next layer's activation quantizer into a per-channel requant,
 so integer codes flow from layer to layer (see ``repro.core.requant``).
 The route is defined in plain integers and held bit for bit to a
@@ -16,14 +16,14 @@ pure-Python oracle in ``tests/engine/test_int_oracle.py``; this benchmark
   activation lies within the integer route's ~``2**-28`` resolution of a
   quantizer rounding boundary, and then propagates);
 * **throughput**: at the default scale the integer route is at least 1.2x
-  faster than the float reference on batched execution — the narrower GEMM
-  carrier, the cache-blocked ADC passes and the folded epilogues beat the
-  float path's float64 GEMMs, per-array dequant chain and float
+  faster than the float reference on batched execution — both routes run
+  their GEMMs on the same ``float32`` carrier, and the integer route's
+  ``float32`` ADC and reduce and its folded epilogues beat the float
+  path's ``float64`` ADC and per-array dequant chain and its float
   BatchNorm/ReLU/quantize passes (``BENCH_int.json`` records the measured
   ratio);
-* **memory**: the integer route's per-layer GEMM operands are roughly half
-  the float route's (float32 vs float64 weight matrices); both footprints
-  are recorded.
+* **memory**: both routes' per-layer GEMM operands are recorded (the
+  float route's stem and multipliers stay ``float64``).
 
 Run directly (``python benchmarks/bench_int_requant.py``) or through
 pytest.  Either entry point writes a ``BENCH_int.json`` artifact (override
@@ -95,8 +95,9 @@ def _layer_codes(plan, x) -> dict:
             if fold is not None and fold.codes_in:
                 codes[node.plan_index] = np.asarray(args[0], np.float64)
             elif layer.act_scale is not None:
-                codes[node.plan_index] = layer._quantize_acts(
-                    np.asarray(args[0], dtype=np.float64))
+                # a scratch buffer: copied before the layer reuses it
+                codes[node.plan_index] = layer._quantize_acts_carrier(
+                    np.asarray(args[0], dtype=np.float64), np.float64).copy()
         values[node.id] = plan._run_node(node, values)
     return codes
 

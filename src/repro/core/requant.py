@@ -92,6 +92,8 @@ reachable partial sum — both are monotone step functions of ``p``, so both
 sides of every step and the two ends of ``[-acc_bound, acc_bound]``
 decide it.  A layer with any column that has no such ``mu32`` (e.g. exact
 half ties, which ``rint`` rounds to even) keeps the ``float64`` stage.
+``float32`` codes also keep the reduce in ``float32`` where the plan's
+fold certifies it exact (:class:`repro.engine.plan.LayerFold`).
 """
 
 from __future__ import annotations

@@ -32,18 +32,27 @@ fused path (partial-sum quantization disabled, no recorder)
 quantized path (partial-sum quantization enabled)
     The per-(split, array) partial sums are semantically observable — the ADC
     rounds each one — so the intermediate must exist; the plan computes it
-    with a single batched GEMM over arrays, quantizes in place, and reduces
-    with one ``einsum`` against the folded multiplier ``M``.
+    with one GEMM per array, quantizes every array in place at once, and
+    reduces each array with one ``einsum`` against the folded multiplier
+    ``M``.  Activation codes and cell codes are integers, so these GEMMs
+    run on the certified exact-integer carrier (``float32`` for ordinary
+    layers, see :mod:`repro.core.requant`); the raw-input stem multiplies
+    real inputs in ``float64``.
 
-``mode="int"`` executes either strategy on integer codes instead (see
-:meth:`_PlanBase._contract_int` and :mod:`repro.core.requant`), one tile
-of samples at a time (:data:`_INT_TILE` bounds every tile buffer): the
-GEMMs run on an exact-integer float carrier, the quantized path's
-per-column ADC divide, rounding and clip run on a ``float32`` carrier
-proved exact per column (else ``float64``) and its reduce, one batched
-GEMM, on an exact ``float64`` carrier — bit-identical to the ``int64``
-fixed-point reference — and the fused path's multiply and reduce run in
-``int64``.  A :class:`LayerFold` decides
+Both routes run a layer one tile of samples at a time
+(:data:`_TILE_BYTES` bounds a tile's buffers, all taken from the plan's
+:class:`~repro.engine.hotpath.ScratchTable`): a convolution pads each
+tile, gathers its im2col rows with one ``np.take`` and finishes the tile
+straight into its rows of the output.  ``mode="int"`` executes either
+strategy on integer codes instead (see :meth:`_PlanBase._contract_int`
+and :mod:`repro.core.requant`): the GEMMs run on the exact-integer
+carrier; the quantized path's per-column ADC divide, rounding and clip run
+on a ``float32`` carrier proved exact per column (else ``float64``), and
+its reduce runs as one ``float32`` batched GEMM against the ``hi``/``lo``
+halves of the reduce weights where :class:`LayerFold` certifies every
+partial sum below ``2**24`` (else one ``float64`` GEMM) — bit-identical to
+the ``int64`` fixed-point reference — and the fused path's multiply and
+reduce run in ``int64``.  A :class:`LayerFold` decides
 how the exact accumulator leaves the layer: as the next layer's codes or
 residual-grid values through an exact per-channel requant (inside a folded
 model graph, :mod:`repro.engine.intfold`), or through the one per-channel
@@ -88,15 +97,17 @@ __all__ = [
 ]
 
 
-#: Element budget of one sample tile of the integer route: a layer runs
-#: its unfold, GEMMs, ADC, reduce and epilogue tile by tile, with as many
-#: samples per tile as keep the largest tile buffer, ``max(D, A*S*OC)``
-#: by the tile's columns, within it (at least one sample).
-_INT_TILE = 1 << 17
+#: Byte budget of one sample tile, on either route: a layer runs its
+#: unfold, GEMMs, ADC, reduce and epilogue tile by tile, with as many
+#: samples per tile as keep the tile's per-column buffers
+#: (:meth:`_PlanBase._column_bytes`) within it (at least one sample).
+_TILE_BYTES = 3 << 19
 
 
 #: Exact-integer limit of the ``float64`` epilogue carrier.
 _F64_EXACT = 2 ** 53
+#: Exact-integer limit of the ``float32`` reduce.
+_F32_EXACT = 2 ** 24
 #: Largest left shift of a folded epilogue (keeps results far from overflow).
 _MAX_LEFT_SHIFT = 256
 
@@ -108,8 +119,13 @@ class LayerFold:
     ``weights`` are the integer reduce multipliers of the accumulator
     (``(A, S, OC)`` ``float64`` for the ADC route, ``(A, 1, OC)`` ``int64``
     for the fused route); the ADC route reduces through ``reduce_rows``,
-    the same values laid out ``(OC, 1, A*S)`` for one batched GEMM.  With
-    a ``requant`` the layer emits integer codes
+    the same values laid out ``(OC, 1, A*S)`` for one batched GEMM.
+    ``code_max`` (ADC route) bounds ``|code|``; where it certifies them,
+    ``reduce_split`` holds the rows split exactly as ``w = hi * 2**16 +
+    lo`` (``lo`` in ``[0, 2**16)``), ``(OC, 2, A*S)`` ``float32`` with
+    ``hi`` then ``lo``: with ``code_max * sum|hi|`` and ``code_max *
+    sum(lo)`` below ``2**24`` per channel, every partial sum of the reduce
+    is an exact ``float32`` integer in any summation order.  With a ``requant`` the layer emits integer codes
     ``clip((acc + bias) >> shift, lo, hi)`` (an :class:`~repro.core.requant.
     IntRequant` with unit mantissas, so the multipliers live in
     ``weights``) in ``out_dtype``: the next layer's activation codes on its
@@ -125,15 +141,26 @@ class LayerFold:
     requant: Optional[IntRequant] = None
     bias: Optional[np.ndarray] = None     # dequant: (OC,) int64 bias_q
     scale: Optional[np.ndarray] = None    # dequant: (OC,) float64 unit value
+    code_max: Optional[float] = None      # ADC route: max |code|
     reduce_rows: Optional[np.ndarray] = field(init=False, repr=False,
                                               default=None)
+    reduce_split: Optional[np.ndarray] = field(init=False, repr=False,
+                                               default=None)
 
     def __post_init__(self):
         self.out_dtype = np.dtype(self.out_dtype)
-        if self.weights.dtype == np.float64:
-            a, s, oc = self.weights.shape
-            self.reduce_rows = np.ascontiguousarray(
-                self.weights.transpose(2, 0, 1)).reshape(oc, 1, a * s)
+        if self.weights.dtype != np.float64:
+            return
+        a, s, oc = self.weights.shape
+        self.reduce_rows = np.ascontiguousarray(
+            self.weights.transpose(2, 0, 1)).reshape(oc, 1, a * s)
+        rows = self.reduce_rows.astype(np.int64)
+        hi, lo = rows >> 16, rows & 0xFFFF
+        if self.code_max is not None and self.code_max * max(
+                int(np.abs(hi).sum(axis=2).max(initial=0)),
+                int(lo.sum(axis=2).max(initial=0))) < _F32_EXACT:
+            self.reduce_split = np.concatenate([hi, lo], axis=1).astype(
+                np.float32)
 
 
 class _IntOperands(NamedTuple):
@@ -211,6 +238,7 @@ class _PlanBase:
     mode: str = field(default="float", repr=False)  # runtime, not serialized
     # derived operands, rebuilt by _build_derived()
     row_slices: list = field(init=False, repr=False, default=None)
+    float_carrier: np.dtype = field(init=False, repr=False, default=None)
     w_split_mats: list = field(init=False, repr=False, default=None)
     w_eff_valid: np.ndarray = field(init=False, repr=False, default=None)
     s_p_full: Optional[np.ndarray] = field(init=False, repr=False, default=None)
@@ -234,11 +262,17 @@ class _PlanBase:
         """
         s, a, r, oc = self.splits.shape
         self.row_slices = [(t.row_start, t.row_stop) for t in self.mapping.tiles]
+        # the float route's quantized path multiplies activation codes by
+        # cell codes: exact on the certified integer carrier, when the plan
+        # has one; the fused path's folded weight is not an integer
+        self.float_carrier = np.dtype(
+            self.requant.gemm_dtype if self.psum_quant_enabled
+            and self.requant is not None else np.float64)
         # per-array (rows_a, S*OC) bit-split weights for the quantized path
         self.w_split_mats = [
             np.ascontiguousarray(
                 self.splits[:, i, :stop - start, :].transpose(1, 0, 2)
-            ).reshape(stop - start, s * oc)
+                .astype(self.float_carrier)).reshape(stop - start, s * oc)
             for i, (start, stop) in enumerate(self.row_slices)]
         # (in_features, OC) folded weight for the fused path (valid rows only)
         self.w_eff_valid = np.concatenate(
@@ -309,12 +343,19 @@ class _PlanBase:
         dequant = LayerFold(
             codes_in=False, weights=weights, out_dtype=np.float64,
             bias=None if rq.bias_q is None else rq.bias_q.astype(np.int64),
-            scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)))
+            scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)),
+            code_max=self._code_max())
         self._int_ops = _IntOperands(mats, mu_adc, dequant)
 
     def dequant_fold(self, codes_in: bool) -> LayerFold:
         """The stand-alone dequant fold, optionally fed activation codes."""
         return replace(self._int_ops.dequant, codes_in=codes_in)
+
+    def _code_max(self) -> Optional[float]:
+        """Largest ``|ADC code|``; ``None`` on the fused route."""
+        if not self.psum_quant_enabled:
+            return None
+        return max(abs(self.psum_qmin), abs(self.psum_qmax))
 
     def _acc_reach(self, weights: np.ndarray) -> np.ndarray:
         """Per-channel bound on ``|acc|`` under reduce ``weights``.
@@ -322,9 +363,8 @@ class _PlanBase:
         ``float64``: exact below ``2**53``, and rounding is monotone, so
         every comparison against ``2**53`` is decided correctly.
         """
-        if self.psum_quant_enabled:
-            unit = max(abs(self.psum_qmin), abs(self.psum_qmax))
-        else:
+        unit = self._code_max()
+        if unit is None:
             unit = float(self.requant.acc_bound)
         return np.abs(weights).sum(axis=(0, 1), dtype=np.float64) * unit
 
@@ -390,7 +430,8 @@ class _PlanBase:
         weights = (np.ascontiguousarray(w) if self.psum_quant_enabled
                    else w.astype(np.int64))
         return LayerFold(codes_in=codes_in, weights=weights,
-                         out_dtype=out_dtype, requant=requant)
+                         out_dtype=out_dtype, requant=requant,
+                         code_max=self._code_max())
 
     # ---------------------------------------------------------------- #
     def set_mode(self, mode: str) -> None:
@@ -418,22 +459,16 @@ class _PlanBase:
         """True when this plan executes on the integer route."""
         return self.mode == "int" and self.requant is not None
 
-    def _quantize_acts(self, x: np.ndarray) -> np.ndarray:
-        """LSQ activation quantization: ``round(clamp(x / s_a))`` codes."""
-        if self.act_scale is None:
-            return x
-        a = np.clip(x / self.act_scale, self.act_qmin, self.act_qmax)
-        return np.round(a, out=a)
-
     @hot_path
-    def _quantize_acts_carrier(self, x: np.ndarray) -> np.ndarray:
-        """Activation codes cast onto the integer route's GEMM carrier.
+    def _quantize_acts_carrier(self, x: np.ndarray, dtype) -> np.ndarray:
+        """LSQ activation codes ``round(clamp(x / s_a))`` on a GEMM carrier.
 
-        The divide/clamp/round runs in ``float64`` — bit-identical codes
-        to :meth:`_quantize_acts` — and only the final (exact, small-integer)
-        values land in the carrier, fused into the rounding pass; with a
-        ``float32`` carrier every downstream unfold and GEMM then moves half
-        the bytes.
+        The divide/clamp/round runs in ``float64`` and only the final
+        (exact, small-integer) values land in ``dtype``, fused into the
+        rounding pass; with a ``float32`` carrier every downstream unfold
+        and GEMM then moves half the bytes.  Both routes quantize here: the
+        integer route onto ``requant.gemm_dtype``, the float route onto
+        :attr:`float_carrier`.
 
         Registered hot: the code array is a thread-local buffer of the
         plan's :class:`~repro.engine.hotpath.ScratchTable`, fully
@@ -442,45 +477,44 @@ class _PlanBase:
         shape allocate nothing.
         """
         a = np.clip(x / self.act_scale, self.act_qmin, self.act_qmax)
-        codes = self._scratch("act_codes", a.shape,
-                              np.dtype(self.requant.gemm_dtype))
+        codes = self._scratch("act_codes", a.shape, dtype)
         return np.rint(a, out=codes, casting="unsafe")
 
-    def _contract(self, cols_flat: np.ndarray) -> np.ndarray:
-        """Contract activation columns ``(NL, in_features)`` into ``(NL, OC)``.
+    def _split_reduce(self, fold: LayerFold):
+        """The fold's certified ``float32`` reduce rows, when the ADC codes
+        are ``float32`` too (else ``None``: the ``float64`` reduce)."""
+        if self._int_ops.mu_adc.dtype != np.float32:
+            return None
+        return fold.reduce_split
 
-        Dispatches between the fused single-GEMM path and the quantized
-        (ADC-observing) path; see the module docstring for when each applies.
+    def _column_bytes(self, fold: Optional[LayerFold], itemsize: int) -> int:
+        """Bytes of a tile's buffers per im2col column.
+
+        ``fold`` is ``None`` on the float route; ``itemsize`` is the GEMM
+        carrier's.  Counts the columns, the partial sums (with their
+        ``float64`` copy where the ADC stage or reduce needs one) and the
+        accumulators that :meth:`_contract_int` / :meth:`_float_tile` take
+        from the scratch table.
         """
+        oc = self.out_channels
+        cols = self.mapping.in_features * itemsize
         if not self.psum_quant_enabled:
-            return cols_flat @ self.w_eff_valid
-        nl = cols_flat.shape[0]
-        s, oc = self.n_splits, self.out_channels
-        out = np.zeros((nl, oc), dtype=cols_flat.dtype)
-        for i, (start, stop) in enumerate(self.row_slices):
-            p = cols_flat[:, start:stop] @ self.w_split_mats[i]  # (NL, S*OC) psums
-            p = p.reshape(nl, s, oc)
-            p /= self.s_p_full[i]
-            np.clip(p, self.psum_qmin, self.psum_qmax, out=p)
-            np.round(p, out=p)                              # ADC codes
-            # ``optimize=False`` skips the per-call path/parse machinery
-            # (~50us/call).  It is only safe when no axis is singleton: the
-            # optimizer can reach a BLAS kernel (different summation order,
-            # different bits) solely by squeezing a length-1 axis, so with
-            # every axis > 1 both settings resolve to the same ``c_einsum``
-            # call and the results are bit-identical.
-            m = self.m_fold[i]
-            if nl > 1 and s > 1 and oc > 1:
-                out += np.einsum("xso,so->xo", p, m, optimize=False)
-            else:
-                out += np.einsum("xso,so->xo", p, m, optimize=True)
-        return out
+            if fold is None:
+                return cols + 8 * oc
+            return cols + self.n_arrays * oc * (itemsize + 8) + 16 * oc
+        lanes = self.n_arrays * self.n_splits * oc
+        wide = 0 if itemsize == 8 else 8 * lanes
+        if fold is None:
+            return cols + lanes * itemsize + wide + 16 * oc
+        if self._split_reduce(fold) is not None:
+            wide = 8 * oc                       # the hi/lo accumulators
+        return cols + lanes * itemsize + wide + 8 * oc
 
-    def _tile_samples(self, length: int) -> int:
-        """Samples per integer-route tile for ``length`` columns per sample."""
-        width = max(self.mapping.in_features,
-                    self.n_arrays * self.n_splits * self.out_channels)
-        return max(1, _INT_TILE // (width * length))
+    def _tile_samples(self, length: int, fold: Optional[LayerFold],
+                      itemsize: int) -> int:
+        """Samples per tile for ``length`` columns per sample."""
+        return max(1, _TILE_BYTES
+                   // (self._column_bytes(fold, itemsize) * length))
 
     @hot_path
     def _contract_int(self, cols_flat: np.ndarray,
@@ -492,11 +526,16 @@ class _PlanBase:
         integer-valued operands in the certified exact-integer carrier
         dtype; the ADC stage — per-column divide, half-up rounding and
         saturation — runs on the ``float32`` or ``float64`` carrier
-        :meth:`_build_int_operands` chose and the reduce on ``float64``, together
-        bit-identical to :func:`~repro.core.requant.requantize_up` plus an
-        ``int64`` reduce (the argument is in :mod:`repro.core.requant`); the
-        fused route reduces in ``int64``.  A dequant fold's bias is already
-        added.
+        :meth:`_build_int_operands` chose, bit-identical to
+        :func:`~repro.core.requant.requantize_up` (the argument is in
+        :mod:`repro.core.requant`).  ``float32`` codes of a fold with a
+        certified ``reduce_split`` stay in place and reduce through one
+        ``float32`` batched GEMM against its ``hi`` and ``lo`` rows,
+        recombined once as ``hi * 2**16 + lo`` in ``float64``: every
+        partial sum is an integer below ``2**24`` and the result one below
+        ``2**53``, so both are exact.  Other codes widen into a ``float64`` buffer for one
+        ``float64`` reduce, exact below ``2**53``.  The fused route reduces
+        in ``int64``.  A dequant fold's bias is already added.
 
         Registered hot: every intermediate lives in a thread-local buffer of
         the plan's :class:`~repro.engine.hotpath.ScratchTable`, fully
@@ -514,40 +553,48 @@ class _PlanBase:
         s, oc = self.n_splits, self.out_channels
         n_arrays = len(self.row_slices)
         weights = fold.weights
-        acc_t = self._scratch("ci_acct", (oc, nl), np.float64)
+        acc_t = self._scratch("tile_acc", (oc, nl), np.float64)
         if self.psum_quant_enabled:
             # one GEMM per array into a shared buffer, then one vectorized
             # ADC pass over all arrays at once; constants were validated and
             # verified at build time, so the hot loop carries no per-array
             # call or sign-handling overhead
-            p = self._scratch("ci_p", (n_arrays, s * oc, nl), cols_c.dtype)
+            p = self._scratch("tile_p", (n_arrays, s * oc, nl), cols_c.dtype)
             for i, (start, stop) in enumerate(self.row_slices):
                 np.matmul(ops.mats[i], cols_c[:, start:stop].T, out=p[i])
             p = p.reshape(n_arrays, s, oc, nl)
-            mu_adc = ops.mu_adc
-            adc = (requantize_rint_f32 if mu_adc.dtype == np.float32
-                   else requantize_up_f64)
-            # float64 codes for the reduce; a float64 carrier is rounded
-            # in place
-            codes = (p if p.dtype == np.float64 else
-                     self._scratch("ci_codes", p.shape, np.float64))
-            adc(p, mu_adc, self.psum_qmin, self.psum_qmax, out=codes)
-            # the reduce sum_{a,s} codes * weights as one batched GEMM per
-            # channel over an (OC, A*S, NL) view of the codes (no copy):
-            # every product and partial sum is an integer below 2**53, so
-            # exact in any summation order
-            np.matmul(fold.reduce_rows,
-                      codes.transpose(2, 0, 1, 3).reshape(oc, n_arrays * s,
-                                                          nl),
-                      out=acc_t.reshape(oc, 1, nl))
+            split = self._split_reduce(fold)
+            if split is not None:
+                codes = requantize_rint_f32(p, ops.mu_adc, self.psum_qmin,
+                                            self.psum_qmax, out=p)
+            else:
+                adc = (requantize_rint_f32 if ops.mu_adc.dtype == np.float32
+                       else requantize_up_f64)
+                # float64 codes for the reduce; a float64 carrier is
+                # rounded in place
+                codes = (p if p.dtype == np.float64 else
+                         self._scratch("tile_wide", p.shape, np.float64))
+                adc(p, ops.mu_adc, self.psum_qmin, self.psum_qmax,
+                    out=codes)
+            # the reduce sum_{a,s} codes * weights as batched GEMMs per
+            # channel over an (OC, A*S, NL) view of the codes (no copy)
+            codes = codes.transpose(2, 0, 1, 3).reshape(oc, n_arrays * s, nl)
+            if split is not None:
+                part = self._scratch("tile_sum", (oc, 2, nl), np.float32)
+                np.matmul(split, codes, out=part)
+                np.multiply(part[:, 0], 65536.0, out=acc_t)     # hi * 2**16
+                acc_t += part[:, 1]
+            else:
+                np.matmul(fold.reduce_rows, codes,
+                          out=acc_t.reshape(oc, 1, nl))
             if fold.requant is None and fold.bias is not None:
                 acc_t += fold.bias[:, None]      # exact: checked below 2**53
             return acc_t
-        p = self._scratch("ci_pf", (n_arrays, nl, oc), cols_c.dtype)
+        p = self._scratch("tile_p", (n_arrays, nl, oc), cols_c.dtype)
         for i, (start, stop) in enumerate(self.row_slices):
             np.matmul(cols_c[:, start:stop], ops.mats[i], out=p[i])
-        p64 = self._scratch("ci_pf64", (n_arrays, nl, oc), np.int64)
-        acc = self._scratch("ci_acc", (nl, oc), np.int64)
+        p64 = self._scratch("tile_wide", (n_arrays, nl, oc), np.int64)
+        acc = self._scratch("tile_sum", (nl, oc), np.int64)
         # int-pure: begin
         np.multiply(p, weights, out=p64,         # (A, 1, OC) bcast
                     dtype=np.int64, casting="unsafe")
@@ -589,34 +636,115 @@ class _PlanBase:
         rq.execute(src, dst, channel_axis=0, overwrite=True)
 
     @hot_path
-    def _row_tiles(self, cols: np.ndarray, fold: LayerFold,
-                   out: np.ndarray) -> None:
-        """Integer route of an ``(M, in_features)`` code matrix into ``out``.
+    def _float_tile(self, cols: np.ndarray, out: np.ndarray) -> None:
+        """Float route of one tile's ``(NL, in_features)`` columns into ``out``.
 
-        Runs :meth:`_contract_int` and :meth:`_epilogue` on tiles of
-        :meth:`_tile_samples` rows; ``out`` is the ``(M, OC)`` result.
-        Registered hot: tiles are views, buffers come from the scratch table.
+        The fused path is one ``float64`` GEMM against the folded weight.
+        The quantized path runs every array's partial-sum GEMM on the
+        columns' dtype (codes on the certified :attr:`float_carrier` are
+        exact), divides by ``s_p`` in ``float64``, clips and rounds, and
+        sums each array's ``einsum`` against ``m_fold`` into the
+        accumulator, in the layer's summation order.  Each row's values
+        therefore do not depend on the tile: the code GEMMs are exact, and
+        a ``float64`` GEMM of real values (the stem, the fused path) keeps
+        each row's bits as far as BLAS does for any row count.  The
+        activation scale and bias then land in ``out``, the tile's rows of
+        the result (NCHW for convolutions), through a strided view.
+
+        Registered hot: every intermediate comes from the plan's scratch
+        table.
         """
-        step = self._tile_samples(1)
-        for k in range(0, cols.shape[0], step):
-            self._epilogue(self._contract_int(cols[k:k + step], fold), fold,
-                           out[k:k + step])
-
-    def _run_int(self, a: np.ndarray, fold: Optional[LayerFold],
-                 out_shape: tuple) -> np.ndarray:
-        """Integer route from activation codes to a fresh layer output.
-
-        ``a`` is a code matrix (run by :meth:`_row_tiles`) or, for a
-        convolution, the ``(N, C, H, W)`` input codes (run by
-        :meth:`ConvPlan._conv_tiles`); either finishes every tile straight
-        into its rows of the result.
-        """
-        fold = self._int_ops.dequant if fold is None else fold
-        out = np.empty(out_shape, dtype=fold.out_dtype)
-        if a.ndim == 4:
-            self._conv_tiles(a, fold, out)
+        nl, oc = cols.shape[0], self.out_channels
+        acc = self._scratch("tile_acc", (nl, oc), np.float64)
+        if not self.psum_quant_enabled:
+            np.matmul(cols, self.w_eff_valid, out=acc)
         else:
-            self._row_tiles(a, fold, out)
+            n_arrays, s = len(self.row_slices), self.n_splits
+            p = self._scratch("tile_p", (n_arrays, nl, s * oc), cols.dtype)
+            for i, (start, stop) in enumerate(self.row_slices):
+                np.matmul(cols[:, start:stop], self.w_split_mats[i], out=p[i])
+            q = (p if p.dtype == np.float64 else
+                 self._scratch("tile_wide", p.shape, np.float64))
+            q = q.reshape(n_arrays, nl, s, oc)
+            np.divide(p.reshape(q.shape), self.s_p_full[:, None], out=q)
+            np.clip(q, self.psum_qmin, self.psum_qmax, out=q)
+            np.round(q, out=q)                              # ADC codes
+            # ``optimize=False`` skips the per-call path/parse machinery
+            # (~50us/call).  It is only safe when no axis is singleton: the
+            # optimizer can reach a BLAS kernel (different summation order,
+            # different bits) solely by squeezing a length-1 axis, so with
+            # every axis > 1 both settings resolve to the same ``c_einsum``
+            # call and the results are bit-identical.
+            optimize = not (nl > 1 and s > 1 and oc > 1)
+            term = self._scratch("tile_sum", (nl, oc), np.float64)
+            acc.fill(0.0)
+            for i in range(n_arrays):
+                np.einsum("xso,so->xo", q[i], self.m_fold[i], out=term,
+                          optimize=optimize)
+                acc += term
+        if out.ndim == 4:
+            rows, length = out.shape[0], out.shape[2] * out.shape[3]
+            dst = out.reshape(rows, oc, length).transpose(0, 2, 1)
+            acc = acc.reshape(rows, length, oc)
+        else:
+            dst = out
+        if self.act_scale is None:
+            np.copyto(dst, acc)
+        else:
+            np.multiply(acc, self.act_scale, out=dst)
+        if self.bias is not None:
+            dst += self.bias
+
+    @hot_path
+    def _tile(self, cols: np.ndarray, fold: Optional[LayerFold],
+              out: np.ndarray) -> None:
+        """One tile's columns into its rows of ``out``: the float route
+        (:meth:`_float_tile`) when ``fold`` is ``None``, else the integer
+        route (:meth:`_contract_int` then :meth:`_epilogue`)."""
+        if fold is None:
+            self._float_tile(cols, out)
+        else:
+            self._epilogue(self._contract_int(cols, fold), fold, out)
+
+    @hot_path
+    def _row_tiles(self, cols: np.ndarray, fold: Optional[LayerFold],
+                   out: np.ndarray) -> None:
+        """Either route of an ``(M, in_features)`` matrix into ``out``.
+
+        Runs :meth:`_tile` on tiles of :meth:`_tile_samples` rows; ``out``
+        is the ``(M, OC)`` result.  Registered hot: tiles are views,
+        buffers come from the scratch table.
+        """
+        step = self._tile_samples(1, fold, cols.dtype.itemsize)
+        for k in range(0, cols.shape[0], step):
+            self._tile(cols[k:k + step], fold, out[k:k + step])
+
+    def _run(self, x: np.ndarray, fold: Optional[LayerFold],
+             out_shape: tuple) -> np.ndarray:
+        """This plan's route from the layer input to a fresh layer output.
+
+        The integer route runs ``fold`` (the stand-alone dequant when
+        ``None``); the float route ignores it.  A layer with an input
+        quantizer first quantizes ``x`` onto its route's carrier, unless the
+        fold says ``x`` already holds its codes.  ``x`` is then a row matrix
+        (run by :meth:`_row_tiles`) or, for a convolution, ``(N, C, H, W)``
+        (run by :meth:`ConvPlan._conv_tiles`); either finishes every tile
+        straight into its rows of the result.
+        """
+        if self._int_route():
+            fold = self._int_ops.dequant if fold is None else fold
+            carrier = np.dtype(self.requant.gemm_dtype)
+        else:
+            fold, carrier = None, self.float_carrier
+        if self.act_scale is not None and not (fold is not None
+                                               and fold.codes_in):
+            x = self._quantize_acts_carrier(x, carrier)
+        out = np.empty(out_shape, dtype=np.float64 if fold is None
+                       else fold.out_dtype)
+        if x.ndim == 4:
+            self._conv_tiles(x, fold, out)
+        else:
+            self._row_tiles(x, fold, out)
         return out
 
 
@@ -639,9 +767,7 @@ class ConvPlan(_PlanBase):
         model graph assigns this layer; without it the integer route
         quantizes a float input and dequantizes its output.
         """
-        int_route = self._int_route()
-        codes_in = int_route and fold is not None and fold.codes_in
-        if not codes_in:
+        if not (self._int_route() and fold is not None and fold.codes_in):
             x = np.asarray(x, dtype=np.float64)
         n, c, h, w = x.shape
         if c != self.in_channels:
@@ -649,36 +775,19 @@ class ConvPlan(_PlanBase):
         kh, kw = self.kernel_size
         out_h = F.conv_output_size(h, kh, self.stride[0], self.padding[0])
         out_w = F.conv_output_size(w, kw, self.stride[1], self.padding[1])
-        length = out_h * out_w
-
-        if int_route:
-            a = x if codes_in else self._quantize_acts_carrier(x)
-            return self._run_int(a, fold, (n, self.out_channels, out_h, out_w))
-        a = self._quantize_acts(x)
-        cols = F.unfold_array(a, self.kernel_size, self.stride, self.padding,
-                              layout="nlk")                 # (N, L, D)
-        # explicit D (not -1): zero-row batches make -1 ambiguous
-        cols_flat = cols.reshape(n * length, cols.shape[2])
-        out = self._contract(cols_flat)                     # (NL, OC)
-        if self.act_scale is not None:
-            out *= self.act_scale
-        out = out.reshape(n, length, self.out_channels).transpose(0, 2, 1)
-        out = out.reshape(n, self.out_channels, out_h, out_w)
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
-        return out
+        return self._run(x, fold, (n, self.out_channels, out_h, out_w))
 
     @hot_path
-    def _conv_tiles(self, a: np.ndarray, fold: LayerFold,
+    def _conv_tiles(self, a: np.ndarray, fold: Optional[LayerFold],
                     out: np.ndarray) -> None:
-        """Integer route of ``(N, C, H, W)`` input codes into ``out``.
+        """Either route of an ``(N, C, H, W)`` input into ``out``.
 
         Each tile of :meth:`_tile_samples` samples is padded into a scratch
         buffer (its zero border written once per call), gathered into its
-        im2col rows with one ``np.take``, contracted (:meth:`_contract_int`)
-        and finished (:meth:`_epilogue`) into its rows of the
-        ``(N, OC, H', W')`` result, so no buffer scales with the batch.
-        Registered hot: every buffer comes from the scratch table.
+        im2col rows with one ``np.take`` and run by :meth:`_tile` into its
+        rows of the ``(N, OC, H', W')`` result, so no buffer scales with
+        the batch.  Registered hot: every buffer comes from the scratch
+        table.
         """
         n, c, h, w = a.shape
         ph, pw = self.padding
@@ -686,10 +795,11 @@ class ConvPlan(_PlanBase):
         index = F.unfold_index(c, hp, wp, self.kernel_size, self.stride,
                                layout="nlk")                # (L, D)
         length, depth = index.shape
-        step = max(1, min(self._tile_samples(length), n))
+        step = max(1, min(self._tile_samples(length, fold, a.dtype.itemsize),
+                          n))
         padded = None
         if ph or pw:
-            padded = self._scratch("ci_pad", (step, c, hp, wp), a.dtype)
+            padded = self._scratch("tile_pad", (step, c, hp, wp), a.dtype)
             padded.fill(0)
         for k in range(0, n, step):
             rows = min(step, n - k)
@@ -697,14 +807,13 @@ class ConvPlan(_PlanBase):
             if padded is not None:
                 padded[:rows, :, ph:ph + h, pw:pw + w] = src
                 src = padded[:rows]
-            cols = self._scratch("ci_cols", (rows, length, depth), a.dtype)
+            cols = self._scratch("tile_cols", (rows, length, depth), a.dtype)
             # mode="clip" skips the bounds-check buffering of mode="raise";
             # every index is in range by construction
             np.take(src.reshape(rows, c * hp * wp), index, axis=1, out=cols,
                     mode="clip")
-            acc_t = self._contract_int(cols.reshape(rows * length, depth),
-                                       fold)
-            self._epilogue(acc_t, fold, out[k:k + rows])
+            self._tile(cols.reshape(rows * length, depth), fold,
+                       out[k:k + rows])
 
 
 @dataclass
@@ -721,23 +830,12 @@ class LinearPlan(_PlanBase):
 
         ``fold`` has the meaning documented on :meth:`ConvPlan.execute`.
         """
-        int_route = self._int_route()
-        codes_in = int_route and fold is not None and fold.codes_in
-        if not codes_in:
+        if not (self._int_route() and fold is not None and fold.codes_in):
             x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (N, {self.in_features}), got {x.shape}")
-        if int_route:
-            a = x if codes_in else self._quantize_acts_carrier(x)
-            return self._run_int(a, fold, (x.shape[0], self.out_channels))
-        a = self._quantize_acts(x)
-        out = self._contract(a)                             # (N, OC)
-        if self.act_scale is not None:
-            out *= self.act_scale
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return self._run(x, fold, (x.shape[0], self.out_channels))
 
 
 # --------------------------------------------------------------------------- #

@@ -22,7 +22,8 @@ from repro.engine import cpu
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
 
-from test_int_oracle import oracle_layer, random_residual_plan
+from test_int_oracle import (bench_shaped_plan, oracle_layer,
+                             random_residual_plan)
 
 plan_module = importlib.import_module("repro.engine.plan")
 
@@ -203,14 +204,16 @@ class RecordingPlan:
 # --------------------------------------------------------------------------- #
 # sample tiles of the int conv kernel
 # --------------------------------------------------------------------------- #
-def conv_plan(kernel: int, stride: int, padding: int, seed: int):
+def conv_plan(kernel: int, stride: int, padding: int, seed: int,
+              quantize_input: bool = True):
     cfg = CIMConfig(array_rows=16, array_cols=32, cell_bits=1, adc_bits=3)
     layer = CIMConv2d(3, 5, kernel, stride=stride, padding=padding,
                       bias=True, scheme=QuantScheme(
                           weight_bits=3, act_bits=3, psum_bits=3,
                           weight_granularity="column",
                           psum_granularity="column"),
-                      cim_config=cfg, rng=np.random.default_rng(seed))
+                      cim_config=cfg, rng=np.random.default_rng(seed),
+                      quantize_input=quantize_input)
     rng = np.random.default_rng(seed + 1)
     with no_grad():
         layer.eval()
@@ -223,27 +226,32 @@ def conv_plan(kernel: int, stride: int, padding: int, seed: int):
 GEOMETRIES = {"3x3-s2-p1": (3, 2, 1), "1x1-s2": (1, 2, 0)}
 
 
+def tile_bound(plan, samples: int, fold, itemsize: int) -> int:
+    """The ``_TILE_BYTES`` value that makes tiles of ``samples`` samples
+    (9 px inputs) on the route of ``fold`` (``None``: the float route)."""
+    length = plan_module.F.conv_output_size(9, plan.kernel_size[0],
+                                            plan.stride[0],
+                                            plan.padding[0]) ** 2
+    return samples * length * plan._column_bytes(fold, itemsize)
+
+
 class TestConvTiles:
     @pytest.fixture(params=sorted(GEOMETRIES))
     def plan_x(self, request):
         return conv_plan(*GEOMETRIES[request.param], seed=4)
 
     @staticmethod
-    def tile_bound(plan, samples: int) -> int:
-        """The ``_INT_TILE`` value that makes tiles of ``samples`` samples."""
-        length = plan_module.F.conv_output_size(9, plan.kernel_size[0],
-                                                plan.stride[0],
-                                                plan.padding[0]) ** 2
-        width = max(plan.mapping.in_features,
-                    plan.n_arrays * plan.n_splits * plan.out_channels)
-        return samples * width * length
+    def int_bound(plan, samples: int, fold=None) -> int:
+        fold = plan.dequant_fold(False) if fold is None else fold
+        return tile_bound(plan, samples, fold,
+                          np.dtype(plan.requant.gemm_dtype).itemsize)
 
     @pytest.mark.parametrize("samples", [1, 2, 3, 5])
     @pytest.mark.parametrize("batch", [0, 1, 3, 5])
     def test_dequant_fold(self, monkeypatch, plan_x, samples, batch):
         plan, x = plan_x
-        monkeypatch.setattr(plan_module, "_INT_TILE",
-                            self.tile_bound(plan, samples))
+        monkeypatch.setattr(plan_module, "_TILE_BYTES",
+                            self.int_bound(plan, samples))
         got = plan.execute(x[:batch])
         want = oracle_layer(plan, x[:batch])
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -258,8 +266,8 @@ class TestConvTiles:
                              plan.requant.gemm_dtype)
         codes = rng.integers(0, int(plan.act_qmax), size=x.shape,
                              endpoint=True).astype(plan.requant.gemm_dtype)
-        monkeypatch.setattr(plan_module, "_INT_TILE",
-                            self.tile_bound(plan, samples))
+        monkeypatch.setattr(plan_module, "_TILE_BYTES",
+                            self.int_bound(plan, samples, fold))
         got = plan.execute(codes, fold=fold)
         want = oracle_layer(plan, codes, fold)
         assert got.dtype == fold.out_dtype
@@ -269,5 +277,57 @@ class TestConvTiles:
                                                    plan_x):
         plan, x = plan_x
         whole = plan.execute(x)
-        monkeypatch.setattr(plan_module, "_INT_TILE", 1)
+        monkeypatch.setattr(plan_module, "_TILE_BYTES", 1)
         assert plan.execute(x).tobytes() == whole.tobytes()
+
+
+class TestFloatTiles:
+    """The float route runs the same tile loop: raw (the stem) and code
+    inputs alike give byte-identical rows whatever the tile."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("raw", [False, True], ids=["codes", "raw"])
+    def test_tiles_are_byte_identical(self, monkeypatch, geometry, raw):
+        plan, x = conv_plan(*GEOMETRIES[geometry], seed=4,
+                            quantize_input=not raw)
+        plan.set_mode("float")
+        assert plan.float_carrier == (np.float64 if raw else np.float32)
+        itemsize = plan.float_carrier.itemsize
+        assert plan_module._TILE_BYTES >= tile_bound(plan, len(x), None,
+                                                     itemsize)
+        whole = plan.execute(x)                 # the default: one tile
+        for samples in (1, 2, 3, 5):
+            monkeypatch.setattr(plan_module, "_TILE_BYTES",
+                                tile_bound(plan, samples, None, itemsize))
+            assert plan.execute(x).tobytes() == whole.tobytes(), samples
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_uncertified_carrier_runs_float64(self, geometry):
+        # a layer whose operand range the float32 carrier cannot hold
+        # exactly multiplies its codes in float64, with the same result
+        plan, x = conv_plan(*GEOMETRIES[geometry], seed=4)
+        plan.set_mode("float")
+        want = plan.execute(x)
+        plan.requant.gemm_dtype = "float64"
+        plan._build_derived()
+        assert plan.float_carrier == np.float64
+        assert plan.w_split_mats[0].dtype == np.float64
+        assert plan.execute(x).tobytes() == want.tobytes()
+
+
+class TestTileFootprint:
+    # docs/engine.md section 7 states these per-thread figures; a bigger
+    # tile budget must restate them rather than spend memory silently
+    LIMIT_MIB = {"int": 2.25, "float": 2.7}
+
+    @pytest.mark.parametrize("mode", sorted(LIMIT_MIB))
+    def test_scratch_bytes_per_thread(self, mode):
+        plan, _ = bench_shaped_plan()            # cimbench's 16 px ResNet-8
+        plan.set_mode(mode)
+        x = np.abs(np.random.default_rng(1).normal(size=(16, 3, 16, 16)))
+        plan.execute(x)
+        tables = {id(lp._scratch): lp._scratch for lp in plan.layer_plans}
+        assert len(tables) == 1
+        table, = tables.values()
+        used = sum(buf.nbytes for buf in table.buffers.values())
+        assert 0 < used <= self.LIMIT_MIB[mode] * 2 ** 20, used / 2 ** 20

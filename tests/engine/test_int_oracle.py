@@ -482,14 +482,13 @@ def test_no_float_pass_between_cim_layers(build, monkeypatch):
     # and at run time: no layer with an input quantizer runs it
     calls = []
     for cls in (engine.ConvPlan, engine.LinearPlan):
-        for name in ("_quantize_acts", "_quantize_acts_carrier"):
-            original = getattr(cls, name)
+        original = cls._quantize_acts_carrier
 
-            def spy(self, a, _original=original):
-                if self.act_scale is not None:
-                    calls.append(self)
-                return _original(self, a)
-            monkeypatch.setattr(cls, name, spy)
+        def spy(self, a, dtype, _original=original):
+            if self.act_scale is not None:
+                calls.append(self)
+            return _original(self, a, dtype)
+        monkeypatch.setattr(cls, "_quantize_acts_carrier", spy)
     plan.execute(x)
     assert calls == []
 

@@ -15,6 +15,7 @@ exactness argument and across every sample-tile remainder, and loading
 refuses constants outside that argument.
 """
 
+import contextlib
 import copy
 import gc
 import importlib
@@ -138,7 +139,8 @@ class TestLayerDifferential:
         plan = compile_layer(layer)
         plan.set_mode("int")
         rq = plan.requant
-        codes = plan._quantize_acts(np.asarray(x, np.float64))
+        codes = plan._quantize_acts_carrier(np.asarray(x, np.float64),
+                                            np.float64)
         codes = codes.astype(np.int64)
         acc = np.zeros((codes.shape[0], plan.out_channels), dtype=np.int64)
         for i, (start, stop) in enumerate(plan.row_slices):
@@ -337,21 +339,28 @@ def int64_reference(plan, cols: np.ndarray) -> np.ndarray:
     return np.multiply(acc, unit, dtype=np.float64)
 
 
-def run_int(plan, cols: np.ndarray, carrier: str = "auto") -> np.ndarray:
-    """The executed integer route on a ``(NL, in_features)`` code matrix.
-
-    ``carrier="float64"`` forces the float64 ADC stage even where the
-    float32 one is proved exact (``"auto"``, the executed choice).
-    """
-    ops = plan._int_ops
+@contextlib.contextmanager
+def int_route(plan, carrier: str = "auto"):
+    """The plan on its integer route, with ``carrier="float64"`` forcing
+    the float64 ADC stage even where the float32 one is proved exact
+    (``"auto"``, the executed choice)."""
+    ops, mode = plan._int_ops, plan.mode
     if carrier == "float64":
         rq = plan.requant
         plan._int_ops = ops._replace(mu_adc=carrier_multiplier(
             rq.m0_adc, rq.shift_adc)[..., None])
+    plan.set_mode("int")
     try:
-        return plan._run_int(cols, None, (cols.shape[0], plan.out_channels))
+        yield plan
     finally:
-        plan._int_ops = ops
+        plan._int_ops, plan.mode = ops, mode
+
+
+def run_int(plan, cols: np.ndarray, carrier: str = "auto") -> np.ndarray:
+    """The executed integer route on a ``(NL, in_features)`` code matrix."""
+    with int_route(plan, carrier):
+        return plan._run(cols, plan.dequant_fold(True),
+                         (cols.shape[0], plan.out_channels))
 
 
 def retune(plan, case: str, rng):
@@ -421,6 +430,57 @@ class TestFloat64AdcStage:
         plan = compile_layer(layer)
         assert plan._int_ops.mu_adc.dtype == np.float32
 
+    def test_compiled_constants_run_the_float32_reduce(self):
+        # ordinary compiled constants certify every ADC fold of a model
+        # graph, so the executed reduce is the float32 hi/lo one
+        plan, x = build_model_plan()
+        plan.set_mode("int")
+        nodes, _ = plan.graph()
+        folds = [(plan.layer_plans[node.plan_index], node.attrs["fold"])
+                 for node in nodes if node.op == "cim"
+                 and node.attrs["fold"] is not None]
+        assert folds
+        for lp, fold in folds:
+            assert lp.psum_quant_enabled
+            assert lp._split_reduce(fold) is not None
+            assert lp._split_reduce(lp.dequant_fold(True)) is not None
+
+    @staticmethod
+    def bounded_plan(last_hi: int):
+        """A linear plan with ADC codes up to 128 whose reduce rows sum to
+        ``|hi| = 4 * 32767 + last_hi`` (``lo = 0``) in every channel: the
+        float32 reduce is certified below ``128 * sum|hi| = 2**24``."""
+        layer, _ = make_layer("linear", True, (16, 1), 4)
+        plan = compile_layer(layer)
+        saturating_splits(plan)
+        plan.psum_qmin, plan.psum_qmax = -128.0, 127.0
+        rq = plan.requant
+        rq.m0_adc = np.full(rq.m0_adc.shape, 2 ** 30, np.int32)  # code = p
+        rq.shift_adc = np.full(rq.shift_adc.shape, 30, np.int64)
+        rows = np.zeros(rq.m0_out.shape[:2], np.int32).reshape(-1)
+        assert rows.size >= 5
+        rows[:4] = 32767 << 16
+        rows[4] = last_hi << 16
+        rq.m0_out[:] = rows.reshape(rq.m0_out.shape[:2])[..., None]
+        plan._build_derived()
+        return plan
+
+    @pytest.mark.parametrize("last_hi,certified", [(3, True), (4, False)])
+    def test_reduce_certification_bound(self, last_hi, certified):
+        plan = self.bounded_plan(last_hi)
+        fold = plan.dequant_fold(True)
+        assert plan._int_ops.mu_adc.dtype == np.float32
+        assert (plan._split_reduce(fold) is not None) == certified
+        rng = np.random.default_rng(last_hi)
+        for nl in (0, 1, 2, 37, 300):
+            cols = code_batch(plan, nl, rng)
+            got = run_int(plan, cols)
+            np.testing.assert_array_equal(got, int64_reference(plan, cols))
+            if nl:                       # codes reach the bound's 2**7
+                start, stop = plan.row_slices[0]
+                psums = cols[:1, start:stop] @ plan.w_split_mats[0]
+                assert np.abs(psums).max() > 64
+
     @pytest.mark.parametrize("block", ["default", "tiny", "rows4", "rows3"])
     @pytest.mark.parametrize("nl", [0, 1, 2, 3, 4, 9, 13])
     def test_blocking_remainders(self, monkeypatch, block, nl):
@@ -432,13 +492,15 @@ class TestFloat64AdcStage:
         rng = np.random.default_rng(nl)
         saturating_splits(plan)
         retune(plan, "ties", rng)
-        per_row = max(plan.mapping.in_features,
-                      plan.n_arrays * plan.n_splits * plan.out_channels)
-        size = {"default": plan_module._INT_TILE, "tiny": 1,
-                "rows4": 4 * per_row, "rows3": 3 * per_row}[block]
-        monkeypatch.setattr(plan_module, "_INT_TILE", size)
         cols = code_batch(plan, nl, rng)
+        itemsize = np.dtype(plan.requant.gemm_dtype).itemsize
         for carrier in ("auto", "float64"):
+            with int_route(plan, carrier):     # one row's tile buffers
+                per_row = plan._column_bytes(plan.dequant_fold(True),
+                                             itemsize)
+            size = {"default": plan_module._TILE_BYTES, "tiny": 1,
+                    "rows4": 4 * per_row, "rows3": 3 * per_row}[block]
+            monkeypatch.setattr(plan_module, "_TILE_BYTES", size)
             np.testing.assert_array_equal(run_int(plan, cols, carrier),
                                           int64_reference(plan, cols))
 
@@ -446,7 +508,8 @@ class TestFloat64AdcStage:
         layer, x = make_layer("conv", True, (32, 1), 6)
         plan = compile_layer(layer)
         plan.set_mode("int")
-        codes = plan._quantize_acts_carrier(x).astype(np.float64)
+        codes = plan._quantize_acts_carrier(
+            x, plan.requant.gemm_dtype).astype(np.float64)
         cols = plan_module.F.unfold_array(codes, plan.kernel_size,
                                           plan.stride, plan.padding,
                                           layout="nlk")
