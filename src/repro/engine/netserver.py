@@ -155,7 +155,7 @@ class ModelEndpoint:
     """One mounted model: a :class:`PlanServer` plus wire-side accounting.
 
     Constructed through :meth:`NetServer.add_model`.  The endpoint owns
-    admission control (one lock serializes capacity checks against submits,
+    admission control (one non-blocking, all-or-nothing submit per request,
     so an admitted request never blocks on a full queue), the per-request
     latency histograms, and the serving lifecycle: rolling :meth:`reload`
     (probe-validated atomic swap to a new artifact, or to a fresh pool from
@@ -172,16 +172,12 @@ class ModelEndpoint:
     _GUARDED_BY = {"_drains": "_reload_lock"}
 
     def __init__(self, name: str, plan_source, server_kwargs: dict,
-                 max_request_samples: Optional[int] = None,
                  request_timeout_s: float = 60.0):
         self.name = name
         self._plan_source = plan_source
         self._server_kwargs = dict(server_kwargs)
         self.server = PlanServer(plan_source, **self._server_kwargs)
         self._artifact = _stat_artifact(plan_source)
-        queue_size = self.server.batcher.queue_size
-        self.max_request_samples = min(max_request_samples or queue_size,
-                                       queue_size)
         self.request_timeout_s = float(request_timeout_s)
         self.counters = EndpointCounters()
         self.latency: Dict[str, LatencyHistogram] = {
@@ -227,12 +223,13 @@ class ModelEndpoint:
     def _admit(self, batch: np.ndarray) -> List:
         """Classify the request as accepted (submitting it) or rejected.
 
-        Holding the admission lock across check-then-submit means capacity
-        seen by the check cannot be stolen by a sibling handler thread, so
-        ``submit_many(timeout=0)`` never spuriously times out — the queue
-        only drains concurrently.  Raises :class:`Saturated` (503) on a full
-        queue and :class:`ServerClosed` (503) while shutting down or after
-        every shard died.
+        Capacity is checked once, by ``submit_many(timeout=0)`` itself: it
+        queues all of the request's rows or none, and its
+        :class:`TimeoutError` is the full-queue answer.  The admission lock
+        orders admissions against a reload's pool swap and keeps the
+        counters in step.  Raises :class:`Saturated` (503) on a full queue
+        and :class:`ServerClosed` (503) while shutting down or after every
+        shard died.
 
         Conservation holds at request *and* sample level through every exit:
         :meth:`PlanServer.submit_many` enqueues all of a request's rows in
@@ -244,26 +241,17 @@ class ModelEndpoint:
         batcher = self.server.batcher
         with self._admission:
             self.counters.add(offered=1, samples_offered=n)
-            if batcher.pending + n > batcher.queue_size:
-                self.counters.add(rejected=1, samples_rejected=n)
-                raise Saturated(
-                    f"model {self.name!r} queue is full "
-                    f"({batcher.pending}/{batcher.queue_size} pending, "
-                    f"{n} samples offered); retry shortly",
-                    retry_after_s=max(0.05, 2.0 * batcher.max_wait))
             try:
                 futures = self.server.submit_many(batch, timeout=0.0)
             except ServerClosed:
                 self.counters.add(rejected=1, samples_rejected=n)
                 raise
             except TimeoutError as error:
-                # capacity vanished despite the check (a producer outside
-                # this endpoint filled the queue); submit_many queued
-                # nothing — classify as a clean saturation reject
                 self.counters.add(rejected=1, samples_rejected=n)
                 raise Saturated(
-                    f"model {self.name!r} could not take all {n} samples "
-                    "atomically; retry shortly",
+                    f"model {self.name!r} queue is full "
+                    f"({batcher.pending}/{batcher.queue_size} pending, "
+                    f"{n} samples offered); retry shortly",
                     retry_after_s=max(0.05, 2.0 * batcher.max_wait),
                 ) from error
             self.counters.add(accepted=1, samples_accepted=n)
@@ -285,7 +273,7 @@ class ModelEndpoint:
         t_start = time.monotonic()
         try:
             batch = wire.decode_predict_request(
-                body, max_samples=self.max_request_samples)
+                body, max_samples=self.server.batcher.queue_size)
             self._validate_sample_shape(batch)
         except wire.WireError:
             self.counters.add(bad_requests=1)
@@ -437,7 +425,6 @@ class ModelEndpoint:
             "admission": {
                 "queue_size": self.server.batcher.queue_size,
                 "pending": self.server.batcher.pending,
-                "max_request_samples": self.max_request_samples,
             },
             "requests": counters,
             "latency": {kind: histogram.to_dict()
@@ -696,7 +683,6 @@ class NetServer:
 
     # ------------------------------------------------------------------ #
     def add_model(self, name: str, plan, *,
-                  max_request_samples: Optional[int] = None,
                   request_timeout_s: float = 60.0,
                   **server_kwargs) -> ModelEndpoint:
         """Mount a model at ``/v1/models/{name}/predict``.
@@ -706,11 +692,10 @@ class NetServer:
         :class:`~repro.engine.model_plan.ModelPlan`.  ``server_kwargs`` are
         forwarded verbatim to :class:`PlanServer` (``n_shards``,
         ``backend``, ``max_batch``, ``max_wait_ms``, ``queue_size``,
-        ``mode`` ...).  ``max_request_samples``
-        caps one request's batch (at most the queue size — a request that
-        can never be admitted is a 413, not an eternal 503);
-        ``request_timeout_s`` bounds how long a handler waits for results
-        before answering 504.  The pool keeps ``n_shards`` shards until a
+        ``mode`` ...).  One request's batch is capped at ``queue_size``
+        (a request that can never be admitted is a 413, not an eternal
+        503); ``request_timeout_s`` bounds how long a handler waits for
+        results before answering 504.  The pool keeps ``n_shards`` shards until a
         :meth:`ModelEndpoint.reload` replaces it.
 
         Thread-safe: the mount table is updated under the endpoints lock;
@@ -722,7 +707,6 @@ class NetServer:
         # the endpoint retains the *path* as its plan source, so
         # bodiless reloads re-resolve the artifact (new bytes included)
         endpoint = ModelEndpoint(name, plan, server_kwargs,
-                                 max_request_samples=max_request_samples,
                                  request_timeout_s=request_timeout_s)
         with self._endpoints_lock:
             if name in self._endpoints:

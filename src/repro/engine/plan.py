@@ -644,12 +644,14 @@ class _PlanBase:
         columns' dtype (codes on the certified :attr:`float_carrier` are
         exact), divides by ``s_p`` in ``float64``, clips and rounds, and
         sums each array's ``einsum`` against ``m_fold`` into the
-        accumulator, in the layer's summation order.  Each row's values
-        therefore do not depend on the tile: the code GEMMs are exact, and
-        a ``float64`` GEMM of real values (the stem, the fused path) keeps
-        each row's bits as far as BLAS does for any row count.  The
-        activation scale and bias then land in ``out``, the tile's rows of
-        the result (NCHW for convolutions), through a strided view.
+        accumulator, in the layer's summation order.  Where every GEMM is
+        exact (the code GEMMs) a row's values do not depend on the tile.
+        A ``float64`` GEMM of real values (the raw-input stem, the fused
+        path) is only as row-stable as BLAS, whose kernels may sum a row in
+        another order for another row count, so there the tile size can
+        move a row's last bits, within the summation-order error bound.
+        The activation scale and bias then land in ``out``, the tile's rows
+        of the result (NCHW for convolutions), through a strided view.
 
         Registered hot: every intermediate comes from the plan's scratch
         table.

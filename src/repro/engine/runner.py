@@ -68,7 +68,7 @@ class RunnerStats:
 
     ``seconds`` counts wall time spent inside plan execution (staging and
     bookkeeping excluded); ``layer_seconds`` / ``layer_calls`` break it down
-    per graph node name when timing collection is enabled.  A batch split
+    per graph node name.  A batch split
     across worker threads adds every chunk's time to ``layer_seconds``
     (thread-seconds, so the per-layer sum may exceed ``seconds``) and counts
     one call per node, as an unsplit batch does.
@@ -126,6 +126,13 @@ class RunnerStats:
             self.layer_calls[name] = self.layer_calls.get(name, 0) + calls
         return self
 
+    def copy(self) -> "RunnerStats":
+        """A field-by-field copy (take it under the owner's stats lock)."""
+        return RunnerStats(samples=self.samples, batches=self.batches,
+                           seconds=self.seconds,
+                           layer_seconds=dict(self.layer_seconds),
+                           layer_calls=dict(self.layer_calls))
+
     def reset(self) -> None:
         """Zero all counters (e.g. after warm-up runs)."""
         self.samples = 0
@@ -148,9 +155,7 @@ class PlanExecutor:
     plan:
         The model plan (or any object with a compatible
         ``execute(x, timings=...)`` method taking ``float64`` batches).
-    collect_timings:
-        When true (default), per-node wall-clock seconds accumulate into
-        :attr:`stats`; disable to shave the bookkeeping off the hot path.
+        Per-node wall-clock seconds always accumulate into :attr:`stats`.
 
     The stats accumulator is guarded by ``_stats_lock`` (declared below
     for the static analyzer).
@@ -158,9 +163,8 @@ class PlanExecutor:
 
     _GUARDED_BY = {"stats": "_stats_lock"}
 
-    def __init__(self, plan: ModelPlan, collect_timings: bool = True):
+    def __init__(self, plan: ModelPlan):
         self.plan = plan
-        self.collect_timings = collect_timings
         self.stats = RunnerStats()
         self._stats_lock = threading.Lock()
 
@@ -180,8 +184,7 @@ class PlanExecutor:
         later batch never overwrites it.  Registered hot: every batch in the
         engine goes through here, so the body allocates nothing itself.
         """
-        timings: Optional[Dict[str, float]] = \
-            {} if self.collect_timings else None
+        timings: Dict[str, float] = {}
         chunks = min(workers, batch.shape[0] // 2)
         start = time.perf_counter()
         if chunks > 1:
@@ -193,30 +196,33 @@ class PlanExecutor:
             self.stats.seconds += elapsed
             self.stats.batches += 1
             self.stats.samples += batch.shape[0]
-            if timings:
-                for name, secs in timings.items():
-                    self.stats.layer_seconds[name] = \
-                        self.stats.layer_seconds.get(name, 0.0) + secs
-                    self.stats.layer_calls[name] = \
-                        self.stats.layer_calls.get(name, 0) + 1
+            for name, secs in timings.items():
+                self.stats.layer_seconds[name] = \
+                    self.stats.layer_seconds.get(name, 0.0) + secs
+                self.stats.layer_calls[name] = \
+                    self.stats.layer_calls.get(name, 0) + 1
         return out
 
     def _execute_split(self, batch: np.ndarray, chunks: int,
-                       timings: Optional[Dict[str, float]]) -> np.ndarray:
+                       timings: Dict[str, float]) -> np.ndarray:
         """Run ``chunks`` contiguous row ranges of ``batch`` at once.
 
         The first range runs on the calling thread, the others on
         :func:`~repro.engine.cpu.runner_pool`; each output lands in its rows
         of one fresh result array.  Every chunk finishes before this returns
-        or raises, so no worker outlives the batch it reads.  Rows are
-        independent through the whole plan, so the result equals the
-        unsplit batch's bit for bit.
+        or raises, so no worker outlives the batch it reads.  Where every
+        GEMM is exact (integer codes on an exact carrier) the result equals
+        the unsplit batch's bit for bit.  The ``float64`` GEMMs of real
+        values — the raw-input stem, and layers with partial-sum
+        quantization off (the fused path) — are only as row-stable as BLAS,
+        whose kernels may sum a row in another order for another row count,
+        so there a split can move the last bits of a row.
         """
         n = batch.shape[0]
         pool = cpu.runner_pool()
         parts = []
         for i in range(1, chunks):
-            part_timings = None if timings is None else {}
+            part_timings: Dict[str, float] = {}
             lo, hi = i * n // chunks, (i + 1) * n // chunks
             parts.append((lo, hi, part_timings,
                           pool.submit(self.plan.execute, batch[lo:hi],
@@ -229,9 +235,8 @@ class PlanExecutor:
         out[:head.shape[0]] = head
         for lo, hi, part_timings, future in parts:
             out[lo:hi] = future.result()
-            if timings is not None:
-                for name, secs in part_timings.items():
-                    timings[name] = timings.get(name, 0.0) + secs
+            for name, secs in part_timings.items():
+                timings[name] = timings.get(name, 0.0) + secs
         return out
 
     def stats_snapshot(self) -> RunnerStats:
@@ -239,11 +244,7 @@ class PlanExecutor:
         Thread-safe: copies under the stats lock, so it never observes a
         half-applied batch update."""
         with self._stats_lock:
-            return RunnerStats(samples=self.stats.samples,
-                               batches=self.stats.batches,
-                               seconds=self.stats.seconds,
-                               layer_seconds=dict(self.stats.layer_seconds),
-                               layer_calls=dict(self.stats.layer_calls))
+            return self.stats.copy()
 
 
 class InferenceRunner:
@@ -257,9 +258,6 @@ class InferenceRunner:
     batch_size:
         Micro-batch size; the staging buffer is ``(batch_size, *sample_shape)``
         and is allocated on the first sample, then reused.
-    collect_timings:
-        When true (default), per-node wall-clock seconds accumulate into
-        :attr:`stats`; disable to shave the bookkeeping off the hot path.
     mode:
         Optional execution route: ``"float"`` (bit-exact reference) or
         ``"int"`` (fixed-point requantized).  Applied to the plan itself via
@@ -270,16 +268,17 @@ class InferenceRunner:
     Every flushed batch runs on :func:`repro.engine.cpu.runner_workers`
     threads, split into contiguous row chunks
     (:meth:`PlanExecutor.execute_batch`); outputs are bit-identical to an
-    unsplit batch.
+    unsplit batch wherever every GEMM is exact (see
+    :meth:`PlanExecutor._execute_split`).
     """
 
     def __init__(self, plan: ModelPlan, batch_size: int = 32,
-                 collect_timings: bool = True, mode: Optional[str] = None):
+                 mode: Optional[str] = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if mode is not None:
             plan.set_mode(mode)
-        self.executor = PlanExecutor(plan, collect_timings=collect_timings)
+        self.executor = PlanExecutor(plan)
         self.batch_size = int(batch_size)
         self._staging: Optional[np.ndarray] = None
 
@@ -292,11 +291,6 @@ class InferenceRunner:
     def stats(self) -> RunnerStats:
         """Execution statistics (delegated to the underlying executor)."""
         return self.executor.stats
-
-    @property
-    def collect_timings(self) -> bool:
-        """Whether per-layer timings are being collected."""
-        return self.executor.collect_timings
 
     # ------------------------------------------------------------------ #
     def _ensure_staging(self, sample: np.ndarray) -> np.ndarray:

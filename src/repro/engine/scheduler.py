@@ -188,10 +188,6 @@ class DynamicBatcher:
     # ------------------------------------------------------------------ #
     # producer side
     # ------------------------------------------------------------------ #
-    def put(self, request: Request, timeout: Optional[float] = None) -> None:
-        """Enqueue one request: :meth:`put_many` of one.  Thread-safe."""
-        self.put_many([request], timeout=timeout)
-
     def put_many(self, requests: Sequence[Request],
                  timeout: Optional[float] = None) -> None:
         """Enqueue a request's rows as one unit, blocking until all fit.

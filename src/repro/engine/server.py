@@ -13,7 +13,8 @@ two layers:
 2. a pool of **shard workers** — N executors over the same read-only plan,
    each owning its private :class:`~repro.engine.runner.RunnerStats` so
    shards never contend.
-   Thread-backed shards (default) run the GEMMs in-process; process-backed
+   A thread-backed shard (default) is a
+   :class:`~repro.engine.runner.PlanExecutor` run in-process; process-backed
    shards (``backend="process"``) fork one child per shard and stream
    batches over a pipe, stepping around the GIL entirely.
 
@@ -24,11 +25,14 @@ batches are formed or which shard finishes first.  A module-level
 artifact paths cheap: hot reloads of the same ``.npz`` skip the disk parse
 until the file actually changes.
 
-Numerics: shards execute the same plan arrays as a single runner, and row
-results are independent of batch composition, so a float64 server is
-bit-identical to the single-runner path —
-``benchmarks/bench_server_concurrency.py`` pins that, plus the >= 1.3x
-aggregate-throughput contract of dynamic batching over per-request serving.
+Numerics: shards execute the same plan arrays as a single runner.  Where
+every GEMM is exact (integer codes on an exact carrier) row results do not
+depend on batch composition, so the server is bit-identical to the
+single-runner path — ``benchmarks/bench_server_concurrency.py`` pins that,
+plus the >= 1.3x aggregate-throughput contract of dynamic batching over
+per-request serving.  The ``float64`` GEMMs of real values (the raw-input
+stem, layers with partial-sum quantization off) are only as row-stable as
+BLAS, so there a row's last bits can move with the batch it rode in.
 """
 
 from __future__ import annotations
@@ -164,29 +168,9 @@ def clear_plan_cache() -> None:
 # --------------------------------------------------------------------------- #
 # shards
 # --------------------------------------------------------------------------- #
-class _ThreadShard:
-    """A shard executing in-process through its own :class:`PlanExecutor`."""
-
-    def __init__(self, plan, collect_timings: bool):
-        self._executor = PlanExecutor(plan, collect_timings=collect_timings)
-
-    @property
-    def stats(self) -> RunnerStats:
-        return self._executor.stats
-
-    def stats_snapshot(self) -> RunnerStats:
-        return self._executor.stats_snapshot()
-
-    def execute_batch(self, batch: np.ndarray) -> np.ndarray:
-        return self._executor.execute_batch(batch)
-
-    def close(self) -> None:
-        pass
-
-
-def _process_shard_main(conn, plan, collect_timings: bool) -> None:
+def _process_shard_main(conn, plan) -> None:
     """Child-process loop of a process-backed shard: recv batch, send rows."""
-    executor = PlanExecutor(plan, collect_timings=collect_timings)
+    executor = PlanExecutor(plan)
     while True:
         try:
             batch = conn.recv()
@@ -215,12 +199,12 @@ class _ProcessShard:
 
     _GUARDED_BY = {"stats": "_stats_lock"}
 
-    def __init__(self, plan, collect_timings: bool):
+    def __init__(self, plan):
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(target=_process_shard_main,
-                                 args=(child_conn, plan, collect_timings),
+                                 args=(child_conn, plan),
                                  daemon=True)
         self._proc.start()
         child_conn.close()
@@ -229,11 +213,7 @@ class _ProcessShard:
 
     def stats_snapshot(self) -> RunnerStats:
         with self._stats_lock:
-            return RunnerStats(samples=self.stats.samples,
-                               batches=self.stats.batches,
-                               seconds=self.stats.seconds,
-                               layer_seconds=dict(self.stats.layer_seconds),
-                               layer_calls=dict(self.stats.layer_calls))
+            return self.stats.copy()
 
     def execute_batch(self, batch: np.ndarray) -> np.ndarray:
         start = time.perf_counter()
@@ -248,11 +228,10 @@ class _ProcessShard:
         if status != "ok":
             raise RuntimeError(f"process shard failed: {payload}")
         with self._stats_lock:
-            if child_stats is not None:
-                self.stats.samples = child_stats.samples
-                self.stats.batches = child_stats.batches
-                self.stats.layer_seconds = child_stats.layer_seconds
-                self.stats.layer_calls = child_stats.layer_calls
+            self.stats.samples = child_stats.samples
+            self.stats.batches = child_stats.batches
+            self.stats.layer_seconds = child_stats.layer_seconds
+            self.stats.layer_calls = child_stats.layer_calls
             self.stats.seconds += elapsed
         return payload
 
@@ -269,7 +248,8 @@ class _ProcessShard:
 
 
 class _ShardSlot:
-    """One pool slot: a shard executor and the worker thread feeding it."""
+    """One pool slot: a shard (a :class:`PlanExecutor` or a
+    :class:`_ProcessShard`) and the worker thread feeding it."""
 
     def __init__(self, shard):
         self.shard = shard
@@ -302,8 +282,6 @@ class PlanServer:
         shard take pending work at once, a positive value holds a partial
         batch until its oldest row has waited that long; ``queue_size``
         bounds the backlog (backpressure) and one call's rows.
-    collect_timings:
-        Forwarded to each shard's executor (per-layer timing stats).
     mode:
         Optional execution route served by every shard: ``"float"``
         (bit-exact reference) or ``"int"`` (fixed-point requantized).  Plan
@@ -329,8 +307,7 @@ class PlanServer:
 
     def __init__(self, plan, n_shards: int = 2, backend: str = "thread",
                  max_batch: int = 16, max_wait_ms: float = 0.0,
-                 queue_size: int = 256, collect_timings: bool = True,
-                 mode: Optional[str] = None):
+                 queue_size: int = 256, mode: Optional[str] = None):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if backend not in ("thread", "process"):
@@ -352,9 +329,9 @@ class PlanServer:
         self._slots: List[_ShardSlot] = []
         self._drained_stats = RunnerStats()   # stats of dead shards
         self._shards_died = 0
-        shard_cls = _ThreadShard if backend == "thread" else _ProcessShard
+        shard_cls = PlanExecutor if backend == "thread" else _ProcessShard
         for index in range(n_shards):
-            slot = _ShardSlot(shard_cls(self.plan, collect_timings))
+            slot = _ShardSlot(shard_cls(self.plan))
             slot.worker = threading.Thread(
                 target=self._worker_loop, args=(slot,),
                 name=f"plan-server-shard-{index}", daemon=True)
@@ -429,7 +406,8 @@ class PlanServer:
             self._drained_stats.merge(slot.shard.stats_snapshot())
             self._shards_died += 1
             pool_empty = not self._slots
-        slot.shard.close()
+        if self.backend == "process":
+            slot.shard.close()
         if not pool_empty:
             return
         self._closed = True
@@ -609,8 +587,9 @@ class PlanServer:
                 f"close({timeout=}) expired with {still_draining} worker(s) "
                 "still draining; shards left running — call close() again "
                 "to finish")
-        for slot in slots:
-            slot.shard.close()
+        if self.backend == "process":
+            for slot in slots:
+                slot.shard.close()
 
     def __enter__(self) -> "PlanServer":
         return self

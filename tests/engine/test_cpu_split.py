@@ -2,9 +2,11 @@
 
 The runner splits each flushed batch into row chunks run at once on the
 policy's thread pool; the int route runs every conv layer tile by tile.
-Both change only *where* rows are computed, never their values, so every
-test here demands byte-equal outputs.  Worker counts and tile sizes are
-forced by monkeypatching the policy function and the tile bound.
+Both change only *where* rows are computed.  Where every GEMM is exact
+that leaves the values alone, so those tests demand byte-equal outputs; the
+fused float path's ``float64`` GEMM is held to its summation-order error
+bound instead.  Worker counts and tile sizes are forced by monkeypatching
+the policy function and the tile bound.
 """
 
 import importlib
@@ -205,13 +207,14 @@ class RecordingPlan:
 # sample tiles of the int conv kernel
 # --------------------------------------------------------------------------- #
 def conv_plan(kernel: int, stride: int, padding: int, seed: int,
-              quantize_input: bool = True):
+              quantize_input: bool = True, quantize_psum: bool = True):
     cfg = CIMConfig(array_rows=16, array_cols=32, cell_bits=1, adc_bits=3)
     layer = CIMConv2d(3, 5, kernel, stride=stride, padding=padding,
                       bias=True, scheme=QuantScheme(
                           weight_bits=3, act_bits=3, psum_bits=3,
                           weight_granularity="column",
-                          psum_granularity="column"),
+                          psum_granularity="column",
+                          quantize_psum=quantize_psum),
                       cim_config=cfg, rng=np.random.default_rng(seed),
                       quantize_input=quantize_input)
     rng = np.random.default_rng(seed + 1)
@@ -282,8 +285,11 @@ class TestConvTiles:
 
 
 class TestFloatTiles:
-    """The float route runs the same tile loop: raw (the stem) and code
-    inputs alike give byte-identical rows whatever the tile."""
+    """The float route runs the same tile loop.  With partial-sum
+    quantization on, code and raw (stem) inputs give byte-identical rows
+    whatever the tile here; the stem's ``float64`` GEMM of real values holds
+    that only as far as this BLAS does.  The fused path (partial-sum
+    quantization off) is held to the summation-order error bound instead."""
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("raw", [False, True], ids=["codes", "raw"])
@@ -300,6 +306,32 @@ class TestFloatTiles:
             monkeypatch.setattr(plan_module, "_TILE_BYTES",
                                 tile_bound(plan, samples, None, itemsize))
             assert plan.execute(x).tobytes() == whole.tobytes(), samples
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_fused_tiles_within_summation_bound(self, monkeypatch, geometry):
+        # one float64 GEMM of K-term dot products per tile: another tile
+        # size may let BLAS sum a row in another order, which moves it by
+        # at most K * eps * sum|code * w| (two orderings, each within
+        # gamma_K), scaled by the activation scale, plus the rounding of
+        # the scale and bias steps
+        plan, x = conv_plan(*GEOMETRIES[geometry], seed=4,
+                            quantize_psum=False)
+        plan.set_mode("float")
+        assert not plan.psum_quant_enabled
+        k, eps = plan.mapping.in_features, np.finfo(np.float64).eps
+        code = max(abs(plan.act_qmin), abs(plan.act_qmax))
+        dot = k * code * np.abs(plan.w_eff_valid).max(axis=0) \
+            * np.abs(plan.act_scale)
+        whole = plan.execute(x)                 # the default: one tile
+        tol = (1.01 * k * eps * dot[:, None, None]
+               + 2 * eps * (dot[:, None, None] + np.abs(whole)))
+        itemsize = plan.float_carrier.itemsize
+        for samples in (1, 2, 3, 5):
+            monkeypatch.setattr(plan_module, "_TILE_BYTES",
+                                tile_bound(plan, samples, None, itemsize))
+            got = plan.execute(x)
+            assert got.shape == whole.shape
+            assert np.all(np.abs(got - whole) <= tol), samples
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     def test_uncertified_carrier_runs_float64(self, geometry):

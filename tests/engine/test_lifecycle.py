@@ -496,8 +496,8 @@ def test_scheduler_snapshot_is_never_torn():
         seq = 0
         while not stop.is_set():
             try:
-                batcher.put(Request(seq=seq, payload=np.zeros(1),
-                                    future=Future()), timeout=0.1)
+                batcher.put_many([Request(seq=seq, payload=np.zeros(1),
+                                          future=Future())], timeout=0.1)
                 seq += 1
             except (TimeoutError, engine.SchedulerClosed):
                 pass            # racing shutdown is part of the test

@@ -126,8 +126,6 @@ def test_oversized_body_gets_413_without_reading_it(net):
 
 
 def test_oversized_batch_gets_413(net):
-    endpoint = net.endpoint("toy")
-    assert endpoint.max_request_samples == 32      # clamped to queue_size
     status, _headers, body = predict(net, "toy", [[1.0, 2.0]] * 33)
     assert status == 413
     assert "33 samples" in body["error"]["detail"]

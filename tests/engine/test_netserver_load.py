@@ -177,6 +177,71 @@ def test_saturation_emits_503_fast_while_accepted_complete():
     assert metrics["latency"]["total"]["max_ms"] < 5000.0
 
 
+class GatedPlan:
+    """Blocks every non-empty batch until ``gate`` is set."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def execute(self, x, timings=None):
+        x = np.asarray(x)
+        if x.shape[0]:                   # the zero-row probe stays free
+            self.entered.set()
+            assert self.gate.wait(30.0)
+        return x * 2.0 + 1.0
+
+
+def test_admission_boundary_is_one_capacity_check():
+    """With the shard blocked, a request that exactly fills the queue is
+    accepted and the next single sample is refused, with conservation at
+    request and sample level."""
+    queue_size = 8
+    plan = GatedPlan()
+    with engine.NetServer() as net:
+        endpoint = net.add_model("gated", plan, n_shards=1, max_batch=4,
+                                 queue_size=queue_size)
+        outcomes = {}
+
+        def client(key, rows):
+            outcomes[key] = predict(net, "gated", [[1.0, 2.0]] * rows,
+                                    timeout=60.0)
+
+        busy = threading.Thread(target=client, args=("busy", 1))
+        filler = threading.Thread(target=client,
+                                  args=("filler", queue_size))
+        busy.start()
+        try:
+            assert plan.entered.wait(30.0)   # the shard holds the first one
+            filler.start()
+            deadline = time.monotonic() + 30.0
+            while endpoint.server.batcher.pending < queue_size:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            status, headers, body = predict(net, "gated", [[1.0, 2.0]])
+        finally:
+            plan.gate.set()
+        busy.join()
+        filler.join()
+        counters = request(net, "GET", "/metrics")[2]["models"]["gated"][
+            "requests"]
+
+    assert status == 503 and int(headers["Retry-After"]) >= 1
+    assert "queue is full" in body["error"]["detail"]
+    assert f"{queue_size}/{queue_size} pending" in body["error"]["detail"]
+    assert outcomes["busy"][0] == 200
+    assert outcomes["filler"][0] == 200
+    assert outcomes["filler"][2]["outputs"] == [[3.0, 5.0]] * queue_size
+    assert (counters["offered"], counters["accepted"],
+            counters["rejected"]) == (3, 2, 1)
+    assert (counters["samples_offered"], counters["samples_accepted"],
+            counters["samples_rejected"]) == (queue_size + 2,
+                                              queue_size + 1, 1)
+    assert counters["accepted"] + counters["rejected"] == counters["offered"]
+    assert (counters["samples_accepted"] + counters["samples_rejected"]
+            == counters["samples_offered"])
+
+
 def test_queue_and_compute_split_reported(artifact):
     path, x = artifact
     with engine.NetServer() as net:

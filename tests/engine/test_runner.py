@@ -63,13 +63,6 @@ class TestMicroBatching:
         np.testing.assert_array_equal(np.concatenate([first, second]),
                                       plan.execute(x))
 
-    def test_untimed_runner_matches(self, plan_and_data):
-        _, plan, x = plan_and_data
-        runner = engine.InferenceRunner(plan, batch_size=4,
-                                        collect_timings=False)
-        np.testing.assert_array_equal(runner.predict(x), plan.execute(x))
-        assert not runner.stats.layer_seconds
-
     @pytest.mark.parametrize("output_op", ["relu", "add", "batchnorm"])
     def test_execute_batch_output_outlives_the_next_batch(self, output_op):
         """An array returned by execute_batch is the caller's: a second batch

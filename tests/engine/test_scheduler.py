@@ -60,7 +60,7 @@ class TestValidation:
         batcher = DynamicBatcher()
         batcher.close()
         with pytest.raises(SchedulerClosed):
-            batcher.put(_request(0))
+            batcher.put_many([_request(0)])
         with pytest.raises(SchedulerClosed):
             batcher.put_many(_requests(1, 3))
         assert batcher.pending == 0
@@ -89,7 +89,7 @@ class TestProperties:
         while seq < n_requests:
             burst = int(rng.integers(1, max(2, queue_size)))
             for _ in range(min(burst, n_requests - seq)):
-                batcher.put(_request(seq), timeout=5.0)
+                batcher.put_many([_request(seq)], timeout=5.0)
                 seq += 1
             if rng.random() < 0.3:
                 time.sleep(float(rng.random()) * 1e-3)   # arrival jitter
@@ -130,7 +130,7 @@ class TestProperties:
         for consumer in consumers:
             consumer.start()
         for seq in range(n_requests):
-            batcher.put(_request(seq), timeout=5.0)
+            batcher.put_many([_request(seq)], timeout=5.0)
         batcher.close()
         for consumer in consumers:
             consumer.join(timeout=10.0)
@@ -148,7 +148,7 @@ class TestTriggers:
         batcher = DynamicBatcher(max_batch=4, max_wait_ms=10_000.0,
                                  queue_size=16)
         for seq in range(4):
-            batcher.put(_request(seq))
+            batcher.put_many([_request(seq)])
         start = time.monotonic()
         batch = batcher.next_batch()
         assert len(batch) == 4
@@ -162,7 +162,7 @@ class TestTriggers:
         batcher = DynamicBatcher(max_batch=64, max_wait_ms=max_wait_ms,
                                  queue_size=128)
         for seq in range(3):
-            batcher.put(_request(seq))
+            batcher.put_many([_request(seq)])
         start = time.monotonic()
         batch = batcher.next_batch()
         elapsed = time.monotonic() - start
@@ -201,7 +201,7 @@ class TestTriggers:
     def test_close_flushes_partial_batch(self):
         batcher = DynamicBatcher(max_batch=64, max_wait_ms=10_000.0,
                                  queue_size=128)
-        batcher.put(_request(0))
+        batcher.put_many([_request(0)])
         batcher.close()
         batch = batcher.next_batch()
         assert [request.seq for request in batch] == [0]
@@ -273,16 +273,16 @@ class TestAtomicEnqueue:
 class TestBackpressure:
     def test_put_times_out_when_full(self):
         batcher = DynamicBatcher(max_batch=2, max_wait_ms=1.0, queue_size=2)
-        batcher.put(_request(0))
-        batcher.put(_request(1))
+        batcher.put_many([_request(0)])
+        batcher.put_many([_request(1)])
         with pytest.raises(TimeoutError):
-            batcher.put(_request(2), timeout=0.05)
+            batcher.put_many([_request(2)], timeout=0.05)
         assert batcher.pending == 2
 
     def test_put_unblocks_when_consumer_drains(self):
         batcher = DynamicBatcher(max_batch=2, max_wait_ms=1.0, queue_size=2)
-        batcher.put(_request(0))
-        batcher.put(_request(1))
+        batcher.put_many([_request(0)])
+        batcher.put_many([_request(1)])
         released = threading.Event()
 
         def slow_consumer():
@@ -291,7 +291,7 @@ class TestBackpressure:
             released.set()
 
         threading.Thread(target=slow_consumer, daemon=True).start()
-        batcher.put(_request(2), timeout=5.0)         # blocks, then succeeds
+        batcher.put_many([_request(2)], timeout=5.0)  # blocks, then succeeds
         assert released.is_set()
 
 

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from repro.engine import PlanServer
-from tools.serve import MODEL_OPTIONS, build_parser, parse_model_spec
+from tools.serve import MODEL_OPTIONS, build_parser, main, parse_model_spec
 
 
 def test_good_spec_splits_name_path_and_options():
@@ -45,6 +45,32 @@ def test_empty_name_or_path_is_refused(spec):
 def test_parser_exits_on_an_unknown_option():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--model", "r=plan.npz:shard=3"])
+
+
+# values that parse as strings but would fail int(), PlanServer or
+# set_mode once the server starts; they must fail the command line instead
+@pytest.mark.parametrize("argv", [
+    ["--model", "r=plan.npz:shards=two"],
+    ["--model", "r=plan.npz:shards=0"],
+    ["--model", "r=plan.npz:mode=fixed"],
+    ["--model", "r=plan.npz", "--shards", "0"],
+    ["--model", "r=plan.npz", "--max-batch", "0"],
+    ["--model", "r=plan.npz", "--max-wait-ms", "-1"],
+    ["--model", "r=plan.npz", "--queue-size", "4", "--max-batch", "8"],
+], ids=["shards-two", "shards-0", "mode-fixed", "flag-shards-0",
+        "max-batch-0", "negative-wait", "queue-below-batch"])
+def test_invalid_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)                    # never reaches the server start
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_valid_values_still_parse():
+    args = build_parser().parse_args(
+        ["--model", "r=plan.npz:mode=int:shards=3", "--shards", "1"])
+    assert args.model == [("r", "plan.npz", {"mode": "int", "shards": "3"})]
+    assert args.shards == 1
 
 
 # flags of the removed result cache and autoscaler

@@ -48,10 +48,26 @@ from repro.engine import NetServer, PlanServer   # noqa: E402 — path shim
 #: Per-model option keys ``--model name=path:key=value`` accepts.
 MODEL_OPTIONS = ("mode", "shards")
 
+#: Execution routes a model can be served on (``mode=``).
+MODES = ("float", "int")
+
 #: :class:`PlanServer`'s keyword defaults: the serving flags take theirs
 #: from here, so the CLI and the library cannot drift apart.
 SERVER_DEFAULTS = {name: param.default for name, param
                    in inspect.signature(PlanServer).parameters.items()}
+
+
+def positive_int(text: str) -> int:
+    """An ``int >= 1`` from the command line, else
+    :class:`argparse.ArgumentTypeError` (a usage error, exit code 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number >= 1, got {text!r}")
+    return value
 
 
 def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
@@ -60,9 +76,10 @@ def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
     The path may itself contain ``=``-free colons only in the option tail,
     so artifact paths with drive letters are not supported — keep artifacts
     on POSIX paths (the rest of the toolchain already assumes fork).
-    An option key outside :data:`MODEL_OPTIONS` raises
-    :class:`argparse.ArgumentTypeError`, so a stale or misspelled option
-    fails the command line instead of being ignored.
+    An option key outside :data:`MODEL_OPTIONS`, a ``mode`` outside
+    :data:`MODES` or a ``shards`` below 1 raises
+    :class:`argparse.ArgumentTypeError`, so a stale, misspelled or invalid
+    option fails the command line instead of the server start.
     """
     if "=" not in spec:
         raise argparse.ArgumentTypeError(
@@ -82,6 +99,12 @@ def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
                 raise argparse.ArgumentTypeError(
                     f"--model {spec!r}: unknown option {key!r} "
                     f"(allowed: {', '.join(MODEL_OPTIONS)})")
+            if key == "mode" and value not in MODES:
+                raise argparse.ArgumentTypeError(
+                    f"--model {spec!r}: mode must be one of "
+                    f"{', '.join(MODES)}, got {value!r}")
+            if key == "shards":
+                positive_int(value)
             options[key] = value
     if not name or not path:
         raise argparse.ArgumentTypeError(
@@ -100,18 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="0 binds an ephemeral port (printed on start)")
-    parser.add_argument("--shards", type=int,
+    parser.add_argument("--shards", type=positive_int,
                         default=SERVER_DEFAULTS["n_shards"],
                         help="shard executors per model")
     parser.add_argument("--backend", choices=("thread", "process"),
                         default=SERVER_DEFAULTS["backend"])
-    parser.add_argument("--max-batch", type=int,
+    parser.add_argument("--max-batch", type=positive_int,
                         default=SERVER_DEFAULTS["max_batch"])
     parser.add_argument("--max-wait-ms", type=float,
                         default=SERVER_DEFAULTS["max_wait_ms"],
                         help="hold a partial batch this long (default 0: "
                              "an idle shard takes pending work at once)")
-    parser.add_argument("--queue-size", type=int,
+    parser.add_argument("--queue-size", type=positive_int,
                         default=SERVER_DEFAULTS["queue_size"],
                         help="bounded backlog per model; admission control "
                              "answers 503 past it")
@@ -161,9 +184,22 @@ def reload_all(net: NetServer) -> None:
                   flush=True)
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse and cross-check the flags; invalid values exit with code 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.max_wait_ms < 0:
+        parser.error(f"--max-wait-ms {args.max_wait_ms} must be >= 0")
+    if args.queue_size < args.max_batch:
+        parser.error(f"--queue-size {args.queue_size} must be >= "
+                     f"--max-batch {args.max_batch} (a full batch must fit "
+                     "in the queue)")
+    return args
+
+
 def main(argv=None) -> int:
     """Parse flags, serve, drain on SIGTERM/SIGINT, exit 0."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     net = build_server(args)
     stop = threading.Event()
 
