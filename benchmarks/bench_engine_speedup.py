@@ -7,8 +7,8 @@ eval-batch throughput of a ResNet basic block — the paper's workhorse
 topology — in both partial-sum-quantization modes and checks:
 
 * **speedup**: the frozen forward is at least 3x faster than the seed
-  forward (in practice ~4-5x with partial-sum quantization enabled and more
-  without, where the fully-fused single-GEMM path applies);
+  forward (about 10-11x in ``BENCH_engine.json`` with partial-sum
+  quantization on and off);
 * **equivalence**: frozen and seed outputs agree to <= 1e-10 max abs diff,
   including with partial-sum quantization enabled.
 
@@ -115,8 +115,7 @@ def test_engine_speedup_and_equivalence():
     The equivalence bound is deterministic and always enforced.  The timing
     gate is relaxed at the ``tiny`` smoke scale (2-3 iterations on a possibly
     contended CPU make a hard 3x threshold flaky); the full >= 3x contract is
-    asserted at the default scale, where measurements are stable (~4-5x in
-    practice).
+    asserted at the default scale (about 10-11x in ``BENCH_engine.json``).
     """
     results = run_engine_speedup()
     _report(results)

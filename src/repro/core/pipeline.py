@@ -537,11 +537,6 @@ class DequantShiftAddStage(PipelineStage):
         out = contrib.sum(axis=(0, 1)) * ctx.s_a
         ctx.out = ctx.adapter.fold(ctx, out)
 
-    def compile_into(self, state, layer, geometry, adapter) -> None:
-        """Snapshot the fused ``(A*R, OC)`` dequantized weight operand."""
-        state["w_eff_mat"] = np.ascontiguousarray(
-            (state["w_bar"] * state["s_w"]).reshape(-1, geometry.out_channels))
-
 
 class BiasStage(PipelineStage):
     """Add the (optional) bias in the layer's output layout."""
@@ -667,7 +662,6 @@ class CIMPipeline:
             rows_per_array=g.rows_per_array,
             n_splits=g.n_splits,
             pad_rows=g.pad_rows,
-            valid_mask=g.valid_rows_mask.copy(),
             mapping=g.mapping,
         )
         for stage in self.stages:

@@ -8,12 +8,12 @@ scales.  None of that depends on the input, so at inference time it is pure
 overhead.  A *plan* snapshots all of it once, at freeze time:
 
 * the integer tiled weight ``w_bar`` and its per-cell bit-splits,
-* the weight scale ``s_w`` and the valid-rows mask of the tiling,
+* the weight scale ``s_w``,
 * the activation and partial-sum quantizer parameters (scales + clip ranges),
 * the folded dequantization multiplier ``M = s_p * 2**(j*cell_bits) * s_w``
   (one multiplication per ADC column instead of three broadcast passes —
   the deployment folding of Fig. 4(d) of the paper),
-* a pre-reshaped weight operand for a single batched GEMM per layer.
+* one per-array integer GEMM operand that both routes multiply by.
 
 The snapshot is not re-derived here: :meth:`repro.core.pipeline.CIMPipeline.
 compile_state` walks the *same stage list* that executes the QAT forward and
@@ -24,20 +24,24 @@ Two execution strategies are compiled into every plan:
 
 fused path (partial-sum quantization disabled, no recorder)
     The bit-splits are folded back into the integer weight (exact, since
-    ``sum_j split_j * 2**(j*cell_bits) == w_bar``), the weight scale is folded
-    in, and the whole layer collapses to **one** GEMM over the activation
-    columns — the ``(S, A, N, L, OC)`` partial-sum intermediate (axis
-    convention: :mod:`repro.core.psum`) is never materialized.
+    ``sum_j split_j * 2**(j*cell_bits) == w_bar``): one GEMM per array
+    against ``w_bar``, whose ``(A, N*L, OC)`` result is scaled by ``s_w``
+    per (array, column) and summed over arrays in a fixed order — the
+    ``(S, A, N, L, OC)`` partial-sum intermediate (axis convention:
+    :mod:`repro.core.psum`) is never materialized.
 
 quantized path (partial-sum quantization enabled)
     The per-(split, array) partial sums are semantically observable — the ADC
     rounds each one — so the intermediate must exist; the plan computes it
-    with one GEMM per array, quantizes every array in place at once, and
-    reduces each array with one ``einsum`` against the folded multiplier
-    ``M``.  Activation codes and cell codes are integers, so these GEMMs
-    run on the certified exact-integer carrier (``float32`` for ordinary
-    layers, see :mod:`repro.core.requant`); the raw-input stem multiplies
-    real inputs in ``float64``.
+    with one GEMM per array against the cell codes, quantizes every array
+    in place at once, and reduces each array with one ``einsum`` against
+    the folded multiplier ``M``.
+
+Activation codes and weight or cell codes are integers, so every GEMM runs
+on the plan's certified exact-integer :attr:`_PlanBase.carrier` (``float32``
+for ordinary layers, see :mod:`repro.core.requant`) and a row's result does
+not depend on the batch it arrives in.  Only a raw-input layer (no input
+quantizer) multiplies real values, in ``float64``.
 
 Both routes run a layer one tile of samples at a time
 (:data:`_TILE_BYTES` bounds a tile's buffers, all taken from the plan's
@@ -166,7 +170,6 @@ class LayerFold:
 class _IntOperands(NamedTuple):
     """Integer-route operands of one layer plan (``_build_int_operands``)."""
 
-    mats: list                      # per-array GEMM weights on the carrier
     mu_adc: Optional[np.ndarray]    # (A, S, OC, 1) ADC divide, ADC route
     dequant: LayerFold              # the stand-alone dequant fold
 
@@ -221,9 +224,7 @@ class _PlanBase:
     w_bar: np.ndarray             # (A, R, OC) integer weight codes
     splits: np.ndarray            # (S, A, R, OC) integer cell codes
     s_w: np.ndarray               # weight scale, broadcastable to (A, R, OC)
-    valid_mask: np.ndarray        # (A, R, 1) rows holding real weights
     shift_factors: np.ndarray     # (S,) shift-and-add factors 2**(j*cell_bits)
-    w_eff_mat: np.ndarray         # (A*R, OC) folded weight for the fused path
     bias: Optional[np.ndarray]
     act_scale: Optional[np.ndarray]   # (1,) activation scale, None = raw input
     act_qmin: float
@@ -238,11 +239,10 @@ class _PlanBase:
     mode: str = field(default="float", repr=False)  # runtime, not serialized
     # derived operands, rebuilt by _build_derived()
     row_slices: list = field(init=False, repr=False, default=None)
-    float_carrier: np.dtype = field(init=False, repr=False, default=None)
-    w_split_mats: list = field(init=False, repr=False, default=None)
-    w_eff_valid: np.ndarray = field(init=False, repr=False, default=None)
+    carrier: np.dtype = field(init=False, repr=False, default=None)
+    mats: list = field(init=False, repr=False, default=None)
     s_p_full: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    m_fold: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    m_fold: np.ndarray = field(init=False, repr=False, default=None)
     # per-thread hot-path buffers, freed with the plan; a ModelPlan shares
     # one table across its layer plans
     _scratch: ScratchTable = field(init=False, repr=False, compare=False,
@@ -258,52 +258,44 @@ class _PlanBase:
         lines, but zero rows contribute nothing to a partial sum; the derived
         operands keep only the valid rows of each tile (via the mapping's row
         partition), so the hot path never pads activation columns and never
-        multiplies dead rows.
+        multiplies dead rows.  Both routes multiply by the same ``mats`` on
+        the same :attr:`carrier`: the compiler's certified exact-integer
+        ``requant.gemm_dtype``, else ``float64``.  ``m_fold`` is the
+        ``(A, S|1, OC)`` ``float64`` multiplier of each GEMM column.
         """
         s, a, r, oc = self.splits.shape
         self.row_slices = [(t.row_start, t.row_stop) for t in self.mapping.tiles]
-        # the float route's quantized path multiplies activation codes by
-        # cell codes: exact on the certified integer carrier, when the plan
-        # has one; the fused path's folded weight is not an integer
-        self.float_carrier = np.dtype(
-            self.requant.gemm_dtype if self.psum_quant_enabled
-            and self.requant is not None else np.float64)
-        # per-array (rows_a, S*OC) bit-split weights for the quantized path
-        self.w_split_mats = [
-            np.ascontiguousarray(
-                self.splits[:, i, :stop - start, :].transpose(1, 0, 2)
-                .astype(self.float_carrier)).reshape(stop - start, s * oc)
-            for i, (start, stop) in enumerate(self.row_slices)]
-        # (in_features, OC) folded weight for the fused path (valid rows only)
-        self.w_eff_valid = np.concatenate(
-            [self.w_eff_mat[i * r:i * r + (stop - start)]
-             for i, (start, stop) in enumerate(self.row_slices)], axis=0)
-        if self.psum_quant_enabled and self.s_p is not None:
+        self.carrier = np.dtype(np.float64 if self.requant is None
+                                else self.requant.gemm_dtype)
+        s_w_sq = self.s_w.reshape(self.s_w.shape[0], self.s_w.shape[2])
+        if self.psum_quant_enabled:
+            # (A, R, S*OC) bit-split weights
+            weights = self.splits.transpose(1, 2, 0, 3).reshape(a, r, s * oc)
             self.s_p_full = np.ascontiguousarray(
                 np.broadcast_to(self.s_p, (s, a, oc)).transpose(1, 0, 2))
-            s_w_sq = self.s_w.reshape(self.s_w.shape[0], self.s_w.shape[2])
             m = self.s_p * self.shift_factors[:, None, None] * s_w_sq[None, :, :]
-            self.m_fold = np.ascontiguousarray(
-                np.broadcast_to(m, (s, a, oc)).transpose(1, 0, 2))
         else:
+            weights = self.w_bar                    # (A, R, OC)
             self.s_p_full = None
-            self.m_fold = None
+            m = s_w_sq[None, :, :]
+        self.mats = [np.ascontiguousarray(
+                         weights[i, :stop - start].astype(self.carrier))
+                     for i, (start, stop) in enumerate(self.row_slices)]
+        self.m_fold = np.ascontiguousarray(
+            np.broadcast_to(m, (m.shape[0], a, oc)).transpose(1, 0, 2))
         self._build_int_operands()
 
     def _build_int_operands(self) -> None:
-        """GEMM-ready integer-route operands (``None`` for float-only plans).
+        """Integer-route operands (``None`` for float-only plans).
 
-        The integer weights are carried in the exact-integer GEMM dtype the
-        compiler certified (``requant.gemm_dtype`` — see
-        :mod:`repro.core.requant`).  On the ADC route,
-        :func:`~repro.core.requant.check_adc_carrier` first confirms the
-        constants keep the ``float64`` carrier exact, and the stand-alone
-        dequant's bias must keep the accumulator below ``2**53`` — either
-        failure raises :class:`~repro.core.requant.CarrierRangeError`.  The
-        ADC divide ``m0_adc * 2**-shift_adc`` becomes a ``float32``
-        multiplier where :func:`~repro.core.requant.adc_multiplier_f32`
-        proves that exact for every reachable partial sum, else the exact
-        ``float64`` one.  The stored reduce multipliers and bias form the
+        On the ADC route, :func:`~repro.core.requant.check_adc_carrier`
+        first confirms the constants keep the ``float64`` carrier exact, and
+        the stand-alone dequant's bias must keep the accumulator below
+        ``2**53`` — either failure raises
+        :class:`~repro.core.requant.CarrierRangeError`.  The ADC divide
+        ``m0_adc * 2**-shift_adc`` becomes a ``float32`` multiplier where
+        :func:`~repro.core.requant.adc_multiplier_f32` proves that exact
+        for every reachable partial sum, else the exact ``float64`` one.  The stored reduce multipliers and bias form the
         layer's default :class:`LayerFold`, the dequant used when no folded
         graph supplies one.
         """
@@ -311,18 +303,9 @@ class _PlanBase:
         rq = self.requant
         if rq is None:
             return
-        carrier = np.dtype(rq.gemm_dtype)
-        s, _, _, oc = self.splits.shape
         mu_adc = None
         if self.psum_quant_enabled:
             check_adc_carrier(rq, self.psum_qmin, self.psum_qmax)
-            # per-array (S*OC, rows_a) weights: the GEMM writes partial sums
-            # channel-major, (S*OC, NL), so the ADC passes run along the
-            # long contiguous batch axis
-            mats = [np.ascontiguousarray(
-                        self.splits[:, i, :stop - start, :].transpose(0, 2, 1)
-                        .astype(carrier)).reshape(s * oc, stop - start)
-                    for i, (start, stop) in enumerate(self.row_slices)]
             # broadcast-ready (A, S, OC, 1) so the hot loop applies every
             # array's ADC divide in one vectorized pass
             mu32 = adc_multiplier_f32(rq, self.psum_qmin, self.psum_qmax)
@@ -336,16 +319,13 @@ class _PlanBase:
                     "accumulator plus bias_q reaches 2**53; the float64 "
                     "dequant would round before its multiply")
         else:
-            mats = [np.ascontiguousarray(
-                        self.w_bar[i, :stop - start, :].astype(carrier))
-                    for i, (start, stop) in enumerate(self.row_slices)]
             weights = rq.m0_fused.astype(np.int64)[:, None, :]
         dequant = LayerFold(
             codes_in=False, weights=weights, out_dtype=np.float64,
             bias=None if rq.bias_q is None else rq.bias_q.astype(np.int64),
             scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)),
             code_max=self._code_max())
-        self._int_ops = _IntOperands(mats, mu_adc, dequant)
+        self._int_ops = _IntOperands(mu_adc, dequant)
 
     def dequant_fold(self, codes_in: bool) -> LayerFold:
         """The stand-alone dequant fold, optionally fed activation codes."""
@@ -373,8 +353,8 @@ class _PlanBase:
         """Fold a per-channel affine map and a quantizer into this layer.
 
         The layer's real output is ``y = s_a * X + bias``, where ``X`` is
-        its accumulator in float units (``sum codes * m_fold`` on the ADC
-        route, ``sum_a (cols_a @ w_bar_a) * s_w[a]`` on the fused route).
+        its accumulator in float units: each array's GEMM outputs (ADC codes
+        on the ADC route) times ``m_fold``, summed.
         The returned fold emits ``clip(floor(y * gain + offset), lo, hi)``
         per channel: ``gain`` and ``offset`` (length ``OC``) carry the
         downstream BatchNorm affine, divided by the target scale, plus the
@@ -391,15 +371,9 @@ class _PlanBase:
         k = gain * float(self.act_scale.reshape(-1)[0])
         if self.bias is not None:
             offset = offset + gain * self.bias.astype(np.float64)
-        if self.psum_quant_enabled:
-            base = self.m_fold.astype(np.float64)
-        else:
-            base = self.s_w.astype(np.float64).reshape(self.s_w.shape[0], 1,
-                                                       self.s_w.shape[2])
-            base = np.broadcast_to(base, (self.n_arrays, 1, self.out_channels))
         if not (np.all(np.isfinite(k)) and np.all(np.isfinite(offset))):
             raise RequantFoldError("folded multipliers must be finite")
-        scaled = base * k                           # (A, S|1, OC)
+        scaled = self.m_fold * k                    # (A, S|1, OC)
         peak = np.abs(scaled).max(axis=(0, 1))
         # a negative shift (a grid finer than the layer's own resolution)
         # is an exact left shift of the integer accumulator
@@ -460,15 +434,13 @@ class _PlanBase:
         return self.mode == "int" and self.requant is not None
 
     @hot_path
-    def _quantize_acts_carrier(self, x: np.ndarray, dtype) -> np.ndarray:
-        """LSQ activation codes ``round(clamp(x / s_a))`` on a GEMM carrier.
+    def _quantize_acts_carrier(self, x: np.ndarray) -> np.ndarray:
+        """LSQ activation codes ``round(clamp(x / s_a))`` on :attr:`carrier`.
 
         The divide/clamp/round runs in ``float64`` and only the final
-        (exact, small-integer) values land in ``dtype``, fused into the
+        (exact, small-integer) values land on the carrier, fused into the
         rounding pass; with a ``float32`` carrier every downstream unfold
-        and GEMM then moves half the bytes.  Both routes quantize here: the
-        integer route onto ``requant.gemm_dtype``, the float route onto
-        :attr:`float_carrier`.
+        and GEMM then moves half the bytes.  Both routes quantize here.
 
         Registered hot: the code array is a thread-local buffer of the
         plan's :class:`~repro.engine.hotpath.ScratchTable`, fully
@@ -477,7 +449,7 @@ class _PlanBase:
         shape allocate nothing.
         """
         a = np.clip(x / self.act_scale, self.act_qmin, self.act_qmax)
-        codes = self._scratch("act_codes", a.shape, dtype)
+        codes = self._scratch("act_codes", a.shape, self.carrier)
         return np.rint(a, out=codes, casting="unsafe")
 
     def _split_reduce(self, fold: LayerFold):
@@ -499,9 +471,8 @@ class _PlanBase:
         oc = self.out_channels
         cols = self.mapping.in_features * itemsize
         if not self.psum_quant_enabled:
-            if fold is None:
-                return cols + 8 * oc
-            return cols + self.n_arrays * oc * (itemsize + 8) + 16 * oc
+            wide = 0 if fold is None else 8      # the int64 products
+            return cols + self.n_arrays * oc * (itemsize + wide) + 16 * oc
         lanes = self.n_arrays * self.n_splits * oc
         wide = 0 if itemsize == 8 else 8 * lanes
         if fold is None:
@@ -515,6 +486,28 @@ class _PlanBase:
         """Samples per tile for ``length`` columns per sample."""
         return max(1, _TILE_BYTES
                    // (self._column_bytes(fold, itemsize) * length))
+
+    @hot_path
+    def _array_gemms(self, cols: np.ndarray, channel_major: bool) -> np.ndarray:
+        """Every array's GEMM of one tile's ``(NL, in_features)`` columns.
+
+        Multiplies each array's rows of ``cols`` by its operand in
+        :attr:`mats` on the columns' dtype and returns the ``(A, NL, W)``
+        products (``W`` is ``S*OC`` on the ADC path, ``OC`` on the fused
+        path).  ``channel_major`` returns ``(A, W, NL)`` instead, through
+        each operand's ``.T`` view, so the int route's ADC passes run along
+        the long contiguous batch axis.  Registered hot: the products are a
+        buffer of the scratch table.
+        """
+        nl, width = cols.shape[0], self.mats[0].shape[1]
+        shape = (width, nl) if channel_major else (nl, width)
+        p = self._scratch("tile_p", (len(self.mats),) + shape, cols.dtype)
+        for i, (start, stop) in enumerate(self.row_slices):
+            if channel_major:
+                np.matmul(self.mats[i].T, cols[:, start:stop].T, out=p[i])
+            else:
+                np.matmul(cols[:, start:stop], self.mats[i], out=p[i])
+        return p
 
     @hot_path
     def _contract_int(self, cols_flat: np.ndarray,
@@ -547,21 +540,18 @@ class _PlanBase:
         ``int-pure`` markers for the static analyzer.
         """
         ops = self._int_ops
-        cols_c = cols_flat.astype(np.dtype(self.requant.gemm_dtype),
-                                  copy=False)
+        cols_c = cols_flat.astype(self.carrier, copy=False)
         nl = cols_flat.shape[0]
         s, oc = self.n_splits, self.out_channels
         n_arrays = len(self.row_slices)
         weights = fold.weights
         acc_t = self._scratch("tile_acc", (oc, nl), np.float64)
+        p = self._array_gemms(cols_c, channel_major=self.psum_quant_enabled)
         if self.psum_quant_enabled:
             # one GEMM per array into a shared buffer, then one vectorized
             # ADC pass over all arrays at once; constants were validated and
             # verified at build time, so the hot loop carries no per-array
             # call or sign-handling overhead
-            p = self._scratch("tile_p", (n_arrays, s * oc, nl), cols_c.dtype)
-            for i, (start, stop) in enumerate(self.row_slices):
-                np.matmul(ops.mats[i], cols_c[:, start:stop].T, out=p[i])
             p = p.reshape(n_arrays, s, oc, nl)
             split = self._split_reduce(fold)
             if split is not None:
@@ -590,9 +580,6 @@ class _PlanBase:
             if fold.requant is None and fold.bias is not None:
                 acc_t += fold.bias[:, None]      # exact: checked below 2**53
             return acc_t
-        p = self._scratch("tile_p", (n_arrays, nl, oc), cols_c.dtype)
-        for i, (start, stop) in enumerate(self.row_slices):
-            np.matmul(cols_c[:, start:stop], ops.mats[i], out=p[i])
         p64 = self._scratch("tile_wide", (n_arrays, nl, oc), np.int64)
         acc = self._scratch("tile_sum", (nl, oc), np.int64)
         # int-pure: begin
@@ -639,32 +626,29 @@ class _PlanBase:
     def _float_tile(self, cols: np.ndarray, out: np.ndarray) -> None:
         """Float route of one tile's ``(NL, in_features)`` columns into ``out``.
 
-        The fused path is one ``float64`` GEMM against the folded weight.
-        The quantized path runs every array's partial-sum GEMM on the
-        columns' dtype (codes on the certified :attr:`float_carrier` are
-        exact), divides by ``s_p`` in ``float64``, clips and rounds, and
-        sums each array's ``einsum`` against ``m_fold`` into the
-        accumulator, in the layer's summation order.  Where every GEMM is
-        exact (the code GEMMs) a row's values do not depend on the tile.
-        A ``float64`` GEMM of real values (the raw-input stem, the fused
-        path) is only as row-stable as BLAS, whose kernels may sum a row in
-        another order for another row count, so there the tile size can
-        move a row's last bits, within the summation-order error bound.
-        The activation scale and bias then land in ``out``, the tile's rows
-        of the result (NCHW for convolutions), through a strided view.
+        Runs every array's GEMM (:meth:`_array_gemms`, the int route's
+        too).  The fused path scales each array's products by ``m_fold``
+        (``s_w`` per column) in ``float64``; the quantized path divides its
+        partial sums by ``s_p`` in ``float64``, clips and rounds, and takes
+        each array's ``einsum`` against ``m_fold``.  Either adds the arrays
+        into the accumulator one by one, in array order.  Codes on the
+        certified :attr:`carrier` make every GEMM exact and every later
+        step elementwise, so a row's values do not depend on the tile or
+        batch.  A raw-input layer's ``float64`` GEMM of real values is only
+        as row-stable as BLAS, whose kernels may sum a row in another order
+        for another row count (a single row runs as gemv), so there the
+        tile size can move a row's last bits, within the summation-order
+        error bound.  The activation scale and bias then land in ``out``,
+        the tile's rows of the result (NCHW for convolutions), through a
+        strided view.
 
         Registered hot: every intermediate comes from the plan's scratch
         table.
         """
         nl, oc = cols.shape[0], self.out_channels
-        acc = self._scratch("tile_acc", (nl, oc), np.float64)
-        if not self.psum_quant_enabled:
-            np.matmul(cols, self.w_eff_valid, out=acc)
-        else:
-            n_arrays, s = len(self.row_slices), self.n_splits
-            p = self._scratch("tile_p", (n_arrays, nl, s * oc), cols.dtype)
-            for i, (start, stop) in enumerate(self.row_slices):
-                np.matmul(cols[:, start:stop], self.w_split_mats[i], out=p[i])
+        n_arrays, s = len(self.row_slices), self.n_splits
+        p = self._array_gemms(cols, channel_major=False)
+        if self.psum_quant_enabled:
             q = (p if p.dtype == np.float64 else
                  self._scratch("tile_wide", p.shape, np.float64))
             q = q.reshape(n_arrays, nl, s, oc)
@@ -678,12 +662,16 @@ class _PlanBase:
             # every axis > 1 both settings resolve to the same ``c_einsum``
             # call and the results are bit-identical.
             optimize = not (nl > 1 and s > 1 and oc > 1)
-            term = self._scratch("tile_sum", (nl, oc), np.float64)
-            acc.fill(0.0)
-            for i in range(n_arrays):
+        acc = self._scratch("tile_acc", (nl, oc), np.float64)
+        term = self._scratch("tile_sum", (nl, oc), np.float64)
+        acc.fill(0.0)
+        for i in range(n_arrays):
+            if self.psum_quant_enabled:
                 np.einsum("xso,so->xo", q[i], self.m_fold[i], out=term,
                           optimize=optimize)
-                acc += term
+            else:
+                np.multiply(p[i], self.m_fold[i, 0], out=term)
+            acc += term
         if out.ndim == 4:
             rows, length = out.shape[0], out.shape[2] * out.shape[3]
             dst = out.reshape(rows, oc, length).transpose(0, 2, 1)
@@ -735,12 +723,11 @@ class _PlanBase:
         """
         if self._int_route():
             fold = self._int_ops.dequant if fold is None else fold
-            carrier = np.dtype(self.requant.gemm_dtype)
         else:
-            fold, carrier = None, self.float_carrier
+            fold = None
         if self.act_scale is not None and not (fold is not None
                                                and fold.codes_in):
-            x = self._quantize_acts_carrier(x, carrier)
+            x = self._quantize_acts_carrier(x)
         out = np.empty(out_shape, dtype=np.float64 if fold is None
                        else fold.out_dtype)
         if x.ndim == 4:
@@ -849,7 +836,7 @@ def _snapshot_common(layer, signature) -> dict:
     Compiled from the layer's own stage list: each
     :class:`~repro.core.pipeline.PipelineStage` contributes the static arrays
     it would compute in the QAT forward (weight codes, bit-splits, quantizer
-    snapshots, the fused dequant operand), and the
+    snapshots, the bias), and the
     :class:`~repro.core.pipeline.LayerGeometry` contributes the structural
     fields.  The plan never re-derives stage math.
     """
@@ -902,8 +889,8 @@ def compile_plan(layer):
 # --------------------------------------------------------------------------- #
 # serialization
 # --------------------------------------------------------------------------- #
-_ARRAY_FIELDS = ("w_bar", "splits", "s_w", "valid_mask", "shift_factors",
-                 "w_eff_mat", "bias", "act_scale", "s_p")
+_ARRAY_FIELDS = ("w_bar", "splits", "s_w", "shift_factors", "bias",
+                 "act_scale", "s_p")
 
 
 def plan_meta(plan) -> dict:

@@ -210,13 +210,13 @@ class PlanExecutor:
         The first range runs on the calling thread, the others on
         :func:`~repro.engine.cpu.runner_pool`; each output lands in its rows
         of one fresh result array.  Every chunk finishes before this returns
-        or raises, so no worker outlives the batch it reads.  Where every
-        GEMM is exact (integer codes on an exact carrier) the result equals
-        the unsplit batch's bit for bit.  The ``float64`` GEMMs of real
-        values — the raw-input stem, and layers with partial-sum
-        quantization off (the fused path) — are only as row-stable as BLAS,
-        whose kernels may sum a row in another order for another row count,
-        so there a split can move the last bits of a row.
+        or raises, so no worker outlives the batch it reads.  Every layer
+        with an input quantizer multiplies integer codes on an exact
+        carrier, so there the result equals the unsplit batch's bit for
+        bit.  Only a raw-input layer (a model's stem) runs a ``float64``
+        GEMM of real values, which is only as row-stable as BLAS, whose
+        kernels may sum a row in another order for another row count, so
+        there a split can move the last bits of a row.
         """
         n = batch.shape[0]
         pool = cpu.runner_pool()

@@ -25,14 +25,16 @@ batches are formed or which shard finishes first.  A module-level
 artifact paths cheap: hot reloads of the same ``.npz`` skip the disk parse
 until the file actually changes.
 
-Numerics: shards execute the same plan arrays as a single runner.  Where
-every GEMM is exact (integer codes on an exact carrier) row results do not
-depend on batch composition, so the server is bit-identical to the
-single-runner path — ``benchmarks/bench_server_concurrency.py`` pins that,
-plus the >= 1.3x aggregate-throughput contract of dynamic batching over
-per-request serving.  The ``float64`` GEMMs of real values (the raw-input
-stem, layers with partial-sum quantization off) are only as row-stable as
-BLAS, so there a row's last bits can move with the batch it rode in.
+Numerics: shards execute the same plan arrays as a single runner.  Every
+layer with an input quantizer multiplies integer codes on an exact carrier,
+on either route, so its row results do not depend on batch composition and
+the server is bit-identical to the single-runner path —
+``benchmarks/bench_server_concurrency.py`` pins that, plus the >= 1.3x
+aggregate-throughput contract of dynamic batching over per-request
+serving.  Only a raw-input layer (a model's stem) runs a ``float64`` GEMM
+of real values, which is only as row-stable as BLAS, so there a row's last
+bits can move with the batch it rode in (a raw-input ``LinearPlan`` at one
+row runs as gemv).
 """
 
 from __future__ import annotations

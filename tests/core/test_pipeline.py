@@ -168,10 +168,10 @@ class TestStaticCache:
 
 class TestCompileState:
     REQUIRED_KEYS = {"out_channels", "n_arrays", "rows_per_array", "n_splits",
-                     "pad_rows", "valid_mask", "mapping", "w_bar", "s_w",
-                     "splits", "shift_factors", "w_eff_mat", "bias",
-                     "act_scale", "act_qmin", "act_qmax", "psum_quant_enabled",
-                     "s_p", "psum_qmin", "psum_qmax", "requant"}
+                     "pad_rows", "mapping", "w_bar", "s_w", "splits",
+                     "shift_factors", "bias", "act_scale", "act_qmin",
+                     "act_qmax", "psum_quant_enabled", "s_p", "psum_qmin",
+                     "psum_qmax", "requant"}
 
     @pytest.mark.parametrize("kind", ["conv", "linear"])
     def test_stage_list_produces_the_full_plan_state(self, rng, cfg, kind):
@@ -196,5 +196,4 @@ class TestCompileState:
         state = conv.pipeline.compile_state()
         np.testing.assert_array_equal(plan.w_bar, state["w_bar"])
         np.testing.assert_array_equal(plan.splits, state["splits"])
-        np.testing.assert_array_equal(plan.w_eff_mat, state["w_eff_mat"])
-        np.testing.assert_array_equal(plan.valid_mask, state["valid_mask"])
+        np.testing.assert_array_equal(plan.s_w, state["s_w"])

@@ -1,12 +1,11 @@
 """CPU policy, data-parallel runner batches and the int route's sample tiles.
 
 The runner splits each flushed batch into row chunks run at once on the
-policy's thread pool; the int route runs every conv layer tile by tile.
-Both change only *where* rows are computed.  Where every GEMM is exact
-that leaves the values alone, so those tests demand byte-equal outputs; the
-fused float path's ``float64`` GEMM is held to its summation-order error
-bound instead.  Worker counts and tile sizes are forced by monkeypatching
-the policy function and the tile bound.
+policy's thread pool; both routes run every conv layer tile by tile.
+Both change only *where* rows are computed.  Every GEMM on activation
+codes is exact, so that leaves the values alone and these tests demand
+byte-equal outputs.  Worker counts and tile sizes are forced by
+monkeypatching the policy function and the tile bound.
 """
 
 import importlib
@@ -40,6 +39,16 @@ def int_plan():
     plan.set_mode("int")
     x = np.abs(np.random.default_rng(5).normal(size=(33, 3, 8, 8))) * 2
     return plan, x
+
+
+@pytest.fixture(scope="module", params=["int", "fused-float"])
+def split_plan(request, int_plan):
+    """The int route, and the float route of a fused (no partial-sum
+    quantization) model, on the same 33-row input."""
+    if request.param == "int":
+        return int_plan
+    plan, _ = random_residual_plan(3, quantize_psum=False)
+    return plan, int_plan[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -80,10 +89,14 @@ class TestPolicy:
 class TestSplitRunner:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("batch", [1, 2, 3, 31, 32, 33])
-    def test_int_route_split_is_byte_equal(self, monkeypatch, int_plan,
-                                           workers, batch):
-        plan, x = int_plan
+    def test_split_is_byte_equal(self, monkeypatch, split_plan, workers,
+                                 batch):
+        plan, x = split_plan
         want = engine.PlanExecutor(plan).execute_batch(x[:batch])
+        # a row's values do not depend on the batch it arrives in
+        for i in range(batch):
+            alone = engine.PlanExecutor(plan).execute_batch(x[i:i + 1])
+            assert alone.tobytes() == want[i:i + 1].tobytes(), i
         force_workers(monkeypatch, workers)
         got = engine.InferenceRunner(plan, batch_size=32).predict(x[:batch])
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -286,19 +299,22 @@ class TestConvTiles:
 
 class TestFloatTiles:
     """The float route runs the same tile loop.  With partial-sum
-    quantization on, code and raw (stem) inputs give byte-identical rows
-    whatever the tile here; the stem's ``float64`` GEMM of real values holds
-    that only as far as this BLAS does.  The fused path (partial-sum
-    quantization off) is held to the summation-order error bound instead."""
+    quantization on or off, code and raw (stem) inputs give byte-identical
+    rows whatever the tile here; the stem's ``float64`` GEMM of real values
+    holds that only as far as this BLAS does."""
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @pytest.mark.parametrize("raw", [False, True], ids=["codes", "raw"])
-    def test_tiles_are_byte_identical(self, monkeypatch, geometry, raw):
+    @pytest.mark.parametrize("quantize_psum", [True, False],
+                             ids=["adc", "fused"])
+    def test_tiles_are_byte_identical(self, monkeypatch, geometry, raw,
+                                      quantize_psum):
         plan, x = conv_plan(*GEOMETRIES[geometry], seed=4,
-                            quantize_input=not raw)
+                            quantize_input=not raw,
+                            quantize_psum=quantize_psum)
         plan.set_mode("float")
-        assert plan.float_carrier == (np.float64 if raw else np.float32)
-        itemsize = plan.float_carrier.itemsize
+        assert plan.carrier == (np.float64 if raw else np.float32)
+        itemsize = plan.carrier.itemsize
         assert plan_module._TILE_BYTES >= tile_bound(plan, len(x), None,
                                                      itemsize)
         whole = plan.execute(x)                 # the default: one tile
@@ -306,32 +322,6 @@ class TestFloatTiles:
             monkeypatch.setattr(plan_module, "_TILE_BYTES",
                                 tile_bound(plan, samples, None, itemsize))
             assert plan.execute(x).tobytes() == whole.tobytes(), samples
-
-    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-    def test_fused_tiles_within_summation_bound(self, monkeypatch, geometry):
-        # one float64 GEMM of K-term dot products per tile: another tile
-        # size may let BLAS sum a row in another order, which moves it by
-        # at most K * eps * sum|code * w| (two orderings, each within
-        # gamma_K), scaled by the activation scale, plus the rounding of
-        # the scale and bias steps
-        plan, x = conv_plan(*GEOMETRIES[geometry], seed=4,
-                            quantize_psum=False)
-        plan.set_mode("float")
-        assert not plan.psum_quant_enabled
-        k, eps = plan.mapping.in_features, np.finfo(np.float64).eps
-        code = max(abs(plan.act_qmin), abs(plan.act_qmax))
-        dot = k * code * np.abs(plan.w_eff_valid).max(axis=0) \
-            * np.abs(plan.act_scale)
-        whole = plan.execute(x)                 # the default: one tile
-        tol = (1.01 * k * eps * dot[:, None, None]
-               + 2 * eps * (dot[:, None, None] + np.abs(whole)))
-        itemsize = plan.float_carrier.itemsize
-        for samples in (1, 2, 3, 5):
-            monkeypatch.setattr(plan_module, "_TILE_BYTES",
-                                tile_bound(plan, samples, None, itemsize))
-            got = plan.execute(x)
-            assert got.shape == whole.shape
-            assert np.all(np.abs(got - whole) <= tol), samples
 
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     def test_uncertified_carrier_runs_float64(self, geometry):
@@ -342,8 +332,8 @@ class TestFloatTiles:
         want = plan.execute(x)
         plan.requant.gemm_dtype = "float64"
         plan._build_derived()
-        assert plan.float_carrier == np.float64
-        assert plan.w_split_mats[0].dtype == np.float64
+        assert plan.carrier == np.float64
+        assert plan.mats[0].dtype == np.float64
         assert plan.execute(x).tobytes() == want.tobytes()
 
 

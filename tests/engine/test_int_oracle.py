@@ -484,10 +484,10 @@ def test_no_float_pass_between_cim_layers(build, monkeypatch):
     for cls in (engine.ConvPlan, engine.LinearPlan):
         original = cls._quantize_acts_carrier
 
-        def spy(self, a, dtype, _original=original):
+        def spy(self, a, _original=original):
             if self.act_scale is not None:
                 calls.append(self)
-            return _original(self, a, dtype)
+            return _original(self, a)
         monkeypatch.setattr(cls, "_quantize_acts_carrier", spy)
     plan.execute(x)
     assert calls == []

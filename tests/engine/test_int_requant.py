@@ -139,8 +139,7 @@ class TestLayerDifferential:
         plan = compile_layer(layer)
         plan.set_mode("int")
         rq = plan.requant
-        codes = plan._quantize_acts_carrier(np.asarray(x, np.float64),
-                                            np.float64)
+        codes = plan._quantize_acts_carrier(np.asarray(x, np.float64))
         codes = codes.astype(np.int64)
         acc = np.zeros((codes.shape[0], plan.out_channels), dtype=np.int64)
         for i, (start, stop) in enumerate(plan.row_slices):
@@ -478,7 +477,7 @@ class TestFloat64AdcStage:
             np.testing.assert_array_equal(got, int64_reference(plan, cols))
             if nl:                       # codes reach the bound's 2**7
                 start, stop = plan.row_slices[0]
-                psums = cols[:1, start:stop] @ plan.w_split_mats[0]
+                psums = cols[:1, start:stop] @ plan.mats[0]
                 assert np.abs(psums).max() > 64
 
     @pytest.mark.parametrize("block", ["default", "tiny", "rows4", "rows3"])
@@ -508,8 +507,7 @@ class TestFloat64AdcStage:
         layer, x = make_layer("conv", True, (32, 1), 6)
         plan = compile_layer(layer)
         plan.set_mode("int")
-        codes = plan._quantize_acts_carrier(
-            x, plan.requant.gemm_dtype).astype(np.float64)
+        codes = plan._quantize_acts_carrier(x).astype(np.float64)
         cols = plan_module.F.unfold_array(codes, plan.kernel_size,
                                           plan.stride, plan.padding,
                                           layout="nlk")

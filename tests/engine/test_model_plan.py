@@ -147,6 +147,41 @@ class TestRoundTrip:
         assert [type(p) for p in loaded.layer_plans] == [engine.ConvPlan]
         np.testing.assert_array_equal(loaded.execute(x.data), plan.execute(x.data))
 
+    #: layer arrays older archives store but the engine never reads
+    DROPPED = (".w_eff_mat", ".valid_mask")
+
+    @pytest.mark.parametrize("quantize_psum", [True, False])
+    def test_fresh_save_writes_no_dropped_layer_arrays(self, tmp_path,
+                                                       quantize_psum):
+        model, _ = build_calibrated("resnet", quantize_psum)
+        path = tmp_path / "resnet.npz"
+        engine.save_model_plan(engine.compile_model_plan(model), path)
+        with np.load(path) as archive:
+            names = archive.files
+        assert any(name.startswith("layer0.") for name in names)
+        assert [name for name in names if name.endswith(self.DROPPED)] == []
+
+    @pytest.mark.parametrize("name", ["conv_int", "linear_int",
+                                      "resnet_tiny_int"])
+    def test_archive_with_dropped_layer_arrays_runs_bit_exact(self, name):
+        """The v2 ``*_int`` golden fixtures still carry both dropped arrays:
+        they load unchanged and reproduce their int-route golden output."""
+        import io
+        import os
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                               f"{name}.npz")
+        with np.load(fixture) as archive:
+            artifact = bytes(archive["artifact"].tobytes())
+            x, golden = archive["input"], archive["golden"]
+        with np.load(io.BytesIO(artifact)) as archive:
+            names = archive.files
+            manifest = json.loads(bytes(archive["__manifest__"]).decode())
+        assert manifest["version"] == 2
+        for suffix in self.DROPPED:
+            assert any(member.endswith(suffix) for member in names), suffix
+        plan = engine.load_plan(io.BytesIO(artifact), mode="int")
+        np.testing.assert_array_equal(plan.execute(x), golden)
+
 
 class TestNoQATObjects:
     def test_load_and_run_constructs_no_qat_objects(self, tmp_path, monkeypatch):

@@ -46,14 +46,6 @@ class TestCompile:
         conv.weight.data = conv.weight.data + 1.0
         np.testing.assert_allclose(plan.execute(x.data), before, atol=0)
 
-    def test_valid_rows_mask_cached(self, rng):
-        cfg = CIMConfig(array_rows=30, array_cols=32, cell_bits=2)
-        conv = CIMConv2d(6, 8, 3, scheme=QuantScheme(), cim_config=cfg, rng=rng)
-        conv.eval()
-        conv(Tensor(np.abs(rng.normal(size=(1, 6, 5, 5)))))
-        plan = engine.compile_conv_plan(conv)
-        np.testing.assert_array_equal(plan.valid_mask, conv._valid_rows_mask())
-
 
 class TestSerialization:
     @pytest.mark.parametrize("quantize_psum", [True, False])
