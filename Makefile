@@ -19,10 +19,9 @@
 #   make bench-runner - batched inference-runner throughput benchmark
 #   make bench-server - concurrent PlanServer throughput benchmark
 #   make bench-int    - integer-requantized route benchmark at default scale
-#   make bench-netserver - HTTP front-end SLO benchmark (sustained + bursty +
-#                       saturation load against a 2-shard NetServer)
-#   make bench-reload - serving-lifecycle benchmark (rolling reload p99 vs
-#                       steady state; no request dropped, rows bit-exact)
+#   make bench-netserver - HTTP front-end SLO benchmark (sustained, bursty,
+#                       during-swap and saturation load against a 2-shard
+#                       NetServer; rolling reloads drop nothing)
 #   make bench-analyze - analyzer self-runtime benchmark (full-tree + per-pass
 #                       timings against the 5s lint budget)
 #   make serve-demo   - end-to-end HTTP serving walkthrough
@@ -38,7 +37,7 @@ PYTHONPATH  := src
 
 export PYTHONPATH
 
-.PHONY: verify test lint test-engine test-int coverage bench-smoke bench-engine bench-runner bench-server bench-int bench-netserver bench-reload bench-analyze serve-demo docs-check loc install
+.PHONY: verify test lint test-engine test-int coverage bench-smoke bench-engine bench-runner bench-server bench-int bench-netserver bench-analyze serve-demo docs-check loc install
 
 verify: test lint docs-check bench-smoke
 
@@ -58,7 +57,7 @@ coverage:
 	$(PYTHON) tools/run_coverage.py --source src/repro/engine --source src/repro/core/pipeline.py --source src/repro/core/requant.py --source tools/analyze --fail-under 90 tests/engine tests/core tests/tools -q
 
 bench-smoke:
-	REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_netserver_slo.py benchmarks/bench_reload.py benchmarks/bench_analyze.py -q
+	REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_netserver_slo.py benchmarks/bench_analyze.py -q
 
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine_speedup.py
@@ -74,9 +73,6 @@ bench-int:
 
 bench-netserver:
 	$(PYTHON) benchmarks/bench_netserver_slo.py
-
-bench-reload:
-	$(PYTHON) benchmarks/bench_reload.py
 
 bench-analyze:
 	$(PYTHON) benchmarks/bench_analyze.py

@@ -11,23 +11,21 @@ of the developer inner loop.  This benchmark pins that budget:
 * **per-pass attribution**: each pass is also timed alone, so a future
   slowdown names its culprit instead of just blowing the total.
 
-Run directly (``python benchmarks/bench_analyze.py``) or through pytest.
-Either entry point writes a ``BENCH_analyze.json`` artifact (override the
-location with ``REPRO_BENCH_ANALYZE_ARTIFACT``); ``tiny``-scale smoke
-runs skip the write so ``make bench-smoke`` never clobbers the tracked
-default-scale numbers.
+Each run is timed by ``perf.rotate``: the full run and every pass alone
+are the sides of its rotating trials, and the budget gate reads the full
+run's median.  Run directly (``python benchmarks/bench_analyze.py``) or
+through pytest; either entry point writes ``BENCH_analyze.json`` through
+``perf.main`` (not at the ``tiny`` scale).
 """
 
 import os
 import sys
-import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import perf
+
+_ROOT = perf.ROOT
 if _ROOT not in sys.path:
     sys.path.insert(0, _ROOT)
-
-from bench_artifacts import write_artifact as _write_artifact
 
 from tools.analyze.core import all_passes, run_analysis
 
@@ -35,63 +33,35 @@ _BUDGET_SECONDS = 5.0
 _TREE = os.path.join(_ROOT, "src", "repro")
 
 
-def _timed_run(select=None):
-    """One analysis run over the engine tree: (seconds, result)."""
-    started = time.perf_counter()
-    result = run_analysis([_TREE], select=select, root=_ROOT)
-    return time.perf_counter() - started, result
-
-
 def run_benchmark():
     """Full-tree and per-pass timings plus the finding counts."""
-    total_seconds, result = _timed_run()
-    per_pass = {}
+    sides = {"all": lambda: run_analysis([_TREE], root=_ROOT)}
     for pass_id in all_passes():
-        seconds, partial = _timed_run(select=[pass_id])
-        per_pass[pass_id] = {"seconds": round(seconds, 4),
-                             "findings": len(partial.findings)}
+        sides[pass_id] = (lambda select=[pass_id]:
+                          run_analysis([_TREE], select=select, root=_ROOT))
+    timing, returns = perf.rotate(sides)
+    result = returns["all"][-1]
     return {
         "files_analyzed": result.files_analyzed,
-        "total_seconds": round(total_seconds, 4),
         "budget_seconds": _BUDGET_SECONDS,
         "findings": len(result.findings),
         "waived": len(result.waived),
-        "per_pass": per_pass,
+        "all": timing.pop("all"),
+        "per_pass": {pass_id: {**timing[pass_id],
+                               "findings": len(returns[pass_id][-1].findings)}
+                     for pass_id in timing},
     }
 
 
-def check_results(results):
-    """Assert the lint-gate contract on one benchmark run."""
+def test_analyzer_runtime_budget():
+    """Full tree clean, and its median run inside the 5s budget."""
+    results = perf.main("analyze", run_benchmark)
     assert results["files_analyzed"] > 50, results
     assert results["findings"] == 0, \
         f"engine tree is not analyzer-clean: {results}"
-    assert results["total_seconds"] < _BUDGET_SECONDS, \
+    assert results["all"]["median_s"] < _BUDGET_SECONDS, \
         f"analyzer blew its {_BUDGET_SECONDS}s budget: {results}"
 
 
-def test_analyzer_runtime_budget():
-    """Pytest entry point: full tree clean and inside the 5s budget."""
-    results = run_benchmark()
-    check_results(results)
-    _write_artifact("analyze", "BENCH_analyze.json",
-                    "REPRO_BENCH_ANALYZE_ARTIFACT", results)
-
-
-def main():
-    """Direct entry point: print the timings and write the artifact."""
-    results = run_benchmark()
-    check_results(results)
-    print(f"analyzed {results['files_analyzed']} files in "
-          f"{results['total_seconds']:.2f}s "
-          f"(budget {results['budget_seconds']:.0f}s)")
-    for pass_id, stats in results["per_pass"].items():
-        print(f"  {pass_id:<24} {stats['seconds']:.2f}s "
-              f"{stats['findings']} finding(s)")
-    path = _write_artifact("analyze", "BENCH_analyze.json",
-                           "REPRO_BENCH_ANALYZE_ARTIFACT", results)
-    if path:
-        print(f"wrote {path}")
-
-
 if __name__ == "__main__":
-    main()
+    test_analyzer_runtime_budget()

@@ -27,31 +27,22 @@ pure-Python oracle in ``tests/engine/test_int_oracle.py``; this benchmark
   ``float64`` multipliers, the integer route's requant constants).
 
 Run directly (``python benchmarks/bench_int_requant.py``) or through
-pytest.  Either entry point writes a ``BENCH_int.json`` artifact (override
-the location with ``REPRO_BENCH_INT_ARTIFACT``); ``tiny``-scale smoke runs
-skip the write — and relax the speedup gate, which is only meaningful once
-the GEMMs have real work — so `make bench-smoke` stays fast and never
-clobbers the tracked default-scale numbers.
+pytest; either entry point writes ``BENCH_int.json`` through ``perf.main``
+(not at the ``tiny`` scale, which also relaxes the speedup gate: it is
+only meaningful once the GEMMs have real work).
 """
-
-import os
-import sys
-import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_artifacts import (bench_scale, calibrated_frozen_resnet8,
-                             write_artifact as _write_artifact)
-
+import perf
 from repro import engine
 
 
 def _settings():
     """Workload per benchmark scale (image/width/stream length/batch size)."""
-    if bench_scale() == "tiny":
-        return dict(image=10, width=0.25, samples=16, batch=8, repeats=2)
-    return dict(image=16, width=1.0, samples=64, batch=32, repeats=3)
+    if perf.bench_scale() == "tiny":
+        return dict(image=10, width=0.25, samples=16, batch=8)
+    return dict(image=16, width=1.0, samples=64, batch=32)
 
 
 def _operand_bytes(plan) -> dict:
@@ -116,92 +107,41 @@ def _code_flip_rates(plan, batches) -> dict:
             for index in sorted(flips)}
 
 
-def _build_plan(cfg):
-    """The shared reference ResNet-8, frozen into a model plan."""
-    model = calibrated_frozen_resnet8(cfg["image"], cfg["width"])
-    return engine.compile_model_plan(model)
-
-
-def _time_mode(plan, mode, batches, repeats: int) -> float:
-    """Seconds to execute all batches in ``mode`` (best of ``repeats``)."""
-    plan.set_mode(mode)
-    plan.execute(batches[0])                 # warm up caches and lazy state
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for batch in batches:
-            plan.execute(batch)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def run_int_requant():
-    """Measure float-vs-int execution on the reference serving model."""
+    """Float vs int route on the reference serving model."""
     cfg = _settings()
-    plan = _build_plan(cfg)
-    rng = np.random.default_rng(1)
-    stream = np.abs(rng.normal(
+    plan = engine.compile_model_plan(
+        perf.calibrated_frozen_resnet8(cfg["image"], cfg["width"]))
+    stream = np.abs(np.random.default_rng(perf.SEED).normal(
         size=(cfg["samples"], 3, cfg["image"], cfg["image"])))
     batches = [stream[i:i + cfg["batch"]]
                for i in range(0, cfg["samples"], cfg["batch"])]
 
-    plan.set_mode("float")
-    ref = np.concatenate([plan.execute(b) for b in batches])
-    plan.set_mode("int")
-    out = np.concatenate([plan.execute(b) for b in batches])
-    agreement = float((out.argmax(axis=1) == ref.argmax(axis=1)).mean())
-    flip_rates = _code_flip_rates(plan, batches)
+    def route(mode):
+        def execute_all():
+            plan.set_mode(mode)
+            return np.concatenate([plan.execute(b) for b in batches])
+        return execute_all
 
-    t_float = _time_mode(plan, "float", batches, cfg["repeats"])
-    t_int = _time_mode(plan, "int", batches, cfg["repeats"])
+    timing, returns = perf.rotate({"float": route("float"),
+                                   "int": route("int")})
+    ref, out = returns["float"][-1], returns["int"][-1]
+    flip_rates = _code_flip_rates(plan, batches)
     results = {
         "samples": cfg["samples"],
         "batch_size": cfg["batch"],
         "image": cfg["image"],
         "width_multiplier": cfg["width"],
-        "top1_agreement": agreement,
+        "top1_agreement": float((out.argmax(axis=1)
+                                 == ref.argmax(axis=1)).mean()),
         "code_flip_rate": flip_rates,
         "max_code_flip_rate": max(flip_rates.values()),
         "max_abs_logit_diff": float(np.abs(out - ref).max()),
-        "float_s": t_float,
-        "int_s": t_int,
-        "float_throughput": cfg["samples"] / t_float,
-        "int_throughput": cfg["samples"] / t_int,
-        "speedup": t_float / t_int,
+        **timing,
+        "speedup": timing["float"]["median_s"] / timing["int"]["median_s"],
     }
     results.update(_operand_bytes(plan))
     return results
-
-
-def write_artifact(results, path=None):
-    """Write the results to ``BENCH_int.json`` (see ``bench_artifacts``).
-
-    Skipped at the ``tiny`` smoke scale; override the location with
-    ``REPRO_BENCH_INT_ARTIFACT`` or the ``path`` argument.
-    """
-    return _write_artifact("int_requant", "BENCH_int.json",
-                           "REPRO_BENCH_INT_ARTIFACT", results, path=path)
-
-
-def _report(results) -> None:
-    print()
-    print(f"samples={results['samples']}  batch={results['batch_size']}  "
-          f"image={results['image']}  width={results['width_multiplier']}")
-    print(f"top-1 agreement={results['top1_agreement']:.3f}  "
-          f"max code-flip rate={results['max_code_flip_rate']:.2e}  "
-          f"max |logit diff|={results['max_abs_logit_diff']:.2e}")
-    print("code-flip rate per layer: " + "  ".join(
-        f"{index}:{rate:.1e}" for index, rate in
-        results["code_flip_rate"].items()))
-    print(f"float : {results['float_s'] * 1e3:8.1f} ms  "
-          f"{results['float_throughput']:8.1f} im/s")
-    print(f"int   : {results['int_s'] * 1e3:8.1f} ms  "
-          f"{results['int_throughput']:8.1f} im/s  "
-          f"({results['speedup']:.2f}x)")
-    print(f"operands: GEMM {results['gemm_operand_bytes'] / 1024:.0f} KiB "
-          f"shared; rescale float "
-          f"{results['float_rescale_bytes'] / 1024:.0f} KiB, "
-          f"int {results['int_rescale_bytes'] / 1024:.0f} KiB")
 
 
 def test_int_requant_agreement_and_throughput():
@@ -209,24 +149,18 @@ def test_int_requant_agreement_and_throughput():
     against the float route at most ``MAX_CODE_FLIP_RATE``, and >= 1.2x
     throughput at the default scale (tiny workloads are overhead-dominated,
     so the smoke pass only sanity-checks the ratio)."""
-    results = run_int_requant()
-    _report(results)
-    write_artifact(results)
+    results = perf.main("int", run_int_requant)
     assert results["top1_agreement"] == 1.0, (
         f"top-1 agreement {results['top1_agreement']:.3f} < 1.0")
     assert results["max_code_flip_rate"] <= MAX_CODE_FLIP_RATE, (
         f"a layer's codes differ from the float route's on "
         f"{results['max_code_flip_rate']:.2e} of its inputs (expected <= "
         f"{MAX_CODE_FLIP_RATE:.0e})")
-    floor = 1.2 if bench_scale() != "tiny" else 0.5
+    floor = 1.2 if perf.bench_scale() != "tiny" else 0.5
     assert results["speedup"] >= floor, (
         f"int route only {results['speedup']:.2f}x the float route "
-        f"(expected >= {floor}x at scale {bench_scale()!r})")
+        f"(expected >= {floor}x at scale {perf.bench_scale()!r})")
 
 
 if __name__ == "__main__":
-    _results = run_int_requant()
-    _report(_results)
-    _path = write_artifact(_results)
-    if _path:
-        print(f"\nartifact: {_path}")
+    test_int_requant_agreement_and_throughput()

@@ -13,30 +13,12 @@ the scale:
   GPU-scale compute; provided for completeness).
 """
 
-import os
-import sys
-
 import pytest
 
-# Make the benchmarks runnable without an installed package or an exported
-# PYTHONPATH (``python -m pytest benchmarks/...`` from the repo root).
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-if os.path.isdir(_SRC) and _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
-
-from repro.engine import cpu
+# Puts ``src`` on the path and sets the benches' BLAS policy, so a pytest
+# run measures the same program as a direct one.
+from perf import bench_scale
 from repro.training import reduced_experiment
-
-# One BLAS thread per process, set through the engine's CPU policy: the
-# benches time many small GEMMs, which multi-threaded OpenBLAS slows down on
-# a small machine, and extra cores go to the runner's row chunks and the
-# server's shards instead (``repro.engine.cpu``).  Setting the library's own
-# count works after NumPy is imported, unlike ``OPENBLAS_NUM_THREADS``.
-cpu.set_blas_threads(1)
-
-
-def bench_scale() -> str:
-    return os.environ.get("REPRO_BENCH_SCALE", "small").lower()
 
 
 def experiment(name: str):

@@ -36,9 +36,9 @@ from typing import Dict, Iterable, Optional, Sequence
 from .hotpath import hot_path
 from .locking import ordered
 
-__all__ = ["LatencyHistogram", "percentiles"]
+__all__ = ["LatencyHistogram"]
 
-# Quantiles every report carries; /metrics and the benchmark share this set.
+# Quantiles every report carries on /metrics.
 REPORT_QUANTILES = (50.0, 95.0, 99.0)
 
 
@@ -250,27 +250,3 @@ class LatencyHistogram:
                for q, seconds in quantiles.items()},
         }
 
-
-def percentiles(values: Sequence[float],
-                qs: Sequence[float] = REPORT_QUANTILES) -> Dict[float, float]:
-    """Exact sample percentiles of a small in-memory sequence.
-
-    The benchmark's load generators keep their (bounded) client-side sample
-    lists and want exact numbers; this is the nearest-rank percentile —
-    the ``ceil(q/100 * n)``-th order statistic — matching what
-    :meth:`LatencyHistogram.percentile` estimates.  Empty input returns 0.0
-    for every quantile.
-    """
-    ordered = sorted(values)
-    out: Dict[float, float] = {}
-    for q in qs:
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile q={q} outside [0, 100]")
-        if not ordered:
-            out[float(q)] = 0.0
-        elif q == 0.0:
-            out[float(q)] = ordered[0]
-        else:
-            rank = max(1, int(math.ceil(q / 100.0 * len(ordered))))
-            out[float(q)] = ordered[min(rank, len(ordered)) - 1]
-    return out

@@ -1,4 +1,4 @@
-"""Property tests for the latency histogram and percentile helpers.
+"""Property tests for the latency histogram.
 
 The histogram's contract is *bounded relative error*: a percentile estimate
 is the geometric midpoint of the bucket holding the nearest-rank order
@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine.latency import LatencyHistogram, percentiles
+from repro.engine.latency import LatencyHistogram
 
 
 def _filled(samples, **kwargs):
@@ -105,8 +105,6 @@ def test_bad_quantile_raises():
         histogram.percentile(-1.0)
     with pytest.raises(ValueError):
         histogram.percentile(100.5)
-    with pytest.raises(ValueError):
-        percentiles([0.1], qs=[101.0])
 
 
 def test_bad_config_raises():
@@ -200,22 +198,8 @@ def test_merge_mismatched_config_raises():
 
 
 # --------------------------------------------------------------------------- #
-# the exact helper + report plumbing
+# report plumbing
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", range(3))
-def test_exact_percentiles_helper_matches_nearest_rank(seed):
-    rng = np.random.default_rng(seed)
-    values = list(rng.uniform(0.001, 1.0, size=101))
-    ordered = sorted(values)
-    result = percentiles(values, qs=(0.0, 50.0, 95.0, 99.0, 100.0))
-    assert result[0.0] == ordered[0]
-    assert result[100.0] == ordered[-1]
-    for q in (50.0, 95.0, 99.0):
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        assert result[q] == ordered[rank - 1]
-    assert percentiles([]) == {50.0: 0.0, 95.0: 0.0, 99.0: 0.0}
-
-
 def test_to_dict_reports_milliseconds():
     histogram = _filled([0.010] * 10)     # 10 samples of exactly 10ms
     report = histogram.to_dict()
