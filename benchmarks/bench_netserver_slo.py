@@ -63,10 +63,16 @@ def _settings():
 def _bursty(net, cfg, pool):
     """Open loop: request ``i`` is due ``(i // burst_size)`` intervals in."""
     latencies, outputs, lock = [], {}, threading.Lock()
-    start = time.perf_counter()
+    n = cfg["n_bursts"] * cfg["burst_size"]
+    # the schedule starts once every thread exists: a thread started late
+    # would charge the generator's own start-up to the server
+    start = []
+    ready = threading.Barrier(
+        n, action=lambda: start.append(time.perf_counter()))
 
     def one_shot(i):
-        due = start + (i // cfg["burst_size"]) * cfg["burst_interval_s"]
+        ready.wait()
+        due = start[0] + (i // cfg["burst_size"]) * cfg["burst_interval_s"]
         time.sleep(max(0.0, due - time.perf_counter()))
         index = i % len(pool)
         with perf.Client(net) as client:
@@ -77,7 +83,7 @@ def _bursty(net, cfg, pool):
             latencies.append(time.perf_counter() - due)
             outputs[index] = payload["outputs"][0]
 
-    perf.fleet(cfg["n_bursts"] * cfg["burst_size"], one_shot)
+    perf.fleet(n, one_shot)
     return latencies, outputs
 
 

@@ -249,4 +249,3 @@ class LatencyHistogram:
             **{f"p{q:g}_ms": seconds * 1e3
                for q, seconds in quantiles.items()},
         }
-
