@@ -13,8 +13,7 @@ from .convert import (apply_variation, attach_recorders, cim_layers, convert_to_
 from .pipeline import (CIMLayerBase, CIMPipeline, ConvAdapter, LayerGeometry,
                        LinearAdapter, varied_splits)
 from .psum import ColumnStatistics, PartialSumRecorder
-from .requant import (RequantConstants, compile_requant, quantize_multiplier,
-                      quantize_multipliers, requantize)
+from .requant import RequantConstants, compile_requant, quantize_multipliers
 from .schemes import (SCHEME_REGISTRY, SchemeInfo, all_granularity_combinations,
                       get_scheme, related_work_schemes, table1_rows)
 
@@ -22,8 +21,7 @@ __all__ = [
     "CIMConv2d", "CIMLinear",
     "CIMPipeline", "CIMLayerBase", "LayerGeometry",
     "ConvAdapter", "LinearAdapter", "varied_splits",
-    "RequantConstants", "compile_requant", "requantize",
-    "quantize_multiplier", "quantize_multipliers",
+    "RequantConstants", "compile_requant", "quantize_multipliers",
     "PartialSumRecorder", "ColumnStatistics",
     "SCHEME_REGISTRY", "SchemeInfo", "get_scheme", "related_work_schemes",
     "all_granularity_combinations", "table1_rows",

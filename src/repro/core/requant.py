@@ -14,17 +14,16 @@ the PerClusterQuantization exemplar (and gemmlowp/TFLite before it) uses:
   into ``int32`` mantissas sharing one layer-wide shift, so a whole
   accumulator tensor requantizes with integer multiplies and a single
   rounding shift;
-* :func:`requantize` applies ``round_half_away(acc * M0 * 2**-shift)`` in
+* :func:`requantize_up` applies ``floor(acc * M0 * 2**-shift + 1/2)`` in
   pure ``int64`` arithmetic — no Python-float intermediate can round — with
-  optional saturation bounds (the ADC clip range, or int8 output bounds);
-* :func:`requantize_up` is the sign-uniform variant (``floor(q + 1/2)``,
-  i.e. half-toward-+inf): one add and one floor, no sign handling — the
+  optional saturation bounds (the ADC clip range).  Halves round toward
+  +inf for both signs: one add and one floor, no sign handling — the
   convention the vectorized ADC stage executes, because it needs no
   per-sign passes and the exhaustive per-column verification below makes
   the tie convention irrelevant (the mantissas are *repaired* until the
   codes match the float oracle exactly).  It is the ``int64`` reference of
-  the executed stage, which runs on an exact ``float64`` carrier (see
-  below);
+  the executed stage, which runs on an exact ``float64`` or ``float32``
+  carrier (see below);
 * :func:`compile_requant` derives a layer's full
   :class:`RequantConstants` — accumulator scale, fixed-point multipliers,
   the ``int64`` bias fold and the exact-integer GEMM carrier — from the
@@ -108,12 +107,8 @@ import numpy as np
 __all__ = [
     "INT32_MIN",
     "INT32_MAX",
-    "INT8_MIN",
-    "INT8_MAX",
     "MAX_SHIFT",
-    "quantize_multiplier",
     "quantize_multipliers",
-    "requantize",
     "requantize_up",
     "adc_shift_cap",
     "CarrierRangeError",
@@ -130,8 +125,6 @@ __all__ = [
 
 INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
-INT8_MIN = -128
-INT8_MAX = 127
 
 #: Largest supported rounding shift.  Keeps ``|acc * M0| + 2**(shift-1)``
 #: inside ``int64`` for any int32 accumulator and any int32 mantissa:
@@ -324,24 +317,24 @@ def quantize_multipliers(m: np.ndarray) -> Tuple[np.ndarray, int]:
     return m0.astype(np.int32), shift
 
 
-def quantize_multiplier(m: float) -> Tuple[int, int]:
-    """Scalar convenience wrapper of :func:`quantize_multipliers`."""
-    m0, shift = quantize_multipliers(np.asarray([m], dtype=np.float64))
-    return int(m0[0]), shift
-
-
-def requantize(acc, m0, shift, qmin: Optional[int] = None,
-               qmax: Optional[int] = None) -> np.ndarray:
-    """Fixed-point rescale: ``round_half_away(acc * M0 * 2**-shift)``.
+def requantize_up(acc, m0, shift, qmin: Optional[int] = None,
+                  qmax: Optional[int] = None) -> np.ndarray:
+    """Sign-uniform fixed-point rescale: ``floor(acc * M0 * 2**-shift + 1/2)``.
 
     Pure ``int64`` arithmetic end to end — the product, the rounding offset
     and the arithmetic shift never pass through a Python float, so results
     are exact even where ``float64`` would lose integer precision (e.g.
-    ``acc = M0 = 2**31 - 1, shift = 0``).  Rounding is half-away-from-zero
-    (the hardware convention), implemented as ``(|prod| + 2**(shift-1)) >>
-    shift`` with the sign reapplied.  ``qmin`` / ``qmax`` optionally saturate
-    the result (ADC clip range, int8 output bounds); both or neither must be
-    given.
+    ``acc = M0 = 2**31 - 1, shift = 0``).  Rounds halves toward +inf for
+    *both* signs — ``(prod + 2**(shift-1)) >> shift`` with an arithmetic
+    (flooring) right shift, no sign split.  This is the convention of the
+    integer ADC stage — executed by :func:`requantize_up_f64` (or
+    :func:`requantize_rint_f32`) on an exact carrier, with this function as
+    its ``int64`` reference: it needs no absolute-value / sign-restore
+    passes in the hottest loop of the integer route, and the exhaustive
+    window verification of :func:`_verified_adc_multipliers` repairs the
+    mantissas under *this* convention, so the executed codes still match the
+    float oracle exactly.  ``qmin`` / ``qmax`` optionally saturate the
+    result; both or neither must be given.
 
     ``acc``, ``m0`` and ``shift`` broadcast against each other; ``m0`` may be
     a scalar (``m0 = 1`` turns this into a bare rounding shift) and ``shift``
@@ -361,40 +354,6 @@ def requantize(acc, m0, shift, qmin: Optional[int] = None,
     prod = np.asarray(acc, dtype=np.int64) * np.asarray(m0, dtype=np.int64)
     # (1 << shift) >> 1 is 2**(shift-1), and 0 when shift == 0 — the
     # shift-0 case degenerates to the identity without a branch.
-    half = (np.int64(1) << shift_arr) >> np.int64(1)
-    mag = (np.abs(prod) + half) >> shift_arr
-    out = np.where(prod < 0, -mag, mag)
-    if qmin is not None:
-        out = np.clip(out, int(qmin), int(qmax))
-    # int-pure: end
-    return out
-
-
-def requantize_up(acc, m0, shift, qmin: Optional[int] = None,
-                  qmax: Optional[int] = None) -> np.ndarray:
-    """Sign-uniform fixed-point rescale: ``floor(acc * M0 * 2**-shift + 1/2)``.
-
-    Rounds halves toward +inf for *both* signs — ``(prod + 2**(shift-1)) >>
-    shift`` with an arithmetic (flooring) right shift, no sign split.  This
-    is the convention of the integer ADC stage — executed by
-    :func:`requantize_up_f64` on the exact ``float64`` carrier, with this
-    function as its ``int64`` reference: it needs no absolute-value /
-    sign-restore passes in the hottest loop of the integer route, and the
-    exhaustive window verification of
-    :func:`_verified_adc_multipliers` repairs the mantissas under *this*
-    convention, so the executed codes still match the float oracle exactly.
-    Same broadcasting, overflow preconditions and saturation arguments as
-    :func:`requantize`.
-    """
-    if (qmin is None) != (qmax is None):
-        raise ValueError("pass both qmin and qmax, or neither")
-    shift_arr = np.asarray(shift, dtype=np.int64)
-    if np.any(shift_arr < 0) or np.any(shift_arr > MAX_SHIFT):
-        raise ValueError(
-            f"shift must be in [0, {MAX_SHIFT}], got "
-            f"[{int(shift_arr.min())}, {int(shift_arr.max())}]")
-    # int-pure: begin
-    prod = np.asarray(acc, dtype=np.int64) * np.asarray(m0, dtype=np.int64)
     half = (np.int64(1) << shift_arr) >> np.int64(1)
     out = (prod + half) >> shift_arr
     if qmin is not None:

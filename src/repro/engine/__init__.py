@@ -51,13 +51,11 @@ full lifecycle guide, artifact schema and serving knobs.
 """
 
 from ..core.requant import (RequantConstants, compile_requant,
-                            quantize_multiplier, quantize_multipliers,
-                            requantize)
+                            quantize_multipliers)
 from .api import freeze, frozen_layers, is_frozen, thaw
 from .frozen import FrozenCIMConv2d, FrozenCIMLinear
 from .model_plan import (GraphBuilder, GraphNode, ModelPlan, ModelPlanError,
-                         compile_model_plan, load_model_plan, load_plan,
-                         save_model_plan)
+                         compile_model_plan, load_plan, save_model_plan)
 from .plan import (ConvPlan, LinearPlan, PlanNotReadyError, compile_conv_plan,
                    compile_linear_plan, compile_plan, layer_signature,
                    signature_ready)
@@ -81,7 +79,7 @@ __all__ = [
     "layer_signature", "signature_ready",
     "load_plan",
     "GraphBuilder", "GraphNode", "ModelPlan", "ModelPlanError",
-    "compile_model_plan", "save_model_plan", "load_model_plan",
+    "compile_model_plan", "save_model_plan",
     "InferenceRunner", "PlanExecutor", "RunnerStats",
     "DynamicBatcher", "Request", "RequestTiming", "SchedulerStats",
     "SchedulerClosed",
@@ -93,6 +91,5 @@ __all__ = [
     "ReloadRejected",
     "decode_predict_request", "decode_reload_request",
     "encode_predict_response", "encode_error",
-    "RequantConstants", "compile_requant", "requantize",
-    "quantize_multiplier", "quantize_multipliers",
+    "RequantConstants", "compile_requant", "quantize_multipliers",
 ]

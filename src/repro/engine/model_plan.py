@@ -63,7 +63,6 @@ __all__ = [
     "ModelPlanError",
     "compile_model_plan",
     "save_model_plan",
-    "load_model_plan",
     "load_plan",
     "run_conv2d",
     "run_flatten",
@@ -77,7 +76,7 @@ MODEL_PLAN_FORMAT = "repro-model-plan"
 #: Version written by :func:`save_model_plan`.  v2 added the per-layer
 #: ``requant`` metadata + ``rq_*`` arrays of the integer execution route.
 MODEL_PLAN_VERSION = 2
-#: Versions :func:`load_model_plan` accepts.  v1 archives predate the requant
+#: Versions :func:`load_plan` accepts.  v1 archives predate the requant
 #: constants: they load and execute in float mode, and ``set_mode("int")``
 #: raises :class:`ModelPlanError`.
 SUPPORTED_MODEL_PLAN_VERSIONS = frozenset({1, 2})
@@ -353,8 +352,8 @@ class ModelPlan:
     """A frozen network as plain data: node graph + per-layer plans.
 
     Instances are runnable (``plan(x)`` / :meth:`execute`) and serializable
-    (:meth:`save` / :meth:`load`); execution needs only NumPy — no Tensor,
-    no Module, no quantizer objects.
+    (:func:`save_model_plan` / :func:`load_plan`); execution needs only
+    NumPy — no Tensor, no Module, no quantizer objects.
     """
 
     nodes: List[GraphNode]
@@ -384,17 +383,17 @@ class ModelPlan:
     # execution mode
     # ------------------------------------------------------------------ #
     def set_mode(self, mode: str) -> None:
-        """Switch every CIM layer plan between the float and integer routes.
+        """Switch the model between the float and integer routes.
 
         ``"float"`` (the default for every freshly loaded plan) is the
         bit-exact reference.  ``"int"`` runs the folded integer graph of
         :mod:`repro.engine.intfold`, built here on the first switch: each
         CIM layer emits the next layer's activation codes (or residual
         values on the model's fine grid), so no BatchNorm, ReLU or
-        activation re-quantize runs between two CIM layers.  Layers without
-        an input quantizer (``act_scale is None`` — typically the first
-        convolution) have no integer input grid and stay on the float
-        route; that is a property of the model, not an artifact defect.
+        activation re-quantize runs between two CIM layers.  Each ``cim``
+        node's ``fold`` picks its layer's route; a layer without an input
+        quantizer (``act_scale is None`` — typically the first convolution)
+        gets ``None``, the float route: it has no integer input grid.
         Raises :class:`ModelPlanError` if any quantized-input layer lacks
         requant constants (a v1 archive saved before the integer path
         existed) or a folded requant cannot run exactly.
@@ -416,8 +415,6 @@ class ModelPlan:
                 except (RequantFoldError, CarrierRangeError) as error:
                     raise ModelPlanError(
                         f"cannot fold the integer route: {error}") from error
-        for plan in self.layer_plans:
-            plan.set_mode(mode)
         self.mode = mode
 
     def graph(self) -> tuple:
@@ -547,18 +544,6 @@ class ModelPlan:
                          f" {node.name}{detail}")
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------ #
-    # serialization
-    # ------------------------------------------------------------------ #
-    def save(self, path) -> None:
-        """Serialize to a single ``.npz``: arrays + a ``__manifest__`` JSON entry."""
-        save_model_plan(self, path)
-
-    @classmethod
-    def load(cls, path, mode: str = "float") -> "ModelPlan":
-        """Rebuild a :class:`ModelPlan` saved by :meth:`save`."""
-        return load_model_plan(path, mode=mode)
-
 
 # --------------------------------------------------------------------------- #
 # compilation
@@ -646,11 +631,12 @@ def _check_float64(path, doc: dict, what: str) -> None:
             "re-save the artifact")
 
 
-def load_model_plan(path, mode: str = "float") -> ModelPlan:
+def load_plan(path, mode: str = "float") -> ModelPlan:
     """Rebuild a :class:`ModelPlan` from a :func:`save_model_plan` archive.
 
-    Pure data path: no QAT model, layer, or quantizer objects are
-    constructed.  ``mode`` selects the execution route of the returned plan
+    The artifact entry point (a single layer ships as a one-node graph,
+    :meth:`GraphBuilder.add_layer_plan`).  Pure data path: no QAT model,
+    layer, or quantizer objects are constructed.  ``mode`` selects the execution route of the returned plan
     (see :meth:`ModelPlan.set_mode`); ``"int"`` raises on v1 archives, which
     carry no requant constants.  Raises :class:`ModelPlanError` on a
     corrupted manifest, an unknown format/version, missing array entries,
@@ -705,8 +691,3 @@ def load_model_plan(path, mode: str = "float") -> ModelPlan:
     if mode != "float":
         plan.set_mode(mode)
     return plan
-
-
-#: The artifact entry point: every engine artifact is a model plan (a single
-#: layer ships as a one-node graph, see :meth:`GraphBuilder.add_layer_plan`).
-load_plan = load_model_plan

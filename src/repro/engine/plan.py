@@ -47,8 +47,9 @@ Both routes run a layer one tile of samples at a time
 (:data:`_TILE_BYTES` bounds a tile's buffers, all taken from the plan's
 :class:`~repro.engine.hotpath.ScratchTable`): a convolution pads each
 tile, gathers its im2col rows with one ``np.take`` and finishes the tile
-straight into its rows of the output.  ``mode="int"`` executes either
-strategy on integer codes instead (see :meth:`_PlanBase._contract_int`
+straight into its rows of the output.  ``execute(x)`` runs the float
+route; ``execute(x, fold)`` runs either strategy on integer codes instead,
+finished by that :class:`LayerFold` (see :meth:`_PlanBase._contract_int`
 and :mod:`repro.core.requant`): the GEMMs run on the exact-integer
 carrier; the quantized path's per-column ADC divide, rounding and clip run
 on a ``float32`` carrier proved exact per column (else ``float64``), and
@@ -236,7 +237,6 @@ class _PlanBase:
     mapping: WeightMapping
     signature: Tuple[bool, bool, bool]
     requant: Optional[RequantConstants] = None  # None = float-only artifact
-    mode: str = field(default="float", repr=False)  # runtime, not serialized
     # derived operands, rebuilt by _build_derived()
     row_slices: list = field(init=False, repr=False, default=None)
     carrier: np.dtype = field(init=False, repr=False, default=None)
@@ -295,9 +295,9 @@ class _PlanBase:
         :class:`~repro.core.requant.CarrierRangeError`.  The ADC divide
         ``m0_adc * 2**-shift_adc`` becomes a ``float32`` multiplier where
         :func:`~repro.core.requant.adc_multiplier_f32` proves that exact
-        for every reachable partial sum, else the exact ``float64`` one.  The stored reduce multipliers and bias form the
-        layer's default :class:`LayerFold`, the dequant used when no folded
-        graph supplies one.
+        for every reachable partial sum, else the exact ``float64`` one.
+        The stored reduce multipliers and bias form the layer's stand-alone
+        dequant :class:`LayerFold` (:meth:`dequant_fold`).
         """
         self._int_ops = None
         rq = self.requant
@@ -328,7 +328,15 @@ class _PlanBase:
         self._int_ops = _IntOperands(mu_adc, dequant)
 
     def dequant_fold(self, codes_in: bool) -> LayerFold:
-        """The stand-alone dequant fold, optionally fed activation codes."""
+        """The stand-alone dequant fold, optionally fed activation codes:
+        ``execute(x, plan.dequant_fold(False))`` runs the layer alone on the
+        integer route.  Raises ``ValueError`` without requant constants (a
+        raw-input layer, or a v1 artifact)."""
+        if self._int_ops is None:
+            raise ValueError(
+                "this plan carries no requant constants (the artifact "
+                "predates the integer execution path); recompile the layer "
+                "or re-save the artifact to enable mode='int'")
         return replace(self._int_ops.dequant, codes_in=codes_in)
 
     def _code_max(self) -> Optional[float]:
@@ -406,32 +414,6 @@ class _PlanBase:
         return LayerFold(codes_in=codes_in, weights=weights,
                          out_dtype=out_dtype, requant=requant,
                          code_max=self._code_max())
-
-    # ---------------------------------------------------------------- #
-    def set_mode(self, mode: str) -> None:
-        """Select the execution route: ``"float"`` (reference) or ``"int"``.
-
-        Runtime state, not part of the artifact — a freshly loaded plan is
-        always in float mode.  ``"int"`` requires the plan to carry
-        :class:`~repro.core.requant.RequantConstants` (artifacts saved before
-        the integer path exist but are float-only) and is accepted — as a
-        recorded no-op — on raw-input plans (``act_scale is None``): without
-        an input quantizer there is no integer grid to execute on, so such
-        layers legitimately stay on the float route in integer mode.
-        """
-        if mode not in ("float", "int"):
-            raise ValueError(f"unknown execution mode {mode!r}; "
-                             "expected 'float' or 'int'")
-        if mode == "int" and self.requant is None and self.act_scale is not None:
-            raise ValueError(
-                "this plan carries no requant constants (the artifact "
-                "predates the integer execution path); recompile the layer "
-                "or re-save the artifact to enable mode='int'")
-        self.mode = mode
-
-    def _int_route(self) -> bool:
-        """True when this plan executes on the integer route."""
-        return self.mode == "int" and self.requant is not None
 
     @hot_path
     def _quantize_acts_carrier(self, x: np.ndarray) -> np.ndarray:
@@ -713,21 +695,18 @@ class _PlanBase:
              out_shape: tuple) -> np.ndarray:
         """This plan's route from the layer input to a fresh layer output.
 
-        The integer route runs ``fold`` (the stand-alone dequant when
-        ``None``); the float route ignores it.  A layer with an input
-        quantizer first quantizes ``x`` onto its route's carrier, unless the
-        fold says ``x`` already holds its codes.  ``x`` is then a row matrix
-        (run by :meth:`_row_tiles`) or, for a convolution, ``(N, C, H, W)``
-        (run by :meth:`ConvPlan._conv_tiles`); either finishes every tile
-        straight into its rows of the result.
+        ``fold`` picks the route: ``None`` is the float route, a
+        :class:`LayerFold` the integer route it finishes.  Unless the fold
+        says ``x`` holds its codes, ``x`` is taken as ``float64`` and, with
+        an input quantizer, quantized onto the carrier.  ``x`` is then a
+        row matrix (:meth:`_row_tiles`) or ``(N, C, H, W)``
+        (:meth:`ConvPlan._conv_tiles`); either finishes every tile straight
+        into its rows of the result.
         """
-        if self._int_route():
-            fold = self._int_ops.dequant if fold is None else fold
-        else:
-            fold = None
-        if self.act_scale is not None and not (fold is not None
-                                               and fold.codes_in):
-            x = self._quantize_acts_carrier(x)
+        if fold is None or not fold.codes_in:
+            x = np.asarray(x, dtype=np.float64)
+            if self.act_scale is not None:
+                x = self._quantize_acts_carrier(x)
         out = np.empty(out_shape, dtype=np.float64 if fold is None
                        else fold.out_dtype)
         if x.ndim == 4:
@@ -752,12 +731,11 @@ class ConvPlan(_PlanBase):
                 fold: Optional[LayerFold] = None) -> np.ndarray:
         """Run the frozen forward on a ``(N, C, H, W)`` activation array.
 
-        ``fold`` (integer route only) is the :class:`LayerFold` a folded
-        model graph assigns this layer; without it the integer route
-        quantizes a float input and dequantizes its output.
+        Without ``fold`` this is the float route; with one, the integer
+        route finished by that :class:`LayerFold` (a folded model graph's,
+        or :meth:`dequant_fold` for a stand-alone layer).
         """
-        if not (self._int_route() and fold is not None and fold.codes_in):
-            x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {c}")
@@ -817,10 +795,9 @@ class LinearPlan(_PlanBase):
                 fold: Optional[LayerFold] = None) -> np.ndarray:
         """Run the frozen forward on a ``(N, in_features)`` activation array.
 
-        ``fold`` has the meaning documented on :meth:`ConvPlan.execute`.
+        ``fold`` picks the route as documented on :meth:`ConvPlan.execute`.
         """
-        if not (self._int_route() and fold is not None and fold.codes_in):
-            x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (N, {self.in_features}), got {x.shape}")

@@ -257,13 +257,8 @@ class InferenceRunner:
         ``execute(x, timings=...)`` method).
     batch_size:
         Micro-batch size; the staging buffer is ``(batch_size, *sample_shape)``
-        and is allocated on the first sample, then reused.
-    mode:
-        Optional execution route: ``"float"`` (bit-exact reference) or
-        ``"int"`` (fixed-point requantized).  Applied to the plan itself via
-        ``plan.set_mode`` — mode is plan state, so it also affects other
-        consumers sharing the same plan object.  ``None`` (default) leaves
-        the plan's current mode untouched.
+        and is allocated on the first sample, then reused.  The route is
+        the plan's own (``load_plan(path, mode=...)``).
 
     Every flushed batch runs on :func:`repro.engine.cpu.runner_workers`
     threads, split into contiguous row chunks
@@ -272,12 +267,9 @@ class InferenceRunner:
     :meth:`PlanExecutor._execute_split`).
     """
 
-    def __init__(self, plan: ModelPlan, batch_size: int = 32,
-                 mode: Optional[str] = None):
+    def __init__(self, plan: ModelPlan, batch_size: int = 32):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if mode is not None:
-            plan.set_mode(mode)
         self.executor = PlanExecutor(plan)
         self.batch_size = int(batch_size)
         self._staging: Optional[np.ndarray] = None

@@ -1,11 +1,11 @@
 """Property tests of the fixed-point requantization primitives.
 
-:func:`repro.core.requant.requantize` claims *exact* integer semantics:
-``round_half_away(acc * M0 / 2**shift)`` with no float intermediate.  These
+:func:`repro.core.requant.requantize_up` claims *exact* integer semantics:
+``floor(acc * M0 / 2**shift + 1/2)`` with no float intermediate.  These
 tests hold it to that claim against an arbitrary-precision
 :class:`fractions.Fraction` oracle, including the int32/int64 boundary
 magnitudes where any hidden float64 pass-through would corrupt low bits.
-The executed ADC stage runs on an exact float64 carrier instead; its tests
+The executed ADC stage runs on an exact float carrier instead; its tests
 hold it bit for bit to :func:`requantize_up` and an int64 reduce at the
 edges of its exactness argument (largest shift, largest mantissa,
 accumulator extremes, exact half ties, saturation).
@@ -23,84 +23,14 @@ from repro.core.requant import (INT32_MAX, INT32_MIN, MAX_SHIFT,
                                 _adc_multipliers, adc_multiplier_f32,
                                 _verified_adc_multipliers, adc_shift_cap,
                                 carrier_multiplier, check_adc_carrier,
-                                quantize_multiplier, quantize_multipliers,
-                                requantize, requantize_rint_f32,
+                                quantize_multipliers, requantize_rint_f32,
                                 requantize_up, requantize_up_f64)
-
-
-def exact_requant(acc: int, m0: int, shift: int) -> int:
-    """Arbitrary-precision oracle: round-half-away of ``acc * m0 / 2**shift``."""
-    q = Fraction(int(acc) * int(m0), 2 ** shift)
-    mag = int(abs(q) + Fraction(1, 2))           # floor(|q| + 1/2)
-    return -mag if q < 0 else mag
 
 
 def exact_requant_up(acc: int, m0: int, shift: int) -> int:
     """Arbitrary-precision oracle: ``floor(acc * m0 / 2**shift + 1/2)``."""
     q = Fraction(int(acc) * int(m0), 2 ** shift) + Fraction(1, 2)
     return q.numerator // q.denominator          # exact floor
-
-
-class TestRequantize:
-    def test_matches_exact_rational_on_random_inputs(self):
-        rng = np.random.default_rng(7)
-        for shift in (0, 1, 7, 19, 31, MAX_SHIFT):
-            acc = rng.integers(-2 ** 30, 2 ** 30, size=256)
-            m0 = rng.integers(0, 2 ** 20, size=256)
-            got = requantize(acc, m0, shift)
-            want = [exact_requant(a, m, shift) for a, m in zip(acc, m0)]
-            np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64))
-
-    def test_rounds_half_away_from_zero(self):
-        # .5 boundaries move away from zero in both directions — the
-        # hardware convention, NOT numpy's round-half-even.
-        acc = np.array([1, -1, 3, -3, 5, -5])
-        np.testing.assert_array_equal(requantize(acc, 1, 1),
-                                      [1, -1, 2, -2, 3, -3])
-
-    def test_no_float_intermediate_at_int32_extremes(self):
-        # (2**31 - 1)**2 is odd and > 2**53, so any float64 pass-through
-        # would round the product and corrupt the result.
-        prod = (2 ** 31 - 1) ** 2
-        assert int(requantize(INT32_MAX, INT32_MAX, 0)) == prod
-        assert float(prod) != prod                     # the trap is real
-        assert int(requantize(INT32_MAX, INT32_MAX, 1)) == \
-            exact_requant(INT32_MAX, INT32_MAX, 1)
-        assert int(requantize(INT32_MIN, INT32_MAX, 3)) == \
-            exact_requant(INT32_MIN, INT32_MAX, 3)
-
-    def test_max_shift_keeps_int64_headroom(self):
-        # the documented invariant behind MAX_SHIFT: |acc * M0| + 2**(shift-1)
-        # fits int64 for int32 acc and mantissa at the largest shift.
-        got = requantize(INT32_MAX, INT32_MAX, MAX_SHIFT)
-        assert int(got) == exact_requant(INT32_MAX, INT32_MAX, MAX_SHIFT)
-
-    def test_saturation_bounds(self):
-        acc = np.array([-1000, -5, -4, 0, 3, 5, 1000])
-        got = requantize(acc, 1, 0, -4, 3)
-        np.testing.assert_array_equal(got, [-4, -4, -4, 0, 3, 3, 3])
-        np.testing.assert_array_equal(requantize(acc, 1, 0, -128, 127),
-                                      np.clip(acc, -128, 127))
-
-    def test_per_element_shift_array(self):
-        # the ADC divide uses per-column shifts; broadcasting must apply
-        # each element's own rounding offset.
-        acc = np.array([5, 5, 5])
-        shift = np.array([0, 1, 2])
-        np.testing.assert_array_equal(requantize(acc, 1, shift), [5, 3, 1])
-
-    def test_shift_zero_is_identity_times_m0(self):
-        acc = np.array([-3, 0, 7])
-        np.testing.assert_array_equal(requantize(acc, 9, 0), acc * 9)
-
-    @pytest.mark.parametrize("shift", [-1, MAX_SHIFT + 1])
-    def test_shift_out_of_range_raises(self, shift):
-        with pytest.raises(ValueError, match="shift"):
-            requantize(np.array([1]), 1, shift)
-
-    def test_lone_saturation_bound_raises(self):
-        with pytest.raises(ValueError, match="both qmin and qmax"):
-            requantize(np.array([1]), 1, 0, qmin=-4)
 
 
 class TestRequantizeUp:
@@ -115,48 +45,52 @@ class TestRequantizeUp:
 
     def test_rounds_halves_toward_plus_infinity(self):
         # the sign-uniform convention of the executed ADC stage: every .5
-        # boundary moves up, for negatives too (unlike requantize).
+        # boundary moves up, for negatives too.
         acc = np.array([1, -1, 3, -3, 5, -5])
         np.testing.assert_array_equal(requantize_up(acc, 1, 1),
                                       [1, 0, 2, -1, 3, -2])
 
-    def test_agrees_with_requantize_off_ties(self):
-        # away from exact .5 boundaries the two conventions are identical
-        rng = np.random.default_rng(5)
-        acc = rng.integers(-2 ** 20, 2 ** 20, size=512)
-        m0 = rng.integers(1, 2 ** 10, size=512) * 2 + 1      # odd mantissas
-        shift = 9
-        prod = acc.astype(object) * m0.astype(object)
-        off_tie = np.array([int(p) % (1 << shift) != (1 << (shift - 1))
-                            for p in prod])
-        np.testing.assert_array_equal(
-            requantize_up(acc, m0, shift)[off_tie],
-            requantize(acc, m0, shift)[off_tie])
-
     def test_no_float_intermediate_at_int32_extremes(self):
-        assert int(requantize_up(INT32_MAX, INT32_MAX, 0)) == \
-            (2 ** 31 - 1) ** 2
+        # (2**31 - 1)**2 is odd and > 2**53, so any float64 pass-through
+        # would round the product and corrupt the result.
+        prod = (2 ** 31 - 1) ** 2
+        assert int(requantize_up(INT32_MAX, INT32_MAX, 0)) == prod
+        assert float(prod) != prod                     # the trap is real
         assert int(requantize_up(INT32_MIN, INT32_MAX, 3)) == \
             exact_requant_up(INT32_MIN, INT32_MAX, 3)
+        # the documented invariant behind MAX_SHIFT: |acc * M0| +
+        # 2**(shift-1) fits int64 for int32 acc and mantissa
         assert int(requantize_up(INT32_MAX, INT32_MAX, MAX_SHIFT)) == \
             exact_requant_up(INT32_MAX, INT32_MAX, MAX_SHIFT)
 
-    def test_saturation_and_per_element_shift(self):
-        acc = np.array([-1000, -5, 0, 5, 1000])
+    def test_saturation_bounds(self):
+        acc = np.array([-1000, -5, -4, 0, 3, 5, 1000])
         np.testing.assert_array_equal(requantize_up(acc, 1, 0, -4, 3),
-                                      [-4, -4, 0, 3, 3])
+                                      [-4, -4, -4, 0, 3, 3, 3])
+        np.testing.assert_array_equal(requantize_up(acc, 1, 0, -128, 127),
+                                      np.clip(acc, -128, 127))
+
+    def test_per_element_shift_array(self):
+        # the ADC divide uses per-column shifts; broadcasting must apply
+        # each element's own rounding offset.
         np.testing.assert_array_equal(
             requantize_up(np.array([5, 5, 5]), 1, np.array([0, 1, 2])),
             [5, 3, 1])
+
+    def test_shift_zero_is_identity_times_m0(self):
+        acc = np.array([-3, 0, 7])
+        np.testing.assert_array_equal(requantize_up(acc, 9, 0), acc * 9)
 
     @pytest.mark.parametrize("shift", [-1, MAX_SHIFT + 1])
     def test_shift_out_of_range_raises(self, shift):
         with pytest.raises(ValueError, match="shift"):
             requantize_up(np.array([1]), 1, shift)
 
-    def test_lone_saturation_bound_raises(self):
+    @pytest.mark.parametrize("bound", [{"qmin": -4}, {"qmax": 3}],
+                             ids=["qmin", "qmax"])
+    def test_lone_saturation_bound_raises(self, bound):
         with pytest.raises(ValueError, match="both qmin and qmax"):
-            requantize_up(np.array([1]), 1, 0, qmax=3)
+            requantize_up(np.array([1]), 1, 0, **bound)
 
 
 class TestQuantizeMultipliers:
@@ -170,14 +104,9 @@ class TestQuantizeMultipliers:
         np.testing.assert_allclose(approx, m, atol=2.0 ** -(shift + 1))
 
     def test_dominant_multiplier_uses_full_mantissa_range(self):
-        m0, shift = quantize_multiplier(1.0)
+        (m0,), shift = quantize_multipliers(np.array([1.0]))
         assert 2 ** 30 <= m0 <= INT32_MAX
-        assert abs(m0 * 2.0 ** -shift - 1.0) <= 2.0 ** -31
-
-    def test_scalar_wrapper_matches_array_form(self):
-        m0_arr, shift_arr = quantize_multipliers(np.array([0.375]))
-        m0, shift = quantize_multiplier(0.375)
-        assert (m0, shift) == (int(m0_arr[0]), shift_arr)
+        assert abs(int(m0) * 2.0 ** -shift - 1.0) <= 2.0 ** -31
 
     def test_huge_multiplier_raises(self):
         with pytest.raises(ValueError, match="int32"):

@@ -235,7 +235,6 @@ def conv_plan(kernel: int, stride: int, padding: int, seed: int,
         layer.eval()
         layer(Tensor(np.abs(rng.normal(size=(4, 3, 9, 9)))))
     plan = engine.compile_conv_plan(layer)
-    plan.set_mode("int")
     return plan, np.abs(rng.normal(size=(5, 3, 9, 9)))
 
 
@@ -268,7 +267,7 @@ class TestConvTiles:
         plan, x = plan_x
         monkeypatch.setattr(plan_module, "_TILE_BYTES",
                             self.int_bound(plan, samples))
-        got = plan.execute(x[:batch])
+        got = plan.execute(x[:batch], plan.dequant_fold(False))
         want = oracle_layer(plan, x[:batch])
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -292,9 +291,10 @@ class TestConvTiles:
     def test_default_tile_matches_one_sample_tiles(self, monkeypatch,
                                                    plan_x):
         plan, x = plan_x
-        whole = plan.execute(x)
+        fold = plan.dequant_fold(False)
+        whole = plan.execute(x, fold)
         monkeypatch.setattr(plan_module, "_TILE_BYTES", 1)
-        assert plan.execute(x).tobytes() == whole.tobytes()
+        assert plan.execute(x, fold).tobytes() == whole.tobytes()
 
 
 class TestFloatTiles:
@@ -312,7 +312,6 @@ class TestFloatTiles:
         plan, x = conv_plan(*GEOMETRIES[geometry], seed=4,
                             quantize_input=not raw,
                             quantize_psum=quantize_psum)
-        plan.set_mode("float")
         assert plan.carrier == (np.float64 if raw else np.float32)
         itemsize = plan.carrier.itemsize
         assert plan_module._TILE_BYTES >= tile_bound(plan, len(x), None,
@@ -328,7 +327,6 @@ class TestFloatTiles:
         # a layer whose operand range the float32 carrier cannot hold
         # exactly multiplies its codes in float64, with the same result
         plan, x = conv_plan(*GEOMETRIES[geometry], seed=4)
-        plan.set_mode("float")
         want = plan.execute(x)
         plan.requant.gemm_dtype = "float64"
         plan._build_derived()

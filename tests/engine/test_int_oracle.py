@@ -30,6 +30,7 @@ from repro import engine
 from repro.cim import CIMConfig, QuantScheme
 from repro.core import CIMConv2d
 from repro.engine.intfold import GRID_BITS, GRID_CAP, INT_OPS
+from repro.engine.plan import LayerFold
 from repro.models import MLP, TinyCNN, resnet8
 from repro.nn import ReLU6, Tensor
 from repro.nn import functional as F
@@ -365,6 +366,32 @@ def test_random_residual_graph_full_batch_bit_exact():
 def test_fused_route_graph_bit_exact():
     plan, x = random_residual_plan(5, quantize_psum=False)
     assert_route_matches_oracle(plan, x[:2])
+
+
+@pytest.mark.parametrize("build", [
+    resnet_tiny, lambda: random_residual_plan(6),
+    lambda: random_residual_plan(6, quantize_psum=False)],
+    ids=["resnet_tiny", "random_residual", "random_residual_fused"])
+def test_every_int_layer_node_carries_its_fold(build):
+    """A layer's route is its node's fold: in int mode the ``cim`` node of
+    every layer with requant constants and an input quantizer carries a
+    :class:`LayerFold`, and a raw-input layer's node ``None`` (the float
+    route)."""
+    plan, _ = build()
+    plan.set_mode("int")
+    nodes, _ = plan.graph()
+    cims = [node for node in nodes if node.op == "cim"]
+    assert sorted(n.plan_index for n in cims) == list(range(plan.n_cim_layers))
+    raw = 0
+    for node in cims:
+        lp = plan.layer_plans[node.plan_index]
+        if lp.act_scale is None:
+            raw += 1
+            assert node.attrs["fold"] is None
+        else:
+            assert lp.requant is not None
+            assert isinstance(node.attrs["fold"], LayerFold)
+    assert raw == 1                           # the stem
 
 
 @pytest.mark.parametrize("quantize_psum", [True, False])

@@ -5,10 +5,12 @@ there is no declared drift bound any more — the integer route is defined
 in plain integers and held bit for bit to a pure-Python oracle in
 ``test_int_oracle.py`` — so the fuzz matrix here sweeps seeded random
 layer geometries across both layer kinds, both psum modes and several tile
-shapes and checks that the stand-alone integer layer tracks the float one
-closely; model-level tests demand equal top-1 predictions, serialization
-pins the requant constants bit-exactly through the ``.npz`` round trip,
-and the error cases pin the mode-switching contract.  The ADC stage of the integer route runs on an
+shapes and checks that the stand-alone integer layer (``execute(x,
+plan.dequant_fold(False))``) tracks the float one closely; model-level
+tests demand equal top-1 predictions, serialization pins the requant
+constants bit-exactly through the ``.npz`` round trip, and the error cases
+pin the route contract: a layer's fold picks its route, a model's mode
+picks its graph.  The ADC stage of the integer route runs on an
 exact float64 carrier; it is held bit for bit to a plain ``int64``
 reference (``requantize_up`` + an ``int64`` reduce) at the edges of its
 exactness argument and across every sample-tile remainder, and loading
@@ -113,8 +115,7 @@ class TestLayerDifferential:
         plan = compile_layer(layer)
         assert plan.requant is not None
         ref = plan.execute(x)
-        plan.set_mode("int")
-        out = plan.execute(x)
+        out = plan.execute(x, plan.dequant_fold(False))
         scale = max(1.0, float(np.abs(ref).max()))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6 * scale)
 
@@ -123,12 +124,12 @@ class TestLayerDifferential:
     def test_zero_row_and_single_sample_edges(self, kind, quantize_psum):
         layer, x = make_layer(kind, quantize_psum, (32, 1), 3)
         plan = compile_layer(layer)
-        plan.set_mode("int")
+        fold = plan.dequant_fold(False)
         empty = np.empty((0,) + x.shape[1:], dtype=np.float64)
-        out_empty = plan.execute(empty)
+        out_empty = plan.execute(empty, fold)
         assert out_empty.shape[0] == 0
-        one = plan.execute(x[:1])
-        full = plan.execute(x)
+        one = plan.execute(x[:1], fold)
+        full = plan.execute(x, fold)
         np.testing.assert_array_equal(one, full[:1])
 
     def test_int_output_lies_on_the_output_grid(self):
@@ -137,7 +138,6 @@ class TestLayerDifferential:
         integer accumulation plus one dequant multiply."""
         layer, x = make_layer("linear", False, (32, 1), 5)
         plan = compile_layer(layer)
-        plan.set_mode("int")
         rq = plan.requant
         codes = plan._quantize_acts_carrier(np.asarray(x, np.float64))
         codes = codes.astype(np.int64)
@@ -149,7 +149,8 @@ class TestLayerDifferential:
             acc += rq.bias_q
         unit = np.ldexp(rq.s_out.astype(np.float64), -rq.shift)
         want = np.multiply(acc, unit, dtype=np.float64)
-        np.testing.assert_array_equal(plan.execute(x), want)
+        np.testing.assert_array_equal(
+            plan.execute(x, plan.dequant_fold(False)), want)
 
 
 class TestSerialization:
@@ -181,8 +182,7 @@ class TestSerialization:
                                                  quantize_psum):
         layer, x = make_layer("conv", quantize_psum, (16, 1), 2)
         plan = compile_layer(layer)
-        plan.set_mode("int")
-        out = plan.execute(x)
+        out = plan.execute(x, plan.dequant_fold(False))
         path = tmp_path / "plan.npz"
         save_layer_artifact(plan, path)
         loaded = engine.load_plan(path)
@@ -226,8 +226,8 @@ class TestModelLevelGate:
         path = tmp_path / "model.npz"
         engine.save_model_plan(plan, path)
 
-        runner = engine.InferenceRunner(engine.load_plan(path),
-                                        batch_size=8, mode="int")
+        runner = engine.InferenceRunner(engine.load_plan(path, mode="int"),
+                                        batch_size=8)
         np.testing.assert_array_equal(runner.predict(x), expected)
 
         with engine.PlanServer(engine.load_plan(path), n_shards=2,
@@ -252,8 +252,7 @@ class TestModelLevelGate:
 
 class TestModeContract:
     def test_unknown_mode_raises(self):
-        layer, _ = make_layer("linear", False, (32, 1), 1)
-        plan = compile_layer(layer)
+        plan, _ = build_model_plan()
         with pytest.raises(ValueError, match="unknown execution mode"):
             plan.set_mode("int8")
 
@@ -264,10 +263,34 @@ class TestModeContract:
         for kind in ("conv", "linear"):
             layer, x = make_layer(kind, True, (32, 1), 1)
             plan = compile_layer(layer)
-            for mode in ("float", "int"):
-                plan.set_mode(mode)
+            for fold in (None, plan.dequant_fold(False)):
                 with pytest.raises(TypeError):
-                    plan.execute(x, variation=VariationModel(sigma=0.1, seed=0))
+                    plan.execute(x, fold,
+                                 variation=VariationModel(sigma=0.1, seed=0))
+
+    def test_route_follows_the_fold_alone(self):
+        """A layer plan holds no route state: inside an int-mode model its
+        ``execute(x)`` is still the float route."""
+        plan, x = build_model_plan()
+        layer = plan.layer_plans[1]
+        codes = np.abs(np.random.default_rng(2).normal(
+            size=(2, layer.in_channels, 8, 8)))
+        ref = layer.execute(codes)
+        plan.set_mode("int")
+        assert layer.execute(codes).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_codes_in_fold_takes_the_codes_as_given(self, kind):
+        """``dequant_fold(True)`` skips the input quantizer: the layer's own
+        ``float32`` codes give what ``dequant_fold(False)`` gives on the
+        float input they came from."""
+        layer, x = make_layer(kind, True, (32, 1), 6)
+        plan = compile_layer(layer)
+        codes = plan._quantize_acts_carrier(np.asarray(x)).copy()
+        assert codes.dtype == np.float32
+        np.testing.assert_array_equal(
+            plan.execute(codes, plan.dequant_fold(True)),
+            plan.execute(x, plan.dequant_fold(False)))
 
     def test_compile_state_is_float64(self):
         """Every float array a plan compiles from is float64, and the
@@ -284,23 +307,26 @@ class TestModeContract:
         widening and returns float64."""
         layer, x = make_layer("conv", True, (32, 1), 4)
         plan = compile_layer(layer)
-        plan.set_mode("int")
+        fold = plan.dequant_fold(False)
         x32 = x.astype(np.float32)
-        out = plan.execute(x32)
+        out = plan.execute(x32, fold)
         assert out.dtype == np.float64
-        np.testing.assert_array_equal(out,
-                                      plan.execute(x32.astype(np.float64)))
+        np.testing.assert_array_equal(
+            out, plan.execute(x32.astype(np.float64), fold))
 
     def test_plan_without_requant_refuses_int(self):
-        layer, _ = make_layer("linear", False, (32, 1), 1)
+        layer, x = make_layer("linear", False, (32, 1), 1)
         plan = compile_layer(layer)
         plan.requant = None          # simulate a pre-v2 (float-only) artifact
-        with pytest.raises(ValueError, match="requant"):
-            plan.set_mode("int")
+        plan._build_derived()
+        with pytest.raises(ValueError, match="carries no requant constants"):
+            plan.dequant_fold(False)
+        assert plan.execute(x).shape == (x.shape[0], plan.out_channels)
 
-    def test_raw_input_layer_accepts_int_as_noop(self):
-        """The first conv of every model takes unquantized input — int mode
-        is an accepted no-op there, not an error."""
+    def test_raw_input_layer_has_no_dequant_fold(self):
+        """The first conv of every model takes unquantized input: it has no
+        integer grid, so it runs the float route only, and asking it for
+        an integer fold is a ``ValueError``, not an ``AttributeError``."""
         cfg = CIMConfig(array_rows=32, array_cols=32, cell_bits=1, adc_bits=3)
         layer = CIMConv2d(3, 4, 3, scheme=scheme(True), cim_config=cfg,
                           rng=np.random.default_rng(0),
@@ -312,9 +338,9 @@ class TestModeContract:
             layer(Tensor(np.abs(x)))
         plan = engine.compile_conv_plan(layer)
         assert plan.requant is None and plan.act_scale is None
-        ref = plan.execute(x)
-        plan.set_mode("int")
-        np.testing.assert_array_equal(plan.execute(x), ref)
+        with pytest.raises(ValueError, match="carries no requant constants"):
+            plan.dequant_fold(False)
+        assert plan.execute(x).shape == (2, 4, 4, 4)
 
 
 # --------------------------------------------------------------------------- #
@@ -339,25 +365,24 @@ def int64_reference(plan, cols: np.ndarray) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def int_route(plan, carrier: str = "auto"):
-    """The plan on its integer route, with ``carrier="float64"`` forcing
-    the float64 ADC stage even where the float32 one is proved exact
-    (``"auto"``, the executed choice)."""
-    ops, mode = plan._int_ops, plan.mode
+def adc_carrier(plan, carrier: str = "auto"):
+    """The plan with ``carrier="float64"`` forcing the float64 ADC stage
+    even where the float32 one is proved exact (``"auto"``, the executed
+    choice)."""
+    ops = plan._int_ops
     if carrier == "float64":
         rq = plan.requant
         plan._int_ops = ops._replace(mu_adc=carrier_multiplier(
             rq.m0_adc, rq.shift_adc)[..., None])
-    plan.set_mode("int")
     try:
         yield plan
     finally:
-        plan._int_ops, plan.mode = ops, mode
+        plan._int_ops = ops
 
 
 def run_int(plan, cols: np.ndarray, carrier: str = "auto") -> np.ndarray:
     """The executed integer route on a ``(NL, in_features)`` code matrix."""
-    with int_route(plan, carrier):
+    with adc_carrier(plan, carrier):
         return plan._run(cols, plan.dequant_fold(True),
                          (cols.shape[0], plan.out_channels))
 
@@ -494,7 +519,7 @@ class TestFloat64AdcStage:
         cols = code_batch(plan, nl, rng)
         itemsize = np.dtype(plan.requant.gemm_dtype).itemsize
         for carrier in ("auto", "float64"):
-            with int_route(plan, carrier):     # one row's tile buffers
+            with adc_carrier(plan, carrier):   # one row's tile buffers
                 per_row = plan._column_bytes(plan.dequant_fold(True),
                                              itemsize)
             size = {"default": plan_module._TILE_BYTES, "tiny": 1,
@@ -506,7 +531,6 @@ class TestFloat64AdcStage:
     def test_public_route_matches_reference(self):
         layer, x = make_layer("conv", True, (32, 1), 6)
         plan = compile_layer(layer)
-        plan.set_mode("int")
         codes = plan._quantize_acts_carrier(x).astype(np.float64)
         cols = plan_module.F.unfold_array(codes, plan.kernel_size,
                                           plan.stride, plan.padding,
@@ -514,8 +538,8 @@ class TestFloat64AdcStage:
         ref = int64_reference(plan, cols.reshape(-1, cols.shape[2]))
         n, oc = x.shape[0], plan.out_channels
         ref = ref.reshape(n, -1, oc).transpose(0, 2, 1)
-        np.testing.assert_array_equal(plan.execute(x).reshape(n, oc, -1),
-                                      ref)
+        np.testing.assert_array_equal(
+            plan.execute(x, plan.dequant_fold(False)).reshape(n, oc, -1), ref)
 
 
 class TestCarrierGuard:
@@ -653,9 +677,9 @@ class TestScratchOwnership:
         # copies get an empty table of their own and execute identically
         layer, x = make_layer("conv", True, (16, 1), 8)
         plan = compile_layer(layer)
-        plan.set_mode("int")
-        out = plan.execute(x)
+        out = plan.execute(x, plan.dequant_fold(False))
         for clone in (copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
             assert clone._scratch is not plan._scratch
             assert len(clone._scratch) == 0
-            np.testing.assert_array_equal(clone.execute(x), out)
+            np.testing.assert_array_equal(
+                clone.execute(x, clone.dequant_fold(False)), out)
