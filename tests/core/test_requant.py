@@ -58,10 +58,15 @@ class TestRequantizeUp:
         assert float(prod) != prod                     # the trap is real
         assert int(requantize_up(INT32_MIN, INT32_MAX, 3)) == \
             exact_requant_up(INT32_MIN, INT32_MAX, 3)
+
+    def test_max_shift_keeps_int64_headroom(self):
         # the documented invariant behind MAX_SHIFT: |acc * M0| +
-        # 2**(shift-1) fits int64 for int32 acc and mantissa
-        assert int(requantize_up(INT32_MAX, INT32_MAX, MAX_SHIFT)) == \
-            exact_requant_up(INT32_MAX, INT32_MAX, MAX_SHIFT)
+        # 2**(shift-1) fits int64 for int32 acc and mantissa, both signs
+        assert 2 ** 31 * INT32_MAX + 2 ** (MAX_SHIFT - 1) < 2 ** 63
+        acc = np.array([INT32_MAX, INT32_MIN, -1, 1])
+        np.testing.assert_array_equal(
+            requantize_up(acc, INT32_MAX, MAX_SHIFT),
+            [exact_requant_up(a, INT32_MAX, MAX_SHIFT) for a in acc])
 
     def test_saturation_bounds(self):
         acc = np.array([-1000, -5, -4, 0, 3, 5, 1000])

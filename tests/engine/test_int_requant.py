@@ -35,6 +35,7 @@ from repro.cim import CIMConfig, QuantScheme, VariationModel
 from repro.core import CIMConv2d, CIMLinear
 from repro.core.requant import (INT32_MAX, CarrierRangeError, adc_shift_cap,
                                 carrier_multiplier, requantize_up)
+from repro.engine import cpu
 from repro.engine.hotpath import ScratchTable
 from repro.models import resnet8
 from repro.nn import Tensor
@@ -237,6 +238,26 @@ class TestModelLevelGate:
         np.testing.assert_array_equal(expected.argmax(axis=1),
                                       ref.argmax(axis=1))
 
+    def test_runner_follows_the_plan_mode(self, monkeypatch):
+        """The runner has no route of its own: switching the mode of the
+        plan it serves switches its output, both ways."""
+        monkeypatch.setattr(cpu, "runner_workers", lambda: 1)
+        plan, x = build_model_plan()
+        runner = engine.InferenceRunner(plan, batch_size=8)
+
+        def chunked():
+            return np.concatenate([plan.execute(x[i:i + 8])
+                                   for i in range(0, len(x), 8)])
+
+        ref = chunked()
+        np.testing.assert_array_equal(runner.predict(x), ref)
+        plan.set_mode("int")
+        expected = chunked()
+        assert expected.tobytes() != ref.tobytes()
+        np.testing.assert_array_equal(runner.predict(x), expected)
+        plan.set_mode("float")
+        np.testing.assert_array_equal(runner.predict(x), ref)
+
     def test_load_plan_cached_is_mode_keyed(self, tmp_path):
         plan, x = build_model_plan()
         path = tmp_path / "model.npz"
@@ -255,6 +276,40 @@ class TestModeContract:
         plan, _ = build_model_plan()
         with pytest.raises(ValueError, match="unknown execution mode"):
             plan.set_mode("int8")
+
+    def test_serving_entry_points_refuse_unknown_mode(self, tmp_path):
+        """Every entry point that picks a model's route checks the mode
+        through ``ModelPlan.set_mode``."""
+        plan, _ = build_model_plan()
+        path = tmp_path / "model.npz"
+        engine.save_model_plan(plan, path)
+        engine.clear_plan_cache()
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            engine.load_plan(path, mode="int8")
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            engine.load_plan_cached(str(path), mode="int8")
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            engine.PlanServer(str(path), mode="int8")
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            engine.PlanServer(plan, mode="int8")
+        assert plan.mode == "float"
+        engine.clear_plan_cache()
+
+    def test_v1_model_refuses_int_mode(self):
+        """``ModelPlan.set_mode`` is the one v1 check: a quantized-input
+        layer without requant constants names its index, and the plan
+        stays on the float route, whose output does not move."""
+        plan, x = build_model_plan()
+        ref = plan.execute(x)
+        index = next(i for i, lp in enumerate(plan.layer_plans)
+                     if lp.act_scale is not None)
+        plan.layer_plans[index].requant = None
+        with pytest.raises(engine.ModelPlanError,
+                           match=rf"\[{index}\].*predates model-plan "
+                                 "version 2"):
+            plan.set_mode("int")
+        assert plan.mode == "float"
+        assert plan.execute(x).tobytes() == ref.tobytes()
 
     def test_execute_takes_no_variation(self):
         """A plan is a deterministic recipe: ``execute`` has no variation
