@@ -24,13 +24,19 @@ pure-Python oracle in ``tests/engine/test_int_oracle.py``; this benchmark
   ratio);
 * **memory**: the per-layer GEMM operands both routes share are recorded
   once, plus each route's own rescale operands (the float route's
-  ``float64`` multipliers, the integer route's requant constants).
+  ``float64`` multipliers, the integer route's requant constants);
+* **cold start**: ``engine.load_plan`` of the saved model, float and int,
+  timed against each other (a float load builds none of the integer
+  route's own operands; an int load also folds the integer graph).
 
 Run directly (``python benchmarks/bench_int_requant.py``) or through
 pytest; either entry point writes ``BENCH_int.json`` through ``perf.main``
 (not at the ``tiny`` scale, which also relaxes the speedup gate: it is
 only meaningful once the GEMMs have real work).
 """
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -107,6 +113,22 @@ def _code_flip_rates(plan, batches) -> dict:
             for index in sorted(flips)}
 
 
+def _cold_start(plan) -> dict:
+    """``load_plan`` of ``plan``'s saved archive on each route, timed
+    through :func:`perf.rotate`, plus the archive's size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model_plan.npz")
+        engine.save_model_plan(plan, path)
+
+        def load(mode):
+            def run():
+                engine.load_plan(path, mode=mode)
+            return run
+
+        timing, _ = perf.rotate({"float": load("float"), "int": load("int")})
+        return {"archive_bytes": os.path.getsize(path), **timing}
+
+
 def run_int_requant():
     """Float vs int route on the reference serving model."""
     cfg = _settings()
@@ -141,6 +163,7 @@ def run_int_requant():
         "speedup": timing["float"]["median_s"] / timing["int"]["median_s"],
     }
     results.update(_operand_bytes(plan))
+    results["load"] = _cold_start(plan)
     return results
 
 

@@ -36,7 +36,11 @@ test suite pins <= 1e-10; in practice the difference is 0.0).
 from __future__ import annotations
 
 import json
+import math
+import re
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -631,30 +635,116 @@ def _check_float64(path, doc: dict, what: str) -> None:
             "re-save the artifact")
 
 
+#: The one ``.npy`` member header :func:`load_plan` reads: format 1.0,
+#: exactly as ``np.save`` writes it (sorted keys, the shape's tuple repr,
+#: space padding and one newline), of a bool, integer or float dtype.
+_NPY_HEADER = re.compile(
+    rb"\x93NUMPY\x01\x00(?P<len>..)\{'descr': '(?P<descr>[<>|][biuf]\d+)', "
+    rb"'fortran_order': (?P<fortran>True|False), "
+    rb"'shape': \((?P<shape>|\d+,|\d+(?:, \d+)+)\), \} *\n", re.DOTALL)
+
+#: What a damaged or foreign zip raises while it is read.
+_ZIP_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError)
+
+
+def _npy_dtype(match) -> Optional[np.dtype]:
+    """The dtype of a :data:`_NPY_HEADER` match whose length field is its
+    own length and whose ``descr`` is the dtype's canonical string; else
+    ``None``."""
+    if match is None or (10 + int.from_bytes(match["len"], "little")
+                         != match.end()):
+        return None
+    descr = match["descr"].decode("ascii")
+    try:
+        dtype = np.dtype(descr)
+    except TypeError:                  # e.g. '<f3': no such dtype
+        return None
+    return dtype if dtype.str == descr else None
+
+
+def _npy_array(path, member: str, raw: bytes) -> np.ndarray:
+    """The array of one ``.npy`` member's bytes, or :class:`ModelPlanError`.
+
+    The header must match :data:`_NPY_HEADER` and the data hold exactly
+    ``prod(shape) * itemsize`` bytes.  The result is a fresh, aligned and
+    writable array in the stored memory order, as ``np.load`` returns it.
+    """
+    match = _NPY_HEADER.match(raw)
+    dtype = _npy_dtype(match)
+    if dtype is None:
+        raise ModelPlanError(f"{path}: archive member {member!r} is not a "
+                             "format-1.0 .npy array of a bool, integer or "
+                             "float dtype")
+    shape = tuple(int(d) for d in match["shape"].split(b",") if d)
+    count, start = math.prod(shape), match.end()
+    if len(raw) - start != count * dtype.itemsize:
+        raise ModelPlanError(
+            f"{path}: archive member {member!r} holds {len(raw) - start} "
+            f"data bytes, expected {count * dtype.itemsize} for "
+            f"{dtype.str} {shape}")
+    flat = np.frombuffer(raw, dtype, count=count, offset=start)
+    if match["fortran"] == b"True":
+        return flat.reshape(shape[::-1]).T.copy(order="F")
+    return flat.reshape(shape).copy()
+
+
+def _read_archive(path) -> Dict[str, np.ndarray]:
+    """Every member of a model-plan archive as an array, keyed by name.
+
+    One pass: each member is read once by :mod:`zipfile`, which checks its
+    CRC, and parsed by :func:`_npy_array` (no pickles, no object, string or
+    structured dtypes).  A member not named ``*.npy``, a repeated name, an
+    unreadable zip and a failed CRC all raise :class:`ModelPlanError`; a
+    missing file raises ``FileNotFoundError``.
+    """
+    arrays: Dict[str, np.ndarray] = {}
+    member = None
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for info in archive.infolist():
+                member = info.filename
+                key = member[:-4]
+                if not member.endswith(".npy") or key in arrays:
+                    raise ModelPlanError(
+                        f"{path}: archive member {member!r} is not a "
+                        "uniquely named .npy array")
+                arrays[key] = _npy_array(path, member, archive.read(info))
+    except _ZIP_ERRORS as error:
+        where = "" if member is None else f" member {member!r}"
+        raise ModelPlanError(
+            f"{path}: unreadable archive{where}: {error}") from error
+    return arrays
+
+
 def load_plan(path, mode: str = "float") -> ModelPlan:
     """Rebuild a :class:`ModelPlan` from a :func:`save_model_plan` archive.
 
     The artifact entry point (a single layer ships as a one-node graph,
     :meth:`GraphBuilder.add_layer_plan`).  Pure data path: no QAT model,
-    layer, or quantizer objects are constructed.  ``mode`` selects the execution route of the returned plan
-    (see :meth:`ModelPlan.set_mode`); ``"int"`` raises on v1 archives, which
-    carry no requant constants.  Raises :class:`ModelPlanError` on a
+    layer, or quantizer objects are constructed, and the archive is read in
+    one pass (:func:`_read_archive`).  ``mode`` selects the execution route
+    of the returned plan (see :meth:`ModelPlan.set_mode`); ``"int"`` raises
+    on v1 archives, which carry no requant constants.  A float load builds
+    no integer-only operand, but refuses what an integer load would.
+    Raises :class:`ModelPlanError` on a file that is not a readable zip
+    (empty, truncated, a failed CRC), a member that is not a canonical
+    format-1.0 ``.npy`` array of a bool, integer or float dtype, a
     corrupted manifest, an unknown format/version, missing array entries,
     a plan stored in a dtype other than ``float64`` (older writers could
     store ``float32`` plans; recompile those), or requant constants the
     integer route cannot execute exactly
     (:class:`~repro.core.requant.CarrierRangeError`, chained as the cause).
+    A missing file raises ``FileNotFoundError``.
     """
-    with np.load(path) as archive:
-        if "__manifest__" not in archive.files:
-            raise ModelPlanError(f"{path}: not an engine artifact "
-                                 "(no __manifest__ entry)")
-        try:
-            manifest = json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ModelPlanError(f"{path}: corrupted manifest: {error}") from error
-        stored = {key: archive[key] for key in archive.files
-                  if key != "__manifest__"}
+    stored = _read_archive(path)
+    if "__manifest__" not in stored:
+        raise ModelPlanError(f"{path}: not an engine artifact "
+                             "(no __manifest__ entry)")
+    try:
+        manifest = json.loads(
+            stored.pop("__manifest__").tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ModelPlanError(f"{path}: corrupted manifest: {error}") from error
     if not isinstance(manifest, dict) or manifest.get("format") != MODEL_PLAN_FORMAT:
         raise ModelPlanError(f"{path}: corrupted manifest: missing format tag "
                              f"{MODEL_PLAN_FORMAT!r}")
@@ -664,12 +754,15 @@ def load_plan(path, mode: str = "float") -> ModelPlan:
                              f"{sorted(SUPPORTED_MODEL_PLAN_VERSIONS)})")
     try:
         _check_float64(path, manifest, "the model")
+        by_layer: Dict[str, Dict[str, np.ndarray]] = {}
+        for key, value in stored.items():
+            owner, _, name = key.partition(".")
+            by_layer.setdefault(owner, {})[name] = value
         layer_plans = []
         for index, meta in enumerate(manifest["layers"]):
             _check_float64(path, meta, f"layer {index}")
-            arrays = {key.split(".", 1)[1]: value for key, value in stored.items()
-                      if key.startswith(f"layer{index}.")}
-            layer_plans.append(plan_from_parts(meta, arrays))
+            layer_plans.append(plan_from_parts(
+                meta, by_layer.get(f"layer{index}", {})))
         nodes = []
         for doc in manifest["nodes"]:
             node = GraphNode(id=int(doc["id"]), op=doc["op"],

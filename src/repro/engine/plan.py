@@ -243,6 +243,8 @@ class _PlanBase:
     mats: list = field(init=False, repr=False, default=None)
     s_p_full: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     m_fold: np.ndarray = field(init=False, repr=False, default=None)
+    _int_cache: Optional[_IntOperands] = field(init=False, repr=False,
+                                               compare=False, default=None)
     # per-thread hot-path buffers, freed with the plan; a ModelPlan shares
     # one table across its layer plans
     _scratch: ScratchTable = field(init=False, repr=False, compare=False,
@@ -283,41 +285,67 @@ class _PlanBase:
                      for i, (start, stop) in enumerate(self.row_slices)]
         self.m_fold = np.ascontiguousarray(
             np.broadcast_to(m, (m.shape[0], a, oc)).transpose(1, 0, 2))
-        self._build_int_operands()
+        self._check_int_constants()
 
-    def _build_int_operands(self) -> None:
-        """Integer-route operands (``None`` for float-only plans).
+    def _check_int_constants(self) -> None:
+        """Refuse requant constants the integer route cannot run exactly.
 
-        On the ADC route, :func:`~repro.core.requant.check_adc_carrier`
-        first confirms the constants keep the ``float64`` carrier exact, and
-        the stand-alone dequant's bias must keep the accumulator below
-        ``2**53`` — either failure raises
-        :class:`~repro.core.requant.CarrierRangeError`.  The ADC divide
-        ``m0_adc * 2**-shift_adc`` becomes a ``float32`` multiplier where
-        :func:`~repro.core.requant.adc_multiplier_f32` proves that exact
-        for every reachable partial sum, else the exact ``float64`` one.
-        The stored reduce multipliers and bias form the layer's stand-alone
-        dequant :class:`LayerFold` (:meth:`dequant_fold`).
+        Runs at every build, in either mode, so a float load refuses what
+        an integer one would.  Every constant the route reads must be
+        present in its ``(OC,)``, ``(A, OC)`` or ``(A, S, OC)`` shape
+        (else ``ValueError``; ``bias_q`` is optional).  On the ADC route,
+        :func:`~repro.core.requant.check_adc_carrier` confirms the constants
+        keep the ``float64`` carrier exact, and the stand-alone dequant's
+        bias must keep the accumulator below ``2**53`` — either failure
+        raises :class:`~repro.core.requant.CarrierRangeError`.  The operands
+        themselves wait for the first integer fold (:attr:`_int_ops`).
         """
-        self._int_ops = None
+        self._int_cache = None
         rq = self.requant
         if rq is None:
             return
+        a, s, oc = self.n_arrays, self.n_splits, self.out_channels
+        shapes = {"s_out": (oc,), "bias_q": (oc,)}
+        shapes.update(dict.fromkeys(("m0_adc", "shift_adc", "m0_out"),
+                                    (a, s, oc)) if self.psum_quant_enabled
+                      else {"m0_fused": (a, oc)})
+        for name, shape in shapes.items():
+            value = getattr(rq, name)
+            if (value is None and name != "bias_q") or (
+                    value is not None and value.shape != shape):
+                raise ValueError(
+                    f"requant constant rq_{name} is "
+                    f"{None if value is None else value.shape}, expected "
+                    f"shape {shape}")
+        if not self.psum_quant_enabled:
+            return
+        check_adc_carrier(rq, self.psum_qmin, self.psum_qmax)
+        if rq.bias_q is not None and (
+                self._acc_reach(rq.m0_out.astype(np.float64)).max()
+                + float(np.abs(rq.bias_q).max()) >= _F64_EXACT):
+            raise CarrierRangeError(
+                "accumulator plus bias_q reaches 2**53; the float64 "
+                "dequant would round before its multiply")
+
+    def _build_int_operands(self) -> _IntOperands:
+        """Integer-route operands of constants :meth:`_check_int_constants`
+        accepted.
+
+        The ADC divide ``m0_adc * 2**-shift_adc`` becomes a ``float32``
+        multiplier where :func:`~repro.core.requant.adc_multiplier_f32`
+        proves that exact for every reachable partial sum, else the exact
+        ``float64`` one.  The stored reduce multipliers and bias form the
+        layer's stand-alone dequant :class:`LayerFold` (:meth:`dequant_fold`).
+        """
+        rq = self.requant
         mu_adc = None
         if self.psum_quant_enabled:
-            check_adc_carrier(rq, self.psum_qmin, self.psum_qmax)
             # broadcast-ready (A, S, OC, 1) so the hot loop applies every
             # array's ADC divide in one vectorized pass
             mu32 = adc_multiplier_f32(rq, self.psum_qmin, self.psum_qmax)
             mu_adc = (carrier_multiplier(rq.m0_adc, rq.shift_adc)
                       if mu32 is None else mu32)[..., None]
             weights = rq.m0_out.astype(np.float64)
-            if rq.bias_q is not None and (
-                    self._acc_reach(weights).max()
-                    + float(np.abs(rq.bias_q).max()) >= _F64_EXACT):
-                raise CarrierRangeError(
-                    "accumulator plus bias_q reaches 2**53; the float64 "
-                    "dequant would round before its multiply")
         else:
             weights = rq.m0_fused.astype(np.int64)[:, None, :]
         dequant = LayerFold(
@@ -325,19 +353,42 @@ class _PlanBase:
             bias=None if rq.bias_q is None else rq.bias_q.astype(np.int64),
             scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)),
             code_max=self._code_max())
-        self._int_ops = _IntOperands(mu_adc, dequant)
+        return _IntOperands(mu_adc, dequant)
+
+    @property
+    def _int_ops(self) -> Optional[_IntOperands]:
+        """The integer-route operands (``None`` for float-only plans), built
+        by :meth:`_build_int_operands` on first use: a plan that only runs
+        the float route never pays for them.  Every integer fold comes
+        from :meth:`dequant_fold` or :meth:`int_fold`, which build them, so
+        no batch does.  Concurrent first uses may each build the (equal)
+        operands; the last store wins.  Assignable, to run a plan on other
+        operands."""
+        if self._int_cache is None and self.requant is not None:
+            self._int_cache = self._build_int_operands()
+        return self._int_cache
+
+    @_int_ops.setter
+    def _int_ops(self, ops: Optional[_IntOperands]) -> None:
+        self._int_cache = ops
+
+    def _int_route_ops(self) -> _IntOperands:
+        """:attr:`_int_ops`, or ``ValueError`` without requant constants
+        (a raw-input layer, or a v1 artifact)."""
+        ops = self._int_ops
+        if ops is None:
+            raise ValueError(
+                "this plan carries no requant constants (the artifact "
+                "predates the integer execution path); recompile the layer "
+                "or re-save the artifact to enable mode='int'")
+        return ops
 
     def dequant_fold(self, codes_in: bool) -> LayerFold:
         """The stand-alone dequant fold, optionally fed activation codes:
         ``execute(x, plan.dequant_fold(False))`` runs the layer alone on the
         integer route.  Raises ``ValueError`` without requant constants (a
         raw-input layer, or a v1 artifact)."""
-        if self._int_ops is None:
-            raise ValueError(
-                "this plan carries no requant constants (the artifact "
-                "predates the integer execution path); recompile the layer "
-                "or re-save the artifact to enable mode='int'")
-        return replace(self._int_ops.dequant, codes_in=codes_in)
+        return replace(self._int_route_ops().dequant, codes_in=codes_in)
 
     def _code_max(self) -> Optional[float]:
         """Largest ``|ADC code|``; ``None`` on the fused route."""
@@ -372,8 +423,10 @@ class _PlanBase:
         power-of-two rescale on the ``float64`` carrier: the accumulator
         plus the integer bias stays below ``2**53``, which bounds each
         channel's shift.  Raises
-        :class:`~repro.core.requant.RequantFoldError` when no shift fits.
+        :class:`~repro.core.requant.RequantFoldError` when no shift fits,
+        and ``ValueError`` without requant constants.
         """
+        self._int_route_ops()        # a batch then finds the operands built
         gain = np.asarray(gain, dtype=np.float64).reshape(-1)
         offset = np.asarray(offset, dtype=np.float64).reshape(-1)
         k = gain * float(self.act_scale.reshape(-1)[0])

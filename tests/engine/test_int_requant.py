@@ -654,6 +654,82 @@ class TestCarrierGuard:
 
 
 # --------------------------------------------------------------------------- #
+# integer-only operands wait for the first integer fold
+# --------------------------------------------------------------------------- #
+class TestDeferredIntOperands:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record every ``adc_multiplier_f32`` search and every layer plan
+        that builds its integer operands."""
+        searches, builds = [], []
+        search = plan_module.adc_multiplier_f32
+        build = plan_module._PlanBase._build_int_operands
+        monkeypatch.setattr(plan_module, "adc_multiplier_f32",
+                            lambda *args: searches.append(args)
+                            or search(*args))
+        monkeypatch.setattr(plan_module._PlanBase, "_build_int_operands",
+                            lambda self: builds.append(self) or build(self))
+        return searches, builds
+
+    @staticmethod
+    def saved(tmp_path):
+        plan, x = build_model_plan()
+        path = tmp_path / "model.npz"
+        engine.save_model_plan(plan, path)
+        return path, x
+
+    def test_float_load_builds_no_int_operands(self, tmp_path, monkeypatch):
+        path, x = self.saved(tmp_path)
+        searches, builds = self.spy(monkeypatch)
+        plan = engine.load_plan(path)
+        want = plan.execute(x)
+        assert searches == [] and builds == []
+        plan.set_mode("int")
+        int_layers = [lp for lp in plan.layer_plans if lp.requant is not None]
+        assert int_layers and all(lp.psum_quant_enabled for lp in int_layers)
+        # set_mode("int") builds each integer layer's operands, once
+        assert sorted(map(id, builds)) == sorted(map(id, int_layers))
+        assert len(searches) == len(int_layers)
+        got = plan.execute(x)
+        plan.set_mode("float")
+        np.testing.assert_array_equal(plan.execute(x), want)
+        plan.set_mode("int")
+        np.testing.assert_array_equal(plan.execute(x), got)
+        assert len(builds) == len(int_layers)      # batches never build
+        assert len(searches) == len(int_layers)
+
+    def test_bias_reach_is_refused_at_a_float_load(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        with np.load(path) as archive:
+            stored = {key: archive[key] for key in archive.files}
+        key = next(k for k in stored if k.endswith(".rq_bias_q"))
+        stored[key] = np.full_like(stored[key], 2 ** 53)
+        np.savez(path, **stored)
+        with pytest.raises(engine.ModelPlanError,
+                           match="unsupported requant") as info:
+            engine.load_plan(path)
+        assert isinstance(info.value.__cause__, CarrierRangeError)
+
+    @pytest.mark.parametrize("quantize_psum,name", [
+        (True, "rq_m0_out"), (True, "rq_s_out"), (False, "rq_m0_fused")])
+    @pytest.mark.parametrize("damage", ["missing", "reshaped"])
+    def test_damaged_constant_is_refused_at_a_float_load(
+            self, tmp_path, quantize_psum, name, damage):
+        layer, _ = make_layer("conv", quantize_psum, (16, 1), 5)
+        path = tmp_path / "layer.npz"
+        save_layer_artifact(compile_layer(layer), path)
+        with np.load(path) as archive:
+            stored = {key: archive[key] for key in archive.files}
+        key = f"layer0.{name}"
+        if damage == "missing":
+            del stored[key]
+        else:
+            stored[key] = stored[key].reshape(-1)[1:]
+        np.savez(path, **stored)
+        with pytest.raises(engine.ModelPlanError, match=name):
+            engine.load_plan(path)
+
+# --------------------------------------------------------------------------- #
 # hot-path scratch buffers belong to their plan
 # --------------------------------------------------------------------------- #
 def _scratch_tables(model_plan):

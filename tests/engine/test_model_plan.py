@@ -8,15 +8,23 @@ Acceptance criteria pinned here:
   NumPy operations in the same order);
 * loading and running the artifact constructs **no** QAT objects — no CIM
   layers, no quantizers;
-* corrupted archives fail loudly with :class:`engine.ModelPlanError`.
+* corrupted archives fail loudly with :class:`engine.ModelPlanError`,
+  and the archive reader returns what ``np.load`` returns for every
+  well-formed archive while refusing, by member name, every malformed one.
 """
 
+import io
 import json
+import os
+import re
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro import engine
+from repro.engine.model_plan import _read_archive
 from repro.cim import CIMConfig, QuantScheme
 from repro.models import MLP, TinyCNN, resnet8
 from repro.nn import Tensor
@@ -346,6 +354,153 @@ class TestErrorPaths:
         with pytest.raises(engine.ModelPlanError, match="variation"):
             engine.compile_model_plan(model)
 
+
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _fixture_archives() -> list:
+    """The zip bytes of every fixture file and of its artifact, as params."""
+    archives = []
+    for name in sorted(os.listdir(FIXTURE_DIR)):
+        with open(os.path.join(FIXTURE_DIR, name), "rb") as handle:
+            raw = handle.read()
+        with np.load(io.BytesIO(raw)) as archive:
+            artifact = archive["artifact"].tobytes()
+        archives += [pytest.param(raw, id=name),
+                     pytest.param(artifact, id=f"{name}:artifact")]
+    return archives
+
+
+def _fresh_archive(tmp_path, kind: str, quantize_psum: bool) -> bytes:
+    model, _ = build_calibrated(kind, quantize_psum)
+    path = tmp_path / f"{kind}.npz"
+    engine.save_model_plan(engine.compile_model_plan(model), path)
+    return path.read_bytes()
+
+
+def _npy_bytes(array, version=(1, 0)) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=version,
+                              allow_pickle=True)
+    return buf.getvalue()
+
+
+def _with_member(raw: bytes, member: str, data: bytes) -> bytes:
+    """The archive ``raw`` with ``member`` holding ``data`` (added if new)."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, \
+            zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            if info.filename != member:
+                dst.writestr(info, src.read(info))
+        dst.writestr(member, data)
+    return out.getvalue()
+
+
+def _flip_last_data_byte(raw: bytes, member: str) -> bytes:
+    """``raw`` with one bit of ``member``'s stored data flipped."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        info = archive.getinfo(member)
+    assert info.compress_type == zipfile.ZIP_STORED
+    local = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[local + 26:local + 30])
+    at = local + 30 + name_len + extra_len + info.compress_size - 1
+    flipped = bytearray(raw)
+    flipped[at] ^= 1
+    return bytes(flipped)
+
+
+class TestArchiveReader:
+    """``load_plan`` reads each member once with ``zipfile`` (CRC-checked)
+    and accepts only canonical format-1.0 ``.npy`` members of bool,
+    integer or float dtypes."""
+
+    @staticmethod
+    def assert_matches_np_load(raw: bytes) -> list:
+        """The reader's arrays equal ``np.load``'s in names, dtypes,
+        shapes, memory order and bytes; returns the arrays."""
+        got = _read_archive(io.BytesIO(raw))
+        with np.load(io.BytesIO(raw)) as archive:
+            assert sorted(got) == sorted(archive.files)
+            for key in archive.files:
+                want, array = archive[key], got[key]
+                assert array.dtype == want.dtype, key
+                assert array.shape == want.shape, key
+                assert array.flags.c_contiguous == want.flags.c_contiguous
+                assert array.flags.f_contiguous == want.flags.f_contiguous
+                assert array.flags.writeable and array.flags.aligned, key
+                assert array.tobytes(order="A") == want.tobytes(order="A")
+        return list(got.values())
+
+    @pytest.mark.parametrize("raw", _fixture_archives())
+    def test_fixture_archives_read_as_np_load_reads_them(self, raw):
+        assert self.assert_matches_np_load(raw)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("quantize_psum", [True, False])
+    def test_fresh_archives_read_as_np_load_reads_them(self, tmp_path, kind,
+                                                       quantize_psum):
+        arrays = self.assert_matches_np_load(
+            _fresh_archive(tmp_path, kind, quantize_psum))
+        # the w_bar members are stored in Fortran order
+        assert any(a.ndim > 1 and a.flags.f_contiguous
+                   and not a.flags.c_contiguous for a in arrays)
+
+    MEMBER = "layer0.w_bar.npy"
+
+    @pytest.mark.parametrize("mutation", [
+        "object", "structured", "unicode", "complex", "format_2",
+        "short_data", "long_data", "bad_length_field"])
+    def test_malformed_member_is_refused_by_name(self, tmp_path, mutation):
+        raw = _fresh_archive(tmp_path, "conv", True)
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            original = archive.read(self.MEMBER)
+        w_bar = np.load(io.BytesIO(original))
+        data = {
+            "object": lambda: _npy_bytes(np.array([1, None], dtype=object)),
+            "structured": lambda: _npy_bytes(
+                np.zeros(3, dtype=[("a", "<i4"), ("b", "<f8")])),
+            "unicode": lambda: _npy_bytes(np.array(["ab", "c"])),
+            "complex": lambda: _npy_bytes(np.zeros(3, np.complex128)),
+            "format_2": lambda: _npy_bytes(w_bar, version=(2, 0)),
+            "short_data": lambda: original[:-8],
+            "long_data": lambda: original + bytes(8),
+            "bad_length_field": lambda: (original[:8] + struct.pack(
+                "<H", struct.unpack("<H", original[8:10])[0] - 1)
+                + original[10:]),
+        }[mutation]()
+        bad = _with_member(raw, self.MEMBER, data)
+        with pytest.raises(engine.ModelPlanError,
+                           match=re.escape(repr(self.MEMBER))):
+            engine.load_plan(io.BytesIO(bad))
+
+    def test_non_npy_member_is_refused_by_name(self, tmp_path):
+        raw = _fresh_archive(tmp_path, "linear", False)
+        bad = _with_member(raw, "notes.txt", b"not an array")
+        with pytest.raises(engine.ModelPlanError, match="'notes.txt'"):
+            engine.load_plan(io.BytesIO(bad))
+
+    def test_flipped_data_byte_fails_the_crc_by_name(self, tmp_path):
+        raw = _fresh_archive(tmp_path, "conv", True)
+        bad = _flip_last_data_byte(raw, self.MEMBER)
+        with pytest.raises(engine.ModelPlanError,
+                           match=re.escape(repr(self.MEMBER))) as info:
+            engine.load_plan(io.BytesIO(bad))
+        assert isinstance(info.value.__cause__, zipfile.BadZipFile)
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not_a_zip"])
+    def test_unreadable_file_raises_model_plan_error(self, tmp_path, damage):
+        raw = _fresh_archive(tmp_path, "linear", True)
+        path = tmp_path / "damaged.npz"
+        path.write_bytes({"truncated": raw[:len(raw) // 2], "empty": b"",
+                          "not_a_zip": b"{\"format\": 1}\n" * 8}[damage])
+        with pytest.raises(engine.ModelPlanError, match="unreadable archive"):
+            engine.load_plan(path)
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            engine.load_plan(tmp_path / "absent.npz")
 
 class TestReluSemantics:
     def test_interpreted_relu_maps_nan_to_zero(self):
