@@ -189,7 +189,6 @@ def run_netserver_slo():
             perf.calibrated_frozen_resnet8(cfg["image"], cfg["width"]))
         path = os.path.join(tmp_dir, "resnet8_plan.npz")
         engine.save_model_plan(plan, path)
-        engine.clear_plan_cache()
         expected = engine.InferenceRunner(
             engine.load_plan(path), batch_size=cfg["max_batch"]).predict(pool)
         net = engine.NetServer()

@@ -38,14 +38,11 @@ def _settings():
 
 
 def _build_artifact(tmp_dir, cfg):
-    """Train-free ResNet-8 artifact: calibrate, freeze, save, cached load."""
+    """Train-free ResNet-8 artifact: calibrate, freeze, save, load."""
     model = perf.calibrated_frozen_resnet8(cfg["image"], cfg["width"])
     path = os.path.join(tmp_dir, "resnet8_plan.npz")
     engine.save_model_plan(engine.compile_model_plan(model), path)
-    engine.clear_plan_cache()
-    plan = engine.load_plan_cached(path)
-    assert engine.load_plan_cached(path) is plan   # hot reload is cached
-    return plan
+    return engine.load_plan(path)
 
 
 def run_server_concurrency():

@@ -61,7 +61,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "resnet8_plan.npz")
         build_artifact(path)
-        plan = engine.load_plan_cached(path)       # hot reloads share this parse
+        plan = engine.load_plan(path)              # one parse, shared below
 
         rng = np.random.default_rng(1)
         requests = np.abs(rng.normal(size=(64, 3, 14, 14)))
@@ -73,7 +73,7 @@ def main() -> None:
         t_baseline = time.perf_counter() - start
 
         # 2. dynamically batched, sharded ----------------------------- #
-        with engine.PlanServer(path, n_shards=2, max_batch=16) as server:
+        with engine.PlanServer(plan, n_shards=2, max_batch=16) as server:
             start = time.perf_counter()
             # several client threads submitting concurrently
             futures = [None] * len(requests)

@@ -29,11 +29,13 @@ compiles that work out, at two granularities:
   subsystem: per-request ``submit``/futures, work-conserving batching (an
   idle shard takes pending work at once, up to ``max_batch``; each call's
   rows enter the queue as one unit), a pool of thread- or process-backed
-  shard executors and bounded-queue backpressure; :func:`load_plan_cached`
-  adds an artifact-path plan cache for hot reloads;
+  shard executors and bounded-queue backpressure; it serves the plan object
+  it is given, in that plan's mode;
 * :class:`NetServer` — the HTTP/1.1 network front end over
   :class:`PlanServer`: multi-model tenancy
-  (``POST /v1/models/{name}/predict``), admission control (503 +
+  (``POST /v1/models/{name}/predict``; :meth:`NetServer.add_model` is where
+  an artifact path becomes a plan, loaded afresh at mount and at every
+  reload), admission control (503 +
   ``Retry-After`` on saturated queues), per-request queue/compute latency
   histograms (:class:`LatencyHistogram`) exported on ``GET /metrics``,
   zero-downtime rolling artifact reloads (``POST
@@ -64,8 +66,8 @@ from .netserver import EndpointCounters, ModelEndpoint, NetServer, Saturated
 from .runner import InferenceRunner, PlanExecutor, RunnerStats
 from .scheduler import (DynamicBatcher, Request, RequestTiming,
                         SchedulerClosed, SchedulerStats)
-from .server import (PlanServer, ServerClosed, ShardDied, clear_plan_cache,
-                     load_plan_cached)
+from .server import PlanServer, ServerClosed, ShardDied
+from .server import clear_plan_cache  # noqa: F401 — no-op kept callable
 from .wire import (BadRequest, PayloadTooLarge, ReloadRejected,
                    UnprocessableInput, WireError, decode_predict_request,
                    decode_reload_request, encode_error,
@@ -84,7 +86,6 @@ __all__ = [
     "DynamicBatcher", "Request", "RequestTiming", "SchedulerStats",
     "SchedulerClosed",
     "PlanServer", "ServerClosed", "ShardDied",
-    "load_plan_cached", "clear_plan_cache",
     "NetServer", "ModelEndpoint", "EndpointCounters", "Saturated",
     "LatencyHistogram",
     "WireError", "BadRequest", "PayloadTooLarge", "UnprocessableInput",

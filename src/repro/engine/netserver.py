@@ -9,8 +9,9 @@ and adds the three things a wire boundary makes necessary:
   artifact (path or in-memory plan, in either ``mode=``) as
   ``POST /v1/models/{name}/predict``, backed by its own
   :class:`~repro.engine.server.PlanServer` (private batcher and shard
-  pool), with artifact paths deduplicated through
-  :func:`~repro.engine.server.load_plan_cached`;
+  pool); the endpoint is where an artifact path becomes a plan, loaded
+  with :func:`~repro.engine.model_plan.load_plan` at mount and at every
+  reload;
 * **admission control** — when a model's bounded request queue cannot take a
   request's samples, the request is rejected *immediately* with
   ``503 Retry-After`` instead of blocking the accept loop; accepted
@@ -76,6 +77,7 @@ import numpy as np
 
 from . import wire
 from .latency import LatencyHistogram
+from .model_plan import load_plan
 from .server import PlanServer, ServerClosed
 
 __all__ = ["NetServer", "ModelEndpoint", "EndpointCounters", "Saturated"]
@@ -136,19 +138,30 @@ def _remaining(deadline: Optional[float]) -> Optional[float]:
     return max(0.0, deadline - time.monotonic())
 
 
-def _stat_artifact(source) -> Optional[dict]:
-    """The artifact identity of a path-backed plan source, ``None`` otherwise.
+def _resolve(source, mode: Optional[str]):
+    """``(plan, artifact)`` for a plan source, the one place a path
+    becomes a plan.
 
-    Mtime and size are the same keys :func:`~repro.engine.server.load_plan_cached`
-    caches on, so two ``/metrics`` readings with equal artifact blocks are
-    guaranteed to describe the same parsed plan bytes.
+    A path is stat'ed, then loaded in ``mode`` (``"float"`` when
+    ``None``).  The stat is the artifact identity ``/metrics`` reports:
+    absolute path, mtime and size.  It runs before the load reads the
+    file, so a writer that replaces the file in between leaves the
+    identity one version behind the served bytes — equal artifact blocks
+    make equal parsed bytes likely, not guaranteed.  An in-memory plan is
+    switched to ``mode`` when one is given (mode is plan state, shared
+    with every other consumer of the object) and has no artifact
+    identity.  Nothing is started here, so a failed stat or load leaves
+    nothing behind.
     """
     if not isinstance(source, (str, os.PathLike)):
-        return None
+        if mode is not None:
+            source.set_mode(mode)
+        return source, None
     path = os.path.abspath(os.fspath(source))
     stat = os.stat(path)
-    return {"path": path, "mtime_ns": stat.st_mtime_ns,
-            "size_bytes": stat.st_size}
+    artifact = {"path": path, "mtime_ns": stat.st_mtime_ns,
+                "size_bytes": stat.st_size}
+    return load_plan(path, mode=mode or "float"), artifact
 
 
 class ModelEndpoint:
@@ -172,12 +185,14 @@ class ModelEndpoint:
     _GUARDED_BY = {"_drains": "_reload_lock"}
 
     def __init__(self, name: str, plan_source, server_kwargs: dict,
-                 request_timeout_s: float = 60.0):
+                 request_timeout_s: float = 60.0,
+                 mode: Optional[str] = None):
         self.name = name
         self._plan_source = plan_source
+        self._mode = mode
         self._server_kwargs = dict(server_kwargs)
-        self.server = PlanServer(plan_source, **self._server_kwargs)
-        self._artifact = _stat_artifact(plan_source)
+        plan, self._artifact = _resolve(plan_source, mode)
+        self.server = PlanServer(plan, **self._server_kwargs)
         self.request_timeout_s = float(request_timeout_s)
         self.counters = EndpointCounters()
         self.latency: Dict[str, LatencyHistogram] = {
@@ -321,18 +336,19 @@ class ModelEndpoint:
     def reload(self, path: Optional[str] = None) -> dict:
         """Zero-downtime rolling swap of the serving pool (and artifact).
 
-        Builds a completely fresh :class:`PlanServer` from ``path`` (or the
-        retained mount source — re-stat'ed, so a rewritten ``.npz`` at the
-        same path loads its new bytes through the plan cache), validates it
-        with zero-row probes of every sample shape this endpoint has
-        served, and only then swaps it in **atomically under the admission
-        lock** — every request is admitted into exactly one pool, before or
-        after the swap, never between.  The old pool drains in a background
-        thread: requests it accepted hold futures into it and complete
-        bit-identically; nothing accepted is ever dropped.  The probe-shape
-        cache is invalidated (the new plan revalidates from scratch) and
-        the ``/metrics`` plan block is re-versioned (artifact mtime/size +
-        reload counter).  A bodiless reload over a pool whose process
+        Stats and loads ``path`` (or the retained mount source) afresh in
+        the mount's ``mode``, so a rewritten ``.npz`` at the same path
+        serves its new bytes; builds a completely fresh :class:`PlanServer`
+        over that plan, validates it with zero-row probes of every sample
+        shape this endpoint has served, and only then swaps it in
+        **atomically under the admission lock** — every request is
+        admitted into exactly one pool, before or after the swap, never
+        between.  The old pool drains in a background thread: requests it
+        accepted hold futures into it and complete bit-identically; nothing
+        accepted is ever dropped, and the replaced plan is freed once its
+        pool has drained.  The probe-shape cache is invalidated (the new
+        plan revalidates from scratch) and the ``/metrics`` plan block is
+        re-versioned (artifact mtime/size + reload counter).  A bodiless reload over a pool whose process
         shards all died is how the endpoint recovers.
 
         A reload that fails — unreadable, corrupt or vanished artifact,
@@ -344,8 +360,8 @@ class ModelEndpoint:
             label = (source if isinstance(source, (str, os.PathLike))
                      else type(source).__name__)
             try:
-                artifact = _stat_artifact(source)
-                fresh = PlanServer(source, **self._server_kwargs)
+                plan, artifact = _resolve(source, self._mode)
+                fresh = PlanServer(plan, **self._server_kwargs)
             except Exception as error:   # noqa: BLE001 — classified as 409
                 raise wire.ReloadRejected(
                     f"model {self.name!r} reload from {label!r} failed "
@@ -415,8 +431,8 @@ class ModelEndpoint:
                 "name": getattr(plan, "name", "") or self.name,
                 "mode": getattr(plan, "mode", "float"),
                 # a version block that changes iff the served bytes can:
-                # artifact identity (stat keys of the plan cache) plus the
-                # lifetime reload count of this endpoint
+                # artifact identity (path, mtime, size) plus the lifetime
+                # reload count of this endpoint
                 "version": {
                     "reloads": counters["reloads"],
                     "artifact": self._artifact,
@@ -682,20 +698,23 @@ class NetServer:
             return self._disconnects
 
     # ------------------------------------------------------------------ #
-    def add_model(self, name: str, plan, *,
+    def add_model(self, name: str, plan, *, mode: Optional[str] = None,
                   request_timeout_s: float = 60.0,
                   **server_kwargs) -> ModelEndpoint:
         """Mount a model at ``/v1/models/{name}/predict``.
 
-        ``plan`` is anything :class:`PlanServer` accepts — an artifact path
-        (resolved through the plan cache, honoring ``mode=``) or a
-        :class:`~repro.engine.model_plan.ModelPlan`.  ``server_kwargs`` are
-        forwarded verbatim to :class:`PlanServer` (``n_shards``,
-        ``backend``, ``max_batch``, ``max_wait_ms``, ``queue_size``,
-        ``mode`` ...).  One request's batch is capped at ``queue_size``
-        (a request that can never be admitted is a 413, not an eternal
-        503); ``request_timeout_s`` bounds how long a handler waits for
-        results before answering 504.  The pool keeps ``n_shards`` shards until a
+        ``plan`` is an artifact path, loaded with
+        :func:`~repro.engine.model_plan.load_plan` in ``mode`` (``"float"``
+        when ``None``) at mount and again at every reload, or an in-memory
+        :class:`~repro.engine.model_plan.ModelPlan` (any executor), switched
+        with ``set_mode`` when ``mode`` is given.  An unknown ``mode``
+        raises :class:`ValueError` and mounts nothing.  ``server_kwargs``
+        are forwarded verbatim to :class:`PlanServer` (``n_shards``,
+        ``backend``, ``max_batch``, ``max_wait_ms``, ``queue_size``).  One
+        request's batch is capped at ``queue_size`` (a request that can
+        never be admitted is a 413, not an eternal 503);
+        ``request_timeout_s`` bounds how long a handler waits for results
+        before answering 504.  The pool keeps ``n_shards`` shards until a
         :meth:`ModelEndpoint.reload` replaces it.
 
         Thread-safe: the mount table is updated under the endpoints lock;
@@ -707,7 +726,8 @@ class NetServer:
         # the endpoint retains the *path* as its plan source, so
         # bodiless reloads re-resolve the artifact (new bytes included)
         endpoint = ModelEndpoint(name, plan, server_kwargs,
-                                 request_timeout_s=request_timeout_s)
+                                 request_timeout_s=request_timeout_s,
+                                 mode=mode)
         with self._endpoints_lock:
             if name in self._endpoints:
                 endpoint.close()

@@ -20,10 +20,11 @@ two layers:
 
 Every request gets a :class:`concurrent.futures.Future` resolving to its own
 output row, so per-request ordering is trivially preserved no matter how
-batches are formed or which shard finishes first.  A module-level
-**plan cache** (:func:`load_plan_cached`) makes constructing servers from
-artifact paths cheap: hot reloads of the same ``.npz`` skip the disk parse
-until the file actually changes.
+batches are formed or which shard finishes first.  The server takes a
+plan object and serves it in whatever mode that plan is in; turning an
+artifact path into a plan is the caller's job
+(:func:`~repro.engine.model_plan.load_plan`, or
+:class:`~repro.engine.netserver.ModelEndpoint` for a mounted model).
 
 Numerics: shards execute the same plan arrays as a single runner.  Every
 layer with an input quantizer multiplies integer codes on an exact carrier,
@@ -39,22 +40,18 @@ row runs as gemv).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Iterable, List, Optional
 
 import numpy as np
 
 from . import cpu
-from .model_plan import load_plan
 from .runner import PlanExecutor, RunnerStats, empty_batch_result
 from .scheduler import DynamicBatcher, Request, RequestTiming, SchedulerClosed
 
-__all__ = ["PlanServer", "ServerClosed", "ShardDied", "load_plan_cached",
-           "clear_plan_cache"]
+__all__ = ["PlanServer", "ServerClosed", "ShardDied"]
 
 
 class ServerClosed(RuntimeError):
@@ -71,100 +68,10 @@ class ShardDied(RuntimeError):
     """
 
 
-# --------------------------------------------------------------------------- #
-# plan cache
-# --------------------------------------------------------------------------- #
-class LRUCache:
-    """A small thread-safe least-recently-used cache (backs the plan cache).
-
-    All state is guarded by one internal lock (declared below for the
-    static analyzer); every method is safe to call from any thread.
-    """
-
-    _GUARDED_BY = {"_data": "_lock"}
-
-    def __init__(self, max_entries: int):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = int(max_entries)
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        """Return the cached value or ``None``; touches LRU order on hit.
-        Thread-safe: lookup and reordering happen under the lock."""
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-            return None
-
-    def put(self, key, value) -> None:
-        """Insert ``key``; evicts the least-recently-used entry when full.
-        Thread-safe: insert and eviction happen under the lock."""
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry.  Thread-safe: one atomic reset under the lock."""
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
-_PLAN_CACHE = LRUCache(max_entries=8)
-_PLAN_FLIGHTS: dict = {}                 # cache key -> in-flight parse lock
-_PLAN_FLIGHTS_LOCK = threading.Lock()
-
-
-def load_plan_cached(path, mode: str = "float"):
-    """:func:`~repro.engine.model_plan.load_plan` behind a process-wide LRU.
-
-    Keyed on the absolute path, the file's (mtime, size) stat **and** the
-    execution mode, so a rewritten artifact is transparently reloaded while
-    hot reloads of an unchanged file cost one ``stat`` call.  Keying on the
-    mode gives each route its own plan object: callers share the returned
-    plan, and a float-mode consumer must never observe its cached plan
-    silently flipped to the integer route (plans are otherwise read-only at
-    execution time, which is what makes the sharing — and the server's shard
-    pool — safe).
-
-    Misses are **single-flight**: concurrent callers of the same key share
-    one parse and receive the same plan object, instead of each paying the
-    disk parse and handing out distinct plans for one cache key (distinct
-    plans would defeat the cache and double the resident arrays).  A failed
-    parse releases the key so the next caller retries cleanly.
-    """
-    path = os.path.abspath(os.fspath(path))
-    stat = os.stat(path)
-    key = (path, stat.st_mtime_ns, stat.st_size, mode)
-    plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        return plan
-    with _PLAN_FLIGHTS_LOCK:
-        flight = _PLAN_FLIGHTS.setdefault(key, threading.Lock())
-    with flight:
-        # late arrivals find the leader's plan here and skip the parse
-        plan = _PLAN_CACHE.get(key)
-        if plan is None:
-            try:
-                plan = load_plan(path, mode=mode)
-                _PLAN_CACHE.put(key, plan)
-            finally:
-                with _PLAN_FLIGHTS_LOCK:
-                    _PLAN_FLIGHTS.pop(key, None)
-    return plan
-
-
 def clear_plan_cache() -> None:
-    """Drop every cached plan (e.g. between benchmark phases)."""
-    _PLAN_CACHE.clear()
+    """Do nothing: kept callable for scripts written against the old plan
+    cache.  Every mount and reload loads its artifact afresh, so there is
+    no cache to clear."""
 
 
 # --------------------------------------------------------------------------- #
@@ -268,9 +175,10 @@ class PlanServer:
     ----------
     plan:
         A :class:`~repro.engine.model_plan.ModelPlan` (or any executor
-        whose ``execute`` takes ``float64`` batches), **or** a path to a
-        saved artifact — paths go through :func:`load_plan_cached`, so
-        serving the same file twice reuses the parsed plan.
+        whose ``execute`` takes ``float64`` batches), served in whatever
+        mode it is in: every shard runs the route the plan's own
+        ``mode`` picks, as :class:`~repro.engine.runner.InferenceRunner`
+        does.
     n_shards:
         Number of worker executors, fixed for the server's life (a rolling
         reload builds a new server to change it).  Shards share the
@@ -284,13 +192,6 @@ class PlanServer:
         shard take pending work at once, a positive value holds a partial
         batch until its oldest row has waited that long; ``queue_size``
         bounds the backlog (backpressure) and one call's rows.
-    mode:
-        Optional execution route served by every shard: ``"float"``
-        (bit-exact reference) or ``"int"`` (fixed-point requantized).  Plan
-        paths resolve through :func:`load_plan_cached` with the mode in the
-        cache key; an in-memory plan is switched via ``plan.set_mode`` (mode
-        is plan state, shared with other consumers of the same object).
-        ``None`` (default) serves the plan in its current mode.
 
     Use as a context manager, or call :meth:`close` — close drains queued
     requests before the workers exit, so no accepted request is dropped.
@@ -309,16 +210,12 @@ class PlanServer:
 
     def __init__(self, plan, n_shards: int = 2, backend: str = "thread",
                  max_batch: int = 16, max_wait_ms: float = 0.0,
-                 queue_size: int = 256, mode: Optional[str] = None):
+                 queue_size: int = 256):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r}; "
                              "expected 'thread' or 'process'")
-        if isinstance(plan, (str, os.PathLike)):
-            plan = load_plan_cached(plan, mode=mode or "float")
-        elif mode is not None:
-            plan.set_mode(mode)
         self.plan = plan
         self.backend = backend
         self.batcher = DynamicBatcher(max_batch=max_batch,

@@ -12,9 +12,11 @@ arithmetic only (the float boundaries with Python floats, which are IEEE
 with the executed route on ``resnet_tiny``,
 on the golden int fixtures (so a fixture cannot be silently re-blessed),
 on TinyCNN, MLP and ResNet-8 plans with and without partial-sum
-quantization, and on randomized residual graphs covering identity and 1x1 shortcuts,
-ReLU6, negative and zero BatchNorm gamma, near-zero partial-sum scales,
-batch sizes 1 and 0, and activation scales spread past 1000x.
+quantization and at all nine weight x partial-sum granularities
+(layer / array / column), and on randomized residual graphs covering
+identity and 1x1 shortcuts, ReLU6, negative and zero BatchNorm gamma,
+near-zero partial-sum scales, batch sizes 1 and 0, and activation scales
+spread past 1000x.
 """
 
 import importlib.util
@@ -221,9 +223,19 @@ def oracle(plan, x) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # models
 # --------------------------------------------------------------------------- #
-def _scheme(quantize_psum=True):
+#: ``(quantize_psum, weight granularity, psum granularity)``: the paper's
+#: nine pairs of layer / array / column scales, then no psum quantization.
+GRANULARITIES = ("layer", "array", "column")
+SCHEMES = [(True, w, p) for w in GRANULARITIES for p in GRANULARITIES] \
+    + [(False, "column", "column")]
+SCHEME_IDS = [f"{w}-{p}" if q else "no_psum" for q, w, p in SCHEMES]
+
+
+def _scheme(quantize_psum=True, weight_granularity="column",
+            psum_granularity="column"):
     return QuantScheme(weight_bits=3, act_bits=3, psum_bits=3,
-                       weight_granularity="column", psum_granularity="column",
+                       weight_granularity=weight_granularity,
+                       psum_granularity=psum_granularity,
                        quantize_psum=quantize_psum)
 
 
@@ -265,21 +277,24 @@ def random_residual_plan(seed: int, quantize_psum: bool = True):
     return plan, x
 
 
-def model_kind_plan(kind: str, quantize_psum: bool):
+def model_kind_plan(kind: str, quantize_psum: bool,
+                    weight_granularity: str = "column",
+                    psum_granularity: str = "column"):
     """A calibrated TinyCNN, MLP or ResNet-8 plan, plus an eval batch."""
     rng = np.random.default_rng(7)
     cfg = CIMConfig(array_rows=32, array_cols=32, cell_bits=1, adc_bits=3)
+    sch = _scheme(quantize_psum, weight_granularity, psum_granularity)
     if kind == "conv":
-        model = TinyCNN(num_classes=4, width=6, scheme=_scheme(quantize_psum),
-                        cim_config=cfg, seed=1)
+        model = TinyCNN(num_classes=4, width=6, scheme=sch, cim_config=cfg,
+                        seed=1)
         x = np.abs(rng.normal(size=(3, 3, 8, 8)))
     elif kind == "resnet":
-        model = resnet8(num_classes=5, scheme=_scheme(quantize_psum),
-                        cim_config=cfg, width_multiplier=0.25, seed=2)
+        model = resnet8(num_classes=5, scheme=sch, cim_config=cfg,
+                        width_multiplier=0.25, seed=2)
         x = np.abs(rng.normal(size=(2, 3, 12, 12)))
     else:
-        model = MLP(in_features=24, num_classes=5, hidden=(16,),
-                    scheme=_scheme(quantize_psum), cim_config=cfg, seed=1)
+        model = MLP(in_features=24, num_classes=5, hidden=(16,), scheme=sch,
+                    cim_config=cfg, seed=1)
         x = np.abs(rng.normal(size=(4, 24)))
     with no_grad():
         model(Tensor(x))
@@ -394,13 +409,17 @@ def test_every_int_layer_node_carries_its_fold(build):
     assert raw == 1                           # the stem
 
 
-@pytest.mark.parametrize("quantize_psum", [True, False])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 @pytest.mark.parametrize("kind", ["conv", "linear", "resnet"])
-def test_model_kinds_bit_exact(kind, quantize_psum):
-    """Every model family, with and without partial-sum quantization; rows
-    of a smaller batch equal the full batch's."""
-    plan, x = model_kind_plan(kind, quantize_psum)
+def test_model_kinds_bit_exact(kind, scheme):
+    """Every model family at all nine weight x partial-sum granularities
+    and without partial-sum quantization: the route equals the oracle and
+    picks the float route's top-1; rows of a smaller batch equal the full
+    batch's."""
+    plan, x = model_kind_plan(kind, *scheme)
+    ref = plan.execute(x)
     out = assert_route_matches_oracle(plan, x)
+    np.testing.assert_array_equal(out.argmax(axis=1), ref.argmax(axis=1))
     np.testing.assert_array_equal(plan.execute(x[:1]), out[:1])
     assert plan.execute(x[:0]).shape == (0,) + out.shape[1:]
 

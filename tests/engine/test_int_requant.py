@@ -231,8 +231,8 @@ class TestModelLevelGate:
                                         batch_size=8)
         np.testing.assert_array_equal(runner.predict(x), expected)
 
-        with engine.PlanServer(engine.load_plan(path), n_shards=2,
-                               mode="int", max_batch=8) as server:
+        with engine.PlanServer(engine.load_plan(path, mode="int"), n_shards=2,
+                               max_batch=8) as server:
             got = server.predict(x)
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(expected.argmax(axis=1),
@@ -258,17 +258,22 @@ class TestModelLevelGate:
         plan.set_mode("float")
         np.testing.assert_array_equal(runner.predict(x), ref)
 
-    def test_load_plan_cached_is_mode_keyed(self, tmp_path):
+    def test_one_path_mounted_per_mode_gets_a_plan_per_mode(self, tmp_path):
+        """Each mount loads its own plan, so a float and an int mount of one
+        artifact never share (and never flip) a plan object."""
         plan, x = build_model_plan()
         path = tmp_path / "model.npz"
         engine.save_model_plan(plan, path)
-        engine.clear_plan_cache()
-        as_float = engine.load_plan_cached(str(path))
-        as_int = engine.load_plan_cached(str(path), mode="int")
-        assert as_float is not as_int
-        assert as_float.mode == "float" and as_int.mode == "int"
-        assert engine.load_plan_cached(str(path), mode="int") is as_int
-        engine.clear_plan_cache()
+        with engine.NetServer() as net:
+            as_float = net.add_model("f", str(path), n_shards=1).server.plan
+            as_int = net.add_model("i", str(path), mode="int",
+                                   n_shards=1).server.plan
+            assert as_float is not as_int
+            assert as_float.mode == "float" and as_int.mode == "int"
+            np.testing.assert_array_equal(as_float.execute(x),
+                                          plan.execute(x))
+            plan.set_mode("int")
+            np.testing.assert_array_equal(as_int.execute(x), plan.execute(x))
 
 
 class TestModeContract:
@@ -283,17 +288,15 @@ class TestModeContract:
         plan, _ = build_model_plan()
         path = tmp_path / "model.npz"
         engine.save_model_plan(plan, path)
-        engine.clear_plan_cache()
         with pytest.raises(ValueError, match="unknown execution mode"):
             engine.load_plan(path, mode="int8")
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            engine.load_plan_cached(str(path), mode="int8")
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            engine.PlanServer(str(path), mode="int8")
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            engine.PlanServer(plan, mode="int8")
+        with engine.NetServer() as net:
+            for source in (str(path), plan):
+                with pytest.raises(ValueError,
+                                   match="unknown execution mode"):
+                    net.add_model("m", source, mode="int8", n_shards=1)
+            assert net.model_names() == []
         assert plan.mode == "float"
-        engine.clear_plan_cache()
 
     def test_v1_model_refuses_int_mode(self):
         """``ModelPlan.set_mode`` is the one v1 check: a quantized-input

@@ -5,8 +5,9 @@ The serving stack's lifecycle contract has three legs, each pinned here:
 * **rolling reload** — ``POST /v1/models/{name}/reload`` swaps in a fresh
   probe-validated pool atomically; no accepted request is dropped, every
   answered row is bit-identical across the swap, a corrupt replacement is
-  refused with 409 while the old pool keeps serving, and the probe-shape
-  cache plus the ``/metrics`` version block roll over with the artifact;
+  refused with 409 while the old pool keeps serving, the probe-shape
+  cache plus the ``/metrics`` version block roll over with the artifact,
+  and a replaced plan is freed once its pool drains;
 * **fixed pools and shutdown** — a pool keeps its mounted size (the
   removed autoscaler options are refused), and ``NetServer.close(timeout)``
   is one deadline over every model that closes them all and can be
@@ -14,14 +15,16 @@ The serving stack's lifecycle contract has three legs, each pinned here:
 * **request-lifetime correctness** — the regressions fixed alongside:
   one *shared* deadline per request (not one per queued sample), an
   all-or-nothing ``submit_many`` (sample counters conserve through partial
-  failures), single-flight artifact cache misses, serialized shape probes,
-  and torn-free scheduler stats snapshots.
+  failures), serialized shape probes and torn-free scheduler stats
+  snapshots.
 """
 
+import gc
 import json
 import shutil
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from netutil import predict, request
 
 from repro import engine
 from repro.cim import CIMConfig, QuantScheme
-from repro.engine import server as server_mod
 from repro.engine import wire
 from repro.engine.scheduler import DynamicBatcher, Request
 from repro.models import TinyCNN
@@ -193,6 +195,31 @@ def test_reload_with_path_switches_artifact(artifact, tmp_path):
         metrics = net.metrics()["models"]["cnn"]
         assert metrics["plan"]["version"]["artifact"]["path"] \
             .endswith("other.npz")
+        assert predict(net, "cnn", x[:2].tolist(), timeout=30.0)[0] == 200
+
+
+def test_reload_frees_the_plans_it_replaces(artifact, tmp_path):
+    """Every mount and reload loads its artifact afresh and nothing else
+    holds the result: after three rewrite-and-reload cycles and their
+    drains, the mounted plan is the only one of them still alive."""
+    plan, _, x = artifact
+    path = tmp_path / "served.npz"
+    engine.save_model_plan(plan, path)
+    with engine.NetServer() as net:
+        endpoint = net.add_model("cnn", str(path), n_shards=1, queue_size=32)
+        served = [weakref.ref(endpoint.server.plan)]
+        for _ in range(3):
+            engine.save_model_plan(plan, path)
+            endpoint.reload()
+            served.append(weakref.ref(endpoint.server.plan))
+        with endpoint._reload_lock:
+            drains = list(endpoint._drains)
+        for drain in drains:
+            drain.join(timeout=10.0)
+        gc.collect()
+        assert served[0]() is None
+        assert [ref() is not None for ref in served] == [False] * 3 + [True]
+        assert served[-1]() is endpoint.server.plan
         assert predict(net, "cnn", x[:2].tolist(), timeout=30.0)[0] == 200
 
 
@@ -433,35 +460,6 @@ def test_submit_many_is_all_or_nothing_and_conserves_samples():
         assert server.stats_report()["total"]["samples"] == 5
     finally:
         server.close()
-
-
-def test_load_plan_cached_is_single_flight(artifact, monkeypatch):
-    _, path, _ = artifact
-    engine.clear_plan_cache()
-    parses = []
-    real_load_plan = server_mod.load_plan
-
-    def counting_load_plan(*args, **kwargs):
-        parses.append(threading.get_ident())
-        time.sleep(0.05)        # hold the miss open so every thread piles in
-        return real_load_plan(*args, **kwargs)
-
-    monkeypatch.setattr(server_mod, "load_plan", counting_load_plan)
-    barrier = threading.Barrier(8)
-    results = [None] * 8
-
-    def hit(i):
-        barrier.wait()
-        results[i] = engine.load_plan_cached(path)
-
-    threads = [threading.Thread(target=hit, args=(i,)) for i in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert len(parses) == 1, f"artifact parsed {len(parses)}x under one miss"
-    assert all(result is results[0] for result in results)
-    engine.clear_plan_cache()
 
 
 def test_shape_probes_are_serialized():

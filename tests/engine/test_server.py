@@ -1,4 +1,4 @@
-"""Concurrent plan server: parity with the single-runner path, caches, stats.
+"""Concurrent plan server: parity with the single-runner path, stats.
 
 Two kinds of plans are used here:
 
@@ -19,7 +19,6 @@ import pytest
 from repro import engine
 from repro.cim import CIMConfig, QuantScheme
 from repro.engine import cpu
-from repro.engine.server import LRUCache
 from repro.models import TinyCNN
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
@@ -136,51 +135,6 @@ class TestOrderingAndParity:
             out = server.predict(x[:0])
         assert out.shape == (0, 4)
         assert out.dtype == np.float64
-
-
-class TestPlanCache:
-    def test_lru_clear_drops_entries(self):
-        cache = LRUCache(max_entries=4)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is None
-
-    def test_lru_eviction_bounds_entries(self):
-        cache = LRUCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1          # refresh "a"; "b" is now LRU
-        cache.put("c", 3)
-        assert cache.get("b") is None       # evicted
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert len(cache) == 2
-        with pytest.raises(ValueError):
-            LRUCache(max_entries=0)
-
-    def test_hot_reload_shares_and_rewrite_invalidates(self, model_plan_and_data,
-                                                       tmp_path):
-        plan, x = model_plan_and_data
-        path = tmp_path / "plan.npz"
-        engine.save_model_plan(plan, path)
-        engine.clear_plan_cache()
-        first = engine.load_plan_cached(path)
-        assert engine.load_plan_cached(path) is first    # hot reload: cached
-        time.sleep(0.01)                                 # ensure mtime moves
-        engine.save_model_plan(plan, path)
-        reloaded = engine.load_plan_cached(path)
-        assert reloaded is not first                     # rewrite: fresh parse
-        np.testing.assert_array_equal(reloaded.execute(x[:2]),
-                                      first.execute(x[:2]))
-
-    def test_server_accepts_artifact_path(self, model_plan_and_data, tmp_path):
-        plan, x = model_plan_and_data
-        path = tmp_path / "plan.npz"
-        engine.save_model_plan(plan, path)
-        with engine.PlanServer(path, n_shards=1) as server:
-            np.testing.assert_array_equal(server.predict(x[:3]),
-                                          plan.execute(x[:3]))
 
 
 class TestLifecycleAndFailure:
@@ -315,6 +269,8 @@ class TestLifecycleAndFailure:
             engine.PlanServer(ToyPlan(), backend="coroutine")
         with pytest.raises(TypeError, match="result_cache_entries"):
             engine.PlanServer(ToyPlan(), result_cache_entries=8)   # removed
+        with pytest.raises(TypeError, match="mode"):
+            engine.PlanServer(ToyPlan(), mode="int")   # the plan's own mode
 
 
 class TestStatsReport:
