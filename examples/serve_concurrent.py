@@ -16,6 +16,9 @@ buys:
 Both produce bit-identical responses; the throughput gap is the point.
 Clients submit from several threads at once to show that `submit` is safe to
 call concurrently and that futures keep request/response pairing intact.
+BLAS runs one thread per process, as in the speed benches, so the two
+shards do not oversubscribe the cores, and each side runs once untimed
+first, so the printed ratio measures batching.
 
 Run:
     python examples/serve_concurrent.py
@@ -34,6 +37,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from repro import engine
 from repro.cim import CIMConfig, QuantScheme
+from repro.engine import cpu
 from repro.models import resnet8
 from repro.nn import Tensor
 from repro.nn.tensor import no_grad
@@ -57,7 +61,27 @@ def build_artifact(path: str) -> None:
     engine.save_model_plan(engine.compile_model_plan(model), path)
 
 
+def submit_concurrently(server, requests: np.ndarray) -> list:
+    """Submit ``requests`` to ``server`` from 4 client threads at once;
+    returns the output rows in request order."""
+    futures = [None] * len(requests)
+
+    def client(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            futures[i] = server.submit(requests[i])
+
+    clients = [threading.Thread(target=client, args=(lo, lo + 16))
+               for lo in range(0, len(requests), 16)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join()
+    return [future.result(timeout=30.0) for future in futures]
+
+
 def main() -> None:
+    # one BLAS thread per process: spare cores go to the shards
+    cpu.set_blas_threads(1)
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "resnet8_plan.npz")
         build_artifact(path)
@@ -66,31 +90,21 @@ def main() -> None:
         rng = np.random.default_rng(1)
         requests = np.abs(rng.normal(size=(64, 3, 14, 14)))
 
-        # 1. per-request baseline -------------------------------------- #
+        # 1. per-request baseline (one untimed warm-up pass first) ----- #
         runner = engine.InferenceRunner(plan, batch_size=1)
+        for sample in requests:
+            runner.predict(sample[None])
         start = time.perf_counter()
         baseline = [runner.predict(sample[None])[0] for sample in requests]
         t_baseline = time.perf_counter() - start
 
-        # 2. dynamically batched, sharded ----------------------------- #
+        # 2. dynamically batched, sharded (one untimed warm-up first) -- #
         with engine.PlanServer(plan, n_shards=2, max_batch=16) as server:
+            submit_concurrently(server, requests)
             start = time.perf_counter()
-            # several client threads submitting concurrently
-            futures = [None] * len(requests)
-
-            def client(lo: int, hi: int) -> None:
-                for i in range(lo, hi):
-                    futures[i] = server.submit(requests[i])
-
-            clients = [threading.Thread(target=client, args=(lo, lo + 16))
-                       for lo in range(0, 64, 16)]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join()
-            served = [future.result(timeout=30.0) for future in futures]
+            served = submit_concurrently(server, requests)
             t_server = time.perf_counter() - start
-            report = server.stats_report()
+            report = server.stats_report()     # both passes
 
         # responses are bit-identical across both paths ---------------- #
         for row, expected in zip(served, baseline):

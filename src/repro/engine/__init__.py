@@ -28,9 +28,9 @@ compiles that work out, at two granularities:
 * :class:`PlanServer` (+ :class:`DynamicBatcher`) — the concurrent serving
   subsystem: per-request ``submit``/futures, work-conserving batching (an
   idle shard takes pending work at once, up to ``max_batch``; each call's
-  rows enter the queue as one unit), a pool of thread- or process-backed
-  shard executors and bounded-queue backpressure; it serves the plan object
-  it is given, in that plan's mode;
+  rows enter the queue as one unit), a fixed pool of shard executors, each
+  on its own worker thread, and bounded-queue backpressure; it serves the
+  plan object it is given, in that plan's mode;
 * :class:`NetServer` — the HTTP/1.1 network front end over
   :class:`PlanServer`: multi-model tenancy
   (``POST /v1/models/{name}/predict``; :meth:`NetServer.add_model` is where
@@ -40,8 +40,8 @@ compiles that work out, at two granularities:
   histograms (:class:`LatencyHistogram`) exported on ``GET /metrics``,
   zero-downtime rolling artifact reloads (``POST
   /v1/models/{name}/reload`` — probe-validated atomic pool swap with a
-  background drain, also the recovery path after shard death and the
-  one way to change a pool, whose size is fixed at mount) and a graceful
+  background drain, also the one way to re-read a rewritten artifact or
+  change a pool, whose size is fixed at mount) and a graceful
   drain on close; the JSON payload contract lives in
   :mod:`repro.engine.wire`.
 
@@ -66,7 +66,7 @@ from .netserver import EndpointCounters, ModelEndpoint, NetServer, Saturated
 from .runner import InferenceRunner, PlanExecutor, RunnerStats
 from .scheduler import (DynamicBatcher, Request, RequestTiming,
                         SchedulerClosed, SchedulerStats)
-from .server import PlanServer, ServerClosed, ShardDied
+from .server import PlanServer, ServerClosed
 from .server import clear_plan_cache  # noqa: F401 — no-op kept callable
 from .wire import (BadRequest, PayloadTooLarge, ReloadRejected,
                    UnprocessableInput, WireError, decode_predict_request,
@@ -85,7 +85,7 @@ __all__ = [
     "InferenceRunner", "PlanExecutor", "RunnerStats",
     "DynamicBatcher", "Request", "RequestTiming", "SchedulerStats",
     "SchedulerClosed",
-    "PlanServer", "ServerClosed", "ShardDied",
+    "PlanServer", "ServerClosed",
     "NetServer", "ModelEndpoint", "EndpointCounters", "Saturated",
     "LatencyHistogram",
     "WireError", "BadRequest", "PayloadTooLarge", "UnprocessableInput",

@@ -45,7 +45,7 @@ _SETTERS = ("scipy_openblas_set_num_threads64_",
 #: (getter, setter) of the loaded OpenBLAS, looked up once per process.
 _blas_calls: Optional[Tuple[object, object]] = None
 
-_pool_lock = threading.Lock()
+_pool_creation_lock = threading.Lock()
 #: This process's runner pool, or None until first use.
 _pool: Optional[ThreadPoolExecutor] = None
 
@@ -144,7 +144,7 @@ def runner_pool() -> ThreadPoolExecutor:
     (see the module docstring).
     """
     global _pool
-    with _pool_lock:
+    with _pool_creation_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(
                 max_workers=max(1, _usable_cores() - 1),
@@ -154,9 +154,9 @@ def runner_pool() -> ThreadPoolExecutor:
 
 def _forget_pool() -> None:
     """Fork hook: the child has none of the parent's pool threads."""
-    global _pool, _pool_lock
+    global _pool, _pool_creation_lock
     _pool = None
-    _pool_lock = threading.Lock()
+    _pool_creation_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):

@@ -42,15 +42,15 @@ and probe-validated *before* an atomic swap under the admission lock, the
 old pool drains in the background (no accepted request dropped,
 bit-identical responses across the swap), and a bad or vanished artifact
 is refused with 409 while the old pool keeps serving.  A bodiless reload
-is also the recovery path after every process shard has died.  A pool's
-size is fixed at mount (``n_shards``); a reload is the only way to change
+re-reads the mounted path, so a rewritten artifact serves its new bytes.
+A pool's size is fixed at mount (``n_shards``); a reload is the only way to change
 it.  The artifact/reload version is visible in ``/metrics``.
 
 Error surface: 400 broken body, 404 unknown route/model, 411 missing
 length, 413 oversized body or batch, 422 well-formed input the model cannot
 execute (shape mismatch — validated cheaply by running a zero-row probe
 batch through the plan before anything queues), 503 saturated / shutting
-down / every shard dead, 500 execution failure (exactly the affected
+down, 500 execution failure (exactly the affected
 requests — the server itself stays up, which
 ``tests/engine/test_netserver_faults.py`` pins by following every injected
 fault with a successful request).
@@ -172,8 +172,7 @@ class ModelEndpoint:
     so an admitted request never blocks on a full queue), the per-request
     latency histograms, and the serving lifecycle: rolling :meth:`reload`
     (probe-validated atomic swap to a new artifact, or to a fresh pool from
-    the retained source — the recovery path when process shards die — with
-    a background drain of the old pool).
+    the retained source, with a background drain of the old pool).
 
     Lock map (declared below for the static analyzer): ``_drains`` is
     guarded by ``_reload_lock``.  ``_known_shapes`` is deliberately *not*
@@ -243,8 +242,7 @@ class ModelEndpoint:
         :class:`TimeoutError` is the full-queue answer.  The admission lock
         orders admissions against a reload's pool swap and keeps the
         counters in step.  Raises :class:`Saturated` (503) on a full queue
-        and :class:`ServerClosed` (503) while shutting down or after every
-        shard died.
+        and :class:`ServerClosed` (503) while shutting down.
 
         Conservation holds at request *and* sample level through every exit:
         :meth:`PlanServer.submit_many` enqueues all of a request's rows in
@@ -348,8 +346,7 @@ class ModelEndpoint:
         accepted is ever dropped, and the replaced plan is freed once its
         pool has drained.  The probe-shape cache is invalidated (the new
         plan revalidates from scratch) and the ``/metrics`` plan block is
-        re-versioned (artifact mtime/size + reload counter).  A bodiless reload over a pool whose process
-        shards all died is how the endpoint recovers.
+        re-versioned (artifact mtime/size + reload counter).
 
         A reload that fails — unreadable, corrupt or vanished artifact,
         probe failure — raises :class:`~repro.engine.wire.ReloadRejected`
@@ -617,7 +614,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ServerClosed as error:
             self._send_error(503, "unavailable",
                              f"model {name!r} is not serving: {error}; "
-                             "reload the model or retry later",
+                             "retry later",
                              headers={"Retry-After": "1"})
             return
         except TimeoutError as error:
@@ -710,7 +707,7 @@ class NetServer:
         with ``set_mode`` when ``mode`` is given.  An unknown ``mode``
         raises :class:`ValueError` and mounts nothing.  ``server_kwargs``
         are forwarded verbatim to :class:`PlanServer` (``n_shards``,
-        ``backend``, ``max_batch``, ``max_wait_ms``, ``queue_size``).  One
+        ``max_batch``, ``max_wait_ms``, ``queue_size``).  One
         request's batch is capped at ``queue_size`` (a request that can
         never be admitted is a 413, not an eternal 503);
         ``request_timeout_s`` bounds how long a handler waits for results

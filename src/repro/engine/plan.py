@@ -47,7 +47,8 @@ Both routes run a layer one tile of samples at a time
 (:data:`_TILE_BYTES` bounds a tile's buffers, all taken from the plan's
 :class:`~repro.engine.hotpath.ScratchTable`): a convolution pads each
 tile, gathers its im2col rows with one ``np.take`` and finishes the tile
-straight into its rows of the output.  ``execute(x)`` runs the float
+straight into its rows of the output; a linear layer runs as a ``1x1``
+convolution over ``1x1`` maps.  ``execute(x)`` runs the float
 route; ``execute(x, fold)`` runs either strategy on integer codes instead,
 finished by that :class:`LayerFold` (see :meth:`_PlanBase._contract_int`
 and :mod:`repro.core.requant`): the GEMMs run on the exact-integer
@@ -639,20 +640,17 @@ class _PlanBase:
         ``mu`` is a power of two and ``|acc| + |bias| < 2**53`` (see
         :meth:`int_fold`); a dequant fold writes ``acc * scale``, the
         layer's one inexact multiply.  Either lands in ``out`` (the tile's
-        rows of the ``fold.out_dtype`` result, channel axis second: NCHW
-        for convolutions) through a strided view.
+        rows of the ``(N, OC, H', W')`` ``fold.out_dtype`` result) through
+        a strided view.
         """
         oc = self.out_channels
-        if out.ndim == 4:
-            rows, length = out.shape[0], out.shape[2] * out.shape[3]
-            dst = out.reshape(rows, oc, length).transpose(1, 0, 2)
-            src = acc_t.reshape(oc, rows, length)
-        else:
-            dst, src = out.T, acc_t
+        rows, length = out.shape[0], out.shape[2] * out.shape[3]
+        dst = out.reshape(rows, oc, length).transpose(1, 0, 2)
+        src = acc_t.reshape(oc, rows, length)
         rq = fold.requant
         if rq is None:
-            scale = fold.scale.reshape((oc,) + (1,) * (src.ndim - 1))
-            np.multiply(src, scale, out=dst, casting="unsafe")
+            np.multiply(src, fold.scale[:, None, None], out=dst,
+                        casting="unsafe")
             return
         # mu is a power of two and beta an integer / 2**shift: both exact
         rq.execute(src, dst, channel_axis=0, overwrite=True)
@@ -674,7 +672,7 @@ class _PlanBase:
         for another row count (a single row runs as gemv), so there the
         tile size can move a row's last bits, within the summation-order
         error bound.  The activation scale and bias then land in ``out``,
-        the tile's rows of the result (NCHW for convolutions), through a
+        the tile's rows of the ``(N, OC, H', W')`` result, through a
         strided view.
 
         Registered hot: every intermediate comes from the plan's scratch
@@ -707,12 +705,9 @@ class _PlanBase:
             else:
                 np.multiply(p[i], self.m_fold[i, 0], out=term)
             acc += term
-        if out.ndim == 4:
-            rows, length = out.shape[0], out.shape[2] * out.shape[3]
-            dst = out.reshape(rows, oc, length).transpose(0, 2, 1)
-            acc = acc.reshape(rows, length, oc)
-        else:
-            dst = out
+        rows, length = out.shape[0], out.shape[2] * out.shape[3]
+        dst = out.reshape(rows, oc, length).transpose(0, 2, 1)
+        acc = acc.reshape(rows, length, oc)
         if self.act_scale is None:
             np.copyto(dst, acc)
         else:
@@ -732,17 +727,44 @@ class _PlanBase:
             self._epilogue(self._contract_int(cols, fold), fold, out)
 
     @hot_path
-    def _row_tiles(self, cols: np.ndarray, fold: Optional[LayerFold],
-                   out: np.ndarray) -> None:
-        """Either route of an ``(M, in_features)`` matrix into ``out``.
+    def _conv_tiles(self, a: np.ndarray, fold: Optional[LayerFold],
+                    out: np.ndarray) -> None:
+        """Either route of an ``(N, C, H, W)`` input into ``out``.
 
-        Runs :meth:`_tile` on tiles of :meth:`_tile_samples` rows; ``out``
-        is the ``(M, OC)`` result.  Registered hot: tiles are views,
-        buffers come from the scratch table.
+        The plan's ``kernel_size``, ``stride`` and ``padding`` set the
+        unfold (a :class:`LinearPlan`'s are a ``1x1`` kernel, stride 1, no
+        padding).  Each tile of :meth:`_tile_samples` samples is padded
+        into a scratch buffer (its zero border written once per call),
+        gathered into its im2col rows with one ``np.take`` and run by
+        :meth:`_tile` into its rows of the ``(N, OC, H', W')`` result, so
+        no buffer scales with the batch.  Registered hot: every buffer
+        comes from the scratch table.
         """
-        step = self._tile_samples(1, fold, cols.dtype.itemsize)
-        for k in range(0, cols.shape[0], step):
-            self._tile(cols[k:k + step], fold, out[k:k + step])
+        n, c, h, w = a.shape
+        ph, pw = self.padding
+        hp, wp = h + 2 * ph, w + 2 * pw
+        index = F.unfold_index(c, hp, wp, self.kernel_size, self.stride,
+                               layout="nlk")                # (L, D)
+        length, depth = index.shape
+        step = max(1, min(self._tile_samples(length, fold, a.dtype.itemsize),
+                          n))
+        padded = None
+        if ph or pw:
+            padded = self._scratch("tile_pad", (step, c, hp, wp), a.dtype)
+            padded.fill(0)
+        for k in range(0, n, step):
+            rows = min(step, n - k)
+            src = a[k:k + rows]
+            if padded is not None:
+                padded[:rows, :, ph:ph + h, pw:pw + w] = src
+                src = padded[:rows]
+            cols = self._scratch("tile_cols", (rows, length, depth), a.dtype)
+            # mode="clip" skips the bounds-check buffering of mode="raise";
+            # every index is in range by construction
+            np.take(src.reshape(rows, c * hp * wp), index, axis=1, out=cols,
+                    mode="clip")
+            self._tile(cols.reshape(rows * length, depth), fold,
+                       out[k:k + rows])
 
     def _run(self, x: np.ndarray, fold: Optional[LayerFold],
              out_shape: tuple) -> np.ndarray:
@@ -751,10 +773,10 @@ class _PlanBase:
         ``fold`` picks the route: ``None`` is the float route, a
         :class:`LayerFold` the integer route it finishes.  Unless the fold
         says ``x`` holds its codes, ``x`` is taken as ``float64`` and, with
-        an input quantizer, quantized onto the carrier.  ``x`` is then a
-        row matrix (:meth:`_row_tiles`) or ``(N, C, H, W)``
-        (:meth:`ConvPlan._conv_tiles`); either finishes every tile straight
-        into its rows of the result.
+        an input quantizer, quantized onto the carrier.  ``x`` is
+        ``(N, C, H, W)`` (a linear layer's rows as ``1x1`` maps) and
+        :meth:`_conv_tiles` finishes every tile straight into its rows of
+        the ``(N, OC, H', W')`` result.
         """
         if fold is None or not fold.codes_in:
             x = np.asarray(x, dtype=np.float64)
@@ -762,10 +784,7 @@ class _PlanBase:
                 x = self._quantize_acts_carrier(x)
         out = np.empty(out_shape, dtype=np.float64 if fold is None
                        else fold.out_dtype)
-        if x.ndim == 4:
-            self._conv_tiles(x, fold, out)
-        else:
-            self._row_tiles(x, fold, out)
+        self._conv_tiles(x, fold, out)
         return out
 
 
@@ -797,44 +816,6 @@ class ConvPlan(_PlanBase):
         out_w = F.conv_output_size(w, kw, self.stride[1], self.padding[1])
         return self._run(x, fold, (n, self.out_channels, out_h, out_w))
 
-    @hot_path
-    def _conv_tiles(self, a: np.ndarray, fold: Optional[LayerFold],
-                    out: np.ndarray) -> None:
-        """Either route of an ``(N, C, H, W)`` input into ``out``.
-
-        Each tile of :meth:`_tile_samples` samples is padded into a scratch
-        buffer (its zero border written once per call), gathered into its
-        im2col rows with one ``np.take`` and run by :meth:`_tile` into its
-        rows of the ``(N, OC, H', W')`` result, so no buffer scales with
-        the batch.  Registered hot: every buffer comes from the scratch
-        table.
-        """
-        n, c, h, w = a.shape
-        ph, pw = self.padding
-        hp, wp = h + 2 * ph, w + 2 * pw
-        index = F.unfold_index(c, hp, wp, self.kernel_size, self.stride,
-                               layout="nlk")                # (L, D)
-        length, depth = index.shape
-        step = max(1, min(self._tile_samples(length, fold, a.dtype.itemsize),
-                          n))
-        padded = None
-        if ph or pw:
-            padded = self._scratch("tile_pad", (step, c, hp, wp), a.dtype)
-            padded.fill(0)
-        for k in range(0, n, step):
-            rows = min(step, n - k)
-            src = a[k:k + rows]
-            if padded is not None:
-                padded[:rows, :, ph:ph + h, pw:pw + w] = src
-                src = padded[:rows]
-            cols = self._scratch("tile_cols", (rows, length, depth), a.dtype)
-            # mode="clip" skips the bounds-check buffering of mode="raise";
-            # every index is in range by construction
-            np.take(src.reshape(rows, c * hp * wp), index, axis=1, out=cols,
-                    mode="clip")
-            self._tile(cols.reshape(rows * length, depth), fold,
-                       out[k:k + rows])
-
 
 @dataclass
 class LinearPlan(_PlanBase):
@@ -843,6 +824,10 @@ class LinearPlan(_PlanBase):
     in_features: int = 0
 
     layer_type = "linear"
+    # a linear layer runs as a 1x1 convolution over 1x1 maps
+    kernel_size = (1, 1)
+    stride = (1, 1)
+    padding = (0, 0)
 
     def execute(self, x: np.ndarray,
                 fold: Optional[LayerFold] = None) -> np.ndarray:
@@ -854,7 +839,10 @@ class LinearPlan(_PlanBase):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (N, {self.in_features}), got {x.shape}")
-        return self._run(x, fold, (x.shape[0], self.out_channels))
+        n = x.shape[0]
+        out = self._run(x.reshape(n, self.in_features, 1, 1), fold,
+                        (n, self.out_channels, 1, 1))
+        return out.reshape(n, self.out_channels)
 
 
 # --------------------------------------------------------------------------- #

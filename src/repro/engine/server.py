@@ -10,13 +10,12 @@ two layers:
    in batches of up to ``max_batch`` (an idle shard takes pending work at
    once; a positive ``max_wait_ms`` holds partial batches instead) and
    applies backpressure when producers outrun the shards;
-2. a pool of **shard workers** — N executors over the same read-only plan,
-   each owning its private :class:`~repro.engine.runner.RunnerStats` so
-   shards never contend.
-   A thread-backed shard (default) is a
-   :class:`~repro.engine.runner.PlanExecutor` run in-process; process-backed
-   shards (``backend="process"``) fork one child per shard and stream
-   batches over a pipe, stepping around the GIL entirely.
+2. a fixed pool of **shards** — N
+   :class:`~repro.engine.runner.PlanExecutor` instances over the same
+   read-only plan, each fed by its own worker thread and owning its
+   private :class:`~repro.engine.runner.RunnerStats`, so shards never
+   contend.  A batch that raises fails exactly its own requests; the
+   shard keeps serving.
 
 Every request gets a :class:`concurrent.futures.Future` resolving to its own
 output row, so per-request ordering is trivially preserved no matter how
@@ -51,118 +50,17 @@ from . import cpu
 from .runner import PlanExecutor, RunnerStats, empty_batch_result
 from .scheduler import DynamicBatcher, Request, RequestTiming, SchedulerClosed
 
-__all__ = ["PlanServer", "ServerClosed", "ShardDied"]
+__all__ = ["PlanServer", "ServerClosed"]
 
 
 class ServerClosed(RuntimeError):
     """Raised when submitting to a :class:`PlanServer` that has been closed."""
 
 
-class ShardDied(RuntimeError):
-    """A worker shard became unusable mid-serving (e.g. its process was killed).
-
-    Requests in the failing batch receive this exception; the dead shard
-    leaves the pool and the remaining shards keep serving.  If the *last*
-    shard dies, the server closes itself and fails all queued requests with
-    this error rather than letting them hang.
-    """
-
-
 def clear_plan_cache() -> None:
     """Do nothing: kept callable for scripts written against the old plan
     cache.  Every mount and reload loads its artifact afresh, so there is
     no cache to clear."""
-
-
-# --------------------------------------------------------------------------- #
-# shards
-# --------------------------------------------------------------------------- #
-def _process_shard_main(conn, plan) -> None:
-    """Child-process loop of a process-backed shard: recv batch, send rows."""
-    executor = PlanExecutor(plan)
-    while True:
-        try:
-            batch = conn.recv()
-        except EOFError:
-            break
-        if batch is None:
-            break
-        try:
-            out = executor.execute_batch(batch)
-            conn.send(("ok", np.asarray(out), executor.stats))
-        except Exception as error:   # noqa: BLE001 — relayed to the parent
-            conn.send(("err", f"{type(error).__name__}: {error}", None))
-    conn.close()
-
-
-class _ProcessShard:
-    """A shard forked into its own process, fed batches over a pipe.
-
-    The child inherits the plan via fork (no pickling of the arrays); each
-    round-trip ships one batch in and one result out.  ``stats`` mirrors the
-    child's executor stats as of the last completed batch, with the parent's
-    pipe round-trip time substituted for ``seconds`` so the server-level
-    report reflects what callers actually experienced — mirrored under
-    ``_stats_lock``, as declared below.
-    """
-
-    _GUARDED_BY = {"stats": "_stats_lock"}
-
-    def __init__(self, plan):
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(target=_process_shard_main,
-                                 args=(child_conn, plan),
-                                 daemon=True)
-        self._proc.start()
-        child_conn.close()
-        self.stats = RunnerStats()
-        self._stats_lock = threading.Lock()
-
-    def stats_snapshot(self) -> RunnerStats:
-        with self._stats_lock:
-            return self.stats.copy()
-
-    def execute_batch(self, batch: np.ndarray) -> np.ndarray:
-        start = time.perf_counter()
-        try:
-            self._conn.send(batch)
-            status, payload, child_stats = self._conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as error:
-            raise ShardDied(
-                f"process shard (pid {self._proc.pid}) died mid-batch: "
-                f"{type(error).__name__}: {error}") from error
-        elapsed = time.perf_counter() - start
-        if status != "ok":
-            raise RuntimeError(f"process shard failed: {payload}")
-        with self._stats_lock:
-            self.stats.samples = child_stats.samples
-            self.stats.batches = child_stats.batches
-            self.stats.layer_seconds = child_stats.layer_seconds
-            self.stats.layer_calls = child_stats.layer_calls
-            self.stats.seconds += elapsed
-        return payload
-
-    def close(self) -> None:
-        try:
-            self._conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self._proc.join(timeout=5.0)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=5.0)
-        self._conn.close()
-
-
-class _ShardSlot:
-    """One pool slot: a shard (a :class:`PlanExecutor` or a
-    :class:`_ProcessShard`) and the worker thread feeding it."""
-
-    def __init__(self, shard):
-        self.shard = shard
-        self.worker: Optional[threading.Thread] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -183,8 +81,6 @@ class PlanServer:
         Number of worker executors, fixed for the server's life (a rolling
         reload builds a new server to change it).  Shards share the
         read-only plan but own private stats.
-    backend:
-        ``"thread"`` (default) or ``"process"`` (fork-based; POSIX only).
     max_batch / max_wait_ms / queue_size:
         Dynamic batching knobs, passed to
         :class:`~repro.engine.scheduler.DynamicBatcher`: batches hold at
@@ -196,57 +92,43 @@ class PlanServer:
     Use as a context manager, or call :meth:`close` — close drains queued
     requests before the workers exit, so no accepted request is dropped.
 
-    Thread model: the shard pool membership and the death counter live
-    under ``_pool_lock``, submission sequencing under ``_seq_lock`` (declared
-    below for the static analyzer); ``_closed`` is an advisory fast-fail
-    flag read without a lock — the authoritative rejection of late submits
-    is the batcher's own closed check, made under the batcher lock.
+    Thread model: the shard list is fixed at construction and never
+    mutated, so it is read without a lock; submission sequencing lives
+    under ``_seq_lock`` (declared below for the static analyzer);
+    ``_closed`` is an advisory fast-fail flag read without a lock — the
+    authoritative rejection of late submits is the batcher's own closed
+    check, made under the batcher lock.
     """
 
-    _GUARDED_BY = {"_seq": "_seq_lock",
-                   "_slots": "_pool_lock",
-                   "_drained_stats": "_pool_lock",
-                   "_shards_died": "_pool_lock"}
+    _GUARDED_BY = {"_seq": "_seq_lock"}
 
-    def __init__(self, plan, n_shards: int = 2, backend: str = "thread",
-                 max_batch: int = 16, max_wait_ms: float = 0.0,
-                 queue_size: int = 256):
+    def __init__(self, plan, n_shards: int = 2, max_batch: int = 16,
+                 max_wait_ms: float = 0.0, queue_size: int = 256):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if backend not in ("thread", "process"):
-            raise ValueError(f"unknown backend {backend!r}; "
-                             "expected 'thread' or 'process'")
         self.plan = plan
-        self.backend = backend
         self.batcher = DynamicBatcher(max_batch=max_batch,
                                       max_wait_ms=max_wait_ms,
                                       queue_size=queue_size)
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._closed = False
-        self._pool_lock = threading.Lock()
-        self._slots: List[_ShardSlot] = []
-        self._drained_stats = RunnerStats()   # stats of dead shards
-        self._shards_died = 0
-        shard_cls = PlanExecutor if backend == "thread" else _ProcessShard
-        for index in range(n_shards):
-            slot = _ShardSlot(shard_cls(self.plan))
-            slot.worker = threading.Thread(
-                target=self._worker_loop, args=(slot,),
-                name=f"plan-server-shard-{index}", daemon=True)
-            self._slots.append(slot)
-        for slot in self._slots:
-            slot.worker.start()
+        self._shards = [PlanExecutor(plan) for _ in range(n_shards)]
+        self._workers = [
+            threading.Thread(target=self._worker_loop, args=(shard,),
+                             name=f"plan-server-shard-{index}", daemon=True)
+            for index, shard in enumerate(self._shards)]
+        for worker in self._workers:
+            worker.start()
 
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
-    def _worker_loop(self, slot: _ShardSlot) -> None:
-        shard = slot.shard
+    def _worker_loop(self, shard: PlanExecutor) -> None:
         while True:
             batch = self.batcher.next_batch()
             if batch is None:
-                return                    # closed and drained; close() cleans up
+                return                    # closed and drained
             # claim each future; drop requests the client cancelled while
             # they sat in the queue (a cancelled future rejects set_result)
             batch = [request for request in batch
@@ -260,14 +142,6 @@ class PlanServer:
                 for row, request in zip(out, batch):
                     self._stamp_timing(request, completed)
                     request.future.set_result(np.array(row, copy=True))
-            except ShardDied as error:
-                completed = time.monotonic()
-                for request in batch:
-                    if not request.future.done():
-                        self._stamp_timing(request, completed)
-                        request.future.set_exception(error)
-                self._leave_pool(slot, error)
-                return
             except Exception as error:   # noqa: BLE001 — fail the whole batch
                 completed = time.monotonic()
                 for request in batch:
@@ -291,50 +165,14 @@ class PlanServer:
             queue_s=max(0.0, dispatched - request.arrival),
             compute_s=max(0.0, completed - dispatched))
 
-    def _leave_pool(self, slot: _ShardSlot, error: Exception) -> None:
-        """Take a dead shard out of rotation; keep the rest serving.
-
-        The dead shard stops pulling batches (it can no longer poison the
-        shared queue); its final stats fold into the drained accumulator so
-        server totals keep the work it did.  When the *last* shard dies the
-        server closes itself and fails every queued request with
-        :class:`ShardDied` instead of letting callers hang.
-        """
-        with self._pool_lock:
-            self._slots.remove(slot)
-            self._drained_stats.merge(slot.shard.stats_snapshot())
-            self._shards_died += 1
-            pool_empty = not self._slots
-        if self.backend == "process":
-            slot.shard.close()
-        if not pool_empty:
-            return
-        self._closed = True
-        self.batcher.close()
-        while True:
-            batch = self.batcher.next_batch()
-            if batch is None:
-                return
-            for request in batch:
-                if request.future.set_running_or_notify_cancel():
-                    request.future.set_exception(ShardDied(
-                        f"all shards died; last error: {error}"))
-
     # ------------------------------------------------------------------ #
     # producer side
     # ------------------------------------------------------------------ #
     @property
     def n_shards(self) -> int:
-        """Number of live worker shards (dead process shards excluded).
-        Thread-safe: counts under the pool lock."""
-        with self._pool_lock:
-            return len(self._slots)
-
-    @property
-    def _shards(self) -> List:
-        """The live shard executors (test/diagnostic hook, order = spawn)."""
-        with self._pool_lock:
-            return [slot.shard for slot in self._slots]
+        """Number of worker shards, fixed at construction (thread-safe:
+        the shard list is never mutated)."""
+        return len(self._shards)
 
     def submit(self, sample: np.ndarray,
                timeout: Optional[float] = None) -> Future:
@@ -434,26 +272,19 @@ class PlanServer:
     def stats_report(self) -> dict:
         """Roll the per-shard stats and scheduler counters into one report.
 
-        ``total`` merges every live shard's :class:`RunnerStats` plus the
-        drained stats of shards that died, so totals keep the work a dead
-        shard did; ``shards`` keeps the live per-shard breakdown (useful
-        for spotting load imbalance); ``scheduler`` describes batch shaping
-        and queue depth (snapshotted under the batcher lock — counters in
-        the report are mutually consistent); ``pool`` counts dead shards;
-        ``cpu`` is the CPU policy in effect in this process
+        ``total`` merges every shard's :class:`RunnerStats`; ``shards``
+        keeps the per-shard breakdown (useful for spotting load imbalance);
+        ``scheduler`` describes batch shaping and queue depth (snapshotted
+        under the batcher lock — counters in the report are mutually
+        consistent); ``cpu`` is the CPU policy in effect in this process
         (:func:`repro.engine.cpu.policy`).
         """
-        with self._pool_lock:
-            shards = [slot.shard for slot in self._slots]
-            total = RunnerStats().merge(self._drained_stats)
-            pool = {"died": self._shards_died}
-        snapshots = [shard.stats_snapshot() for shard in shards]
+        snapshots = [shard.stats_snapshot() for shard in self._shards]
+        total = RunnerStats()
         for snapshot in snapshots:
             total.merge(snapshot)
         return {
-            "backend": self.backend,
             "n_shards": self.n_shards,
-            "pool": pool,
             "cpu": cpu.policy(),
             "scheduler": self.batcher.stats_snapshot().to_dict(),
             "shards": [snapshot.to_dict() for snapshot in snapshots],
@@ -461,34 +292,28 @@ class PlanServer:
         }
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Drain queued requests, stop the workers, release the shards.
+        """Drain queued requests, then stop the workers.
 
         By default this blocks until every accepted request has been served
         (the no-drop contract).  With ``timeout`` (seconds for the whole
         drain), a :class:`TimeoutError` is raised if workers are still
-        draining when it expires — the server stays closed to new submits,
-        in-flight work keeps running, and the shards are **not** torn down
-        underneath it; call :meth:`close` again to finish the drain.
+        draining when it expires — the server stays closed to new submits
+        and in-flight work keeps running; call :meth:`close` again to
+        finish the drain.
         """
         self._closed = True
         self.batcher.close()
-        with self._pool_lock:
-            slots = list(self._slots)
         deadline = None if timeout is None else time.monotonic() + timeout
-        for slot in slots:
+        for worker in self._workers:
             remaining = None
             if deadline is not None:
                 remaining = max(0.0, deadline - time.monotonic())
-            slot.worker.join(timeout=remaining)
-        still_draining = sum(slot.worker.is_alive() for slot in slots)
+            worker.join(timeout=remaining)
+        still_draining = sum(worker.is_alive() for worker in self._workers)
         if still_draining:
             raise TimeoutError(
                 f"close({timeout=}) expired with {still_draining} worker(s) "
-                "still draining; shards left running — call close() again "
-                "to finish")
-        if self.backend == "process":
-            for slot in slots:
-                slot.shard.close()
+                "still draining; call close() again to finish")
 
     def __enter__(self) -> "PlanServer":
         return self

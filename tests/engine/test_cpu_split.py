@@ -163,9 +163,6 @@ class TestSplitRunner:
         runner = engine.InferenceRunner(plan, batch_size=8)
         assert runner.predict(x[:8]).tobytes() == want.tobytes()
         assert cpu._pool is not None
-        with engine.PlanServer(plan, n_shards=1, backend="process",
-                               max_batch=8) as server:
-            assert server.predict(x[:8]).tobytes() == want.tobytes()
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
         child = ctx.Process(target=_split_in_child,

@@ -19,6 +19,7 @@ refuses constants outside that argument.
 
 import contextlib
 import copy
+import dataclasses
 import gc
 import importlib
 import io
@@ -439,10 +440,22 @@ def adc_carrier(plan, carrier: str = "auto"):
 
 
 def run_int(plan, cols: np.ndarray, carrier: str = "auto") -> np.ndarray:
-    """The executed integer route on a ``(NL, in_features)`` code matrix."""
+    """The executed integer route on a ``(NL, in_features)`` code matrix.
+
+    Each row runs as one ``1x1`` sample through the layer's tile loop, as
+    a linear plan runs; a conv plan runs as a ``1x1`` convolution over the
+    rows, which are its own im2col columns.
+    """
+    if isinstance(plan, engine.ConvPlan):
+        plan = dataclasses.replace(plan, in_channels=cols.shape[1],
+                                   kernel_size=(1, 1), stride=(1, 1),
+                                   padding=(0, 0))
+    n, oc = cols.shape[0], plan.out_channels
     with adc_carrier(plan, carrier):
-        return plan._run(cols, plan.dequant_fold(True),
-                         (cols.shape[0], plan.out_channels))
+        out = plan._run(cols.reshape(n, cols.shape[1], 1, 1),
+                        plan.dequant_fold(True),
+                        (n, oc, 1, 1))
+    return out.reshape(n, oc)
 
 
 def retune(plan, case: str, rng):

@@ -331,7 +331,8 @@ def test_decode_reload_request_contract():
 # fixed pools and shutdown
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("option", [{"max_shards": 4},
-                                    {"autoscale": {"idle_s": 1.0}}])
+                                    {"autoscale": {"idle_s": 1.0}},
+                                    {"backend": "process"}])
 def test_removed_autoscaler_options_are_refused(option):
     with engine.NetServer() as net:
         with pytest.raises(TypeError):
@@ -386,8 +387,7 @@ def test_endpoint_close_timeout_also_bounds_the_reload_drain_join():
 
 def test_metrics_of_a_fixed_pool_carry_no_scaling_state():
     """The pool keeps its mounted size; ``/metrics`` reports it without an
-    autoscaler block or scale counters, and the pool block only counts
-    deaths."""
+    autoscaler block, scale counters or pool block."""
     with engine.NetServer() as net:
         net.add_model("toy", ToyPlan(), n_shards=2, queue_size=32)
         assert predict(net, "toy", [[1.0, 2.0]])[0] == 200
@@ -396,7 +396,7 @@ def test_metrics_of_a_fixed_pool_carry_no_scaling_state():
         assert not {"scale_ups", "scale_downs"} & set(block["requests"])
         _assert_conserves(block["requests"])
         assert block["serving"]["n_shards"] == 2
-        assert block["serving"]["pool"] == {"died": 0}
+        assert "pool" not in block["serving"]
 
 
 # --------------------------------------------------------------------------- #

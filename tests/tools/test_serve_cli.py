@@ -73,11 +73,13 @@ def test_valid_values_still_parse():
     assert args.shards == 1
 
 
-# flags of the removed result cache and autoscaler
-@pytest.mark.parametrize("flag", ["--result-cache", "--max-shards"])
+# flags of the removed result cache, autoscaler and process shards
+@pytest.mark.parametrize("flag", ["--result-cache", "--max-shards",
+                                  "--backend"])
 def test_removed_flag_is_refused(capsys, flag):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["--model", "r=plan.npz", flag, "4"])
+    assert info.value.code == 2
     assert flag in capsys.readouterr().err
 
 
@@ -85,8 +87,7 @@ def test_serving_flag_defaults_are_plan_server_defaults():
     args = build_parser().parse_args(["--model", "r=plan.npz"])
     defaults = {name: param.default for name, param
                 in inspect.signature(PlanServer).parameters.items()}
-    assert (args.shards, args.backend, args.max_batch, args.max_wait_ms,
-            args.queue_size) == (defaults["n_shards"], defaults["backend"],
-                                 defaults["max_batch"],
+    assert (args.shards, args.max_batch, args.max_wait_ms,
+            args.queue_size) == (defaults["n_shards"], defaults["max_batch"],
                                  defaults["max_wait_ms"],
                                  defaults["queue_size"])

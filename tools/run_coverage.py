@@ -9,15 +9,15 @@ threshold.  Two measurement backends, picked automatically:
   otherwise — executable lines are derived from the compiled code objects'
   ``co_lines()`` tables, executed lines from a trace function that attaches
   only to frames whose code lives in the target tree.  The fallback cannot
-  see into forked child processes (the server's ``backend="process"``
-  shards), so its numbers are a slight *under*-estimate; the threshold
-  accounts for that.
+  see into forked child processes, so code that runs only in a fork
+  counts as missed.
 
 Usage (what ``make coverage`` runs)::
 
     python tools/run_coverage.py --source src/repro/engine \
         --source src/repro/core/pipeline.py --source src/repro/core/requant.py \
-        --fail-under 85 tests/engine tests/core
+        --source tools/analyze --fail-under 90 tests/engine tests/core \
+        tests/tools -q
 
 ``--source`` is repeatable and accepts either a directory (all ``.py``
 files under it) or a single ``.py`` file.  Everything after the flags is

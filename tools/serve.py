@@ -75,7 +75,7 @@ def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
 
     The path may itself contain ``=``-free colons only in the option tail,
     so artifact paths with drive letters are not supported — keep artifacts
-    on POSIX paths (the rest of the toolchain already assumes fork).
+    on POSIX paths.
     An option key outside :data:`MODEL_OPTIONS`, a ``mode`` outside
     :data:`MODES` or a ``shards`` below 1 raises
     :class:`argparse.ArgumentTypeError`, so a stale, misspelled or invalid
@@ -126,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=positive_int,
                         default=SERVER_DEFAULTS["n_shards"],
                         help="shard executors per model")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default=SERVER_DEFAULTS["backend"])
     parser.add_argument("--max-batch", type=positive_int,
                         default=SERVER_DEFAULTS["max_batch"])
     parser.add_argument("--max-wait-ms", type=float,
@@ -151,7 +149,6 @@ def build_server(args: argparse.Namespace) -> NetServer:
         net.add_model(
             name, path,
             n_shards=int(options.get("shards", args.shards)),
-            backend=args.backend,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             queue_size=args.queue_size,
