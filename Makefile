@@ -14,7 +14,9 @@
 #                       pipeline modules (pytest + tools/run_coverage.py,
 #                       fails under 90%; uses the coverage package when present,
 #                       a stdlib settrace fallback otherwise)
-#   make bench-smoke  - fast smoke pass over the benchmark harness
+#   make bench-smoke  - fast smoke pass over the benchmark harness, one
+#                       bench file at a time; the last line names every
+#                       file that failed
 #   make bench-engine - frozen-engine speedup benchmark at default scale
 #   make bench-runner - batched inference-runner throughput benchmark
 #   make bench-server - concurrent PlanServer throughput benchmark
@@ -56,8 +58,20 @@ test-int:
 coverage:
 	$(PYTHON) tools/run_coverage.py --source src/repro/engine --source src/repro/core/pipeline.py --source src/repro/core/requant.py --source tools/analyze --fail-under 90 tests/engine tests/core tests/tools -q
 
+SMOKE_BENCHES = benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_netserver_slo.py benchmarks/bench_analyze.py
+
+# one pytest run per bench file, so the last line names every file that
+# failed even when a log keeps only its tail
 bench-smoke:
-	REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest benchmarks/bench_engine_speedup.py benchmarks/bench_runner_throughput.py benchmarks/bench_server_concurrency.py benchmarks/bench_int_requant.py benchmarks/bench_netserver_slo.py benchmarks/bench_analyze.py -q
+	@failed=""; \
+	for bench in $(SMOKE_BENCHES); do \
+		REPRO_BENCH_SCALE=tiny $(PYTHON) -m pytest $$bench -q \
+			|| failed="$$failed $$bench"; \
+	done; \
+	if [ -n "$$failed" ]; then \
+		echo "bench-smoke failed:$$failed"; exit 1; \
+	fi; \
+	echo "bench-smoke passed: all $(words $(SMOKE_BENCHES)) bench files"
 
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine_speedup.py

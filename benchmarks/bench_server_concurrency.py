@@ -8,7 +8,7 @@ docstring "leaves concurrency to the caller".  The
 through the dynamic batcher into fat batches across a pool of shard
 executors.  This benchmark pins the serving contract on a stream of
 distinct single-sample requests, with the server at its shipped defaults
-(``max_wait_ms=0``):
+(an idle shard takes pending work at once):
 
 * **equivalence**: every server response is bit-identical to the
   per-request single-runner response (float64 plans);

@@ -9,9 +9,8 @@ buys:
    (batch of one, the PR-3 deployment story);
 2. **dynamically batched** — a ``PlanServer`` whose scheduler coalesces the
    same requests into batches of up to ``max_batch`` across 2 shard
-   executors (at the default ``max_wait_ms=0`` an idle shard takes pending
-   work at once; batches form from requests that arrive while shards are
-   busy).
+   executors (an idle shard takes pending work at once; batches form
+   from requests that arrive while shards are busy).
 
 Both produce bit-identical responses; the throughput gap is the point.
 Clients submit from several threads at once to show that `submit` is safe to

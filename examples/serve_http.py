@@ -87,7 +87,7 @@ def main() -> None:
 
     with engine.NetServer() as net:          # port=0 -> ephemeral, bound now
         net.add_model("tiny-float", artifact, mode="float", n_shards=2,
-                      max_batch=8, max_wait_ms=1.0, queue_size=64)
+                      max_batch=8, queue_size=64)
         net.add_model("tiny-int", artifact, mode="int",
                       n_shards=1, max_batch=8, queue_size=32)
         print(f"serving on {net.url}")

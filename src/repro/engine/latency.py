@@ -17,10 +17,13 @@ Design constraints, in order:
   order statistic) is within ``sqrt(growth)`` of the true sample value,
   multiplicatively.  ``tests/engine/test_latency.py`` pins this against a
   ``numpy.percentile`` oracle on seeded random samples;
-* **exact merging** — shards and endpoints record into private histograms
-  and the metrics endpoint merges them; merging identically-configured
-  histograms just adds counter arrays, so it is associative and
-  order-independent (the property suite checks both).
+* **exact merging** — merging identically-configured histograms just
+  adds counter arrays, so it is associative and order-independent (the
+  property suite checks both).  Nothing in the serving path merges yet:
+  ``/metrics`` reports each endpoint's own three histograms.
+  :meth:`LatencyHistogram.merge` is there for the span model of ROADMAP
+  item 6 (per-stage histograms rolled up across shards); today only the
+  tests call it, directly or through :meth:`LatencyHistogram.copy`.
 
 Values are recorded in **seconds** (the unit every ``time.perf_counter``
 delta already has); :meth:`LatencyHistogram.to_dict` reports milliseconds,

@@ -86,10 +86,9 @@ __all__ = ["NetServer", "ModelEndpoint", "EndpointCounters", "Saturated"]
 class Saturated(RuntimeError):
     """A request refused by admission control (mapped to 503 + Retry-After)."""
 
-    def __init__(self, detail: str, retry_after_s: float):
+    def __init__(self, detail: str):
         super().__init__(detail)
         self.detail = detail
-        self.retry_after_s = retry_after_s
 
 
 class EndpointCounters:
@@ -186,6 +185,9 @@ class ModelEndpoint:
     def __init__(self, name: str, plan_source, server_kwargs: dict,
                  request_timeout_s: float = 60.0,
                  mode: Optional[str] = None):
+        if not 0.0 < request_timeout_s < float("inf"):
+            raise ValueError(f"request_timeout_s must be finite and > 0, "
+                             f"got {request_timeout_s!r}")
         self.name = name
         self._plan_source = plan_source
         self._mode = mode
@@ -264,16 +266,14 @@ class ModelEndpoint:
                 raise Saturated(
                     f"model {self.name!r} queue is full "
                     f"({batcher.pending}/{batcher.queue_size} pending, "
-                    f"{n} samples offered); retry shortly",
-                    retry_after_s=max(0.05, 2.0 * batcher.max_wait),
-                ) from error
+                    f"{n} samples offered); retry shortly") from error
             self.counters.add(accepted=1, samples_accepted=n)
         return futures
 
     def predict(self, body: bytes):
         """Decode, validate, admit, execute and time one predict request.
 
-        Returns ``(response_body_bytes, timing_ms)``.  Raises
+        Returns the response body bytes.  Raises
         :class:`~repro.engine.wire.WireError` (4xx), :class:`Saturated` /
         :class:`~repro.engine.server.ServerClosed` (503) or lets execution
         errors (500, exactly this request's samples) propagate — the caller
@@ -303,10 +303,9 @@ class ModelEndpoint:
             self.counters.add(failed=1)
             self.server._abandon(futures)   # free the still-queued tail
             raise
-        timings = [getattr(future, "timing", None) for future in futures]
-        known = [timing for timing in timings if timing is not None]
-        queue_s = max((timing.queue_s for timing in known), default=0.0)
-        compute_s = max((timing.compute_s for timing in known), default=0.0)
+        # a worker stamps future.timing before it resolves the future
+        queue_s = max(future.timing.queue_s for future in futures)
+        compute_s = max(future.timing.compute_s for future in futures)
         total_s = time.monotonic() - t_start
         self.latency["total"].record(total_s)
         self.latency["queue"].record(queue_s)
@@ -314,9 +313,8 @@ class ModelEndpoint:
         self.counters.add(completed=1)
         timing_ms = {"total": total_s * 1e3, "queue": queue_s * 1e3,
                      "compute": compute_s * 1e3}
-        return (wire.encode_predict_response(self.name, np.stack(rows),
-                                             timing_ms),
-                timing_ms)
+        return wire.encode_predict_response(self.name, np.stack(rows),
+                                            timing_ms)
 
     # ------------------------------------------------------------------ #
     def _probe_validate(self, server: PlanServer) -> None:
@@ -601,15 +599,13 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             return
         try:
-            response, _timing = endpoint.predict(body)
+            response = endpoint.predict(body)
         except wire.WireError as error:
             self._send_error(error.status, error.reason, error.detail)
             return
         except Saturated as error:
-            self._send_error(
-                503, "saturated", error.detail,
-                headers={"Retry-After":
-                         f"{max(1, round(error.retry_after_s)):d}"})
+            self._send_error(503, "saturated", error.detail,
+                             headers={"Retry-After": "1"})
             return
         except ServerClosed as error:
             self._send_error(503, "unavailable",
@@ -707,11 +703,12 @@ class NetServer:
         with ``set_mode`` when ``mode`` is given.  An unknown ``mode``
         raises :class:`ValueError` and mounts nothing.  ``server_kwargs``
         are forwarded verbatim to :class:`PlanServer` (``n_shards``,
-        ``max_batch``, ``max_wait_ms``, ``queue_size``).  One
-        request's batch is capped at ``queue_size`` (a request that can
-        never be admitted is a 413, not an eternal 503);
-        ``request_timeout_s`` bounds how long a handler waits for results
-        before answering 504.  The pool keeps ``n_shards`` shards until a
+        ``max_batch``, ``queue_size``).  One request's batch is capped at
+        ``queue_size`` (a request that can never be admitted is a 413, not
+        an eternal 503); ``request_timeout_s`` bounds how long a handler
+        waits for results before answering 504, and unless it is finite
+        and > 0, :class:`ValueError` is raised and nothing is mounted.
+        The pool keeps ``n_shards`` shards until a
         :meth:`ModelEndpoint.reload` replaces it.
 
         Thread-safe: the mount table is updated under the endpoints lock;

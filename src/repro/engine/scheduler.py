@@ -4,14 +4,11 @@ Serving traffic arrives one request at a time, but the engine is fastest on
 fat batches (``benchmarks/bench_runner_throughput.py``).  The
 :class:`DynamicBatcher` bridges the two: producers enqueue each request's
 rows as one unit and worker shards dequeue *batches* of up to
-``max_batch`` rows.  The batcher is **work-conserving** by default
-(``max_wait_ms=0``): an idle shard takes whatever is pending at once, and
-batches still form, up to ``max_batch``, from rows that arrive while every
-shard is busy.  A positive ``max_wait_ms`` instead holds a partial batch
-until the first of
-
-* the pending queue reaching ``max_batch`` (a full batch leaves immediately),
-* the oldest pending row having waited ``max_wait_ms``.
+``max_batch`` rows.  The batcher is **work-conserving**: an idle shard
+takes whatever is pending at once, and batches still form, up to
+``max_batch``, from rows that arrive while every shard is busy.  It never
+holds a partial batch back waiting for more rows (docs/engine.md §5 has
+the measurement that removed such a hold).
 
 Enqueueing is **request-atomic**: :meth:`DynamicBatcher.put_many` appends
 all of a request's rows under one lock hold, so a consumer never wakes on a
@@ -71,7 +68,6 @@ class RequestTiming:
 class Request:
     """One queued unit of work: a single sample and the future for its row."""
 
-    seq: int                      # submission sequence number (FIFO key)
     payload: np.ndarray           # one sample, no batch axis
     future: Future                # resolves to this sample's output row
     arrival: float = field(default_factory=time.monotonic)
@@ -93,15 +89,12 @@ class SchedulerStats:
     _GUARDED_BY = {"requests": "batcher._lock", "batches": "batcher._lock",
                    "batched_samples": "batcher._lock",
                    "max_batch_seen": "batcher._lock",
-                   "timeout_flushes": "batcher._lock",
                    "queue_high_water": "batcher._lock"}
 
     requests: int = 0             # requests accepted into the queue
     batches: int = 0              # batches handed to workers
     batched_samples: int = 0      # sum of batch sizes (= requests dispatched)
     max_batch_seen: int = 0       # largest batch formed
-    timeout_flushes: int = 0      # partial batches held until a positive
-                                  # max_wait_ms deadline elapsed
     queue_high_water: int = 0     # deepest the pending queue ever got
 
     @property
@@ -115,6 +108,11 @@ class SchedulerStats:
     def to_dict(self) -> dict:
         """JSON-serializable summary for the server stats report.
 
+        ``timeout_flushes`` is always 0: the batcher never holds a batch.
+        It stays in the report only because the steady benchmark
+        (``cimbench/http_server.py``) reads it; delete it at that
+        benchmark's next change.
+
         :guarded-by: batcher._lock
         """
         return {
@@ -122,7 +120,7 @@ class SchedulerStats:
             "batches": self.batches,
             "mean_batch": self.mean_batch,
             "max_batch_seen": self.max_batch_seen,
-            "timeout_flushes": self.timeout_flushes,
+            "timeout_flushes": 0,
             "queue_high_water": self.queue_high_water,
         }
 
@@ -138,23 +136,17 @@ class SchedulerStats:
         return SchedulerStats(requests=self.requests, batches=self.batches,
                               batched_samples=self.batched_samples,
                               max_batch_seen=self.max_batch_seen,
-                              timeout_flushes=self.timeout_flushes,
                               queue_high_water=self.queue_high_water)
 
 
 class DynamicBatcher:
-    """Bounded FIFO request queue, work-conserving unless told to hold.
+    """Bounded, work-conserving FIFO request queue.
 
     Parameters
     ----------
     max_batch:
-        Upper bound on formed batch size; a full queue segment of this many
-        requests is dispatched without waiting.
-    max_wait_ms:
-        Hold for partial batches.  ``0`` (default) never holds a request:
-        every :meth:`next_batch` takes what is pending (up to
-        ``max_batch``) at once.  A positive value holds a partial batch
-        until the oldest pending request has waited this long.
+        Upper bound on formed batch size: every :meth:`next_batch` takes
+        what is pending, up to this many requests, at once.
     queue_size:
         Backpressure bound on pending (not yet dispatched) requests.
 
@@ -166,17 +158,13 @@ class DynamicBatcher:
 
     _GUARDED_BY = {"_pending": "_lock", "stats": "_lock", "_closed": "_lock"}
 
-    def __init__(self, max_batch: int = 16, max_wait_ms: float = 0.0,
-                 queue_size: int = 256):
+    def __init__(self, max_batch: int = 16, queue_size: int = 256):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if queue_size < max_batch:
             raise ValueError("queue_size must be >= max_batch "
                              "(a full batch must fit in the queue)")
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
         self.queue_size = int(queue_size)
         self.stats = SchedulerStats()
         self._pending: deque = deque()
@@ -233,7 +221,7 @@ class DynamicBatcher:
     # ------------------------------------------------------------------ #
     # consumer side
     # ------------------------------------------------------------------ #
-    def _pop_batch(self, timed_out: bool) -> List[Request]:
+    def _pop_batch(self) -> List[Request]:
         """Claim up to ``max_batch`` pending requests as one batch.
 
         A batch holds one sample shape: it ends before the first request
@@ -254,38 +242,24 @@ class DynamicBatcher:
         self.stats.batches += 1
         self.stats.batched_samples += len(batch)
         self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(batch))
-        if timed_out:
-            self.stats.timeout_flushes += 1
         self._space.notify_all()
         if self._pending:
             self._work.notify()   # leftover work: wake another consumer now
         return batch
 
     def next_batch(self) -> Optional[List[Request]]:
-        """Block until a batch is ready; ``None`` once closed and drained.
+        """Block until anything is pending, then claim it as one batch.
 
-        A batch is ready as soon as anything is pending when ``max_wait_ms``
-        is 0.  With a positive hold, it is ready when ``max_batch`` requests
-        are pending, when the oldest pending request's deadline has passed,
-        or when the batcher is closed (remaining requests leave in final
-        batches so close never drops work).
+        Returns ``None`` once the batcher is closed and drained; until
+        then, requests queued before :meth:`close` still leave in batches,
+        so close never drops work.
         """
         with self._lock:
-            while True:
-                if len(self._pending) >= self.max_batch:
-                    return self._pop_batch(timed_out=False)
-                if self._pending:
-                    if self._closed or self.max_wait == 0:
-                        return self._pop_batch(timed_out=False)
-                    wait = (self._pending[0].arrival + self.max_wait
-                            - time.monotonic())
-                    if wait <= 0:
-                        return self._pop_batch(timed_out=True)
-                    self._work.wait(wait)
-                else:
-                    if self._closed:
-                        return None
-                    self._work.wait()
+            while not self._pending:
+                if self._closed:
+                    return None
+                self._work.wait()
+            return self._pop_batch()
 
     # ------------------------------------------------------------------ #
     def stats_snapshot(self) -> SchedulerStats:

@@ -8,8 +8,7 @@ two layers:
 1. the :class:`~repro.engine.scheduler.DynamicBatcher` — a bounded FIFO
    queue that takes each call's rows as one unit and hands them to shards
    in batches of up to ``max_batch`` (an idle shard takes pending work at
-   once; a positive ``max_wait_ms`` holds partial batches instead) and
-   applies backpressure when producers outrun the shards;
+   once) and applies backpressure when producers outrun the shards;
 2. a fixed pool of **shards** — N
    :class:`~repro.engine.runner.PlanExecutor` instances over the same
    read-only plan, each fed by its own worker thread and owning its
@@ -81,37 +80,30 @@ class PlanServer:
         Number of worker executors, fixed for the server's life (a rolling
         reload builds a new server to change it).  Shards share the
         read-only plan but own private stats.
-    max_batch / max_wait_ms / queue_size:
+    max_batch / queue_size:
         Dynamic batching knobs, passed to
-        :class:`~repro.engine.scheduler.DynamicBatcher`: batches hold at
-        most ``max_batch`` rows; ``max_wait_ms=0`` (default) lets an idle
-        shard take pending work at once, a positive value holds a partial
-        batch until its oldest row has waited that long; ``queue_size``
-        bounds the backlog (backpressure) and one call's rows.
+        :class:`~repro.engine.scheduler.DynamicBatcher`: an idle shard
+        takes pending work at once, at most ``max_batch`` rows per batch;
+        ``queue_size`` bounds the backlog (backpressure) and one call's
+        rows.
 
     Use as a context manager, or call :meth:`close` — close drains queued
     requests before the workers exit, so no accepted request is dropped.
 
     Thread model: the shard list is fixed at construction and never
-    mutated, so it is read without a lock; submission sequencing lives
-    under ``_seq_lock`` (declared below for the static analyzer);
-    ``_closed`` is an advisory fast-fail flag read without a lock — the
-    authoritative rejection of late submits is the batcher's own closed
-    check, made under the batcher lock.
+    mutated, so it is read without a lock; ``_closed`` is an advisory
+    fast-fail flag read without a lock — the authoritative rejection of
+    late submits is the batcher's own closed check, made under the
+    batcher lock.
     """
 
-    _GUARDED_BY = {"_seq": "_seq_lock"}
-
     def __init__(self, plan, n_shards: int = 2, max_batch: int = 16,
-                 max_wait_ms: float = 0.0, queue_size: int = 256):
+                 queue_size: int = 256):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.plan = plan
         self.batcher = DynamicBatcher(max_batch=max_batch,
-                                      max_wait_ms=max_wait_ms,
                                       queue_size=queue_size)
-        self._seq = 0
-        self._seq_lock = threading.Lock()
         self._closed = False
         self._shards = [PlanExecutor(plan) for _ in range(n_shards)]
         self._workers = [
@@ -156,14 +148,13 @@ class PlanServer:
         Written before ``set_result``/``set_exception``, so any caller that
         observed the outcome also observes the timing (the future's internal
         condition provides the ordering).  The network front end reads it
-        as ``future.timing`` for its latency histograms.
+        as ``future.timing`` for its latency histograms.  Every request a
+        worker holds was stamped ``dispatched`` by the batch that claimed
+        it.
         """
-        dispatched = request.dispatched
-        if dispatched is None:   # defensive: batch never went through _pop_batch
-            dispatched = completed
         request.future.timing = RequestTiming(
-            queue_s=max(0.0, dispatched - request.arrival),
-            compute_s=max(0.0, completed - dispatched))
+            queue_s=max(0.0, request.dispatched - request.arrival),
+            compute_s=max(0.0, completed - request.dispatched))
 
     # ------------------------------------------------------------------ #
     # producer side
@@ -203,11 +194,8 @@ class PlanServer:
             raise ServerClosed("server is closed")
         payloads = [np.array(sample, dtype=np.float64, copy=True)
                     for sample in samples]
-        with self._seq_lock:
-            first = self._seq
-            self._seq += len(payloads)
-        requests = [Request(seq=first + i, payload=payload, future=Future())
-                    for i, payload in enumerate(payloads)]
+        requests = [Request(payload=payload, future=Future())
+                    for payload in payloads]
         try:
             self.batcher.put_many(requests, timeout=timeout)
         except SchedulerClosed as error:

@@ -114,7 +114,7 @@ def test_reload_under_load_drops_nothing_and_stays_bit_identical():
     """Swaps mid-traffic: every accepted request completes, rows bit-exact."""
     with engine.NetServer() as net:
         net.add_model("toy", SlowPlan(0.002), n_shards=2, max_batch=4,
-                      max_wait_ms=0.5, queue_size=64)
+                      queue_size=64)
         endpoint = net.endpoint("toy")
         stop = threading.Event()
         outcomes = []
@@ -158,8 +158,7 @@ def test_reload_under_load_drops_nothing_and_stays_bit_identical():
 def test_reload_empty_body_restats_artifact_and_versions_metrics(artifact):
     plan, path, x = artifact
     with engine.NetServer() as net:
-        net.add_model("cnn", path, n_shards=1, max_batch=8, max_wait_ms=0.5,
-                      queue_size=32)
+        net.add_model("cnn", path, n_shards=1, max_batch=8, queue_size=32)
         status, _, before = predict(net, "cnn", x[:2].tolist(), timeout=30.0)
         assert status == 200
         version0 = net.metrics()["models"]["cnn"]["plan"]["version"]
@@ -406,7 +405,7 @@ def test_predict_timeout_is_one_shared_deadline():
     """10 queued samples at 50ms each must fail a 150ms budget *once*, not
     stretch it tenfold (the per-future accumulation this regression pins)."""
     server = engine.PlanServer(SlowPlan(0.05), n_shards=1, max_batch=1,
-                               max_wait_ms=0.0, queue_size=64)
+                               queue_size=64)
     try:
         batch = np.ones((10, 2))
         t0 = time.monotonic()
@@ -423,7 +422,7 @@ def test_predict_timeout_is_one_shared_deadline():
 def test_endpoint_timeout_is_one_shared_deadline_over_http():
     with engine.NetServer() as net:
         net.add_model("slow", SlowPlan(0.05), n_shards=1, max_batch=1,
-                      max_wait_ms=0.0, queue_size=64, request_timeout_s=0.2)
+                      queue_size=64, request_timeout_s=0.2)
         t0 = time.monotonic()
         status, _, body = predict(net, "slow",
                                   np.ones((10, 2)).tolist(), timeout=15.0)
@@ -439,8 +438,7 @@ def test_endpoint_timeout_is_one_shared_deadline_over_http():
 
 def test_submit_many_is_all_or_nothing_and_conserves_samples():
     plan = SlowPlan(0.05)
-    server = engine.PlanServer(plan, n_shards=1, max_batch=1,
-                               max_wait_ms=0.0, queue_size=4)
+    server = engine.PlanServer(plan, n_shards=1, max_batch=1, queue_size=4)
     try:
         held = [server.submit(np.array([float(i), 0.0]), timeout=1.0)
                 for i in range(5)]          # 1 executing + 4 filling the queue
@@ -465,8 +463,7 @@ def test_submit_many_is_all_or_nothing_and_conserves_samples():
 def test_shape_probes_are_serialized():
     plan = ProbeTrackingPlan()
     with engine.NetServer() as net:
-        net.add_model("toy", plan, n_shards=1, max_batch=8, max_wait_ms=0.5,
-                      queue_size=64)
+        net.add_model("toy", plan, n_shards=1, max_batch=8, queue_size=64)
         statuses = [None] * 8
         barrier = threading.Barrier(8)
 
@@ -486,17 +483,15 @@ def test_shape_probes_are_serialized():
 
 
 def test_scheduler_snapshot_is_never_torn():
-    batcher = DynamicBatcher(max_batch=4, max_wait_ms=0.0, queue_size=64)
+    batcher = DynamicBatcher(max_batch=4, queue_size=64)
     stop = threading.Event()
     violations = []
 
     def produce():
-        seq = 0
         while not stop.is_set():
             try:
-                batcher.put_many([Request(seq=seq, payload=np.zeros(1),
+                batcher.put_many([Request(payload=np.zeros(1),
                                           future=Future())], timeout=0.1)
-                seq += 1
             except (TimeoutError, engine.SchedulerClosed):
                 pass            # racing shutdown is part of the test
 

@@ -57,8 +57,7 @@ class FixedShapePlan(ToyPlan):
 def net():
     """A running front end with a toy model mounted (fresh per test)."""
     server = engine.NetServer()
-    server.add_model("toy", ToyPlan(), n_shards=1, max_batch=4,
-                     max_wait_ms=1.0, queue_size=32)
+    server.add_model("toy", ToyPlan(), n_shards=1, max_batch=4, queue_size=32)
     server.start()
     yield server
     server.close()
@@ -207,7 +206,7 @@ def test_shard_exception_fails_exactly_the_affected_requests():
         # max_batch=1: each sample is its own shard batch, so poison cannot
         # splash onto neighbors even under concurrent load
         net.add_model("poison", PoisonPlan(), n_shards=2, max_batch=1,
-                      max_wait_ms=0.0, queue_size=64)
+                      queue_size=64)
         results = {}
         import threading
 
@@ -265,3 +264,23 @@ def test_close_drains_then_refuses():
     with pytest.raises(OSError):
         predict(net, "toy", [[1.0, 1.0]], timeout=2.0)
     net.close()   # idempotent
+
+
+# --------------------------------------------------------------------------- #
+# mount-time refusals
+# --------------------------------------------------------------------------- #
+# a mount with any of these would answer every request 504 (0, -1, nan)
+# or 500 (inf: OverflowError in the result wait) instead of serving it
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan"), float("inf")])
+def test_unusable_request_timeout_mounts_nothing(timeout_s):
+    with engine.NetServer() as net:
+        with pytest.raises(ValueError, match="request_timeout_s"):
+            net.add_model("toy", ToyPlan(), request_timeout_s=timeout_s)
+        assert net.model_names() == []
+
+
+def test_removed_batch_hold_mounts_nothing():
+    with engine.NetServer() as net:
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            net.add_model("toy", ToyPlan(), max_wait_ms=2.0)
+        assert net.model_names() == []

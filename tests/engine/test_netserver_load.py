@@ -58,7 +58,7 @@ def test_socket_outputs_bit_identical_to_runner(artifact, mode):
     expected = reference.predict(x)
     with engine.NetServer() as net:
         net.add_model("tiny", path, mode=mode, n_shards=2, max_batch=4,
-                      max_wait_ms=1.0, queue_size=64)
+                      queue_size=64)
         status, _headers, body = predict(net, "tiny", x.tolist(), timeout=60.0)
         assert status == 200
         served = np.asarray(body["outputs"], dtype=np.float64)
@@ -75,8 +75,7 @@ def test_concurrent_clients_bit_identical(artifact):
     rng = np.random.default_rng(9)
     schedule = rng.integers(0, x.shape[0], size=(n_clients, per_client))
     with engine.NetServer() as net:
-        net.add_model("tiny", path, n_shards=2, max_batch=8,
-                      max_wait_ms=2.0, queue_size=128)
+        net.add_model("tiny", path, n_shards=2, max_batch=8, queue_size=128)
         results = {}
 
         def client(cid):
@@ -133,7 +132,7 @@ class SlowPlan:
 def test_saturation_emits_503_fast_while_accepted_complete():
     with engine.NetServer() as net:
         net.add_model("slow", SlowPlan(0.05), n_shards=1, max_batch=2,
-                      max_wait_ms=0.0, queue_size=4)
+                      queue_size=4)
         n_offered = 24
         outcomes = {}
 
@@ -160,13 +159,15 @@ def test_saturation_emits_503_fast_while_accepted_complete():
     for cid, (status, headers, body, elapsed) in outcomes.items():
         if status == 503:
             # reject-fast contract: no queueing, and a Retry-After hint
-            assert int(headers["Retry-After"]) >= 1
+            assert headers["Retry-After"] == "1"
             assert "queue is full" in body["error"]["detail"]
             assert elapsed < 5.0
         else:
             assert body["outputs"] == [[2.0 * cid + 1.0, 3.0]]
     counters = metrics["requests"]
     assert counters["offered"] == n_offered
+    # the batcher never holds a batch; the key stays for the steady benchmark
+    assert metrics["serving"]["scheduler"]["timeout_flushes"] == 0
     assert counters["accepted"] + counters["rejected"] == n_offered
     assert counters["rejected"] == n_rejected
     assert counters["completed"] == counters["accepted"] == n_ok
@@ -226,7 +227,7 @@ def test_admission_boundary_is_one_capacity_check():
         counters = request(net, "GET", "/metrics")[2]["models"]["gated"][
             "requests"]
 
-    assert status == 503 and int(headers["Retry-After"]) >= 1
+    assert status == 503 and headers["Retry-After"] == "1"
     assert "queue is full" in body["error"]["detail"]
     assert f"{queue_size}/{queue_size} pending" in body["error"]["detail"]
     assert outcomes["busy"][0] == 200
@@ -245,8 +246,7 @@ def test_admission_boundary_is_one_capacity_check():
 def test_queue_and_compute_split_reported(artifact):
     path, x = artifact
     with engine.NetServer() as net:
-        net.add_model("tiny", path, n_shards=1, max_batch=4,
-                      max_wait_ms=1.0, queue_size=32)
+        net.add_model("tiny", path, n_shards=1, max_batch=4, queue_size=32)
         status, _headers, body = predict(net, "tiny", x[:4].tolist(),
                                          timeout=60.0)
         assert status == 200

@@ -29,7 +29,12 @@ from repro.engine.scheduler import (DynamicBatcher, Request, SchedulerClosed,
 
 
 def _request(seq):
-    return Request(seq=seq, payload=np.array([float(seq)]), future=Future())
+    return Request(payload=np.array([float(seq)]), future=Future())
+
+
+def _seqs(batch):
+    """The sequence numbers ``_request`` put in each request's payload."""
+    return [int(request.payload[0]) for request in batch]
 
 
 def _requests(first, count):
@@ -51,9 +56,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             DynamicBatcher(max_batch=0)
         with pytest.raises(ValueError):
-            DynamicBatcher(max_wait_ms=-1)
-        with pytest.raises(ValueError):
             DynamicBatcher(max_batch=8, queue_size=4)
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            DynamicBatcher(max_wait_ms=2.0)   # the removed batch hold
 
     def test_put_after_close_raises(self):
         """A closed batcher enqueues nothing, one row or many."""
@@ -77,8 +82,7 @@ class TestProperties:
         max_batch = int(rng.integers(1, 9))
         queue_size = int(max_batch * rng.integers(1, 5))
         n_requests = int(rng.integers(1, 60))
-        batcher = DynamicBatcher(max_batch=max_batch, max_wait_ms=0.0,
-                                 queue_size=queue_size)
+        batcher = DynamicBatcher(max_batch=max_batch, queue_size=queue_size)
 
         dispatched = []
         consumer = threading.Thread(
@@ -99,7 +103,7 @@ class TestProperties:
 
         sizes = [len(batch) for batch in dispatched]
         assert all(1 <= size <= max_batch for size in sizes)
-        order = [request.seq for batch in dispatched for request in batch]
+        order = [seq for batch in dispatched for seq in _seqs(batch)]
         assert order == list(range(n_requests))     # FIFO + conservation
         stats = batcher.stats
         assert stats.requests == n_requests
@@ -115,15 +119,14 @@ class TestProperties:
         rng = np.random.default_rng(100 + seed)
         max_batch = int(rng.integers(2, 6))
         n_requests = int(rng.integers(20, 80))
-        batcher = DynamicBatcher(max_batch=max_batch, max_wait_ms=0.5,
-                                 queue_size=max_batch * 4)
+        batcher = DynamicBatcher(max_batch=max_batch, queue_size=max_batch * 4)
         collected = []
         lock = threading.Lock()
 
         def consume():
             for batch in iter(batcher.next_batch, None):
                 with lock:
-                    collected.append([request.seq for request in batch])
+                    collected.append(_seqs(batch))
 
         consumers = [threading.Thread(target=consume, daemon=True)
                      for _ in range(3)]
@@ -145,36 +148,18 @@ class TestProperties:
 
 class TestTriggers:
     def test_full_batch_leaves_without_waiting(self):
-        batcher = DynamicBatcher(max_batch=4, max_wait_ms=10_000.0,
-                                 queue_size=16)
+        batcher = DynamicBatcher(max_batch=4, queue_size=16)
         for seq in range(4):
             batcher.put_many([_request(seq)])
         start = time.monotonic()
         batch = batcher.next_batch()
         assert len(batch) == 4
         assert time.monotonic() - start < 1.0        # size trigger, not wait
-        assert batcher.stats.timeout_flushes == 0
-
-    @pytest.mark.parametrize("max_wait_ms,flushes", [(0.0, 0), (20.0, 1)])
-    def test_partial_batch_flushes_on_deadline(self, max_wait_ms, flushes):
-        """A partial batch counts as a timeout flush only when a positive
-        hold elapsed; with no hold it left at once and is not counted."""
-        batcher = DynamicBatcher(max_batch=64, max_wait_ms=max_wait_ms,
-                                 queue_size=128)
-        for seq in range(3):
-            batcher.put_many([_request(seq)])
-        start = time.monotonic()
-        batch = batcher.next_batch()
-        elapsed = time.monotonic() - start
-        assert [request.seq for request in batch] == [0, 1, 2]
-        assert elapsed < 5.0                          # bounded by max_wait
-        assert batcher.stats.timeout_flushes == flushes
 
     def test_default_consumer_takes_pending_work_at_once(self):
         """At default settings a waiting consumer returns the pending rows
         as one batch, with no deadline to sleep out."""
         batcher = DynamicBatcher()
-        assert batcher.max_wait == 0.0
         claimed = []
         consumer = threading.Thread(
             target=lambda: claimed.append(batcher.next_batch()), daemon=True)
@@ -182,29 +167,29 @@ class TestTriggers:
         batcher.put_many(_requests(0, 5))
         consumer.join(timeout=10.0)
         assert not consumer.is_alive()
-        assert [request.seq for request in claimed[0]] == [0, 1, 2, 3, 4]
+        assert _seqs(claimed[0]) == [0, 1, 2, 3, 4]
         stats = batcher.stats_snapshot()
-        assert (stats.batches, stats.timeout_flushes) == (1, 0)
+        assert stats.batches == 1
+        assert stats.to_dict()["timeout_flushes"] == 0
 
     def test_batch_holds_one_sample_shape(self):
         """Rows of two shapes queued together leave in shape-homogeneous
         batches, still in FIFO order."""
         batcher = DynamicBatcher(max_batch=8, queue_size=16)
         shapes = [(2,), (2,), (3,), (3,), (3,), (2,)]
-        batcher.put_many([Request(seq=seq, payload=np.zeros(shape),
+        batcher.put_many([Request(payload=np.full(shape, float(seq)),
                                   future=Future())
                           for seq, shape in enumerate(shapes)])
         batcher.close()
-        assert [[request.seq for request in batch]
-                for batch in _drain(batcher)] == [[0, 1], [2, 3, 4], [5]]
+        assert [_seqs(batch) for batch in _drain(batcher)] \
+            == [[0, 1], [2, 3, 4], [5]]
 
     def test_close_flushes_partial_batch(self):
-        batcher = DynamicBatcher(max_batch=64, max_wait_ms=10_000.0,
-                                 queue_size=128)
+        batcher = DynamicBatcher(max_batch=64, queue_size=128)
         batcher.put_many([_request(0)])
         batcher.close()
         batch = batcher.next_batch()
-        assert [request.seq for request in batch] == [0]
+        assert _seqs(batch) == [0]
         assert batcher.next_batch() is None
 
 
@@ -242,7 +227,8 @@ class TestAtomicEnqueue:
         def produce(producer):
             for call, size in enumerate(calls[producer]):
                 batcher.put_many(
-                    [Request(seq=(producer, call, row), payload=np.zeros(1),
+                    [Request(payload=np.array([producer, call, row],
+                                              dtype=np.float64),
                              future=Future()) for row in range(size)],
                     timeout=10.0)
 
@@ -256,7 +242,8 @@ class TestAtomicEnqueue:
         consumer.join(timeout=10.0)
         assert not consumer.is_alive()
 
-        order = [request.seq for batch in dispatched for request in batch]
+        order = [tuple(int(key) for key in request.payload)
+                 for batch in dispatched for request in batch]
         assert len(order) == sum(map(sum, calls.values()))
         position = 0
         seen = {producer: [] for producer in calls}
@@ -272,7 +259,7 @@ class TestAtomicEnqueue:
 
 class TestBackpressure:
     def test_put_times_out_when_full(self):
-        batcher = DynamicBatcher(max_batch=2, max_wait_ms=1.0, queue_size=2)
+        batcher = DynamicBatcher(max_batch=2, queue_size=2)
         batcher.put_many([_request(0)])
         batcher.put_many([_request(1)])
         with pytest.raises(TimeoutError):
@@ -280,7 +267,7 @@ class TestBackpressure:
         assert batcher.pending == 2
 
     def test_put_unblocks_when_consumer_drains(self):
-        batcher = DynamicBatcher(max_batch=2, max_wait_ms=1.0, queue_size=2)
+        batcher = DynamicBatcher(max_batch=2, queue_size=2)
         batcher.put_many([_request(0)])
         batcher.put_many([_request(1)])
         released = threading.Event()
@@ -297,8 +284,7 @@ class TestBackpressure:
 
 def test_stats_to_dict_roundtrip():
     stats = SchedulerStats(requests=10, batches=4, batched_samples=10,
-                           max_batch_seen=4, timeout_flushes=1,
-                           queue_high_water=6)
+                           max_batch_seen=4, queue_high_water=6)
     payload = stats.to_dict()
     assert payload["mean_batch"] == 2.5
     assert payload["requests"] == 10

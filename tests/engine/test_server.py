@@ -65,8 +65,7 @@ class TestOrderingAndParity:
         completion times: future i always carries the row for input i."""
         plan = ToyPlan(delay=0.002)
         samples = [np.array([float(i), -float(i)]) for i in range(40)]
-        with engine.PlanServer(plan, n_shards=3, max_batch=4,
-                               max_wait_ms=1.0) as server:
+        with engine.PlanServer(plan, n_shards=3, max_batch=4) as server:
             futures = server.submit_many(samples)
             for i, future in enumerate(futures):
                 np.testing.assert_array_equal(future.result(timeout=10.0),
@@ -84,8 +83,7 @@ class TestOrderingAndParity:
                 yield np.array([float(i)])
 
         plan = ToyPlan()
-        with engine.PlanServer(plan, n_shards=2, max_batch=8,
-                               max_wait_ms=0.0) as server:
+        with engine.PlanServer(plan, n_shards=2, max_batch=8) as server:
             for count in range(1, 9):
                 for future in server.submit_many(slow_rows(count)):
                     future.result(timeout=10.0)
@@ -103,8 +101,7 @@ class TestOrderingAndParity:
         server = engine.PlanServer(
             plan,
             n_shards=int(rng.integers(1, 4)),
-            max_batch=int(rng.integers(1, 9)),
-            max_wait_ms=float(rng.choice([0.0, 0.5, 2.0])))
+            max_batch=int(rng.integers(1, 9)))
         try:
             futures = []
             start = 0
@@ -130,8 +127,7 @@ class TestOrderingAndParity:
 class TestLifecycleAndFailure:
     def test_close_drains_queued_requests(self):
         plan = ToyPlan(delay=0.005)
-        server = engine.PlanServer(plan, n_shards=1, max_batch=2,
-                                   max_wait_ms=50.0)
+        server = engine.PlanServer(plan, n_shards=1, max_batch=2)
         futures = server.submit_many([np.array([float(i)]) for i in range(9)])
         server.close()
         for i, future in enumerate(futures):
@@ -142,8 +138,7 @@ class TestLifecycleAndFailure:
         """Regression: cancelling one queued request must not corrupt the
         results of the other requests batched with it."""
         plan = ToyPlan(delay=0.2)
-        with engine.PlanServer(plan, n_shards=1, max_batch=4,
-                               max_wait_ms=0.0) as server:
+        with engine.PlanServer(plan, n_shards=1, max_batch=4) as server:
             blocker = server.submit(np.array([99.0]))
             while server.batcher.pending:               # until the shard is
                 time.sleep(0.001)                       # busy with `blocker`
@@ -159,8 +154,7 @@ class TestLifecycleAndFailure:
         """A bounded close that expires mid-drain reports it loudly, keeps
         the shards alive, and a follow-up close completes the drain."""
         plan = ToyPlan(delay=0.05)
-        server = engine.PlanServer(plan, n_shards=1, max_batch=1,
-                                   max_wait_ms=0.0)
+        server = engine.PlanServer(plan, n_shards=1, max_batch=1)
         futures = server.submit_many([np.array([float(i)]) for i in range(6)])
         with pytest.raises(TimeoutError, match="still draining"):
             server.close(timeout=0.01)
@@ -183,7 +177,7 @@ class TestLifecycleAndFailure:
 
     def test_backpressure_timeout_raises(self):
         plan = ToyPlan(delay=0.2)
-        with engine.PlanServer(plan, n_shards=1, max_batch=1, max_wait_ms=0.0,
+        with engine.PlanServer(plan, n_shards=1, max_batch=1,
                                queue_size=1) as server:
             futures = [server.submit(np.array([1.0]))]
             with pytest.raises(TimeoutError):
@@ -194,11 +188,26 @@ class TestLifecycleAndFailure:
                 future.result(timeout=10.0)
 
     def test_execution_error_propagates_to_futures(self):
-        with engine.PlanServer(FailingPlan(), n_shards=1,
-                               max_wait_ms=0.0) as server:
+        with engine.PlanServer(FailingPlan(), n_shards=1) as server:
             future = server.submit(np.array([1.0]))
             with pytest.raises(RuntimeError, match="boom"):
                 future.result(timeout=10.0)
+
+    @pytest.mark.parametrize("plan_type", [ToyPlan, FailingPlan])
+    def test_every_resolved_future_carries_its_timing(self, plan_type):
+        """Workers stamp the queue/compute split on each future before it
+        resolves, on the result path and on the failing-batch path."""
+        with engine.PlanServer(plan_type(delay=0.01), n_shards=1,
+                               max_batch=2) as server:
+            futures = server.submit_many([np.array([float(i)])
+                                          for i in range(5)])
+            for future in futures:
+                future.exception(timeout=10.0)      # resolved either way
+                assert future.timing.queue_s >= 0.0
+                assert future.timing.compute_s >= 0.0
+        # the last rows queued behind two batches of a 10 ms plan
+        if plan_type is ToyPlan:
+            assert futures[-1].timing.queue_s > 0.0
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -209,6 +218,8 @@ class TestLifecycleAndFailure:
             engine.PlanServer(ToyPlan(), result_cache_entries=8)   # removed
         with pytest.raises(TypeError, match="mode"):
             engine.PlanServer(ToyPlan(), mode="int")   # the plan's own mode
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            engine.PlanServer(ToyPlan(), max_wait_ms=2.0)   # removed hold
 
 
 class TestStatsReport:

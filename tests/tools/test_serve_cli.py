@@ -47,18 +47,30 @@ def test_parser_exits_on_an_unknown_option():
         build_parser().parse_args(["--model", "r=plan.npz:shard=3"])
 
 
-# values that parse as strings but would fail int(), PlanServer or
-# set_mode once the server starts; they must fail the command line instead
+# values that parse as strings but would fail int(), PlanServer, set_mode,
+# the socket bind or the drain once the server starts, or that would time
+# out every request; they must fail the command line instead
 @pytest.mark.parametrize("argv", [
     ["--model", "r=plan.npz:shards=two"],
     ["--model", "r=plan.npz:shards=0"],
     ["--model", "r=plan.npz:mode=fixed"],
     ["--model", "r=plan.npz", "--shards", "0"],
     ["--model", "r=plan.npz", "--max-batch", "0"],
-    ["--model", "r=plan.npz", "--max-wait-ms", "-1"],
     ["--model", "r=plan.npz", "--queue-size", "4", "--max-batch", "8"],
+    ["--model", "r=plan.npz", "--request-timeout-s", "0"],
+    ["--model", "r=plan.npz", "--request-timeout-s", "-1"],
+    ["--model", "r=plan.npz", "--request-timeout-s", "nan"],
+    ["--model", "r=plan.npz", "--request-timeout-s", "inf"],
+    ["--model", "r=plan.npz", "--drain-timeout-s", "0"],
+    ["--model", "r=plan.npz", "--drain-timeout-s", "nan"],
+    ["--model", "r=plan.npz", "--drain-timeout-s", "inf"],
+    ["--model", "r=plan.npz", "--port", "-1"],
+    ["--model", "r=plan.npz", "--port", "65536"],
 ], ids=["shards-two", "shards-0", "mode-fixed", "flag-shards-0",
-        "max-batch-0", "negative-wait", "queue-below-batch"])
+        "max-batch-0", "queue-below-batch", "request-timeout-0",
+        "request-timeout-negative", "request-timeout-nan",
+        "request-timeout-inf", "drain-timeout-0", "drain-timeout-nan",
+        "drain-timeout-inf", "port-negative", "port-above-65535"])
 def test_invalid_value_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)                    # never reaches the server start
@@ -68,14 +80,18 @@ def test_invalid_value_is_a_usage_error(capsys, argv):
 
 def test_valid_values_still_parse():
     args = build_parser().parse_args(
-        ["--model", "r=plan.npz:mode=int:shards=3", "--shards", "1"])
+        ["--model", "r=plan.npz:mode=int:shards=3", "--shards", "1",
+         "--port", "0", "--request-timeout-s", "0.5",
+         "--drain-timeout-s", "2"])
     assert args.model == [("r", "plan.npz", {"mode": "int", "shards": "3"})]
-    assert args.shards == 1
+    assert (args.shards, args.port, args.request_timeout_s,
+            args.drain_timeout_s) == (1, 0, 0.5, 2.0)
 
 
-# flags of the removed result cache, autoscaler and process shards
+# flags of the removed result cache, autoscaler, process shards and
+# batch hold
 @pytest.mark.parametrize("flag", ["--result-cache", "--max-shards",
-                                  "--backend"])
+                                  "--backend", "--max-wait-ms"])
 def test_removed_flag_is_refused(capsys, flag):
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["--model", "r=plan.npz", flag, "4"])
@@ -87,7 +103,5 @@ def test_serving_flag_defaults_are_plan_server_defaults():
     args = build_parser().parse_args(["--model", "r=plan.npz"])
     defaults = {name: param.default for name, param
                 in inspect.signature(PlanServer).parameters.items()}
-    assert (args.shards, args.max_batch, args.max_wait_ms,
-            args.queue_size) == (defaults["n_shards"], defaults["max_batch"],
-                                 defaults["max_wait_ms"],
-                                 defaults["queue_size"])
+    assert (args.shards, args.max_batch, args.queue_size) == (
+        defaults["n_shards"], defaults["max_batch"], defaults["queue_size"])

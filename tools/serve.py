@@ -70,6 +70,32 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_seconds(text: str) -> float:
+    """A finite ``float > 0`` from the command line, else
+    :class:`argparse.ArgumentTypeError` (a usage error, exit code 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}")
+    return value
+
+
+def port_number(text: str) -> int:
+    """A TCP port ``0..65535`` from the command line (0 binds an
+    ephemeral one), else :class:`argparse.ArgumentTypeError`."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected a port number 0..65535, got {text!r}")
+    return value
+
+
 def parse_model_spec(spec: str) -> Tuple[str, str, Dict[str, str]]:
     """Split ``name=path[:key=value...]`` into its parts.
 
@@ -121,23 +147,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mount an artifact (repeatable); per-model "
                              "options: mode=float|int, shards=N")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080,
+    parser.add_argument("--port", type=port_number, default=8080,
                         help="0 binds an ephemeral port (printed on start)")
     parser.add_argument("--shards", type=positive_int,
                         default=SERVER_DEFAULTS["n_shards"],
                         help="shard executors per model")
     parser.add_argument("--max-batch", type=positive_int,
                         default=SERVER_DEFAULTS["max_batch"])
-    parser.add_argument("--max-wait-ms", type=float,
-                        default=SERVER_DEFAULTS["max_wait_ms"],
-                        help="hold a partial batch this long (default 0: "
-                             "an idle shard takes pending work at once)")
     parser.add_argument("--queue-size", type=positive_int,
                         default=SERVER_DEFAULTS["queue_size"],
                         help="bounded backlog per model; admission control "
                              "answers 503 past it")
-    parser.add_argument("--request-timeout-s", type=float, default=60.0)
-    parser.add_argument("--drain-timeout-s", type=float, default=30.0,
+    parser.add_argument("--request-timeout-s", type=positive_seconds,
+                        default=60.0)
+    parser.add_argument("--drain-timeout-s", type=positive_seconds,
+                        default=30.0,
                         help="max seconds close() waits for queued requests")
     return parser
 
@@ -150,7 +174,6 @@ def build_server(args: argparse.Namespace) -> NetServer:
             name, path,
             n_shards=int(options.get("shards", args.shards)),
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             queue_size=args.queue_size,
             mode=options.get("mode"),
             request_timeout_s=args.request_timeout_s,
@@ -185,8 +208,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Parse and cross-check the flags; invalid values exit with code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_wait_ms < 0:
-        parser.error(f"--max-wait-ms {args.max_wait_ms} must be >= 0")
     if args.queue_size < args.max_batch:
         parser.error(f"--queue-size {args.queue_size} must be >= "
                      f"--max-batch {args.max_batch} (a full batch must fit "
