@@ -75,7 +75,7 @@ MAX_CODE_FLIP_RATE = 1e-3
 def _layer_codes(plan, x) -> dict:
     """Input activation codes of every quantized CIM layer, by layer index.
 
-    Walks the graph of the plan's current mode node by node: the codes a
+    Walks the graph of the plan's mode node by node: the codes a
     folded layer receives, or the ones its own quantizer makes from a float
     input.
     """
@@ -97,14 +97,13 @@ def _layer_codes(plan, x) -> dict:
     return codes
 
 
-def _code_flip_rates(plan, batches) -> dict:
-    """Per-layer share of input codes where the int and float routes differ."""
+def _code_flip_rates(plans, batches) -> dict:
+    """Per-layer share of input codes where the int and float routes differ
+    (``plans`` maps each mode to its plan)."""
     flips, totals = {}, {}
     for batch in batches:
-        plan.set_mode("float")
-        ref = _layer_codes(plan, batch)
-        plan.set_mode("int")
-        got = _layer_codes(plan, batch)
+        ref = _layer_codes(plans["float"], batch)
+        got = _layer_codes(plans["int"], batch)
         for index, codes in ref.items():
             flips[index] = flips.get(index, 0) + int(
                 np.count_nonzero(got[index] != codes))
@@ -134,6 +133,7 @@ def run_int_requant():
     cfg = _settings()
     plan = engine.compile_model_plan(
         perf.calibrated_frozen_resnet8(cfg["image"], cfg["width"]))
+    plans = {mode: plan.with_mode(mode) for mode in ("float", "int")}
     stream = np.abs(np.random.default_rng(perf.SEED).normal(
         size=(cfg["samples"], 3, cfg["image"], cfg["image"])))
     batches = [stream[i:i + cfg["batch"]]
@@ -141,14 +141,13 @@ def run_int_requant():
 
     def route(mode):
         def execute_all():
-            plan.set_mode(mode)
-            return np.concatenate([plan.execute(b) for b in batches])
+            return np.concatenate([plans[mode].execute(b) for b in batches])
         return execute_all
 
     timing, returns = perf.rotate({"float": route("float"),
                                    "int": route("int")})
     ref, out = returns["float"][-1], returns["int"][-1]
-    flip_rates = _code_flip_rates(plan, batches)
+    flip_rates = _code_flip_rates(plans, batches)
     results = {
         "samples": cfg["samples"],
         "batch_size": cfg["batch"],

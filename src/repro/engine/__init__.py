@@ -20,7 +20,10 @@ compiles that work out, at two granularities:
   :func:`load_plan` into a runnable executor without constructing the QAT
   model or its quantizers; it is the engine's one artifact format (a single
   layer ships as a one-node graph) and :meth:`ModelPlan.execute` its one
-  executor;
+  executor.  A plan's route (``mode="float"`` or ``"int"``) is fixed when
+  it is built and the plan is read-only from then on;
+  :meth:`ModelPlan.with_mode` gives the other route over the same layer
+  plans;
 * :class:`InferenceRunner` / :class:`PlanExecutor` — micro-batching over a
   sample stream with per-layer timing stats, built on the shared
   batch-execution core; the runner splits each batch over the cores that

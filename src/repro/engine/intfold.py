@@ -1,7 +1,7 @@
 """Graph-level fold of the integer route: integer codes between CIM layers.
 
-``ModelPlan.set_mode("int")`` rewrites the float op graph once, at load
-time, into the graph ``ModelPlan.execute`` runs in integer mode.  Every
+A ``ModelPlan`` built with ``mode="int"`` rewrites its float op graph
+once, at construction, into the graph ``ModelPlan.execute`` runs.  Every
 ``cim -> batchnorm -> relu/relu6 -> consumer`` chain collapses into the CIM
 layer itself: the BatchNorm affine (sign per channel: gamma may be negative
 or zero), the ReLU/ReLU6 clamp and the consumer's LSQ scale and clip fold
@@ -50,7 +50,7 @@ float input and dequantizes its output), so every graph still runs.
 Everything is rebuilt from arrays already stored in version-2 artifacts
 (BatchNorm ``mean``/``denom``/``gamma``/``beta``, each layer's
 ``act_scale``/``act_qmax`` and ``s_p``/``s_w``/``shift_factors``); the
-folded graph is runtime state and is never serialized.
+folded graph lives on its plan and is never serialized.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ import re
 import time
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -56,7 +56,7 @@ from ..nn.module import Module, Sequential
 from ..nn.norm import _BatchNorm
 from ..nn.tensor import Tensor, no_grad
 from .frozen import _FrozenLayer
-from .hotpath import ScratchTable, hot_path
+from .hotpath import hot_path
 from .intfold import INT_OPS, fold_int_graph
 from .plan import compile_plan, plan_arrays, plan_from_parts, plan_meta
 
@@ -81,7 +81,7 @@ MODEL_PLAN_FORMAT = "repro-model-plan"
 #: ``requant`` metadata + ``rq_*`` arrays of the integer execution route.
 MODEL_PLAN_VERSION = 2
 #: Versions :func:`load_plan` accepts.  v1 archives predate the requant
-#: constants: they load and execute in float mode, and ``set_mode("int")``
+#: constants: they load and execute in float mode, and ``mode="int"``
 #: raises :class:`ModelPlanError`.
 SUPPORTED_MODEL_PLAN_VERSIONS = frozenset({1, 2})
 
@@ -333,6 +333,56 @@ def run_conv2d(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray],
     return out
 
 
+#: Every op of a float graph: ``(inputs, node arrays, node attrs)`` it reads.
+_GRAPH_OPS = {
+    "cim": (1, (), ()),
+    "batchnorm": (1, ("mean", "denom"), ()),
+    "relu": (1, (), ()),
+    "relu6": (1, (), ()),
+    "add": (2, (), ()),
+    "flatten": (1, (), ()),
+    "global_avg_pool": (1, (), ()),
+    "max_pool": (1, (), ("kernel", "stride", "padding")),
+    "avg_pool": (1, (), ("kernel", "stride", "padding")),
+    "linear": (1, ("weight",), ()),
+    "conv2d": (1, ("weight",), ("stride", "padding")),
+}
+
+
+def _check_graph(nodes: List[GraphNode], n_layers: int,
+                 output_id: int) -> None:
+    """Raise :class:`ModelPlanError` unless the executor can run the graph.
+
+    Node 0 is the ``input``; every later node has an op of
+    :data:`_GRAPH_OPS`, its position as its id, as many inputs as its op
+    reads, each an earlier node, and the arrays and attrs its op reads.
+    A ``cim`` node's ``plan_index`` and the ``output_id`` must be in range.
+    """
+    if not nodes or nodes[0].op != "input" or nodes[0].id != 0:
+        raise ModelPlanError("graph must start with its input node, id 0")
+    if not 0 <= output_id < len(nodes):
+        raise ModelPlanError(f"output id {output_id} is not a node of the "
+                             f"{len(nodes)}-node graph")
+    for position, node in enumerate(nodes[1:], start=1):
+        where = f"node {position} ({node.op!r})"
+        if node.op not in _GRAPH_OPS:
+            raise ModelPlanError(f"{where}: unknown graph op")
+        arity, arrays, attrs = _GRAPH_OPS[node.op]
+        if node.id != position:
+            raise ModelPlanError(f"{where}: has id {node.id}")
+        if len(node.inputs) != arity or not all(
+                0 <= i < position for i in node.inputs):
+            raise ModelPlanError(f"{where}: inputs {node.inputs} are not "
+                                 f"{arity} earlier node(s)")
+        missing = ([k for k in arrays if k not in node.arrays]
+                   + [k for k in attrs if k not in node.attrs])
+        if missing:
+            raise ModelPlanError(f"{where}: missing {missing}")
+        if node.op == "cim" and not 0 <= node.plan_index < n_layers:
+            raise ModelPlanError(f"{where}: plan index {node.plan_index} "
+                                 f"is not one of {n_layers} layer plans")
+
+
 def _liveness(nodes: List[GraphNode], output_id: int) -> tuple:
     """``(steps, output_id)`` with one ``(node, dead_ids)`` step per node.
 
@@ -358,54 +408,42 @@ class ModelPlan:
     Instances are runnable (``plan(x)`` / :meth:`execute`) and serializable
     (:func:`save_model_plan` / :func:`load_plan`); execution needs only
     NumPy — no Tensor, no Module, no quantizer objects.
+
+    ``mode`` picks the route, once, at construction.  ``"float"`` (the
+    default) is the bit-exact reference.  ``"int"`` runs the folded integer
+    graph of :mod:`repro.engine.intfold`, built here: each CIM layer emits
+    the next layer's activation codes (or residual values on the model's
+    fine grid), so no BatchNorm, ReLU or activation re-quantize runs
+    between two CIM layers.  Each ``cim`` node's ``fold`` picks its layer's
+    route; a layer without an input quantizer (``act_scale is None`` —
+    typically the first convolution) gets ``None``, the float route: it
+    has no integer input grid.  :meth:`with_mode` gives the other route
+    over the same layer plans.  A plan is read-only once built, so every
+    shard of a pool can run the one object.
+
+    Construction raises :class:`ModelPlanError` for a graph the executor
+    cannot run (:func:`_check_graph`), for ``"int"`` when a quantized-input
+    layer lacks requant constants (a v1 archive saved before the integer
+    path existed) or a folded requant cannot run exactly, and
+    ``ValueError`` for an unknown mode.
     """
 
     nodes: List[GraphNode]
     layer_plans: list
     output_id: int
     name: str = ""
-    mode: str = field(default="float", repr=False)  # runtime, not serialized
-    _steps_by_mode: Dict[str, tuple] = field(default_factory=dict, init=False,
-                                             repr=False, compare=False)
-    _int_graph: Any = field(default=None, init=False, repr=False,
-                            compare=False)
+    mode: str = field(default="float", repr=False)  # not serialized
+    # (nodes, output_id) and _liveness() of the graph the mode executes
+    _graph: tuple = field(init=False, repr=False, compare=False)
+    _schedule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # layers run one after another on a thread, so they can share one
-        # scratch table: each thread then holds the largest layer's
-        # intermediates once instead of every layer's
-        scratch = ScratchTable()
-        for layer_plan in self.layer_plans:
-            layer_plan._scratch = scratch
-
-    @property
-    def n_cim_layers(self) -> int:
-        """Number of compiled CIM layer plans in the artifact."""
-        return len(self.layer_plans)
-
-    # ------------------------------------------------------------------ #
-    # execution mode
-    # ------------------------------------------------------------------ #
-    def set_mode(self, mode: str) -> None:
-        """Switch the model between the float and integer routes.
-
-        ``"float"`` (the default for every freshly loaded plan) is the
-        bit-exact reference.  ``"int"`` runs the folded integer graph of
-        :mod:`repro.engine.intfold`, built here on the first switch: each
-        CIM layer emits the next layer's activation codes (or residual
-        values on the model's fine grid), so no BatchNorm, ReLU or
-        activation re-quantize runs between two CIM layers.  Each ``cim``
-        node's ``fold`` picks its layer's route; a layer without an input
-        quantizer (``act_scale is None`` — typically the first convolution)
-        gets ``None``, the float route: it has no integer input grid.
-        Raises :class:`ModelPlanError` if any quantized-input layer lacks
-        requant constants (a v1 archive saved before the integer path
-        existed) or a folded requant cannot run exactly.
-        """
-        if mode not in ("float", "int"):
-            raise ValueError(f"unknown execution mode {mode!r}; "
+        _check_graph(self.nodes, len(self.layer_plans), self.output_id)
+        if self.mode not in ("float", "int"):
+            raise ValueError(f"unknown execution mode {self.mode!r}; "
                              "expected 'float' or 'int'")
-        if mode == "int":
+        self._graph = (self.nodes, self.output_id)
+        if self.mode == "int":
             missing = [index for index, plan in enumerate(self.layer_plans)
                        if plan.act_scale is not None and plan.requant is None]
             if missing:
@@ -413,34 +451,35 @@ class ModelPlan:
                     f"layer plan(s) {missing} carry no requant constants — "
                     "the artifact predates model-plan version 2; re-freeze "
                     "and re-save the model to enable mode='int'")
-            if self._int_graph is None:
-                try:
-                    self._int_graph = fold_int_graph(self)
-                except (RequantFoldError, CarrierRangeError) as error:
-                    raise ModelPlanError(
-                        f"cannot fold the integer route: {error}") from error
-        self.mode = mode
+            try:
+                self._graph = fold_int_graph(self)
+            except (RequantFoldError, CarrierRangeError) as error:
+                raise ModelPlanError(
+                    f"cannot fold the integer route: {error}") from error
+        self._schedule = _liveness(*self._graph)
+        # layers run one after another on a thread, so they can share one
+        # scratch table: each thread then holds the largest layer's
+        # intermediates once instead of every layer's (with_mode plans
+        # share it too)
+        for layer_plan in self.layer_plans[1:]:
+            layer_plan._scratch = self.layer_plans[0]._scratch
+
+    @property
+    def n_cim_layers(self) -> int:
+        """Number of compiled CIM layer plans in the artifact."""
+        return len(self.layer_plans)
+
+    def with_mode(self, mode: str) -> "ModelPlan":
+        """A new plan on ``mode``'s route over the same layer plans and
+        graph (this plan keeps its own route); raises as construction
+        does."""
+        return replace(self, mode=mode)
 
     def graph(self) -> tuple:
-        """``(nodes, output_id)`` of the graph the current mode executes.
-
-        The float graph is :attr:`nodes`; in ``mode="int"`` it is the folded
-        integer graph (runtime state, never serialized).
-        """
-        if self.mode == "int":
-            return self._int_graph
-        return self.nodes, self.output_id
-
-    def _steps(self) -> tuple:
-        """:func:`_liveness` of :meth:`graph`, built once per mode and cached.
-
-        Concurrent first calls may each build the (identical) tuple; the
-        last store wins, so no lock is needed.
-        """
-        steps = self._steps_by_mode.get(self.mode)
-        if steps is None:
-            steps = self._steps_by_mode[self.mode] = _liveness(*self.graph())
-        return steps
+        """``(nodes, output_id)`` of the graph :meth:`execute` runs: the
+        float graph :attr:`nodes`, or in ``mode="int"`` the folded integer
+        graph (never serialized)."""
+        return self._graph
 
     # ------------------------------------------------------------------ #
     # execution
@@ -454,11 +493,11 @@ class ModelPlan:
         by node name — :class:`~repro.engine.runner.InferenceRunner` uses it
         for per-layer stats.  Every call allocates its own activations, so a
         returned array is never overwritten by a later call.  Registered
-        hot: the per-node liveness lists are precomputed by :meth:`_steps`.
+        hot: the per-node liveness lists are built with the plan.
         """
         x = np.asarray(x.data if isinstance(x, Tensor) else x,
                        dtype=np.float64)
-        steps, output_id = self._steps()
+        steps, output_id = self._schedule
         values: Dict[int, np.ndarray] = {0: x}
         for node, dead in steps:
             if timings is None:
@@ -522,12 +561,10 @@ class ModelPlan:
         if op == "linear":
             return run_linear(x, node.arrays["weight"],
                               node.arrays.get("bias"))
-        if op == "conv2d":
-            return run_conv2d(x, node.arrays["weight"],
-                              node.arrays.get("bias"),
-                              tuple(node.attrs["stride"]),
-                              tuple(node.attrs["padding"]))
-        raise ModelPlanError(f"unknown graph op {op!r} (node {node.id})")
+        # conv2d: construction admits no other op (_check_graph)
+        return run_conv2d(x, node.arrays["weight"], node.arrays.get("bias"),
+                          tuple(node.attrs["stride"]),
+                          tuple(node.attrs["padding"]))
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -723,13 +760,16 @@ def load_plan(path, mode: str = "float") -> ModelPlan:
     :meth:`GraphBuilder.add_layer_plan`).  Pure data path: no QAT model,
     layer, or quantizer objects are constructed, and the archive is read in
     one pass (:func:`_read_archive`).  ``mode`` selects the execution route
-    of the returned plan (see :meth:`ModelPlan.set_mode`); ``"int"`` raises
-    on v1 archives, which carry no requant constants.  A float load builds
-    no integer-only operand, but refuses what an integer load would.
+    of the returned plan (see :class:`ModelPlan`); ``"int"`` raises on v1
+    archives, which carry no requant constants.  A float load builds no
+    integer-only operand, but refuses what an integer load would.
     Raises :class:`ModelPlanError` on a file that is not a readable zip
     (empty, truncated, a failed CRC), a member that is not a canonical
     format-1.0 ``.npy`` array of a bool, integer or float dtype, a
     corrupted manifest, an unknown format/version, missing array entries,
+    a graph the executor cannot run (an unknown op, a misnumbered node, an
+    input that is not an earlier node, an out-of-range output or plan
+    index, a missing node array),
     a plan stored in a dtype other than ``float64`` (older writers could
     store ``float32`` plans; recompile those), or requant constants the
     integer route cannot execute exactly
@@ -773,14 +813,12 @@ def load_plan(path, mode: str = "float") -> ModelPlan:
             for key in doc.get("arrays", []):
                 node.arrays[key] = stored[f"node{node.id}.{key}"]
             nodes.append(node)
-        plan = ModelPlan(nodes=nodes, layer_plans=layer_plans,
-                         output_id=int(manifest["output"]),
-                         name=manifest.get("name", ""))
+        output_id = int(manifest["output"])
+        name = manifest.get("name", "")
     except CarrierRangeError as error:
         raise ModelPlanError(f"{path}: unsupported requant constants: "
                              f"{error}") from error
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as error:
         raise ModelPlanError(f"{path}: corrupted manifest: {error}") from error
-    if mode != "float":
-        plan.set_mode(mode)
-    return plan
+    return ModelPlan(nodes=nodes, layer_plans=layer_plans,
+                     output_id=output_id, name=name, mode=mode)

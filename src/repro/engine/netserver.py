@@ -147,15 +147,13 @@ def _resolve(source, mode: Optional[str]):
     file, so a writer that replaces the file in between leaves the
     identity one version behind the served bytes — equal artifact blocks
     make equal parsed bytes likely, not guaranteed.  An in-memory plan is
-    switched to ``mode`` when one is given (mode is plan state, shared
-    with every other consumer of the object) and has no artifact
-    identity.  Nothing is started here, so a failed stat or load leaves
-    nothing behind.
+    served as it is, or as ``source.with_mode(mode)`` when a mode is given
+    (a new plan over the same layer plans; the caller's object keeps its
+    route), and has no artifact identity.  Nothing is started here, so a
+    failed stat or load leaves nothing behind.
     """
     if not isinstance(source, (str, os.PathLike)):
-        if mode is not None:
-            source.set_mode(mode)
-        return source, None
+        return (source if mode is None else source.with_mode(mode)), None
     path = os.path.abspath(os.fspath(source))
     stat = os.stat(path)
     artifact = {"path": path, "mtime_ns": stat.st_mtime_ns,
@@ -699,8 +697,8 @@ class NetServer:
         ``plan`` is an artifact path, loaded with
         :func:`~repro.engine.model_plan.load_plan` in ``mode`` (``"float"``
         when ``None``) at mount and again at every reload, or an in-memory
-        :class:`~repro.engine.model_plan.ModelPlan` (any executor), switched
-        with ``set_mode`` when ``mode`` is given.  An unknown ``mode``
+        :class:`~repro.engine.model_plan.ModelPlan` (any executor), served
+        as ``plan.with_mode(mode)`` when ``mode`` is given.  An unknown ``mode``
         raises :class:`ValueError` and mounts nothing.  ``server_kwargs``
         are forwarded verbatim to :class:`PlanServer` (``n_shards``,
         ``max_batch``, ``queue_size``).  One request's batch is capped at

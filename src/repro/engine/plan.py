@@ -73,8 +73,8 @@ along via :func:`repro.cim.tiling.mapping_to_dict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -126,12 +126,15 @@ class LayerFold:
     (``(A, S, OC)`` ``float64`` for the ADC route, ``(A, 1, OC)`` ``int64``
     for the fused route); the ADC route reduces through ``reduce_rows``,
     the same values laid out ``(OC, 1, A*S)`` for one batched GEMM.
-    ``code_max`` (ADC route) bounds ``|code|``; where it certifies them,
-    ``reduce_split`` holds the rows split exactly as ``w = hi * 2**16 +
-    lo`` (``lo`` in ``[0, 2**16)``), ``(OC, 2, A*S)`` ``float32`` with
-    ``hi`` then ``lo``: with ``code_max * sum|hi|`` and ``code_max *
-    sum(lo)`` below ``2**24`` per channel, every partial sum of the reduce
-    is an exact ``float32`` integer in any summation order.  With a ``requant`` the layer emits integer codes
+    ``mu_adc`` (ADC route) is the ``(A, S, OC, 1)`` ADC divide
+    (:meth:`_PlanBase._adc_multiplier`), ``float32`` or ``float64``, and
+    ``code_max`` bounds ``|code|``.  Where the ADC runs in ``float32`` and
+    ``code_max`` certifies them, ``reduce_split`` holds the rows split
+    exactly as ``w = hi * 2**16 + lo`` (``lo`` in ``[0, 2**16)``),
+    ``(OC, 2, A*S)`` ``float32`` with ``hi`` then ``lo``: with ``code_max *
+    sum|hi|`` and ``code_max * sum(lo)`` below ``2**24`` per channel, every
+    partial sum of the reduce is an exact ``float32`` integer in any
+    summation order.  With a ``requant`` the layer emits integer codes
     ``clip((acc + bias) >> shift, lo, hi)`` (an :class:`~repro.core.requant.
     IntRequant` with unit mantissas, so the multipliers live in
     ``weights``) in ``out_dtype``: the next layer's activation codes on its
@@ -148,6 +151,7 @@ class LayerFold:
     bias: Optional[np.ndarray] = None     # dequant: (OC,) int64 bias_q
     scale: Optional[np.ndarray] = None    # dequant: (OC,) float64 unit value
     code_max: Optional[float] = None      # ADC route: max |code|
+    mu_adc: Optional[np.ndarray] = None   # ADC route: (A, S, OC, 1) divide
     reduce_rows: Optional[np.ndarray] = field(init=False, repr=False,
                                               default=None)
     reduce_split: Optional[np.ndarray] = field(init=False, repr=False,
@@ -160,20 +164,15 @@ class LayerFold:
         a, s, oc = self.weights.shape
         self.reduce_rows = np.ascontiguousarray(
             self.weights.transpose(2, 0, 1)).reshape(oc, 1, a * s)
+        if self.mu_adc.dtype != np.float32:
+            return
         rows = self.reduce_rows.astype(np.int64)
         hi, lo = rows >> 16, rows & 0xFFFF
-        if self.code_max is not None and self.code_max * max(
+        if self.code_max * max(
                 int(np.abs(hi).sum(axis=2).max(initial=0)),
                 int(lo.sum(axis=2).max(initial=0))) < _F32_EXACT:
             self.reduce_split = np.concatenate([hi, lo], axis=1).astype(
                 np.float32)
-
-
-class _IntOperands(NamedTuple):
-    """Integer-route operands of one layer plan (``_build_int_operands``)."""
-
-    mu_adc: Optional[np.ndarray]    # (A, S, OC, 1) ADC divide, ADC route
-    dequant: LayerFold              # the stand-alone dequant fold
 
 
 class PlanNotReadyError(RuntimeError):
@@ -244,8 +243,6 @@ class _PlanBase:
     mats: list = field(init=False, repr=False, default=None)
     s_p_full: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     m_fold: np.ndarray = field(init=False, repr=False, default=None)
-    _int_cache: Optional[_IntOperands] = field(init=False, repr=False,
-                                               compare=False, default=None)
     # per-thread hot-path buffers, freed with the plan; a ModelPlan shares
     # one table across its layer plans
     _scratch: ScratchTable = field(init=False, repr=False, compare=False,
@@ -299,9 +296,9 @@ class _PlanBase:
         keep the ``float64`` carrier exact, and the stand-alone dequant's
         bias must keep the accumulator below ``2**53`` — either failure
         raises :class:`~repro.core.requant.CarrierRangeError`.  The operands
-        themselves wait for the first integer fold (:attr:`_int_ops`).
+        themselves are built onto each integer fold (:meth:`_adc_multiplier`),
+        so a float load builds none.
         """
-        self._int_cache = None
         rq = self.requant
         if rq is None:
             return
@@ -328,68 +325,43 @@ class _PlanBase:
                 "accumulator plus bias_q reaches 2**53; the float64 "
                 "dequant would round before its multiply")
 
-    def _build_int_operands(self) -> _IntOperands:
-        """Integer-route operands of constants :meth:`_check_int_constants`
-        accepted.
+    def _adc_multiplier(self) -> Optional[np.ndarray]:
+        """The ``(A, S, OC, 1)`` ADC divide ``m0_adc * 2**-shift_adc`` of
+        the integer route (``None`` on the fused route), broadcast-ready so
+        the hot loop applies every array's divide in one vectorized pass.
 
-        The ADC divide ``m0_adc * 2**-shift_adc`` becomes a ``float32``
-        multiplier where :func:`~repro.core.requant.adc_multiplier_f32`
-        proves that exact for every reachable partial sum, else the exact
-        ``float64`` one.  The stored reduce multipliers and bias form the
-        layer's stand-alone dequant :class:`LayerFold` (:meth:`dequant_fold`).
+        A ``float32`` multiplier where :func:`~repro.core.requant.
+        adc_multiplier_f32` proves that exact for every reachable partial
+        sum, else the exact ``float64`` one.  Raises ``ValueError`` without
+        requant constants (a raw-input layer, or a v1 artifact).
         """
         rq = self.requant
-        mu_adc = None
-        if self.psum_quant_enabled:
-            # broadcast-ready (A, S, OC, 1) so the hot loop applies every
-            # array's ADC divide in one vectorized pass
-            mu32 = adc_multiplier_f32(rq, self.psum_qmin, self.psum_qmax)
-            mu_adc = (carrier_multiplier(rq.m0_adc, rq.shift_adc)
-                      if mu32 is None else mu32)[..., None]
-            weights = rq.m0_out.astype(np.float64)
-        else:
-            weights = rq.m0_fused.astype(np.int64)[:, None, :]
-        dequant = LayerFold(
-            codes_in=False, weights=weights, out_dtype=np.float64,
-            bias=None if rq.bias_q is None else rq.bias_q.astype(np.int64),
-            scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)),
-            code_max=self._code_max())
-        return _IntOperands(mu_adc, dequant)
-
-    @property
-    def _int_ops(self) -> Optional[_IntOperands]:
-        """The integer-route operands (``None`` for float-only plans), built
-        by :meth:`_build_int_operands` on first use: a plan that only runs
-        the float route never pays for them.  Every integer fold comes
-        from :meth:`dequant_fold` or :meth:`int_fold`, which build them, so
-        no batch does.  Concurrent first uses may each build the (equal)
-        operands; the last store wins.  Assignable, to run a plan on other
-        operands."""
-        if self._int_cache is None and self.requant is not None:
-            self._int_cache = self._build_int_operands()
-        return self._int_cache
-
-    @_int_ops.setter
-    def _int_ops(self, ops: Optional[_IntOperands]) -> None:
-        self._int_cache = ops
-
-    def _int_route_ops(self) -> _IntOperands:
-        """:attr:`_int_ops`, or ``ValueError`` without requant constants
-        (a raw-input layer, or a v1 artifact)."""
-        ops = self._int_ops
-        if ops is None:
+        if rq is None:
             raise ValueError(
                 "this plan carries no requant constants (the artifact "
                 "predates the integer execution path); recompile the layer "
                 "or re-save the artifact to enable mode='int'")
-        return ops
+        if not self.psum_quant_enabled:
+            return None
+        mu32 = adc_multiplier_f32(rq, self.psum_qmin, self.psum_qmax)
+        return (carrier_multiplier(rq.m0_adc, rq.shift_adc)
+                if mu32 is None else mu32)[..., None]
 
     def dequant_fold(self, codes_in: bool) -> LayerFold:
         """The stand-alone dequant fold, optionally fed activation codes:
         ``execute(x, plan.dequant_fold(False))`` runs the layer alone on the
-        integer route.  Raises ``ValueError`` without requant constants (a
-        raw-input layer, or a v1 artifact)."""
-        return replace(self._int_route_ops().dequant, codes_in=codes_in)
+        integer route through the stored reduce multipliers and bias.
+        Raises ``ValueError`` without requant constants (a raw-input layer,
+        or a v1 artifact)."""
+        mu_adc = self._adc_multiplier()
+        rq = self.requant
+        weights = (rq.m0_out.astype(np.float64) if self.psum_quant_enabled
+                   else rq.m0_fused.astype(np.int64)[:, None, :])
+        return LayerFold(
+            codes_in=codes_in, weights=weights, out_dtype=np.float64,
+            bias=None if rq.bias_q is None else rq.bias_q.astype(np.int64),
+            scale=np.ldexp(rq.s_out.astype(np.float64), -int(rq.shift)),
+            code_max=self._code_max(), mu_adc=mu_adc)
 
     def _code_max(self) -> Optional[float]:
         """Largest ``|ADC code|``; ``None`` on the fused route."""
@@ -427,7 +399,7 @@ class _PlanBase:
         :class:`~repro.core.requant.RequantFoldError` when no shift fits,
         and ``ValueError`` without requant constants.
         """
-        self._int_route_ops()        # a batch then finds the operands built
+        mu_adc = self._adc_multiplier()
         gain = np.asarray(gain, dtype=np.float64).reshape(-1)
         offset = np.asarray(offset, dtype=np.float64).reshape(-1)
         k = gain * float(self.act_scale.reshape(-1)[0])
@@ -467,7 +439,7 @@ class _PlanBase:
                    else w.astype(np.int64))
         return LayerFold(codes_in=codes_in, weights=weights,
                          out_dtype=out_dtype, requant=requant,
-                         code_max=self._code_max())
+                         code_max=self._code_max(), mu_adc=mu_adc)
 
     @hot_path
     def _quantize_acts_carrier(self, x: np.ndarray) -> np.ndarray:
@@ -488,13 +460,6 @@ class _PlanBase:
         codes = self._scratch("act_codes", a.shape, self.carrier)
         return np.rint(a, out=codes, casting="unsafe")
 
-    def _split_reduce(self, fold: LayerFold):
-        """The fold's certified ``float32`` reduce rows, when the ADC codes
-        are ``float32`` too (else ``None``: the ``float64`` reduce)."""
-        if self._int_ops.mu_adc.dtype != np.float32:
-            return None
-        return fold.reduce_split
-
     def _column_bytes(self, fold: Optional[LayerFold], itemsize: int) -> int:
         """Bytes of a tile's buffers per im2col column.
 
@@ -513,7 +478,7 @@ class _PlanBase:
         wide = 0 if itemsize == 8 else 8 * lanes
         if fold is None:
             return cols + lanes * itemsize + wide + 16 * oc
-        if self._split_reduce(fold) is not None:
+        if fold.reduce_split is not None:
             wide = 8 * oc                       # the hi/lo accumulators
         return cols + lanes * itemsize + wide + 8 * oc
 
@@ -554,8 +519,8 @@ class _PlanBase:
         ``fold.weights`` — exact integers throughout: the GEMMs multiply
         integer-valued operands in the certified exact-integer carrier
         dtype; the ADC stage — per-column divide, half-up rounding and
-        saturation — runs on the ``float32`` or ``float64`` carrier
-        :meth:`_build_int_operands` chose, bit-identical to
+        saturation — runs on the carrier of ``fold.mu_adc``
+        (:meth:`_adc_multiplier`), bit-identical to
         :func:`~repro.core.requant.requantize_up` (the argument is in
         :mod:`repro.core.requant`).  ``float32`` codes of a fold with a
         certified ``reduce_split`` stay in place and reduce through one
@@ -575,7 +540,6 @@ class _PlanBase:
         ADC passes cache-resident.  The ``int64`` section is fenced with
         ``int-pure`` markers for the static analyzer.
         """
-        ops = self._int_ops
         cols_c = cols_flat.astype(self.carrier, copy=False)
         nl = cols_flat.shape[0]
         s, oc = self.n_splits, self.out_channels
@@ -589,19 +553,18 @@ class _PlanBase:
             # verified at build time, so the hot loop carries no per-array
             # call or sign-handling overhead
             p = p.reshape(n_arrays, s, oc, nl)
-            split = self._split_reduce(fold)
+            mu_adc, split = fold.mu_adc, fold.reduce_split
             if split is not None:
-                codes = requantize_rint_f32(p, ops.mu_adc, self.psum_qmin,
+                codes = requantize_rint_f32(p, mu_adc, self.psum_qmin,
                                             self.psum_qmax, out=p)
             else:
-                adc = (requantize_rint_f32 if ops.mu_adc.dtype == np.float32
+                adc = (requantize_rint_f32 if mu_adc.dtype == np.float32
                        else requantize_up_f64)
                 # float64 codes for the reduce; a float64 carrier is
                 # rounded in place
                 codes = (p if p.dtype == np.float64 else
                          self._scratch("tile_wide", p.shape, np.float64))
-                adc(p, ops.mu_adc, self.psum_qmin, self.psum_qmax,
-                    out=codes)
+                adc(p, mu_adc, self.psum_qmin, self.psum_qmax, out=codes)
             # the reduce sum_{a,s} codes * weights as batched GEMMs per
             # channel over an (OC, A*S, NL) view of the codes (no copy)
             codes = codes.transpose(2, 0, 1, 3).reshape(oc, n_arrays * s, nl)

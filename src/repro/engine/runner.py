@@ -11,13 +11,13 @@ keeps the GEMMs fat.  Two layers of machinery live here:
   :class:`~repro.engine.server.PlanServer` builds one executor per shard, so
   shards never contend on stats;
 * :class:`InferenceRunner` — single-stream micro-batching on top of one
-  executor: samples from any iterable are staged into a preallocated batch
-  buffer and executed ``batch_size`` at a time (the final partial batch runs
-  at its natural size), with per-layer timing accumulated into
+  executor: samples from any iterable are stacked and executed
+  ``batch_size`` at a time (the final partial batch runs at its natural
+  size), with per-layer timing accumulated into
   :attr:`InferenceRunner.stats`.
 
 The runner is throughput-oriented, not a scheduler: it preserves input
-order and yields one output row per input sample.  Each flushed batch runs
+order and yields one output row per input sample.  Each batch runs
 on every core the CPU policy (:mod:`repro.engine.cpu`) grants it: split into
 contiguous row chunks, one per worker, executed at once and written back
 into their result rows.  Request concurrency is left to
@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def empty_batch_result(plan, batch: np.ndarray) -> np.ndarray:
 class RunnerStats:
     """Aggregated execution statistics of one executor (or a merged roll-up).
 
-    ``seconds`` counts wall time spent inside plan execution (staging and
+    ``seconds`` counts wall time spent inside plan execution (stacking and
     bookkeeping excluded); ``layer_seconds`` / ``layer_calls`` break it down
     per graph node name.  A batch split
     across worker threads adds every chunk's time to ``layer_seconds``
@@ -256,11 +256,10 @@ class InferenceRunner:
         The model plan (or any object with a compatible
         ``execute(x, timings=...)`` method).
     batch_size:
-        Micro-batch size; the staging buffer is ``(batch_size, *sample_shape)``
-        and is allocated on the first sample, then reused.  The route is
-        the plan's own (``load_plan(path, mode=...)``).
+        Micro-batch size.  The route is the plan's own
+        (``load_plan(path, mode=...)``).
 
-    Every flushed batch runs on :func:`repro.engine.cpu.runner_workers`
+    Every batch runs on :func:`repro.engine.cpu.runner_workers`
     threads, split into contiguous row chunks
     (:meth:`PlanExecutor.execute_batch`); outputs are bit-identical to an
     unsplit batch wherever every GEMM is exact (see
@@ -272,7 +271,6 @@ class InferenceRunner:
             raise ValueError("batch_size must be >= 1")
         self.executor = PlanExecutor(plan)
         self.batch_size = int(batch_size)
-        self._staging: Optional[np.ndarray] = None
 
     @property
     def plan(self):
@@ -284,74 +282,63 @@ class InferenceRunner:
         """Execution statistics (delegated to the underlying executor)."""
         return self.executor.stats
 
-    # ------------------------------------------------------------------ #
-    def _ensure_staging(self, sample: np.ndarray) -> np.ndarray:
-        staging = self._staging
-        if staging is None or staging.shape[1:] != sample.shape:
-            staging = np.empty((self.batch_size,) + sample.shape,
-                               dtype=np.float64)
-            self._staging = staging
-        return staging
-
-    def _flush(self, count: int) -> np.ndarray:
-        return self.executor.execute_batch(self._staging[:count],
-                                           workers=cpu.runner_workers())
+    def _rows(self, samples: List[np.ndarray]) -> Iterator[np.ndarray]:
+        """Copies of the output rows of ``samples`` stacked as one batch."""
+        out = self.executor.execute_batch(np.stack(samples, dtype=np.float64),
+                                          workers=cpu.runner_workers())
+        for row in out:
+            yield row.copy()
 
     # ------------------------------------------------------------------ #
     def run(self, stream: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """Yield one output row per input sample, in order.
 
-        ``stream`` yields single samples (no batch axis); they are staged
-        into micro-batches of :attr:`batch_size` and flushed when full (and
-        once more, at natural size, when the stream ends).  Yielded rows are
-        copies and stay valid indefinitely.  An empty stream yields nothing
-        and leaves :attr:`stats` untouched.
+        ``stream`` yields single samples (no batch axis); every
+        :attr:`batch_size` of them are stacked into one ``float64`` batch
+        and executed (the rest once more, at natural size, when the stream
+        ends).  Yielded rows are copies and stay valid indefinitely.  An
+        empty stream yields nothing and leaves :attr:`stats` untouched.
         """
-        count = 0
+        pending: List[np.ndarray] = []
         for sample in stream:
             sample = np.asarray(sample)
-            if count and sample.shape != self._staging.shape[1:]:
+            if pending and sample.shape != pending[0].shape:
                 raise ValueError(
-                    f"sample shape changed mid-batch: staged "
-                    f"{self._staging.shape[1:]}, got {sample.shape}; "
+                    f"sample shape changed mid-batch: the batch holds "
+                    f"{pending[0].shape}, got {sample.shape}; "
                     "streams must be shape-uniform")
-            staging = self._ensure_staging(sample)
-            staging[count] = sample
-            count += 1
-            if count == self.batch_size:
-                out = self._flush(count)
-                for row in out:
-                    yield np.array(row, copy=True)
-                count = 0
-        if count:
-            out = self._flush(count)
-            for row in out:
-                yield np.array(row, copy=True)
+            pending.append(sample)
+            if len(pending) == self.batch_size:
+                yield from self._rows(pending)
+                pending = []
+        if pending:
+            yield from self._rows(pending)
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Run an already-stacked ``(N, ...)`` array through micro-batching.
 
         Returns the stacked ``(N, ...)`` outputs.  Equivalent to
-        ``np.stack(list(self.run(iter(batch))))`` but avoids the per-row
-        copies by writing each micro-batch result straight into the output.
-        An empty ``(0, *sample_shape)`` batch returns an empty array of the
-        plan's output shape and dtype (the sample axes must still be present
-        so the plan knows its geometry — a bare ``(0,)`` array raises).
+        ``np.stack(list(self.run(iter(batch))))``: each ``batch_size``
+        slice goes to the executor as ``float64`` (a view when ``batch``
+        already is); the output of a single slice is returned as is, and
+        several write into one result.  An empty ``(0, *sample_shape)``
+        batch returns an empty array of the plan's output shape and dtype
+        (the sample axes must still be present so the plan knows its
+        geometry — a bare ``(0,)`` array raises).
         """
         batch = np.asarray(batch)
-        if batch.shape[0] == 0:
+        n = batch.shape[0]
+        if n == 0:
             return empty_batch_result(self.plan, batch)
-        outputs: Optional[np.ndarray] = None
-        done = 0
-        for start in range(0, batch.shape[0], self.batch_size):
-            chunk = np.asarray(batch[start:start + self.batch_size],
-                               dtype=np.float64)
-            staging = self._ensure_staging(chunk[0])
-            staging[:chunk.shape[0]] = chunk
-            out = self._flush(chunk.shape[0])
+        outputs = None
+        for start in range(0, n, self.batch_size):
+            out = self.executor.execute_batch(
+                np.asarray(batch[start:start + self.batch_size],
+                           dtype=np.float64),
+                workers=cpu.runner_workers())
             if outputs is None:
-                outputs = np.empty((batch.shape[0],) + out.shape[1:],
-                                   dtype=out.dtype)
-            outputs[done:done + out.shape[0]] = out
-            done += out.shape[0]
+                if out.shape[0] == n:
+                    return out
+                outputs = np.empty((n,) + out.shape[1:], dtype=out.dtype)
+            outputs[start:start + out.shape[0]] = out
         return outputs

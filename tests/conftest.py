@@ -8,6 +8,14 @@ from repro.data import SyntheticImageDataset, DatasetSpec
 from repro.training import reduced_experiment
 
 
+def pytest_configure(config):
+    # an exception that escapes a worker thread fails the test that
+    # started the thread, instead of passing it with a warning
+    config.addinivalue_line(
+        "filterwarnings",
+        "error::pytest.PytestUnhandledThreadExceptionWarning")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -36,7 +36,7 @@ def force_workers(monkeypatch, workers: int) -> None:
 @pytest.fixture(scope="module")
 def int_plan():
     plan, _ = random_residual_plan(3)
-    plan.set_mode("int")
+    plan = plan.with_mode("int")
     x = np.abs(np.random.default_rng(5).normal(size=(33, 3, 8, 8))) * 2
     return plan, x
 
@@ -340,7 +340,7 @@ class TestTileFootprint:
     @pytest.mark.parametrize("mode", sorted(LIMIT_MIB))
     def test_scratch_bytes_per_thread(self, mode):
         plan, _ = bench_shaped_plan()            # cimbench's 16 px ResNet-8
-        plan.set_mode(mode)
+        plan = plan.with_mode(mode)
         x = np.abs(np.random.default_rng(1).normal(size=(16, 3, 16, 16)))
         plan.execute(x)
         tables = {id(lp._scratch): lp._scratch for lp in plan.layer_plans}

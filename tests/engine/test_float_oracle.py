@@ -132,7 +132,7 @@ def assert_route_matches_float_oracle(plan, x):
     the whole graph equal the oracle bit for bit.  Layers are checked one
     by one because the next layer's input quantizer absorbs most last-bit
     differences before they reach the graph output."""
-    plan.set_mode("float")
+    plan = plan.with_mode("float")
     values = _oracle_values(plan, x)
     nodes, output_id = plan.graph()
     for node in nodes[1:]:

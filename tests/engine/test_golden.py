@@ -89,7 +89,7 @@ def test_int_fixture_artifact_also_executes_float(tmp_path):
     assert plan.mode == "float"
     out = plan.execute(x)
     np.testing.assert_array_equal(out.argmax(axis=1), golden.argmax(axis=1))
-    plan.set_mode("int")
+    plan = plan.with_mode("int")
     np.testing.assert_array_equal(plan.execute(x), golden)
 
 

@@ -352,12 +352,14 @@ def bench_shaped_plan():
 # bit-exactness
 # --------------------------------------------------------------------------- #
 def assert_route_matches_oracle(plan, x):
-    plan.set_mode("int")
+    """``(int plan, its output)``: the int route of ``plan`` on ``x``,
+    checked against the oracle bit for bit."""
+    plan = plan.with_mode("int")
     want = oracle(plan, x)
     got = plan.execute(x)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
-    return want
+    return plan, want
 
 
 def test_resnet_tiny_bit_exact():
@@ -374,7 +376,7 @@ def test_random_residual_graphs_bit_exact(seed, batch):
 
 def test_random_residual_graph_full_batch_bit_exact():
     plan, x = random_residual_plan(4)
-    out = assert_route_matches_oracle(plan, x)
+    _, out = assert_route_matches_oracle(plan, x)
     assert np.all(np.isfinite(out))
 
 
@@ -393,7 +395,7 @@ def test_every_int_layer_node_carries_its_fold(build):
     :class:`LayerFold`, and a raw-input layer's node ``None`` (the float
     route)."""
     plan, _ = build()
-    plan.set_mode("int")
+    plan = plan.with_mode("int")
     nodes, _ = plan.graph()
     cims = [node for node in nodes if node.op == "cim"]
     assert sorted(n.plan_index for n in cims) == list(range(plan.n_cim_layers))
@@ -418,7 +420,7 @@ def test_model_kinds_bit_exact(kind, scheme):
     batch's."""
     plan, x = model_kind_plan(kind, *scheme)
     ref = plan.execute(x)
-    out = assert_route_matches_oracle(plan, x)
+    plan, out = assert_route_matches_oracle(plan, x)
     np.testing.assert_array_equal(out.argmax(axis=1), ref.argmax(axis=1))
     np.testing.assert_array_equal(plan.execute(x[:1]), out[:1])
     assert plan.execute(x[:0]).shape == (0,) + out.shape[1:]
@@ -432,7 +434,7 @@ def test_float32_input_widens_bit_exact(kind, quantize_psum):
     widened batch and returns float64."""
     plan, x = model_kind_plan(kind, quantize_psum)
     x32 = x.astype(np.float32)
-    out = assert_route_matches_oracle(plan, x32.astype(np.float64))
+    plan, out = assert_route_matches_oracle(plan, x32.astype(np.float64))
     got = plan.execute(x32)
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got, out)
@@ -442,7 +444,7 @@ def test_edge_cases_reach_the_folded_graph():
     """The random graphs really exercise what they claim to."""
     plan, _ = random_residual_plan(1)
     assert "relu6" in [node.op for node in plan.nodes]
-    plan.set_mode("int")
+    plan = plan.with_mode("int")
     nodes, _ = plan.graph()
     folds = [node.attrs["fold"] for node in nodes
              if node.op == "cim" and node.attrs.get("fold") is not None]
@@ -477,7 +479,7 @@ def test_wide_scale_spread_never_saturates_the_grid(tiny):
     too wide for ``GRID_BITS`` fraction bits, the grid is coarsened."""
     plan, x = spread_plan(tiny)
     ref = plan.execute(x)
-    out = assert_route_matches_oracle(plan, x)
+    plan, out = assert_route_matches_oracle(plan, x)
     scales = [float(lp.act_scale[0]) for lp in plan.layer_plans
               if lp.act_scale is not None]
     assert max(scales) / min(scales) > 1000
@@ -498,7 +500,7 @@ def test_wide_scale_spread_never_saturates_the_grid(tiny):
 def test_oversized_pooling_window_is_refused():
     """A window whose int64 sum could overflow fails as ModelPlanError."""
     plan, x = resnet_tiny()
-    plan.set_mode("int")
+    plan = plan.with_mode("int")
     nodes, _ = plan.graph()
     pool = next(node for node in nodes if node.op == "pool_requant")
     pool.attrs["spec"].bound = 2 ** 62        # two positions reach 2**63
@@ -513,7 +515,7 @@ def test_oversized_pooling_window_is_refused():
                          ids=["resnet_tiny", "bench_model"])
 def test_no_float_pass_between_cim_layers(build, monkeypatch):
     plan, x = build()
-    plan.set_mode("int")
+    plan = plan.with_mode("int")
     nodes, _ = plan.graph()
     ops = [node.op for node in nodes]
     assert not {"batchnorm", "relu", "relu6", "add"} & set(ops)
@@ -609,7 +611,7 @@ def test_fallback_boundaries_bit_exact():
                             layer_plans=graph.layer_plans, output_id=out)
     x = np.abs(rng.normal(size=(2, 3, 6, 6)))
     ref = plan.execute(x)
-    assert_route_matches_oracle(plan, x)
+    plan, _ = assert_route_matches_oracle(plan, x)
     ops = [node.op for node in plan.graph()[0]]
     assert {"quantize", "iadd", "dequant", "relu"} <= set(ops)
     np.testing.assert_allclose(plan.execute(x), ref, rtol=0, atol=1e-6)

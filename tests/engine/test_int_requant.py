@@ -17,7 +17,6 @@ exactness argument and across every sample-tile remainder, and loading
 refuses constants outside that argument.
 """
 
-import contextlib
 import copy
 import dataclasses
 import gc
@@ -188,9 +187,8 @@ class TestSerialization:
         path = tmp_path / "plan.npz"
         save_layer_artifact(plan, path)
         loaded = engine.load_plan(path)
-        assert loaded.mode == "float"          # mode is runtime state
-        loaded.set_mode("int")
-        np.testing.assert_array_equal(loaded.execute(x), out)
+        assert loaded.mode == "float"          # the mode is not on disk
+        np.testing.assert_array_equal(loaded.with_mode("int").execute(x), out)
         np.testing.assert_array_equal(
             engine.load_plan(path, mode="int").execute(x), out)
 
@@ -199,17 +197,17 @@ class TestModelLevelGate:
     def test_model_top1_agreement(self):
         plan, x = build_model_plan()
         ref = plan.execute(x)
-        plan.set_mode("int")
-        out = plan.execute(x)
+        int_plan = plan.with_mode("int")
+        out = int_plan.execute(x)
         agree = float((out.argmax(axis=1) == ref.argmax(axis=1)).mean())
         assert agree == 1.0
         # and back: float mode restores the bit-exact reference
-        plan.set_mode("float")
-        np.testing.assert_array_equal(plan.execute(x), ref)
+        np.testing.assert_array_equal(
+            int_plan.with_mode("float").execute(x), ref)
 
     def test_model_round_trip_int_equality(self, tmp_path):
         plan, x = build_model_plan()
-        plan.set_mode("int")
+        plan = plan.with_mode("int")
         out = plan.execute(x)
         path = tmp_path / "model.npz"
         engine.save_model_plan(plan, path)
@@ -223,7 +221,7 @@ class TestModelLevelGate:
     def test_runner_and_server_int_mode(self, tmp_path):
         plan, x = build_model_plan()
         ref = plan.execute(x)
-        plan.set_mode("int")
+        plan = plan.with_mode("int")
         expected = plan.execute(x)
         path = tmp_path / "model.npz"
         engine.save_model_plan(plan, path)
@@ -240,24 +238,18 @@ class TestModelLevelGate:
                                       ref.argmax(axis=1))
 
     def test_runner_follows_the_plan_mode(self, monkeypatch):
-        """The runner has no route of its own: switching the mode of the
-        plan it serves switches its output, both ways."""
+        """The runner has no route of its own: it runs the route of the
+        plan it is given."""
         monkeypatch.setattr(cpu, "runner_workers", lambda: 1)
-        plan, x = build_model_plan()
-        runner = engine.InferenceRunner(plan, batch_size=8)
-
-        def chunked():
-            return np.concatenate([plan.execute(x[i:i + 8])
-                                   for i in range(0, len(x), 8)])
-
-        ref = chunked()
-        np.testing.assert_array_equal(runner.predict(x), ref)
-        plan.set_mode("int")
-        expected = chunked()
-        assert expected.tobytes() != ref.tobytes()
-        np.testing.assert_array_equal(runner.predict(x), expected)
-        plan.set_mode("float")
-        np.testing.assert_array_equal(runner.predict(x), ref)
+        float_plan, x = build_model_plan()
+        outputs = {}
+        for plan in (float_plan, float_plan.with_mode("int")):
+            runner = engine.InferenceRunner(plan, batch_size=8)
+            outputs[plan.mode] = np.concatenate(
+                [plan.execute(x[i:i + 8]) for i in range(0, len(x), 8)])
+            np.testing.assert_array_equal(runner.predict(x),
+                                          outputs[plan.mode])
+        assert outputs["int"].tobytes() != outputs["float"].tobytes()
 
     def test_one_path_mounted_per_mode_gets_a_plan_per_mode(self, tmp_path):
         """Each mount loads its own plan, so a float and an int mount of one
@@ -273,19 +265,45 @@ class TestModelLevelGate:
             assert as_float.mode == "float" and as_int.mode == "int"
             np.testing.assert_array_equal(as_float.execute(x),
                                           plan.execute(x))
-            plan.set_mode("int")
-            np.testing.assert_array_equal(as_int.execute(x), plan.execute(x))
+            np.testing.assert_array_equal(as_int.execute(x),
+                                          plan.with_mode("int").execute(x))
+
+    def test_one_plan_mounted_per_mode_serves_each_route(self, monkeypatch):
+        """An in-memory plan mounted as int and as float serves each route:
+        the mount takes ``with_mode``, so the caller's object and the other
+        mount keep theirs."""
+        monkeypatch.setattr(cpu, "runner_workers", lambda: 1)
+        plan, x = build_model_plan()
+        want = {mode: engine.InferenceRunner(
+                    plan.with_mode(mode), batch_size=8).predict(x)
+                for mode in ("int", "float")}
+        assert want["int"].tobytes() != want["float"].tobytes()
+        with engine.NetServer() as net:
+            for name, mode in (("a", "int"), ("b", "float")):
+                net.add_model(name, plan, mode=mode, n_shards=1, max_batch=8)
+            assert plan.mode == "float"
+            for name, mode in (("a", "int"), ("b", "float")):
+                endpoint = net.endpoint(name)
+                assert endpoint.metrics()["plan"]["mode"] == mode
+                got = endpoint.server.predict(x)
+                assert got.tobytes() == want[mode].tobytes(), name
+            models = net.metrics()["models"]
+            assert {name: models[name]["plan"]["mode"]
+                    for name in ("a", "b")} == {"a": "int", "b": "float"}
 
 
 class TestModeContract:
     def test_unknown_mode_raises(self):
         plan, _ = build_model_plan()
         with pytest.raises(ValueError, match="unknown execution mode"):
-            plan.set_mode("int8")
+            plan.with_mode("int8")
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            engine.ModelPlan(nodes=plan.nodes, layer_plans=plan.layer_plans,
+                             output_id=plan.output_id, mode="int8")
 
     def test_serving_entry_points_refuse_unknown_mode(self, tmp_path):
         """Every entry point that picks a model's route checks the mode
-        through ``ModelPlan.set_mode``."""
+        through the ``ModelPlan`` it builds."""
         plan, _ = build_model_plan()
         path = tmp_path / "model.npz"
         engine.save_model_plan(plan, path)
@@ -300,9 +318,9 @@ class TestModeContract:
         assert plan.mode == "float"
 
     def test_v1_model_refuses_int_mode(self):
-        """``ModelPlan.set_mode`` is the one v1 check: a quantized-input
-        layer without requant constants names its index, and the plan
-        stays on the float route, whose output does not move."""
+        """Building an int ``ModelPlan`` is the one v1 check: a
+        quantized-input layer without requant constants names its index,
+        and the float plan it was asked of stays as it was."""
         plan, x = build_model_plan()
         ref = plan.execute(x)
         index = next(i for i, lp in enumerate(plan.layer_plans)
@@ -311,7 +329,7 @@ class TestModeContract:
         with pytest.raises(engine.ModelPlanError,
                            match=rf"\[{index}\].*predates model-plan "
                                  "version 2"):
-            plan.set_mode("int")
+            plan.with_mode("int")
         assert plan.mode == "float"
         assert plan.execute(x).tobytes() == ref.tobytes()
 
@@ -335,7 +353,7 @@ class TestModeContract:
         codes = np.abs(np.random.default_rng(2).normal(
             size=(2, layer.in_channels, 8, 8)))
         ref = layer.execute(codes)
-        plan.set_mode("int")
+        assert plan.with_mode("int").layer_plans[1] is layer
         assert layer.execute(codes).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["conv", "linear"])
@@ -423,20 +441,16 @@ def int64_reference(plan, cols: np.ndarray) -> np.ndarray:
     return np.multiply(acc, unit, dtype=np.float64)
 
 
-@contextlib.contextmanager
-def adc_carrier(plan, carrier: str = "auto"):
-    """The plan with ``carrier="float64"`` forcing the float64 ADC stage
-    even where the float32 one is proved exact (``"auto"``, the executed
-    choice)."""
-    ops = plan._int_ops
+def codes_fold(plan, carrier: str = "auto"):
+    """The plan's stand-alone dequant fold on codes; ``carrier="float64"``
+    forces the float64 ADC stage even where the float32 one is proved
+    exact (``"auto"``, the executed choice)."""
+    fold = plan.dequant_fold(True)
     if carrier == "float64":
         rq = plan.requant
-        plan._int_ops = ops._replace(mu_adc=carrier_multiplier(
+        fold = dataclasses.replace(fold, mu_adc=carrier_multiplier(
             rq.m0_adc, rq.shift_adc)[..., None])
-    try:
-        yield plan
-    finally:
-        plan._int_ops = ops
+    return fold
 
 
 def run_int(plan, cols: np.ndarray, carrier: str = "auto") -> np.ndarray:
@@ -451,10 +465,8 @@ def run_int(plan, cols: np.ndarray, carrier: str = "auto") -> np.ndarray:
                                    kernel_size=(1, 1), stride=(1, 1),
                                    padding=(0, 0))
     n, oc = cols.shape[0], plan.out_channels
-    with adc_carrier(plan, carrier):
-        out = plan._run(cols.reshape(n, cols.shape[1], 1, 1),
-                        plan.dequant_fold(True),
-                        (n, oc, 1, 1))
+    out = plan._run(cols.reshape(n, cols.shape[1], 1, 1),
+                    codes_fold(plan, carrier), (n, oc, 1, 1))
     return out.reshape(n, oc)
 
 
@@ -520,16 +532,33 @@ class TestFloat64AdcStage:
                                           int64_reference(plan, cols))
 
     def test_compiled_constants_run_the_float32_stage(self):
-        # the narrow stage is the executed one for ordinary constants
+        # the narrow stage is the executed one for ordinary constants, and
+        # only a float32 stage reduces through the float32 hi/lo rows
         layer, _ = make_layer("conv", True, (32, 1), 11)
         plan = compile_layer(layer)
-        assert plan._int_ops.mu_adc.dtype == np.float32
+        fold = plan.dequant_fold(True)
+        a, s, oc = plan.n_arrays, plan.n_splits, plan.out_channels
+        assert fold.mu_adc.dtype == np.float32
+        assert fold.mu_adc.shape == (a, s, oc, 1)
+        assert fold.reduce_split is not None
+        wide = codes_fold(plan, "float64")
+        assert wide.mu_adc.dtype == np.float64 and wide.reduce_split is None
+        np.testing.assert_array_equal(wide.reduce_rows, fold.reduce_rows)
+
+    def test_fused_folds_carry_no_adc_operands(self):
+        layer, _ = make_layer("conv", False, (32, 1), 11)
+        plan = compile_layer(layer)
+        for fold in (plan.dequant_fold(True),
+                     plan.int_fold(True, np.ones(plan.out_channels),
+                                   np.zeros(plan.out_channels), 0, 7,
+                                   np.float32)):
+            assert fold.mu_adc is None and fold.reduce_split is None
 
     def test_compiled_constants_run_the_float32_reduce(self):
         # ordinary compiled constants certify every ADC fold of a model
         # graph, so the executed reduce is the float32 hi/lo one
         plan, x = build_model_plan()
-        plan.set_mode("int")
+        plan = plan.with_mode("int")
         nodes, _ = plan.graph()
         folds = [(plan.layer_plans[node.plan_index], node.attrs["fold"])
                  for node in nodes if node.op == "cim"
@@ -537,8 +566,9 @@ class TestFloat64AdcStage:
         assert folds
         for lp, fold in folds:
             assert lp.psum_quant_enabled
-            assert lp._split_reduce(fold) is not None
-            assert lp._split_reduce(lp.dequant_fold(True)) is not None
+            assert fold.mu_adc.dtype == np.float32
+            assert fold.reduce_split is not None
+            assert lp.dequant_fold(True).reduce_split is not None
 
     @staticmethod
     def bounded_plan(last_hi: int):
@@ -564,8 +594,8 @@ class TestFloat64AdcStage:
     def test_reduce_certification_bound(self, last_hi, certified):
         plan = self.bounded_plan(last_hi)
         fold = plan.dequant_fold(True)
-        assert plan._int_ops.mu_adc.dtype == np.float32
-        assert (plan._split_reduce(fold) is not None) == certified
+        assert fold.mu_adc.dtype == np.float32
+        assert (fold.reduce_split is not None) == certified
         rng = np.random.default_rng(last_hi)
         for nl in (0, 1, 2, 37, 300):
             cols = code_batch(plan, nl, rng)
@@ -590,9 +620,8 @@ class TestFloat64AdcStage:
         cols = code_batch(plan, nl, rng)
         itemsize = np.dtype(plan.requant.gemm_dtype).itemsize
         for carrier in ("auto", "float64"):
-            with adc_carrier(plan, carrier):   # one row's tile buffers
-                per_row = plan._column_bytes(plan.dequant_fold(True),
-                                             itemsize)
+            # one row's tile buffers
+            per_row = plan._column_bytes(codes_fold(plan, carrier), itemsize)
             size = {"default": plan_module._TILE_BYTES, "tiny": 1,
                     "rows4": 4 * per_row, "rows3": 3 * per_row}[block]
             monkeypatch.setattr(plan_module, "_TILE_BYTES", size)
@@ -675,17 +704,14 @@ class TestCarrierGuard:
 class TestDeferredIntOperands:
     @staticmethod
     def spy(monkeypatch):
-        """Record every ``adc_multiplier_f32`` search and every layer plan
-        that builds its integer operands."""
-        searches, builds = [], []
+        """Record the requant constants of every ``adc_multiplier_f32``
+        search: each integer fold of an ADC-route layer runs one."""
+        searches = []
         search = plan_module.adc_multiplier_f32
-        build = plan_module._PlanBase._build_int_operands
         monkeypatch.setattr(plan_module, "adc_multiplier_f32",
-                            lambda *args: searches.append(args)
+                            lambda *args: searches.append(args[0])
                             or search(*args))
-        monkeypatch.setattr(plan_module._PlanBase, "_build_int_operands",
-                            lambda self: builds.append(self) or build(self))
-        return searches, builds
+        return searches
 
     @staticmethod
     def saved(tmp_path):
@@ -696,23 +722,21 @@ class TestDeferredIntOperands:
 
     def test_float_load_builds_no_int_operands(self, tmp_path, monkeypatch):
         path, x = self.saved(tmp_path)
-        searches, builds = self.spy(monkeypatch)
+        searches = self.spy(monkeypatch)
         plan = engine.load_plan(path)
         want = plan.execute(x)
-        assert searches == [] and builds == []
-        plan.set_mode("int")
-        int_layers = [lp for lp in plan.layer_plans if lp.requant is not None]
+        assert searches == []
+        int_plan = engine.load_plan(path, mode="int")
+        int_layers = [lp for lp in int_plan.layer_plans
+                      if lp.requant is not None]
         assert int_layers and all(lp.psum_quant_enabled for lp in int_layers)
-        # set_mode("int") builds each integer layer's operands, once
-        assert sorted(map(id, builds)) == sorted(map(id, int_layers))
-        assert len(searches) == len(int_layers)
-        got = plan.execute(x)
-        plan.set_mode("float")
+        # an int load builds each integer layer's operands, once
+        assert sorted(map(id, searches)) == sorted(
+            id(lp.requant) for lp in int_layers)
+        got = int_plan.execute(x)
         np.testing.assert_array_equal(plan.execute(x), want)
-        plan.set_mode("int")
-        np.testing.assert_array_equal(plan.execute(x), got)
-        assert len(builds) == len(int_layers)      # batches never build
-        assert len(searches) == len(int_layers)
+        np.testing.assert_array_equal(int_plan.execute(x), got)
+        assert len(searches) == len(int_layers)      # batches never build
 
     def test_bias_reach_is_refused_at_a_float_load(self, tmp_path):
         path, _ = self.saved(tmp_path)
@@ -814,7 +838,7 @@ class TestScratchOwnership:
         """Layers run one after another, so a model plan keeps one set of
         intermediates per thread, sized by its largest layer."""
         plan, x = build_model_plan()
-        plan.set_mode("int")
+        plan = plan.with_mode("int")
         want = plan.execute(x)
         tables = _scratch_tables(plan)
         assert len(tables) == 1 and plan.n_cim_layers > 1

@@ -243,6 +243,37 @@ def test_int_mode_mount_keeps_mode_and_artifact_identity_across_reload(
         assert after["outputs"] == before["outputs"]
 
 
+def test_reload_to_a_graph_it_cannot_run_is_rejected_409(artifact,
+                                                        tmp_path):
+    """An archive whose graph names an op the executor does not know is
+    refused at the reload (409), not at every predict after it (422), and
+    the old pool keeps serving the same rows."""
+    plan, path, x = artifact
+    bad = tmp_path / "unknown_op.npz"
+    shutil.copyfile(path, bad)
+    with np.load(bad) as archive:
+        manifest = json.loads(bytes(archive["__manifest__"]).decode())
+        arrays = {k: archive[k] for k in archive.files
+                  if k != "__manifest__"}
+    relu = next(doc for doc in manifest["nodes"] if doc["op"] == "relu")
+    relu["op"] = "reluu"
+    np.savez(bad, __manifest__=np.frombuffer(
+        json.dumps(manifest).encode(), dtype=np.uint8), **arrays)
+    with engine.NetServer() as net:
+        net.add_model("cnn", path, n_shards=1, queue_size=32)
+        status, _, before = predict(net, "cnn", x[:2].tolist(), timeout=30.0)
+        assert status == 200
+        status, _, body = request(net, "POST", "/v1/models/cnn/reload",
+                                  payload={"path": str(bad)})
+        assert status == 409
+        assert "unknown graph op" in json.dumps(body)
+        status, _, after = predict(net, "cnn", x[:2].tolist(), timeout=30.0)
+        assert status == 200 and after["outputs"] == before["outputs"]
+        version = net.metrics()["models"]["cnn"]["plan"]["version"]
+        assert version["reloads"] == 0
+        assert version["artifact"]["path"] == path
+
+
 @pytest.mark.parametrize("fault", ["corrupt", "vanished"])
 def test_reload_corrupt_artifact_rejected_409_old_pool_serves(artifact,
                                                               tmp_path, fault):

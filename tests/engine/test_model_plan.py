@@ -273,7 +273,7 @@ class TestErrorPaths:
         np.testing.assert_array_equal(plan.execute(x), golden)
         with pytest.raises(engine.ModelPlanError,
                            match="no requant constants"):
-            plan.set_mode("int")
+            plan.with_mode("int")
         with pytest.raises(engine.ModelPlanError,
                            match="no requant constants"):
             engine.load_plan(io.BytesIO(artifact), mode="int")
@@ -283,6 +283,41 @@ class TestErrorPaths:
         np.savez(path, stuff=np.zeros(3))
         with pytest.raises(engine.ModelPlanError, match="not an engine artifact"):
             engine.load_plan(path)
+
+    #: Graph defects of the saved ``conv`` model (nodes: input, cim, bn,
+    #: relu, cim, bn, relu, pool, cim), each with the error it must raise.
+    GRAPH_DEFECTS = {
+        "unknown_op": (lambda m: m["nodes"][3].update(op="reluu"),
+                       "unknown graph op"),
+        "misnumbered": (lambda m: m["nodes"][3].update(id=9), "has id 9"),
+        "later_input": (lambda m: m["nodes"][3].update(inputs=[4]),
+                        "not 1 earlier"),
+        "extra_input": (lambda m: m["nodes"][3].update(inputs=[2, 1]),
+                        "not 1 earlier"),
+        "output_id": (lambda m: m.update(output=9), "output id 9"),
+        "plan_index": (lambda m: m["nodes"][4].update(plan_index=3),
+                       "plan index 3"),
+        "missing_array": (lambda m: m["nodes"][2]["arrays"].remove("mean"),
+                          r"missing \['mean'\]"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(GRAPH_DEFECTS))
+    def test_graph_the_executor_cannot_run_is_refused(self, tmp_path,
+                                                      defect):
+        """A graph the executor cannot run fails its load, not every later
+        batch, and a server mounts nothing for it."""
+        model, _ = build_calibrated("conv")
+        path = tmp_path / "plan.npz"
+        engine.save_model_plan(engine.compile_model_plan(model), path)
+        edit, message = self.GRAPH_DEFECTS[defect]
+        self._rewrite_manifest(path, edit)
+        for mode in ("float", "int"):
+            with pytest.raises(engine.ModelPlanError, match=message):
+                engine.load_plan(path, mode=mode)
+        with engine.NetServer() as net:
+            with pytest.raises(engine.ModelPlanError, match=message):
+                net.add_model("m", str(path), n_shards=1)
+            assert net.model_names() == []
 
     def test_unexportable_module_raises(self):
         class Weird(Module):
@@ -523,25 +558,24 @@ class TestExecutor:
         assert engine.ModelPlan.execute.__hot_path__
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_liveness_is_built_once_per_mode(self, kind):
+    def test_liveness_is_built_with_the_plan(self, kind):
         model, x = build_calibrated(kind)
         plan = engine.compile_model_plan(model)
-        float_steps = plan._steps()
+        float_steps = plan._schedule
         plan.execute(x)
-        assert plan._steps() is float_steps
-        plan.set_mode("int")
-        int_steps, int_output = plan._steps()
+        assert plan._schedule is float_steps
+        int_plan = plan.with_mode("int")
+        int_steps, int_output = int_plan._schedule
         assert int_steps is not float_steps[0]
-        assert [node for node, _ in int_steps] == plan.graph()[0][1:]
-        assert int_output == plan.graph()[1]
-        plan.execute(x)
-        assert plan._steps()[0] is int_steps
+        assert [node for node, _ in int_steps] == int_plan.graph()[0][1:]
+        assert int_output == int_plan.graph()[1]
+        int_plan.execute(x)
+        assert int_plan._schedule[0] is int_steps
         # every value but the output is freed exactly once, by its last reader
         int_freed = [i for _, dead in int_steps for i in dead]
         assert sorted(int_freed) == sorted(
-            node.id for node in plan.graph()[0] if node.id != int_output)
-        plan.set_mode("float")
-        assert plan._steps() is float_steps
+            node.id for node in int_plan.graph()[0] if node.id != int_output)
+        assert plan._schedule is float_steps
         freed = [i for _, dead in float_steps[0] for i in dead]
         assert sorted(freed) == list(range(len(plan.nodes)))[:-1]
         assert float_steps[1] == plan.output_id == len(plan.nodes) - 1
@@ -620,8 +654,7 @@ class TestInterpreterOps:
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_batch(self, kind, mode):
         model, x = build_calibrated(kind)
-        plan = engine.compile_model_plan(model)
-        plan.set_mode(mode)
+        plan = engine.compile_model_plan(model).with_mode(mode)
         out = plan.execute(np.empty((0,) + x.shape[1:]))
         full = plan.execute(x)
         assert out.shape == (0,) + full.shape[1:]
@@ -630,26 +663,23 @@ class TestInterpreterOps:
     @pytest.mark.parametrize("mode", ["float", "int"])
     def test_channel_mismatch_raises(self, mode):
         model, x = build_calibrated("conv")
-        plan = engine.compile_model_plan(model)
-        plan.set_mode(mode)
+        plan = engine.compile_model_plan(model).with_mode(mode)
         with pytest.raises(ValueError, match="channels"):
             plan.execute(np.zeros((2, x.shape[1] + 1) + x.shape[2:]))
 
     @pytest.mark.parametrize("mode", ["float", "int"])
     def test_linear_feature_mismatch_raises(self, mode):
         model, x = build_calibrated("linear")
-        plan = engine.compile_model_plan(model)
-        plan.set_mode(mode)
+        plan = engine.compile_model_plan(model).with_mode(mode)
         with pytest.raises(ValueError, match=str(x.shape[1])):
             plan.execute(np.zeros((2, x.shape[1] + 1)))
 
     def test_unknown_op_raises(self):
         builder = engine.GraphBuilder()
         bad = builder.add_op("fft", [0], name="bad")
-        plan = engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
-                                output_id=bad)
         with pytest.raises(engine.ModelPlanError, match="fft"):
-            plan.execute(np.zeros((1, 2)))
+            engine.ModelPlan(nodes=builder.nodes, layer_plans=[],
+                             output_id=bad)
 
 
     @pytest.mark.parametrize("tail", [GlobalAvgPool2d, Flatten, None])
@@ -672,8 +702,7 @@ class TestInterpreterOps:
     @pytest.mark.parametrize("kind", KINDS)
     def test_output_survives_the_next_call(self, kind, mode):
         model, x = build_calibrated(kind)
-        plan = engine.compile_model_plan(model)
-        plan.set_mode(mode)
+        plan = engine.compile_model_plan(model).with_mode(mode)
         first = plan.execute(x)
         kept = first.copy()
         second = plan.execute(x * 2.0)
@@ -695,7 +724,7 @@ class TestInterpreterOps:
                   / np.array([2.0, 0.5]).reshape(1, 2, 1, 1))
         np.testing.assert_array_equal(plan.execute(x),
                                       normed + np.fmax(normed, 0.0))
-        steps, _ = plan._steps()
+        steps, _ = plan._schedule
         assert [dead for _, dead in steps] == [(0,), (), (bn, relu)]
 
     def test_graph_output_read_by_a_later_node(self):
@@ -709,36 +738,53 @@ class TestInterpreterOps:
                                 output_id=bn)
         x = np.random.default_rng(1).normal(size=(2, 2, 3, 3))
         np.testing.assert_array_equal(plan.execute(x), x)
-        steps, _ = plan._steps()
+        steps, _ = plan._schedule
         assert [dead for _, dead in steps] == [(0,), ()]
 
 
 class TestModeSwitching:
-    """One plan object moves between the float and int routes; each mode's
-    graph and liveness are built once and never go stale."""
+    """A plan's route is fixed when it is built; ``with_mode`` gives the
+    other route as a new plan over the same layer plans."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_reproduces_both_routes(self, kind):
         model, x = build_calibrated(kind)
         plan = engine.compile_model_plan(model)
         float_out = plan.execute(x)
-        plan.set_mode("int")
-        int_out = plan.execute(x)
+        int_plan = plan.with_mode("int")
+        int_out = int_plan.execute(x)
         np.testing.assert_array_equal(int_out.argmax(axis=1),
                                       float_out.argmax(axis=1))
-        plan.set_mode("float")
         np.testing.assert_array_equal(plan.execute(x), float_out)
-        plan.set_mode("int")
-        np.testing.assert_array_equal(plan.execute(x), int_out)
+        back = int_plan.with_mode("float")
+        np.testing.assert_array_equal(back.execute(x), float_out)
+        np.testing.assert_array_equal(back.with_mode("int").execute(x),
+                                      int_out)
+        np.testing.assert_array_equal(int_plan.execute(x), int_out)
+
+    def test_with_mode_shares_layer_plans_and_keeps_the_receiver(self):
+        model, x = build_calibrated("resnet")
+        plan = engine.compile_model_plan(model)
+        int_plan = plan.with_mode("int")
+        assert int_plan is not plan
+        assert (plan.mode, int_plan.mode) == ("float", "int")
+        assert all(a is b for a, b in zip(int_plan.layer_plans,
+                                          plan.layer_plans, strict=True))
+        assert int_plan.nodes is plan.nodes
+        assert plan.graph() == (plan.nodes, plan.output_id)
+        assert int_plan.graph()[0] is not plan.nodes
+        assert plan.with_mode("float").layer_plans[0] is plan.layer_plans[0]
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            plan.with_mode("int8")
+        assert plan.mode == "float"
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_switch_after_float_execution_equals_fresh_switch(self, kind):
         model, x = build_calibrated(kind)
         early = engine.compile_model_plan(model)
         early.execute(x)
-        early.set_mode("int")
-        late = engine.compile_model_plan(model)
-        late.set_mode("int")
+        early = early.with_mode("int")
+        late = engine.compile_model_plan(model).with_mode("int")
         np.testing.assert_array_equal(early.execute(x), late.execute(x))
         assert ([node.op for node in early.graph()[0]]
                 == [node.op for node in late.graph()[0]])
@@ -747,8 +793,7 @@ class TestModeSwitching:
         """Rows of any batch size equal the rows of one big batch, bit for
         bit, on one plan (the int route has no batch-dependent rounding)."""
         model, _ = build_calibrated("conv")
-        plan = engine.compile_model_plan(model)
-        plan.set_mode("int")
+        plan = engine.compile_model_plan(model).with_mode("int")
         rng = np.random.default_rng(11)
         x = np.abs(rng.normal(size=(8, 3, 8, 8)))
         whole = plan.execute(x)
@@ -761,8 +806,7 @@ class TestModeSwitching:
     @pytest.mark.parametrize("mode", ["float", "int"])
     def test_timings_keyed_by_node_name(self, mode):
         model, x = build_calibrated("conv")
-        plan = engine.compile_model_plan(model)
-        plan.set_mode(mode)
+        plan = engine.compile_model_plan(model).with_mode(mode)
         timings = {}
         out = plan.execute(x, timings=timings)
         np.testing.assert_array_equal(out, plan.execute(x))
@@ -772,8 +816,7 @@ class TestModeSwitching:
     @pytest.mark.parametrize("mode", ["float", "int"])
     def test_summary_lists_the_executed_graph(self, mode):
         model, _ = build_calibrated("resnet")
-        plan = engine.compile_model_plan(model)
-        plan.set_mode(mode)
+        plan = engine.compile_model_plan(model).with_mode(mode)
         nodes, _ = plan.graph()
         lines = plan.summary().splitlines()
         assert lines[0] == (f"ModelPlan(ResNet, mode={mode}, "

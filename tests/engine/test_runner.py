@@ -43,6 +43,37 @@ class TestMicroBatching:
         pred = engine.InferenceRunner(plan, batch_size=4).predict(x)
         np.testing.assert_array_equal(pred, reference)
 
+    def test_predict_hands_slices_straight_to_the_executor(
+            self, plan_and_data, monkeypatch):
+        """No staging copy: each ``batch_size`` slice of a float64 batch
+        reaches the executor as a view of the caller's array, a float32
+        one as its float64 widening, and a one-slice batch returns the
+        executor's output as is."""
+        _, plan, x = plan_and_data
+        runner = engine.InferenceRunner(plan, batch_size=4)
+        seen, outs = [], []
+        execute = runner.executor.execute_batch
+
+        def spy(batch, workers=1):
+            seen.append(batch)
+            outs.append(execute(batch, workers=workers))
+            return outs[-1]
+
+        monkeypatch.setattr(runner.executor, "execute_batch", spy)
+        np.testing.assert_array_equal(runner.predict(x), plan.execute(x))
+        assert [len(batch) for batch in seen] == [4, 4, 3]
+        assert all(np.shares_memory(batch, x) for batch in seen)
+        assert runner.predict(x[:4]) is outs[-1]
+        runner.predict(x[:3].astype(np.float32))
+        assert seen[-1].dtype == np.float64
+        # the slices are the caller's memory: neither route writes to them
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        for routed in (plan, plan.with_mode("int")):
+            np.testing.assert_array_equal(
+                engine.InferenceRunner(routed, batch_size=4).predict(frozen),
+                routed.execute(x))
+
     def test_outputs_survive_buffer_reuse(self, plan_and_data):
         """Yielded rows are copies: later batches must not mutate them."""
         _, plan, x = plan_and_data
@@ -95,7 +126,7 @@ class TestMicroBatching:
 
     def test_empty_predict_returns_typed_empty(self, plan_and_data):
         """Regression: an empty iterable yields an empty array of the plan's
-        output shape and dtype, not an error from the staging loop."""
+        output shape and dtype, not an error from the batching loop."""
         _, plan, x = plan_and_data
         runner = engine.InferenceRunner(plan)
         out = runner.predict(x[:0])
@@ -110,8 +141,8 @@ class TestMicroBatching:
             engine.InferenceRunner(plan).predict(np.empty((0,)))
 
     def test_shape_change_mid_batch_raises(self, plan_and_data):
-        """A shape change with samples already staged must fail loudly, not
-        silently serve uninitialized staging rows."""
+        """A shape change with samples already pending must fail loudly,
+        not run a ragged batch."""
         _, plan, x = plan_and_data
         runner = engine.InferenceRunner(plan, batch_size=4)
         stream = [x[0], x[1], np.zeros((3, 10, 10))]

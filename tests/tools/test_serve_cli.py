@@ -47,7 +47,7 @@ def test_parser_exits_on_an_unknown_option():
         build_parser().parse_args(["--model", "r=plan.npz:shard=3"])
 
 
-# values that parse as strings but would fail int(), PlanServer, set_mode,
+# values that parse as strings but would fail int(), PlanServer, load_plan,
 # the socket bind or the drain once the server starts, or that would time
 # out every request; they must fail the command line instead
 @pytest.mark.parametrize("argv", [

@@ -123,8 +123,8 @@ def _float_case(build):
 
 def _int_case(build):
     plan, x = build()
-    artifact = _artifact_bytes(plan)         # mode is runtime state, not disk
-    plan.set_mode("int")
+    artifact = _artifact_bytes(plan)         # the mode is not stored on disk
+    plan = plan.with_mode("int")
     return artifact, x, plan.execute(x)
 
 
