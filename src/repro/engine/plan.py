@@ -7,7 +7,7 @@ bit-splitting, re-builds the tiled layout and re-broadcasts the dequantization
 scales.  None of that depends on the input, so at inference time it is pure
 overhead.  A *plan* snapshots all of it once, at freeze time:
 
-* the integer tiled weight ``w_bar`` and its per-cell bit-splits,
+* the integer tiled weight, stored once: as its per-cell bit-splits,
 * the weight scale ``s_w``,
 * the activation and partial-sum quantizer parameters (scales + clip ranges),
 * the folded dequantization multiplier ``M = s_p * 2**(j*cell_bits) * s_w``
@@ -23,8 +23,8 @@ training time is, by construction, the math the compiled plan caches.
 Two execution strategies are compiled into every plan:
 
 fused path (partial-sum quantization disabled, no recorder)
-    The bit-splits are folded back into the integer weight (exact, since
-    ``sum_j split_j * 2**(j*cell_bits) == w_bar``): one GEMM per array
+    The bit-splits are shifted and added back into the integer weight
+    ``w_bar = sum_j split_j * 2**(j*cell_bits)`` (exact): one GEMM per array
     against ``w_bar``, whose ``(A, N*L, OC)`` result is scaled by ``s_w``
     per (array, column) and summed over arrays in a fixed order — the
     ``(S, A, N, L, OC)`` partial-sum intermediate (axis convention:
@@ -222,7 +222,6 @@ class _PlanBase:
     rows_per_array: int
     n_splits: int
     pad_rows: int
-    w_bar: np.ndarray             # (A, R, OC) integer weight codes
     splits: np.ndarray            # (S, A, R, OC) integer cell codes
     s_w: np.ndarray               # weight scale, broadcastable to (A, R, OC)
     shift_factors: np.ndarray     # (S,) shift-and-add factors 2**(j*cell_bits)
@@ -275,7 +274,8 @@ class _PlanBase:
                 np.broadcast_to(self.s_p, (s, a, oc)).transpose(1, 0, 2))
             m = self.s_p * self.shift_factors[:, None, None] * s_w_sq[None, :, :]
         else:
-            weights = self.w_bar                    # (A, R, OC)
+            weights = np.tensordot(self.shift_factors, self.splits,
+                                   axes=1)          # (A, R, OC) w_bar
             self.s_p_full = None
             m = s_w_sq[None, :, :]
         self.mats = [np.ascontiguousarray(
@@ -819,9 +819,16 @@ def _snapshot_common(layer, signature) -> dict:
     it would compute in the QAT forward (weight codes, bit-splits, quantizer
     snapshots, the bias), and the
     :class:`~repro.core.pipeline.LayerGeometry` contributes the structural
-    fields.  The plan never re-derives stage math.
+    fields.  The plan never re-derives stage math.  It keeps the weights
+    once, as ``splits`` in the narrowest signed integer dtype holding them.
     """
     state = layer.pipeline.compile_state()
+    del state["w_bar"]
+    codes = state["splits"]
+    lo, hi = int(codes.min(initial=0)), int(codes.max(initial=0))
+    state["splits"] = codes.astype(next(
+        t for t in (np.int8, np.int16, np.int32, np.int64)
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
     state["signature"] = signature
     return state
 
@@ -870,8 +877,8 @@ def compile_plan(layer):
 # --------------------------------------------------------------------------- #
 # serialization
 # --------------------------------------------------------------------------- #
-_ARRAY_FIELDS = ("w_bar", "splits", "s_w", "shift_factors", "bias",
-                 "act_scale", "s_p")
+_ARRAY_FIELDS = ("splits", "s_w", "shift_factors", "bias", "act_scale",
+                 "s_p")
 
 
 def plan_meta(plan) -> dict:

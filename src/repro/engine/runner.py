@@ -73,8 +73,10 @@ class RunnerStats:
     (thread-seconds, so the per-layer sum may exceed ``seconds``) and counts
     one call per node, as an unsplit batch does.
 
-    :attr:`arena_bytes` is the resident activation-buffer gauge; executors
-    hold no activation buffers between batches, so it reads 0.
+    :attr:`arena_bytes` reads 0: executors hold no activation buffers
+    between batches.  It leaves out the tile buffers each plan's
+    :class:`~repro.engine.hotpath.ScratchTable` keeps between batches, one
+    set per thread that ran the plan (docs/engine.md, section 7).
     """
 
     samples: int = 0
@@ -85,7 +87,8 @@ class RunnerStats:
 
     @property
     def arena_bytes(self) -> int:
-        """Activation-buffer bytes held between batches (always 0)."""
+        """Activation-buffer bytes held between batches (always 0; per-thread
+        tile scratch is not counted)."""
         return 0
 
     @property

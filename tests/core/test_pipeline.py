@@ -1,5 +1,7 @@
 """CIMPipeline: stage list, geometry, adapters, static cache, plan state."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,14 @@ class TestStaticCache:
         assert not np.allclose(clean, varied)
 
 
+#: (weight, partial-sum) granularities; ``None`` is no partial-sum
+#: quantization (the fused path)
+GRANULARITY_PAIRS = [(w, p) for w in ("layer", "array", "column")
+                     for p in ("layer", "array", "column", None)]
+#: (weight_bits, cell_bits): one to three splits, and one 8-bit cell
+BIT_SPLITS = [(3, 1), (4, 2), (8, 3), (8, 8)]
+
+
 class TestCompileState:
     REQUIRED_KEYS = {"out_channels", "n_arrays", "rows_per_array", "n_splits",
                      "pad_rows", "mapping", "w_bar", "s_w", "splits",
@@ -186,14 +196,77 @@ class TestCompileState:
         np.testing.assert_allclose((state["splits"] * shifts).sum(axis=0),
                                    state["w_bar"], atol=0)
 
-    def test_engine_compiles_from_the_stage_state(self, rng, cfg):
-        """compile_plan consumes compile_state verbatim (plus the signature)."""
-        conv = make_conv(cfg)
+    @pytest.mark.parametrize("weight_bits,cell_bits", BIT_SPLITS,
+                             ids=[f"w{w}c{c}" for w, c in BIT_SPLITS])
+    @pytest.mark.parametrize("weight_g,psum_g", GRANULARITY_PAIRS,
+                             ids=[f"{w}-{p or 'no_psum'}"
+                                  for w, p in GRANULARITY_PAIRS])
+    def test_engine_compiles_from_the_stage_state(self, rng, tmp_path,
+                                                  weight_g, psum_g,
+                                                  weight_bits, cell_bits):
+        """compile_plan keeps the stage state's cell codes, once, as
+        integers; the fused operand is their shift-and-add, the QAT
+        layer's own weight codes, and a save/load keeps every bit."""
+        cfg = CIMConfig(array_rows=32, array_cols=32, cell_bits=cell_bits,
+                        adc_bits=4)
+        conv = make_conv(cfg, weight_bits=weight_bits, act_bits=4,
+                         psum_bits=4, weight_granularity=weight_g,
+                         psum_granularity=psum_g or "column",
+                         quantize_psum=psum_g is not None)
         conv.eval()
-        x = Tensor(np.abs(rng.normal(size=(1, 6, 6, 6))))
+        x = Tensor(np.abs(rng.normal(size=(2, 6, 6, 6))))
         conv(x)
+        if weight_bits == cell_bits:
+            # one weight far below the grid clips to the code -128, the
+            # minimum of int8: a narrowed |code| would wrap to -128
+            weight = conv.weight.data.copy()
+            weight.reshape(-1)[0] = -1e6
+            conv.weight.data = weight
         plan = engine.compile_conv_plan(conv)
         state = conv.pipeline.compile_state()
-        np.testing.assert_array_equal(plan.w_bar, state["w_bar"])
+        w_bar = conv.quantized_weight()[0].data
+        assert plan.splits.dtype == np.int8
+        if weight_bits == cell_bits:
+            assert plan.splits.min() == w_bar.min() == -128
         np.testing.assert_array_equal(plan.splits, state["splits"])
         np.testing.assert_array_equal(plan.s_w, state["s_w"])
+        np.testing.assert_array_equal(
+            np.tensordot(plan.shift_factors, plan.splits, axes=1), w_bar)
+
+        # both routes' GEMM operands are the QAT codes: the cell codes
+        # (rows, S*OC) with partial sums quantized, else the weight codes
+        s, a, r, oc = plan.splits.shape
+        codes = (state["splits"].transpose(1, 2, 0, 3).reshape(a, r, s * oc)
+                 if plan.psum_quant_enabled else w_bar)
+        for i, (start, stop) in enumerate(plan.row_slices):
+            assert plan.mats[i].dtype == plan.carrier
+            np.testing.assert_array_equal(plan.mats[i],
+                                          codes[i, :stop - start])
+
+        # the integer route's bounds, restated from float64 codes
+        operand = state["splits"] if plan.psum_quant_enabled else w_bar
+        act_amax = max(abs(plan.act_qmin), abs(plan.act_qmax))
+        acc_bound = int(plan.rows_per_array * act_amax
+                        * float(np.abs(operand.astype(np.float64)).max()))
+        assert plan.requant.acc_bound == acc_bound
+        assert plan.requant.gemm_dtype == (
+            "float32" if acc_bound < 2 ** 24 else "float64")
+
+        builder = engine.GraphBuilder()
+        output_id = builder.add_layer_plan(plan, [builder.input_id])
+        path = tmp_path / "conv.npz"
+        engine.save_model_plan(engine.ModelPlan(
+            nodes=builder.nodes, layer_plans=builder.layer_plans,
+            output_id=output_id), path)
+        with zipfile.ZipFile(path) as archive:
+            assert "layer0.splits.npy" in archive.namelist()
+            assert not any("w_bar" in name for name in archive.namelist())
+        loaded = engine.load_plan(path)
+        got = loaded.layer_plans[0]
+        assert got.splits.dtype == plan.splits.dtype
+        np.testing.assert_array_equal(got.splits, plan.splits)
+        np.testing.assert_array_equal(loaded.execute(x.data),
+                                      plan.execute(x.data))
+        np.testing.assert_array_equal(
+            got.execute(x.data, got.dequant_fold(False)),
+            plan.execute(x.data, plan.dequant_fold(False)))

@@ -11,12 +11,15 @@ are scaled by ``s_w``; the arrays add into a zeroed accumulator in array
 order, and the activation scale and bias come last.  :func:`float_oracle`
 evaluates exactly that on whole batches — no sample tiles, no scratch
 buffers, every array in ``float64`` rather than on the plan's carrier,
-operands derived from the plan's stored codes and scales — and every test
-demands **bit-exact** equality with the executed route on
-``resnet_tiny``, the three float golden fixtures, randomized residual
-graphs with and without partial-sum quantization, and TinyCNN, MLP and
-ResNet-8 plans at all nine weight x partial-sum granularities and without
-partial-sum quantization.
+operands derived from the plan's stored cell codes and scales (the fused
+path's weight codes by shift-and-add) — and :func:`float_oracle_op`
+restates the graph's other ops (BatchNorm, ReLU/ReLU6, add, pools,
+flatten) in plain NumPy.  Every test demands **bit-exact** equality with
+the executed route on ``resnet_tiny``, the three float golden fixtures,
+randomized residual graphs with and without partial-sum quantization,
+TinyCNN, MLP and ResNet-8 plans at all nine weight x partial-sum
+granularities and without partial-sum quantization, and a chain of
+windowed pools.
 
 Codes are integers and the route's carrier is certified exact, so the
 GEMM of every layer with an input quantizer is exact on either side and
@@ -73,6 +76,9 @@ def float_oracle_layer(lp, x) -> np.ndarray:
     if lp.act_scale is None:
         _assert_one_tile(lp, cols.shape[0], n)
     s, a, _, oc = lp.splits.shape
+    # the fused path's weight codes: the cell codes shifted and added
+    w_bar = sum(lp.splits[j].astype(np.float64) * lp.shift_factors[j]
+                for j in range(s))
     s_w = lp.s_w.reshape(lp.s_w.shape[0], lp.s_w.shape[2])
     s_w = np.broadcast_to(s_w, (a, oc))
     if lp.psum_quant_enabled:
@@ -94,8 +100,7 @@ def float_oracle_layer(lp, x) -> np.ndarray:
             for j in range(1, s):
                 term = term + q[:, j] * m[j, i]
         else:
-            p = rows @ np.ascontiguousarray(lp.w_bar[i, :depth],
-                                            dtype=np.float64)
+            p = rows @ np.ascontiguousarray(w_bar[i, :depth])
             term = p * s_w[i]
         acc += term
     out = acc if lp.act_scale is None else acc * lp.act_scale
@@ -106,19 +111,70 @@ def float_oracle_layer(lp, x) -> np.ndarray:
     return out.reshape((n,) + tail + (oc,)).transpose(0, 3, 1, 2)
 
 
+def _channel(array, ndim: int) -> np.ndarray:
+    """A per-channel ``(C,)`` operand broadcast over an ``ndim`` input."""
+    return array.reshape((1, -1) + (1,) * (ndim - 2))
+
+
+def _pool_windows(x, kernel, stride, padding) -> list:
+    """The ``kh * kw`` strided views of a zero-padded ``(N, C, H, W)``
+    input, row-major over the window: view ``k`` holds every window's
+    element ``k``."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out_h = (padded.shape[2] - kh) // sh + 1
+    out_w = (padded.shape[3] - kw) // sw + 1
+    return [padded[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+            for i in range(kh) for j in range(kw)]
+
+
+def float_oracle_op(node, args) -> np.ndarray:
+    """One non-CIM op of a float graph, in the Tensor math it mirrors:
+    BatchNorm as ``(x - mean) / denom * gamma + beta``, every mean as a sum
+    times ``1 / count`` (a window's elements added in window order)."""
+    x, a = args[0], node.arrays
+    if node.op == "batchnorm":
+        out = (x - _channel(a["mean"], x.ndim)) / _channel(a["denom"], x.ndim)
+        if "gamma" in a:
+            out = (out * _channel(a["gamma"], x.ndim)
+                   + _channel(a["beta"], x.ndim))
+        return out
+    if node.op == "relu":
+        return np.where(x > 0, x, 0.0)
+    if node.op == "relu6":
+        return np.minimum(np.maximum(x, 0.0), 6.0)
+    if node.op == "add":
+        return x + args[1]
+    if node.op == "flatten":
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
+    if node.op == "global_avg_pool":
+        return x.sum(axis=(2, 3)) * (1.0 / (x.shape[2] * x.shape[3]))
+    if node.op in ("max_pool", "avg_pool"):
+        kernel = tuple(node.attrs["kernel"])
+        windows = _pool_windows(x, kernel, tuple(node.attrs["stride"]),
+                                tuple(node.attrs["padding"]))
+        if node.op == "max_pool":
+            return np.maximum.reduce(windows)
+        total = windows[0]
+        for window in windows[1:]:
+            total = total + window
+        return total * (1.0 / (kernel[0] * kernel[1]))
+    raise NotImplementedError(f"no oracle for op {node.op!r}")
+
+
 def _oracle_values(plan, x) -> dict:
     """Every node value of the float graph of ``plan``: CIM layers by
-    :func:`float_oracle_layer`, every other op by the plan's own node
-    step."""
+    :func:`float_oracle_layer`, every other op by :func:`float_oracle_op`."""
     assert plan.mode == "float"
     nodes, _ = plan.graph()
     values = {0: np.asarray(x, dtype=np.float64)}
     for node in nodes[1:]:
+        args = [values[i] for i in node.inputs]
         if node.op == "cim":
             values[node.id] = float_oracle_layer(
-                plan.layer_plans[node.plan_index], values[node.inputs[0]])
+                plan.layer_plans[node.plan_index], args[0])
         else:
-            values[node.id] = plan._run_node(node, values)
+            values[node.id] = float_oracle_op(node, args)
     return values
 
 
@@ -128,18 +184,17 @@ def float_oracle(plan, x) -> np.ndarray:
 
 
 def assert_route_matches_float_oracle(plan, x):
-    """Every CIM layer, run by the route on the oracle's input to it, and
-    the whole graph equal the oracle bit for bit.  Layers are checked one
-    by one because the next layer's input quantizer absorbs most last-bit
+    """Every node, run by the route on the oracle's inputs to it, and the
+    whole graph equal the oracle bit for bit.  Nodes are checked one by
+    one because the next layer's input quantizer absorbs most last-bit
     differences before they reach the graph output."""
     plan = plan.with_mode("float")
     values = _oracle_values(plan, x)
     nodes, output_id = plan.graph()
     for node in nodes[1:]:
-        if node.op == "cim":
-            np.testing.assert_array_equal(plan._run_node(node, values),
-                                          values[node.id],
-                                          err_msg=f"layer {node.name}")
+        np.testing.assert_array_equal(plan._run_node(node, values),
+                                      values[node.id],
+                                      err_msg=f"{node.op} {node.name}")
     got = plan.execute(x)
     want = values[output_id]
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -169,6 +224,26 @@ def test_model_kinds_bit_exact(kind, scheme):
     plan, x = model_kind_plan(kind, *scheme)
     assert_route_matches_float_oracle(plan, x)
     assert_route_matches_float_oracle(plan, x[:1])
+
+
+def test_windowed_pools_bit_exact():
+    """Max and mean pools, padded and strided, over a CIM layer's signed
+    outputs (so the zero padding is seen by the max)."""
+    model_plan, x = model_kind_plan("conv", True)
+    builder = engine.GraphBuilder()
+    node = builder.add_layer_plan(model_plan.layer_plans[0],
+                                  [builder.input_id])
+    for op, kernel, stride, padding in (("max_pool", 3, 1, 1),
+                                        ("avg_pool", 3, 2, 1),
+                                        ("avg_pool", 2, 1, 0),
+                                        ("max_pool", 2, 2, 0)):
+        node = builder.add_op(op, [node], kernel=(kernel, kernel),
+                              stride=(stride, stride),
+                              padding=(padding, padding))
+    plan = engine.ModelPlan(nodes=builder.nodes,
+                            layer_plans=builder.layer_plans, output_id=node)
+    assert (plan.layer_plans[0].execute(x) < 0).any()
+    assert_route_matches_float_oracle(plan, x)
 
 
 @pytest.mark.parametrize("name", ["conv", "linear", "resnet_tiny"])

@@ -119,7 +119,11 @@ def _accumulators(lp, rows, fold) -> list:
                         acc[c] += min(max(code, qmin), qmax) * weights[a, s, c]
             accs.append(acc)
     else:
-        cells = [[[int(v) for v in lp.w_bar[a, :stop - start, c]]
+        # the weight codes: the cell codes shifted and added, in ints
+        codes = _ints(lp.splits)
+        w_bar = sum(codes[s] * int(lp.shift_factors[s])
+                    for s in range(lp.n_splits))
+        cells = [[[w_bar[a, r, c] for r in range(stop - start)]
                   for c in range(oc)] for a, (start, stop) in enumerate(slices)]
         for row in rows:
             acc = [0] * oc

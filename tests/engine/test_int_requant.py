@@ -143,8 +143,11 @@ class TestLayerDifferential:
         codes = plan._quantize_acts_carrier(np.asarray(x, np.float64))
         codes = codes.astype(np.int64)
         acc = np.zeros((codes.shape[0], plan.out_channels), dtype=np.int64)
+        # the weight codes: the cell codes shifted and added
+        w_bar = np.tensordot(plan.shift_factors.astype(np.int64),
+                             plan.splits.astype(np.int64), axes=1)
         for i, (start, stop) in enumerate(plan.row_slices):
-            w = plan.w_bar[i, :stop - start, :].astype(np.int64)
+            w = w_bar[i, :stop - start, :]
             acc += (codes[:, start:stop] @ w) * rq.m0_fused[i].astype(np.int64)
         if rq.bias_q is not None:
             acc += rq.bias_q

@@ -395,15 +395,16 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _fixture_archives() -> list:
-    """The zip bytes of every fixture file and of its artifact, as params."""
+    """The zip bytes of every fixture file and of its artifact, as
+    ``(raw, is_artifact)`` params."""
     archives = []
     for name in sorted(os.listdir(FIXTURE_DIR)):
         with open(os.path.join(FIXTURE_DIR, name), "rb") as handle:
             raw = handle.read()
         with np.load(io.BytesIO(raw)) as archive:
             artifact = archive["artifact"].tobytes()
-        archives += [pytest.param(raw, id=name),
-                     pytest.param(artifact, id=f"{name}:artifact")]
+        archives += [pytest.param(raw, False, id=name),
+                     pytest.param(artifact, True, id=f"{name}:artifact")]
     return archives
 
 
@@ -419,6 +420,17 @@ def _npy_bytes(array, version=(1, 0)) -> bytes:
     np.lib.format.write_array(buf, array, version=version,
                               allow_pickle=True)
     return buf.getvalue()
+
+
+def _without_members(raw: bytes, suffix: str) -> bytes:
+    """The archive ``raw`` without its members named ``*suffix``."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, \
+            zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            if not info.filename.endswith(suffix):
+                dst.writestr(info, src.read(info))
+    return out.getvalue()
 
 
 def _with_member(raw: bytes, member: str, data: bytes) -> bytes:
@@ -452,9 +464,9 @@ class TestArchiveReader:
     integer or float dtypes."""
 
     @staticmethod
-    def assert_matches_np_load(raw: bytes) -> list:
+    def assert_matches_np_load(raw: bytes) -> dict:
         """The reader's arrays equal ``np.load``'s in names, dtypes,
-        shapes, memory order and bytes; returns the arrays."""
+        shapes, memory order and bytes; returns the arrays by name."""
         got = _read_archive(io.BytesIO(raw))
         with np.load(io.BytesIO(raw)) as archive:
             assert sorted(got) == sorted(archive.files)
@@ -466,11 +478,17 @@ class TestArchiveReader:
                 assert array.flags.f_contiguous == want.flags.f_contiguous
                 assert array.flags.writeable and array.flags.aligned, key
                 assert array.tobytes(order="A") == want.tobytes(order="A")
-        return list(got.values())
+        return got
 
-    @pytest.mark.parametrize("raw", _fixture_archives())
-    def test_fixture_archives_read_as_np_load_reads_them(self, raw):
-        assert self.assert_matches_np_load(raw)
+    @pytest.mark.parametrize("raw,is_artifact", _fixture_archives())
+    def test_fixture_archives_read_as_np_load_reads_them(self, raw,
+                                                         is_artifact):
+        arrays = self.assert_matches_np_load(raw)
+        assert arrays
+        if is_artifact:
+            # the fixtures' w_bar members are stored in Fortran order
+            assert any(a.ndim > 1 and a.flags.f_contiguous
+                       and not a.flags.c_contiguous for a in arrays.values())
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("quantize_psum", [True, False])
@@ -478,11 +496,31 @@ class TestArchiveReader:
                                                        quantize_psum):
         arrays = self.assert_matches_np_load(
             _fresh_archive(tmp_path, kind, quantize_psum))
-        # the w_bar members are stored in Fortran order
-        assert any(a.ndim > 1 and a.flags.f_contiguous
-                   and not a.flags.c_contiguous for a in arrays)
+        # one copy of the weights: integer cell codes, no w_bar
+        assert not any(name.endswith(".w_bar") for name in arrays)
+        splits = [a for name, a in arrays.items() if name.endswith(".splits")]
+        assert splits and all(a.dtype == np.int8 for a in splits)
 
-    MEMBER = "layer0.w_bar.npy"
+    @pytest.mark.parametrize("name,mode", [
+        ("conv", "float"), ("linear", "float"), ("resnet_tiny", "float"),
+        ("conv_int", "int"), ("linear_int", "int"),
+        ("resnet_tiny_int", "int")])
+    def test_fixture_without_w_bar_members_gives_the_same_outputs(
+            self, name, mode):
+        """A plan runs from its cell codes alone: the fixtures' stored
+        w_bar members are never read."""
+        with np.load(os.path.join(FIXTURE_DIR, f"{name}.npz")) as fixture:
+            raw, x = fixture["artifact"].tobytes(), fixture["input"]
+            golden = fixture["golden"]
+        stripped = _without_members(raw, ".w_bar.npy")
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            assert any(member.endswith(".w_bar.npy")
+                       for member in archive.namelist())
+        np.testing.assert_array_equal(
+            engine.load_plan(io.BytesIO(stripped), mode=mode).execute(x),
+            golden)
+
+    MEMBER = "layer0.splits.npy"
 
     @pytest.mark.parametrize("mutation", [
         "object", "structured", "unicode", "complex", "format_2",
@@ -491,14 +529,14 @@ class TestArchiveReader:
         raw = _fresh_archive(tmp_path, "conv", True)
         with zipfile.ZipFile(io.BytesIO(raw)) as archive:
             original = archive.read(self.MEMBER)
-        w_bar = np.load(io.BytesIO(original))
+        array = np.load(io.BytesIO(original))
         data = {
             "object": lambda: _npy_bytes(np.array([1, None], dtype=object)),
             "structured": lambda: _npy_bytes(
                 np.zeros(3, dtype=[("a", "<i4"), ("b", "<f8")])),
             "unicode": lambda: _npy_bytes(np.array(["ab", "c"])),
             "complex": lambda: _npy_bytes(np.zeros(3, np.complex128)),
-            "format_2": lambda: _npy_bytes(w_bar, version=(2, 0)),
+            "format_2": lambda: _npy_bytes(array, version=(2, 0)),
             "short_data": lambda: original[:-8],
             "long_data": lambda: original + bytes(8),
             "bad_length_field": lambda: (original[:8] + struct.pack(
