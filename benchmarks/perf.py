@@ -15,7 +15,9 @@ takes its measuring machinery from here, once:
   fleet of the serving benches;
 * :func:`main` — run one bench, print its ledger entry and write it to
   ``BENCH_<name>.json`` at the repository root, with the environment block
-  of ``cimbench/common.py`` (machine, NumPy, live BLAS threads, git sha);
+  of ``cimbench/common.py`` (machine, NumPy, live BLAS threads, git sha),
+  whether the measured tree differs from that commit (:func:`tree_state`)
+  and the bench process's peak memory (:func:`peak_rss_mb`);
 * :func:`calibrated_frozen_resnet8` — the reference serving model, so every
   serving bench measures the same scheme, geometry and calibration.
 
@@ -28,6 +30,7 @@ import http.client
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -102,15 +105,53 @@ def rotate(sides, clock=time.perf_counter):
     return {name: _summary(seconds[name]) for name in names}, returns
 
 
+def tree_state(run=subprocess.run) -> str:
+    """Whether the checkout's tracked files differ from its commit.
+
+    ``"HEAD"`` when ``git status --porcelain --untracked-files=no`` lists
+    nothing, ``"HEAD+uncommitted"`` when it lists a file, ``"unknown"``
+    when git cannot tell; ``run`` lets a test stand in for git.
+    """
+    try:
+        out = run(["git", "status", "--porcelain", "--untracked-files=no"],
+                  cwd=ROOT, capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    if out.returncode != 0:
+        return "unknown"
+    return "HEAD+uncommitted" if out.stdout.strip() else "HEAD"
+
+
+def peak_rss_mb(status: str = "/proc/self/status") -> float:
+    """This process's peak resident memory in MB: ``VmHWM`` of ``status``,
+    else (no such file or line) ``ru_maxrss``."""
+    try:
+        with open(status, encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return common.peak_rss_mb()
+
+
 def main(name: str, run):
     """Run one bench, print its ledger entry, write ``BENCH_<name>.json``.
 
     ``run()`` returns the bench's JSON-ready results; they are returned
-    for the caller's gates.  Nothing is written at the ``tiny`` scale.
+    for the caller's gates.  The entry's ``tree`` says whether the measured
+    files match the commit its ``environment`` names (:func:`tree_state`),
+    and ``peak_rss_mb`` is the bench process's peak memory once ``run()``
+    returns.  Nothing is written at the ``tiny`` scale.
     """
+    results = run()
+    environment = common.environment(SEED)
     entry = {"benchmark": name, "scale": bench_scale(), "trials": trials(),
-             "unix_time": time.time(), "results": run(),
-             "environment": common.environment(SEED)}
+             "unix_time": time.time(), "results": results,
+             "environment": environment,
+             "tree": ("unknown" if environment["git_sha"] == "unknown"
+                      else tree_state()),
+             "peak_rss_mb": peak_rss_mb()}
     text = json.dumps(entry, indent=2, sort_keys=True)
     print(text)
     if bench_scale() != "tiny":

@@ -26,19 +26,13 @@ Sub-packages
     One-stage and two-stage QAT trainers, PTQ calibration, metrics.
 ``repro.analysis``
     Experiment drivers reproducing every table and figure of the paper.
+
+Importing ``repro`` imports none of them: ``from repro import engine`` (or
+``import repro.engine``) loads that sub-package and what it needs, so an
+inference process never loads the training, data or analysis code.
 """
 
 __version__ = "1.0.0"
-
-from . import nn  # noqa: F401
-from . import quant  # noqa: F401
-from . import cim  # noqa: F401
-from . import core  # noqa: F401
-from . import engine  # noqa: F401
-from . import models  # noqa: F401
-from . import data  # noqa: F401
-from . import training  # noqa: F401
-from . import analysis  # noqa: F401
 
 __all__ = ["nn", "quant", "cim", "core", "engine", "models", "data", "training",
            "analysis", "__version__"]

@@ -46,7 +46,10 @@ compiles that work out, at two granularities:
   background drain, also the one way to re-read a rewritten artifact or
   change a pool, whose size is fixed at mount) and a graceful
   drain on close; the JSON payload contract lives in
-  :mod:`repro.engine.wire`.
+  :mod:`repro.engine.wire`.  Its names (``NetServer``, ``ModelEndpoint``,
+  ``EndpointCounters``, ``Saturated``) load :mod:`repro.engine.netserver`
+  the first time one is read, so importing this package (and running a
+  plan offline) imports no HTTP code.
 
 The fast paths are numerically equivalent to the seed layers — see
 ``tests/engine/``, ``benchmarks/bench_engine_speedup.py``,
@@ -65,7 +68,6 @@ from .plan import (ConvPlan, LinearPlan, PlanNotReadyError, compile_conv_plan,
                    compile_linear_plan, compile_plan, layer_signature,
                    signature_ready)
 from .latency import LatencyHistogram
-from .netserver import EndpointCounters, ModelEndpoint, NetServer, Saturated
 from .runner import InferenceRunner, PlanExecutor, RunnerStats
 from .scheduler import (DynamicBatcher, Request, RequestTiming,
                         SchedulerClosed, SchedulerStats)
@@ -97,3 +99,20 @@ __all__ = [
     "encode_predict_response", "encode_error",
     "RequantConstants", "compile_requant", "quantize_multipliers",
 ]
+
+#: Names of the HTTP front end, loaded by :func:`__getattr__` on first use.
+_NETSERVER_NAMES = ("NetServer", "ModelEndpoint", "EndpointCounters",
+                    "Saturated")
+
+
+def __getattr__(name: str):
+    """Import :mod:`.netserver` the first time one of its names is read.
+
+    A process that never serves HTTP (an offline runner, a training job)
+    then never loads ``http.server`` and the ``http.client``, ``ssl`` and
+    ``email`` modules it pulls in.
+    """
+    if name in _NETSERVER_NAMES:
+        from . import netserver
+        return getattr(netserver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -58,7 +58,8 @@ from ..nn.tensor import Tensor, no_grad
 from .frozen import _FrozenLayer
 from .hotpath import hot_path
 from .intfold import INT_OPS, fold_int_graph
-from .plan import compile_plan, plan_arrays, plan_from_parts, plan_meta
+from .plan import (compile_plan, plan_arrays, plan_from_parts, plan_members,
+                   plan_meta)
 
 __all__ = [
     "GraphNode",
@@ -753,6 +754,25 @@ def _read_archive(path) -> Dict[str, np.ndarray]:
     return arrays
 
 
+def _check_members(path, manifest: dict, stored: Dict[str, np.ndarray]
+                   ) -> None:
+    """Refuse an archive that lacks an array its manifest needs.
+
+    Names the first missing member and its owner (a layer's required
+    arrays, :func:`~repro.engine.plan.plan_members`, then every array a
+    node lists), before any plan is built.
+    """
+    wanted = [(f"layer{index}.{name}", f"layer {index}")
+              for index, meta in enumerate(manifest["layers"])
+              for name in plan_members(meta)]
+    wanted += [(f"node{doc['id']}.{key}", f"node {doc['id']}")
+               for doc in manifest["nodes"] for key in doc.get("arrays", [])]
+    for key, owner in wanted:
+        if key not in stored:
+            raise ModelPlanError(f"{path}: archive has no member "
+                                 f"'{key}.npy' ({owner})")
+
+
 def load_plan(path, mode: str = "float") -> ModelPlan:
     """Rebuild a :class:`ModelPlan` from a :func:`save_model_plan` archive.
 
@@ -766,7 +786,8 @@ def load_plan(path, mode: str = "float") -> ModelPlan:
     Raises :class:`ModelPlanError` on a file that is not a readable zip
     (empty, truncated, a failed CRC), a member that is not a canonical
     format-1.0 ``.npy`` array of a bool, integer or float dtype, a
-    corrupted manifest, an unknown format/version, missing array entries,
+    corrupted manifest, an unknown format/version, a missing array member
+    (named with its layer or node, before any plan is built),
     a graph the executor cannot run (an unknown op, a misnumbered node, an
     input that is not an earlier node, an out-of-range output or plan
     index, a missing node array),
@@ -794,6 +815,7 @@ def load_plan(path, mode: str = "float") -> ModelPlan:
                              f"{sorted(SUPPORTED_MODEL_PLAN_VERSIONS)})")
     try:
         _check_float64(path, manifest, "the model")
+        _check_members(path, manifest, stored)
         by_layer: Dict[str, Dict[str, np.ndarray]] = {}
         for key, value in stored.items():
             owner, _, name = key.partition(".")

@@ -67,8 +67,9 @@ dequant multiply (a stand-alone layer, or a model's logits).
 Plans are plain data (NumPy arrays + geometry): :func:`plan_meta` /
 :func:`plan_arrays` give the manifest entry and array payload a
 :class:`~repro.engine.model_plan.ModelPlan` archive stores per layer, and
-:func:`plan_from_parts` rebuilds the plan; the crossbar mapping travels
-along via :func:`repro.cim.tiling.mapping_to_dict`.
+:func:`plan_from_parts` rebuilds the plan (:func:`plan_members` names the
+arrays it cannot do without); the crossbar mapping travels along via
+:func:`repro.cim.tiling.mapping_to_dict`.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ __all__ = [
     "signature_ready",
     "plan_meta",
     "plan_arrays",
+    "plan_members",
     "plan_from_parts",
 ]
 
@@ -304,9 +306,9 @@ class _PlanBase:
             return
         a, s, oc = self.n_arrays, self.n_splits, self.out_channels
         shapes = {"s_out": (oc,), "bias_q": (oc,)}
-        shapes.update(dict.fromkeys(("m0_adc", "shift_adc", "m0_out"),
-                                    (a, s, oc)) if self.psum_quant_enabled
-                      else {"m0_fused": (a, oc)})
+        shapes.update(dict.fromkeys(
+            _ROUTE_REQUANT[self.psum_quant_enabled],
+            (a, s, oc) if self.psum_quant_enabled else (a, oc)))
         for name, shape in shapes.items():
             value = getattr(rq, name)
             if (value is None and name != "bias_q") or (
@@ -880,6 +882,11 @@ def compile_plan(layer):
 _ARRAY_FIELDS = ("splits", "s_w", "shift_factors", "bias", "act_scale",
                  "s_p")
 
+#: The multipliers of the ADC (partial sums quantized) and the fused
+#: integer route, by ``psum_quant_enabled``.
+_ROUTE_REQUANT = {True: ("m0_adc", "shift_adc", "m0_out"),
+                  False: ("m0_fused",)}
+
 
 def plan_meta(plan) -> dict:
     """JSON-serializable metadata of one layer plan (everything non-array).
@@ -925,6 +932,24 @@ def plan_arrays(plan) -> dict:
     if plan.requant is not None:
         arrays.update(plan.requant.arrays())
     return arrays
+
+
+def plan_members(meta: dict) -> Tuple[str, ...]:
+    """The array payload keys a layer with manifest entry ``meta`` requires.
+
+    The weights (``splits``, ``s_w``, ``shift_factors``), ``s_p`` when
+    partial sums are quantized, and the requant arrays the layer's integer
+    route reads when ``meta`` carries requant constants (``rq_s_out``, then
+    the ADC or the fused multipliers).  ``bias``, ``act_scale`` and
+    ``rq_bias_q`` are optional, and keys older writers stored (``w_bar``)
+    are never read.
+    """
+    adc = bool(meta["psum_quant_enabled"])
+    names = ("splits", "s_w", "shift_factors") + (("s_p",) if adc else ())
+    if meta.get("requant") is not None:
+        names += tuple(f"rq_{name}"
+                       for name in ("s_out",) + _ROUTE_REQUANT[adc])
+    return names
 
 
 def plan_from_parts(meta: dict, arrays: dict):

@@ -24,7 +24,9 @@ import numpy as np
 import pytest
 
 from repro import engine
+from repro.engine import model_plan
 from repro.engine.model_plan import _read_archive
+from repro.engine.plan import plan_members
 from repro.cim import CIMConfig, QuantScheme
 from repro.models import MLP, TinyCNN, resnet8
 from repro.nn import Tensor
@@ -234,6 +236,37 @@ class TestErrorPaths:
         np.savez(path, **entries)
         with pytest.raises(engine.ModelPlanError):
             engine.load_plan(path)
+
+    @pytest.mark.parametrize("quantize_psum", [True, False])
+    def test_missing_member_is_named_with_its_owner(self, tmp_path,
+                                                    monkeypatch,
+                                                    quantize_psum):
+        """Every array a layer requires, and a node's array, is named with
+        its owner when absent, on both routes, before any plan is built."""
+        raw = _fresh_archive(tmp_path, "resnet", quantize_psum)
+        with np.load(io.BytesIO(raw)) as archive:
+            manifest = json.loads(archive["__manifest__"].tobytes())
+        required = plan_members(manifest["layers"][1])
+        assert ("s_p" in required) == quantize_psum
+        assert {"splits", "s_w", "shift_factors", "rq_s_out"} <= set(required)
+        members = [(f"layer1.{name}.npy", "layer 1") for name in required]
+        members.append(("node2.mean.npy", "node 2"))
+        monkeypatch.setattr(model_plan, "plan_from_parts", None)
+        for member, owner in members:
+            stripped = _without_members(raw, member)
+            assert len(stripped) < len(raw), member
+            for mode in ("float", "int"):
+                with pytest.raises(engine.ModelPlanError, match=re.escape(
+                        f"archive has no member '{member}' ({owner})")):
+                    engine.load_plan(io.BytesIO(stripped), mode=mode)
+
+    @pytest.mark.parametrize("quantize_psum", [True, False])
+    def test_optional_members_may_be_absent(self, tmp_path, quantize_psum):
+        raw = _fresh_archive(tmp_path, "resnet", quantize_psum)
+        for suffix in (".bias.npy", ".act_scale.npy", ".rq_bias_q.npy"):
+            stripped = _without_members(raw, suffix)
+            for mode in ("float", "int"):
+                engine.load_plan(io.BytesIO(stripped), mode=mode)
 
     def test_unsupported_version_raises(self, tmp_path):
         import json

@@ -110,6 +110,41 @@ class TestLedger:
             assert entry["environment"]["blas"]["threads"] == 1
         for side in ("a", "b"):
             assert set(entry["results"][side]) == {"median_s", "iqr_s"}
+        assert entry["tree"] in ("HEAD", "HEAD+uncommitted", "unknown")
+        assert entry["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("returncode,stdout,state", [
+        (0, "", "HEAD"),
+        (0, " M src/repro/engine/plan.py\n", "HEAD+uncommitted"),
+        (128, "", "unknown")])
+    def test_tree_state_reads_git_status(self, perf, returncode, stdout,
+                                         state):
+        calls = []
+
+        def git(args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, returncode, stdout, "")
+
+        assert perf.tree_state(run=git) == state
+        assert calls == [["git", "status", "--porcelain",
+                          "--untracked-files=no"]]
+
+    def test_ledger_names_an_uncommitted_tree(self, perf, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
+        monkeypatch.setattr(perf.common, "git_sha", lambda: "abc123")
+        monkeypatch.setattr(perf, "tree_state", lambda: "HEAD+uncommitted")
+        perf.main("probe", lambda: {})
+        entry = json.loads(capsys.readouterr().out)
+        assert entry["environment"]["git_sha"] == "abc123"
+        assert entry["tree"] == "HEAD+uncommitted"
+
+    def test_peak_rss_reads_vmhwm_then_falls_back(self, perf, tmp_path):
+        status = tmp_path / "status"
+        status.write_text("Name:\tpython\nVmHWM:\t   61440 kB\n")
+        assert perf.peak_rss_mb(str(status)) == 60.0
+        fallback = perf.peak_rss_mb(str(tmp_path / "absent"))
+        assert 0 < fallback <= perf.common.peak_rss_mb()
 
 
 def _policy_after_importing(module: str) -> tuple:
