@@ -26,7 +26,6 @@ smoke scale runs fewer trials and writes no ledger, so smoke passes never
 overwrite the tracked default-scale numbers.
 """
 
-import http.client
 import importlib.util
 import json
 import os
@@ -166,6 +165,9 @@ class Client:
     """One keep-alive HTTP connection to a :class:`repro.engine.NetServer`."""
 
     def __init__(self, net):
+        # imported here, so a bench that opens no connection never loads
+        # http.client (and its ssl and email imports) into its peak RSS
+        import http.client
         self._conn = http.client.HTTPConnection(net.host, net.port,
                                                 timeout=60.0)
 

@@ -22,13 +22,10 @@ frozen engine's plan compiler.  This module is the single implementation:
   — QAT/engine numerical parity holds by construction rather than by keeping
   three hand-written copies in sync.
 
-The pipeline also carries a parameter-versioned static cache: the integer
-tiled weight, its bit-splits and the reshaped scale/shift views depend only on
-the layer's parameters, so repeated no-grad eval forwards reuse them instead
-of re-deriving them from Python loops every call.  The cache keys on the
-identity of the parameter arrays (every optimizer step and LSQ init assigns a
-fresh array) and is bypassed whenever gradients could flow, so QAT training
-semantics are untouched.
+Every un-frozen forward, training or eval, walks the whole stage list and
+re-derives the weight state from the live parameters, so an in-place edit of
+a parameter shows in the next call; :func:`repro.engine.freeze` is the eval
+fast path.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import numpy as np
 from ..cim.tiling import WeightMapping, valid_rows_mask
 from ..nn import functional as F
 from ..nn.module import Module
-from ..nn.tensor import Tensor, is_grad_enabled, no_grad
+from ..nn.tensor import Tensor, no_grad
 from ..quant.bitsplit import BitSplitConfig, split_signed, split_tensor_ste
 from .requant import compile_requant
 
@@ -304,7 +301,7 @@ def varied_splits(splits: np.ndarray, w_bar: np.ndarray, variation) -> np.ndarra
 
 
 # --------------------------------------------------------------------------- #
-# execution context and static cache
+# execution context
 # --------------------------------------------------------------------------- #
 @dataclass
 class PipelineContext:
@@ -316,8 +313,6 @@ class PipelineContext:
     adapter: Any
     pipeline: "CIMPipeline"
     batch: int = 0
-    use_static: bool = False             # serve parameter-cached weight state
-    varied: bool = False                 # variation perturbed the cell codes
     out_spatial: Optional[Tuple[int, int]] = None
     a_int: Optional[Tensor] = None       # integer activation codes
     s_a: Optional[Tensor] = None         # activation scale
@@ -327,44 +322,6 @@ class PipelineContext:
     psum: Optional[Tensor] = None        # canonical (S, A, N[, L], OC)
     psum_deq: Optional[Tensor] = None    # dequantized partial sums
     out: Optional[Tensor] = None         # layer output
-
-
-class _StaticCache:
-    """Parameter-versioned cache of the input-independent pipeline state.
-
-    Holds the quantized tiled weight, its bit-splits, the MAC-ready split
-    operand and the broadcast scale view.  Versioning keys on the *identity*
-    of the weight / weight-scale arrays: every optimizer step and every LSQ
-    (re)initialisation assigns a fresh ``.data`` array, so ``is`` comparisons
-    detect staleness without hashing tensor contents.  Strong references to
-    the keyed arrays are kept, so an id can never be recycled while the entry
-    lives.
-    """
-
-    __slots__ = ("weight_ref", "scale_ref", "w_bar", "s_w", "splits",
-                 "split_operand", "s_w_view", "hits", "misses")
-
-    def __init__(self):
-        self.weight_ref = None
-        self.scale_ref = None
-        self.w_bar: Optional[Tensor] = None
-        self.s_w: Optional[Tensor] = None
-        self.splits: Optional[Tensor] = None
-        self.split_operand: Optional[Tensor] = None
-        self.s_w_view: Optional[Tensor] = None
-        self.hits = 0
-        self.misses = 0
-
-    def fresh(self, layer: "CIMLayerBase") -> bool:
-        return (self.w_bar is not None
-                and self.weight_ref is layer.weight.data
-                and self.scale_ref is layer.weight_quant.scale.data)
-
-    def invalidate(self) -> None:
-        self.weight_ref = None
-        self.scale_ref = None
-        self.w_bar = self.s_w = self.splits = None
-        self.split_operand = self.s_w_view = None
 
 
 # --------------------------------------------------------------------------- #
@@ -420,11 +377,7 @@ class WeightTileQuantStage(PipelineStage):
 
     def run(self, ctx: PipelineContext) -> None:
         """Produce integer weight codes ``ctx.w_bar`` and scale ``ctx.s_w``."""
-        if ctx.use_static:
-            cache = ctx.pipeline.ensure_static(ctx.layer)
-            ctx.w_bar, ctx.s_w = cache.w_bar, cache.s_w
-        else:
-            ctx.w_bar, ctx.s_w = ctx.layer.quantized_weight()
+        ctx.w_bar, ctx.s_w = ctx.layer.quantized_weight()
 
     def compile_into(self, state, layer, geometry, adapter) -> None:
         """Snapshot detached integer weight codes and their scale."""
@@ -441,14 +394,15 @@ class BitSplitStage(PipelineStage):
 
     def run(self, ctx: PipelineContext) -> None:
         """Produce ``ctx.splits`` of shape ``(S, A, R, OC)``."""
-        if ctx.use_static:
-            ctx.splits = ctx.pipeline.ensure_static(ctx.layer).splits
-        else:
-            ctx.splits = split_tensor_ste(ctx.w_bar, ctx.geometry.bitsplit)
+        ctx.splits = split_tensor_ste(ctx.w_bar, ctx.geometry.bitsplit)
 
     def compile_into(self, state, layer, geometry, adapter) -> None:
-        """Snapshot the cell codes and shift-and-add factors."""
-        state["splits"] = split_signed(state["w_bar"], geometry.bitsplit)
+        """Replace the weight codes with their cell codes and shift factors.
+
+        The state keeps the weights once: ``w_bar`` is the shift-and-add of
+        ``splits`` (exact), so it is popped here.
+        """
+        state["splits"] = split_signed(state.pop("w_bar"), geometry.bitsplit)
         state["shift_factors"] = np.asarray(geometry.shift_factors,
                                             dtype=np.float64).copy()
 
@@ -465,7 +419,6 @@ class VariationStage(PipelineStage):
             return
         ctx.splits = Tensor(varied_splits(ctx.splits.data, ctx.w_bar.data,
                                           variation))
-        ctx.varied = True
 
 
 class MacStage(PipelineStage):
@@ -476,10 +429,7 @@ class MacStage(PipelineStage):
     def run(self, ctx: PipelineContext) -> None:
         """Unfold activations (adapter) and contract into ``ctx.psum``."""
         cols = ctx.adapter.unfold(ctx)
-        if ctx.use_static and not ctx.varied:
-            operand = ctx.pipeline.ensure_static(ctx.layer).split_operand
-        else:
-            operand = ctx.adapter.split_operand(ctx.splits)
+        operand = ctx.adapter.split_operand(ctx.splits)
         ctx.psum = cols.matmul(operand)        # canonical (S, A, N[, L], OC)
 
 
@@ -529,10 +479,7 @@ class DequantShiftAddStage(PipelineStage):
 
     def run(self, ctx: PipelineContext) -> None:
         """Reduce partial sums into the folded layer output ``ctx.out``."""
-        if ctx.use_static:
-            s_w_b = ctx.pipeline.ensure_static(ctx.layer).s_w_view
-        else:
-            s_w_b = ctx.adapter.weight_scale_view(ctx.s_w)
+        s_w_b = ctx.adapter.weight_scale_view(ctx.s_w)
         contrib = ctx.psum_deq * ctx.pipeline.shift_tensor * s_w_b
         out = contrib.sum(axis=(0, 1)) * ctx.s_a
         ctx.out = ctx.adapter.fold(ctx, out)
@@ -581,7 +528,6 @@ class CIMPipeline:
                         else LinearAdapter(geometry))
         self.stages: List[PipelineStage] = [cls() for cls in DEFAULT_STAGES]
         self.shift_tensor = self.adapter.shift_view()  # constant, reused
-        self._static = _StaticCache()
 
     # ------------------------------------------------------------------ #
     # QAT / eval execution
@@ -591,54 +537,10 @@ class CIMPipeline:
         self.adapter.validate(x)
         ctx = PipelineContext(x=x, layer=self.layer, geometry=self.geometry,
                               adapter=self.adapter, pipeline=self,
-                              batch=x.shape[0],
-                              use_static=self.static_eligible())
+                              batch=x.shape[0])
         for stage in self.stages:
             stage.run(ctx)
         return ctx.out
-
-    def static_eligible(self) -> bool:
-        """True when cached weight state is semantically safe to serve.
-
-        The cache returns graph-free tensors, so it must stay out of the way
-        whenever a backward pass could need the weight-side graph: training
-        mode, or gradient tracking enabled while the weight or its scale still
-        require gradients.  (After :func:`repro.engine.freeze`, or inside
-        ``no_grad`` evaluation, neither holds and the cache serves.)
-        """
-        layer = self.layer
-        if layer.training:
-            return False
-        if not is_grad_enabled():
-            return True
-        return not (layer.weight.requires_grad
-                    or layer.weight_quant.scale.requires_grad)
-
-    def ensure_static(self, layer: "CIMLayerBase") -> _StaticCache:
-        """Return the static cache, refreshing it if the parameters moved."""
-        cache = self._static
-        if cache.fresh(layer):
-            cache.hits += 1
-            return cache
-        cache.misses += 1
-        with no_grad():
-            w_bar, s_w = layer.quantized_weight()
-            splits = split_tensor_ste(w_bar, self.geometry.bitsplit)
-            cache.w_bar, cache.s_w, cache.splits = w_bar, s_w, splits
-            cache.split_operand = self.adapter.split_operand(splits)
-            cache.s_w_view = self.adapter.weight_scale_view(s_w)
-        cache.weight_ref = layer.weight.data
-        cache.scale_ref = layer.weight_quant.scale.data
-        return cache
-
-    def invalidate_static(self) -> None:
-        """Drop the cached weight state (e.g. after loading a state dict)."""
-        self._static.invalidate()
-
-    @property
-    def static_cache_info(self) -> Tuple[int, int]:
-        """``(hits, misses)`` counters of the parameter-versioned cache."""
-        return (self._static.hits, self._static.misses)
 
     # ------------------------------------------------------------------ #
     # plan compilation

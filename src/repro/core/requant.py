@@ -590,17 +590,15 @@ def compile_requant(state: dict) -> Optional[RequantConstants]:
     if state.get("act_scale") is None:
         return None
     s_a = float(np.asarray(state["act_scale"]).reshape(-1)[0])
-    w_bar = np.asarray(state["w_bar"])
-    n_arrays, rows_per_array, out_channels = w_bar.shape
+    splits = np.asarray(state["splits"])
+    n_splits, n_arrays, rows_per_array, out_channels = splits.shape
+    shift_factors = np.asarray(state["shift_factors"], dtype=np.float64)
     act_amax = max(abs(float(state["act_qmin"])), abs(float(state["act_qmax"])))
 
     if state["psum_quant_enabled"]:
-        splits = np.asarray(state["splits"])
-        n_splits = splits.shape[0]
         s_p = np.ascontiguousarray(np.broadcast_to(
             np.asarray(state["s_p"], dtype=np.float64),
             (n_splits, n_arrays, out_channels)))
-        shift_factors = np.asarray(state["shift_factors"], dtype=np.float64)
         s_w_grid = _collapse_weight_scale(np.asarray(state["s_w"]),
                                           n_arrays, out_channels)
         # folded dequant multiplier of the float path, (S, A, OC) -> (A, S, OC)
@@ -622,6 +620,8 @@ def compile_requant(state: dict) -> Optional[RequantConstants]:
         s_out = s_a * s_w_grid.max(axis=0)                  # (OC,)
         m0_fused, shift = quantize_multipliers(s_w_grid / (s_out / s_a))
         m0_adc, shift_adc, m0_out = None, None, None
+        # the fused operand is the weight codes, the splits' shift-and-add
+        w_bar = np.tensordot(shift_factors, splits, axes=1)
         operand_amax = float(np.abs(w_bar).max()) if w_bar.size else 0.0
 
     acc_bound = int(rows_per_array * act_amax * operand_amax)

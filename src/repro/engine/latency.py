@@ -12,13 +12,13 @@ Design constraints, in order:
 * **bounded memory** — serving "millions of users" cannot keep every sample;
   the histogram keeps one integer counter per geometric bucket (a few
   hundred ints for microseconds..minutes), independent of request count;
-* **bounded relative error** — buckets grow by a fixed ``growth`` factor, so
-  a percentile estimate (the geometric midpoint of the bucket holding the
-  order statistic) is within ``sqrt(growth)`` of the true sample value,
+* **bounded relative error** — buckets grow by a fixed :data:`GROWTH` factor,
+  so a percentile estimate (the geometric midpoint of the bucket holding the
+  order statistic) is within ``sqrt(GROWTH)`` of the true sample value,
   multiplicatively.  ``tests/engine/test_latency.py`` pins this against a
   ``numpy.percentile`` oracle on seeded random samples;
-* **exact merging** — merging identically-configured histograms just
-  adds counter arrays, so it is associative and order-independent (the
+* **exact merging** — every histogram has the same buckets, so merging just
+  adds counter arrays; it is associative and order-independent (the
   property suite checks both).  Nothing in the serving path merges yet:
   ``/metrics`` reports each endpoint's own three histograms.
   :meth:`LatencyHistogram.merge` is there for the span model of ROADMAP
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .hotpath import hot_path
 from .locking import ordered
@@ -44,22 +44,25 @@ __all__ = ["LatencyHistogram"]
 # Quantiles every report carries on /metrics.
 REPORT_QUANTILES = (50.0, 95.0, 99.0)
 
+#: The geometric bucket range, in seconds.  Samples below ``MIN_SECONDS``
+#: land in the first bucket, samples above ``MAX_SECONDS`` in the last —
+#: they are still counted (and tracked exactly by ``min`` / ``max``), only
+#: their in-range resolution is lost.
+MIN_SECONDS = 1e-6
+MAX_SECONDS = 120.0
+#: Ratio between consecutive bucket boundaries: percentile estimates are
+#: exact up to a multiplicative ``sqrt(GROWTH)`` (2.5%).
+GROWTH = 1.05
+_LOG_GROWTH = math.log(GROWTH)
+_N_BUCKETS = int(math.ceil(math.log(MAX_SECONDS / MIN_SECONDS)
+                           / _LOG_GROWTH)) + 1
+
 
 class LatencyHistogram:
     """Fixed-memory latency accumulator with bounded-error percentiles.
 
-    Parameters
-    ----------
-    min_value / max_value:
-        The geometric bucket range, in seconds.  Samples below ``min_value``
-        land in the first bucket, samples above ``max_value`` in the last —
-        they are still counted (and tracked exactly by :attr:`min` /
-        :attr:`max`), only their in-range resolution is lost.
-    growth:
-        Ratio between consecutive bucket boundaries.  Percentile estimates
-        are exact up to a multiplicative factor of ``sqrt(growth)`` (2.5%
-        at the default 1.05); smaller growth costs proportionally more
-        buckets.
+    Buckets span :data:`MIN_SECONDS` to :data:`MAX_SECONDS` in steps of
+    :data:`GROWTH`, the same for every histogram.
 
     Thread model: :meth:`record` and the readers take an internal lock, so
     one histogram may be shared by every handler thread of the HTTP server;
@@ -72,18 +75,8 @@ class LatencyHistogram:
     _GUARDED_BY = {"_counts": "_lock", "count": "_lock", "total": "_lock",
                    "min": "_lock", "max": "_lock"}
 
-    def __init__(self, min_value: float = 1e-6, max_value: float = 120.0,
-                 growth: float = 1.05):
-        if not (min_value > 0 and max_value > min_value):
-            raise ValueError("need 0 < min_value < max_value")
-        if growth <= 1.0:
-            raise ValueError("growth must be > 1")
-        self.min_value = float(min_value)
-        self.max_value = float(max_value)
-        self.growth = float(growth)
-        self._log_growth = math.log(self.growth)
-        n = int(math.ceil(math.log(max_value / min_value) / self._log_growth))
-        self._counts = [0] * (n + 1)
+    def __init__(self):
+        self._counts = [0] * _N_BUCKETS
         self.count = 0
         self.total = 0.0          # sum of recorded seconds (for the mean)
         self.min: Optional[float] = None   # exact extremes, not bucketed
@@ -98,10 +91,10 @@ class LatencyHistogram:
 
         :guarded-by: _lock
         """
-        if value <= self.min_value:
+        if value <= MIN_SECONDS:
             return 0
-        index = int(math.log(value / self.min_value) / self._log_growth)
-        return min(index, len(self._counts) - 1)
+        index = int(math.log(value / MIN_SECONDS) / _LOG_GROWTH)
+        return min(index, _N_BUCKETS - 1)
 
     @hot_path
     def record(self, seconds: float) -> None:
@@ -116,13 +109,6 @@ class LatencyHistogram:
             self.total += value
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
-
-    def record_many(self, values: Iterable[float]) -> None:
-        """Record every sample of an iterable (a convenience for
-        tests/benchmarks).  Thread-safe; the lock is taken per sample, so
-        concurrent readers interleave between samples."""
-        for value in values:
-            self.record(value)
 
     # ------------------------------------------------------------------ #
     # reading
@@ -140,8 +126,8 @@ class LatencyHistogram:
 
         :guarded-by: _lock
         """
-        low = self.min_value * self.growth ** index
-        value = low * math.sqrt(self.growth) if index else self.min_value
+        low = MIN_SECONDS * GROWTH ** index
+        value = low * math.sqrt(GROWTH) if index else MIN_SECONDS
         if self.max is not None:
             value = min(value, self.max)
         if self.min is not None:
@@ -154,7 +140,7 @@ class LatencyHistogram:
         Returns the geometric midpoint of the bucket containing the
         ``ceil(q/100 * count)``-th order statistic, clamped to the exact
         observed ``[min, max]`` — so the estimate is within a factor of
-        ``sqrt(growth)`` of the true sample percentile, and ``q=0`` /
+        ``sqrt(GROWTH)`` of the true sample percentile, and ``q=0`` /
         ``q=100`` are exact.  Thread-safe: scans under the internal lock.
         """
         if not 0.0 <= q <= 100.0:
@@ -183,16 +169,11 @@ class LatencyHistogram:
     # ------------------------------------------------------------------ #
     # merging / serialization
     # ------------------------------------------------------------------ #
-    def _same_shape(self, other: "LatencyHistogram") -> bool:
-        return (self.min_value == other.min_value
-                and self.max_value == other.max_value
-                and self.growth == other.growth)
-
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Accumulate ``other`` into this histogram (and return ``self``).
 
-        Both histograms must share a bucket configuration; merging then adds
-        integer counter arrays, which makes it exactly associative and
+        Every histogram has the same buckets, so merging adds integer
+        counter arrays, which makes it exactly associative and
         commutative on counts and percentiles (the float ``total`` is summed
         pairwise, so the mean is associative up to float rounding).
 
@@ -201,11 +182,6 @@ class LatencyHistogram:
         the same pair (``a.merge(b)`` racing ``b.merge(a)``) cannot
         deadlock and never observe a half-applied merge.
         """
-        if not self._same_shape(other):
-            raise ValueError(
-                "cannot merge histograms with different bucket configs: "
-                f"({self.min_value}, {self.max_value}, {self.growth}) vs "
-                f"({other.min_value}, {other.max_value}, {other.growth})")
         with ordered(self._lock, other._lock):
             for index, bucket_count in enumerate(other._counts):
                 self._counts[index] += bucket_count
@@ -220,9 +196,9 @@ class LatencyHistogram:
         return self
 
     def copy(self) -> "LatencyHistogram":
-        """An independent snapshot with the same configuration and counts.
+        """An independent snapshot with the same counts.
         Thread-safe: delegates to :meth:`merge`, which locks both sides."""
-        snapshot = LatencyHistogram(self.min_value, self.max_value, self.growth)
+        snapshot = LatencyHistogram()
         snapshot.merge(self)
         return snapshot
 
@@ -230,7 +206,7 @@ class LatencyHistogram:
         """Zero every counter (e.g. between benchmark phases).
         Thread-safe: swaps the counters under the internal lock."""
         with self._lock:
-            self._counts = [0] * len(self._counts)
+            self._counts = [0] * _N_BUCKETS
             self.count = 0
             self.total = 0.0
             self.min = None

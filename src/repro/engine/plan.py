@@ -825,7 +825,6 @@ def _snapshot_common(layer, signature) -> dict:
     once, as ``splits`` in the narrowest signed integer dtype holding them.
     """
     state = layer.pipeline.compile_state()
-    del state["w_bar"]
     codes = state["splits"]
     lo, hi = int(codes.min(initial=0)), int(codes.max(initial=0))
     state["splits"] = codes.astype(next(

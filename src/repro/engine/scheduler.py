@@ -58,11 +58,6 @@ class RequestTiming:
     queue_s: float = 0.0          # submit -> batch claimed by a shard
     compute_s: float = 0.0        # batch claimed -> batch results ready
 
-    @property
-    def total_s(self) -> float:
-        """Queue wait plus compute time (the server-side request latency)."""
-        return self.queue_s + self.compute_s
-
 
 @dataclass
 class Request:

@@ -1,4 +1,4 @@
-"""CIMPipeline: stage list, geometry, adapters, static cache, plan state."""
+"""CIMPipeline: stage list, geometry, adapters, eval forward, plan state."""
 
 import zipfile
 
@@ -88,84 +88,41 @@ class TestGeometry:
                                       valid_rows_mask(lin.mapping))
 
 
-class TestStaticCache:
+class TestEvalForward:
+    """Every un-frozen forward walks the stages on the live parameters."""
+
     def _eval_forward(self, layer, x):
         layer.eval()
         with no_grad():
             return layer(x).data.copy()
 
-    @pytest.mark.parametrize("kind", ["conv", "linear"])
-    def test_cache_hits_on_repeated_eval_forwards(self, rng, cfg, kind):
-        layer = make_conv(cfg) if kind == "conv" else make_linear(cfg)
-        shape = (2, 6, 6, 6) if kind == "conv" else (2, 40)
-        x = Tensor(np.abs(rng.normal(size=shape)))
-        first = self._eval_forward(layer, x)
-        hits0, misses0 = layer.pipeline.static_cache_info
-        assert misses0 == 1
-        second = self._eval_forward(layer, x)
-        hits1, misses1 = layer.pipeline.static_cache_info
-        assert misses1 == 1 and hits1 > hits0
-        np.testing.assert_array_equal(first, second)
-
-    def test_cache_matches_uncached_path(self, rng, cfg):
-        """Served-from-cache outputs equal the live recompute bit for bit."""
+    def test_no_grad_eval_matches_grad_tracking_eval(self, rng, cfg):
+        """A no_grad eval forward equals the gradient-tracking one bit for
+        bit, and the tracked one still backpropagates to the weight."""
         layer = make_conv(cfg)
         x = Tensor(np.abs(rng.normal(size=(2, 6, 6, 6))))
         layer.eval()
-        live = layer(x).data.copy()        # grads on -> live path
+        tracked = layer(x)
         with no_grad():
-            cached = layer(x).data
-        np.testing.assert_array_equal(live, cached)
-
-    def test_parameter_update_invalidates_cache(self, rng, cfg):
-        layer = make_conv(cfg)
-        x = Tensor(np.abs(rng.normal(size=(1, 6, 6, 6))))
-        before = self._eval_forward(layer, x)
-        layer.weight.data = layer.weight.data + 0.5   # optimizer-style assign
-        after = self._eval_forward(layer, x)
-        _, misses = layer.pipeline.static_cache_info
-        assert misses == 2
-        assert not np.allclose(before, after)
-
-    def test_invalidate_static_forces_recompute(self, rng, cfg):
-        layer = make_linear(cfg)
-        x = Tensor(np.abs(rng.normal(size=(2, 40))))
-        self._eval_forward(layer, x)
-        layer.pipeline.invalidate_static()
-        self._eval_forward(layer, x)
-        _, misses = layer.pipeline.static_cache_info
-        assert misses == 2
-
-    def test_training_mode_bypasses_cache(self, rng, cfg):
-        layer = make_conv(cfg)
-        x = Tensor(np.abs(rng.normal(size=(1, 6, 6, 6))), requires_grad=True)
-        (layer(x) ** 2).sum().backward()
-        assert layer.pipeline.static_cache_info == (0, 0)
+            untracked = layer(x).data
+        np.testing.assert_array_equal(tracked.data, untracked)
+        (tracked ** 2).sum().backward()
         assert layer.weight.grad is not None
-        assert not layer.pipeline.static_eligible()
 
-    def test_eval_with_learnable_params_bypasses_cache(self, rng, cfg):
-        """Eval + grad tracking + learnable weights must stay on the live
-        path, so a later backward through the output remains possible."""
-        layer = make_conv(cfg)
-        layer.eval()
-        layer(Tensor(np.abs(rng.normal(size=(1, 6, 6, 6)))))
-        assert layer.pipeline.static_cache_info == (0, 0)
-
-    def test_variation_reuses_cached_splits_but_not_operand(self, rng, cfg):
-        """With variation attached, the cached pre-variation cell codes are
-        still served; only the perturbed MAC operand is rebuilt per forward."""
-        from repro.cim import VariationModel
-        layer = make_conv(cfg)
-        x = Tensor(np.abs(rng.normal(size=(1, 6, 6, 6))))
-        clean = self._eval_forward(layer, x)
-        layer.set_variation(VariationModel(sigma=0.1, seed=3))
-        layer.eval()
-        with no_grad():
-            varied = layer(x).data
-        hits, misses = layer.pipeline.static_cache_info
-        assert misses == 1 and hits >= 1
-        assert not np.allclose(clean, varied)
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_in_place_weight_edit_shows_in_the_next_forward(self, rng, cfg,
+                                                           kind):
+        """An in-place edit keeps the weight array's identity; the next
+        eval forward must still see the new values."""
+        layer = make_conv(cfg) if kind == "conv" else make_linear(cfg)
+        shape = (2, 6, 6, 6) if kind == "conv" else (2, 40)
+        x = Tensor(np.abs(rng.normal(size=shape)))
+        before = self._eval_forward(layer, x)
+        layer.weight.data *= 2.0
+        after = self._eval_forward(layer, x)
+        assert not np.array_equal(before, after)
+        layer.weight.data /= 2.0
+        np.testing.assert_array_equal(self._eval_forward(layer, x), before)
 
 
 #: (weight, partial-sum) granularities; ``None`` is no partial-sum
@@ -178,7 +135,7 @@ BIT_SPLITS = [(3, 1), (4, 2), (8, 3), (8, 8)]
 
 class TestCompileState:
     REQUIRED_KEYS = {"out_channels", "n_arrays", "rows_per_array", "n_splits",
-                     "pad_rows", "mapping", "w_bar", "s_w", "splits",
+                     "pad_rows", "mapping", "s_w", "splits",
                      "shift_factors", "bias", "act_scale", "act_qmin",
                      "act_qmax", "psum_quant_enabled", "s_p", "psum_qmin",
                      "psum_qmax", "requant"}
@@ -191,10 +148,11 @@ class TestCompileState:
         layer(Tensor(np.abs(rng.normal(size=shape))))
         state = layer.pipeline.compile_state()
         assert set(state) == self.REQUIRED_KEYS
-        # the bit-split reconstruction invariant survives compilation
+        # the state keeps the weights once, as cell codes whose
+        # shift-and-add is the layer's weight codes, exactly
         shifts = state["shift_factors"].reshape(-1, 1, 1, 1)
-        np.testing.assert_allclose((state["splits"] * shifts).sum(axis=0),
-                                   state["w_bar"], atol=0)
+        np.testing.assert_array_equal((state["splits"] * shifts).sum(axis=0),
+                                      layer.quantized_weight()[0].data)
 
     @pytest.mark.parametrize("weight_bits,cell_bits", BIT_SPLITS,
                              ids=[f"w{w}c{c}" for w, c in BIT_SPLITS])

@@ -2,7 +2,7 @@
 
 The histogram's contract is *bounded relative error*: a percentile estimate
 is the geometric midpoint of the bucket holding the nearest-rank order
-statistic, so it must lie within a multiplicative ``sqrt(growth)`` of the
+statistic, so it must lie within a multiplicative ``sqrt(GROWTH)`` of the
 true sample percentile.  The nearest-rank statistic itself always lies
 between ``numpy.percentile(..., method="lower")`` and ``method="higher"``,
 which gives the oracle band checked here on seeded random samples.  Merging
@@ -17,12 +17,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine.latency import LatencyHistogram
+from repro.engine.latency import GROWTH, MAX_SECONDS, LatencyHistogram
 
 
-def _filled(samples, **kwargs):
-    histogram = LatencyHistogram(**kwargs)
-    histogram.record_many(samples)
+def _filled(samples):
+    histogram = LatencyHistogram()
+    for sample in samples:
+        histogram.record(sample)
     return histogram
 
 
@@ -42,22 +43,22 @@ def test_percentiles_within_growth_band_of_numpy(seed, distribution):
                                   rng.normal(8e-2, 5e-3, size=350)])
     samples = np.abs(samples)
     histogram = _filled(samples)
-    slack = math.sqrt(histogram.growth)
+    slack = math.sqrt(GROWTH)
     for q in (1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9):
         estimate = histogram.percentile(q)
         low = float(np.percentile(samples, q, method="lower"))
         high = float(np.percentile(samples, q, method="higher"))
         assert low / slack * (1 - 1e-9) <= estimate <= high * slack * (1 + 1e-9), \
-            f"q={q}: {estimate} outside [{low}, {high}] x sqrt(growth)"
+            f"q={q}: {estimate} outside [{low}, {high}] x sqrt(GROWTH)"
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_nearest_rank_oracle_tight(seed):
-    """Against the exact nearest-rank statistic the estimate is sqrt(growth)-tight."""
+    """Against the exact nearest-rank statistic the estimate is sqrt(GROWTH)-tight."""
     rng = np.random.default_rng(100 + seed)
     samples = np.sort(np.abs(rng.lognormal(-5.0, 1.5, size=513)))
     histogram = _filled(samples)
-    slack = math.sqrt(histogram.growth)
+    slack = math.sqrt(GROWTH)
     for q in (5.0, 50.0, 95.0, 99.0):
         rank = max(1, math.ceil(q / 100.0 * samples.size))
         oracle = samples[rank - 1]
@@ -83,13 +84,14 @@ def test_single_sample_every_percentile_exact():
 
 
 def test_out_of_range_values_still_counted_and_clamped():
-    histogram = LatencyHistogram(min_value=1e-6, max_value=1.0)
-    histogram.record(1e-9)     # below min_value -> first bucket
-    histogram.record(50.0)     # above max_value -> last bucket
+    histogram = LatencyHistogram()
+    above = 2 * MAX_SECONDS
+    histogram.record(1e-9)     # below MIN_SECONDS -> first bucket
+    histogram.record(above)    # above MAX_SECONDS -> last bucket
     assert histogram.count == 2
-    assert histogram.max == 50.0                  # exact despite bucketing
-    assert histogram.percentile(100.0) == 50.0
-    assert histogram.percentile(1.0) <= histogram.percentile(99.0) <= 50.0
+    assert histogram.max == above                 # exact despite bucketing
+    assert histogram.percentile(100.0) == above
+    assert histogram.percentile(1.0) <= histogram.percentile(99.0) <= above
 
 
 def test_negative_record_clamps_to_zero():
@@ -105,15 +107,6 @@ def test_bad_quantile_raises():
         histogram.percentile(-1.0)
     with pytest.raises(ValueError):
         histogram.percentile(100.5)
-
-
-def test_bad_config_raises():
-    with pytest.raises(ValueError):
-        LatencyHistogram(min_value=0.0)
-    with pytest.raises(ValueError):
-        LatencyHistogram(min_value=1.0, max_value=0.5)
-    with pytest.raises(ValueError):
-        LatencyHistogram(growth=1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -188,13 +181,6 @@ def test_merge_empty_windows_is_identity():
             histogram.min, histogram.max) == before
     assert empty._counts == histogram._counts
     assert empty.percentile(50.0) == histogram.percentile(50.0)
-
-
-def test_merge_mismatched_config_raises():
-    with pytest.raises(ValueError):
-        LatencyHistogram(growth=1.05).merge(LatencyHistogram(growth=1.1))
-    with pytest.raises(ValueError):
-        LatencyHistogram(max_value=10.0).merge(LatencyHistogram(max_value=20.0))
 
 
 # --------------------------------------------------------------------------- #

@@ -2,9 +2,10 @@
 
 The frozen plans are compiled from the same
 :class:`~repro.core.pipeline.CIMPipeline` stage list that executes the QAT
-forward, so agreement is structural — these tests pin the acceptance bound
-(<= 1e-10 max abs diff) for both layer kinds across both partial-sum
-quantization modes, plus the variation and recorder behaviours riding on it.
+forward, so agreement is structural — these tests pin the parity bound
+(``PARITY_BOUND`` max abs diff) for both layer kinds across every weight x
+partial-sum granularity and both partial-sum quantization modes, plus the
+variation and recorder behaviours riding on it.
 """
 
 import numpy as np
@@ -15,14 +16,24 @@ from repro.cim import CIMConfig, QuantScheme, VariationModel
 from repro.core import CIMConv2d, CIMLinear, PartialSumRecorder
 from repro.nn import Tensor
 
+#: Max |QAT - frozen| the parity tests allow.  The two sides add the same
+#: float64 terms in a different order, so they agree to rounding: a 20-seed
+#: sweep of these layers over every granularity pair, both kinds and both
+#: psum modes read 8.9e-16 to 4.0e-15, never 0.0 (25x headroom here).
+PARITY_BOUND = 1e-13
+
+GRANULARITIES = ("layer", "array", "column")
+
 
 @pytest.fixture
 def cfg():
     return CIMConfig(array_rows=32, array_cols=32, cell_bits=2)
 
 
-def build_layer(kind, cfg, quantize_psum):
-    scheme = QuantScheme(weight_granularity="column", psum_granularity="column",
+def build_layer(kind, cfg, quantize_psum, weight_granularity="column",
+                psum_granularity="column"):
+    scheme = QuantScheme(weight_granularity=weight_granularity,
+                         psum_granularity=psum_granularity,
                          quantize_psum=quantize_psum)
     if kind == "conv":
         return CIMConv2d(6, 8, 3, padding=1, bias=True, scheme=scheme,
@@ -37,19 +48,29 @@ def eval_batch(rng, kind):
 
 
 class TestQATvsFrozenParity:
-    """Acceptance criterion: QAT forward and frozen engine agree <= 1e-10
-    for both layer types, with partial-sum quantization on and off."""
+    """QAT forward and frozen engine agree to ``PARITY_BOUND`` for both
+    layer types, every granularity pair, partial-sum quantization on and off.
+
+    The agreement is to rounding, not bit for bit, because the two sides
+    order the same float64 operations differently: the QAT stages scale each
+    (split, array) partial sum step by step (ADC dequant, shift factor,
+    weight scale) and sum over (S, A) at once, while the plan multiplies by
+    the folded ``m_fold`` (or, with partial sums unquantized, runs one GEMM
+    on the shift-added weight codes) and adds the arrays one by one.
+    """
 
     @pytest.mark.parametrize("kind", ["conv", "linear"])
     @pytest.mark.parametrize("quantize_psum", [True, False])
-    def test_parity(self, rng, cfg, kind, quantize_psum):
-        layer = build_layer(kind, cfg, quantize_psum)
+    @pytest.mark.parametrize("psum_g", GRANULARITIES)
+    @pytest.mark.parametrize("weight_g", GRANULARITIES)
+    def test_parity(self, rng, cfg, kind, quantize_psum, weight_g, psum_g):
+        layer = build_layer(kind, cfg, quantize_psum, weight_g, psum_g)
         layer.eval()
         x = eval_batch(rng, kind)
         qat_out = layer(x).data.copy()
         frozen = engine.freeze(layer)
         frozen_out = frozen(x).data
-        assert np.abs(frozen_out - qat_out).max() <= 1e-10
+        assert np.abs(frozen_out - qat_out).max() <= PARITY_BOUND
 
     @pytest.mark.parametrize("kind", ["conv", "linear"])
     def test_parity_survives_psum_toggle(self, rng, cfg, kind):
@@ -61,9 +82,9 @@ class TestQATvsFrozenParity:
         layer.set_psum_quant_enabled(False)
         without_psum = layer(x).data.copy()
         frozen = engine.freeze(layer)
-        assert np.abs(frozen(x).data - without_psum).max() <= 1e-10
+        assert np.abs(frozen(x).data - without_psum).max() <= PARITY_BOUND
         frozen.set_psum_quant_enabled(True)
-        assert np.abs(frozen(x).data - with_psum).max() <= 1e-10
+        assert np.abs(frozen(x).data - with_psum).max() <= PARITY_BOUND
 
 
 class TestVariationParity:

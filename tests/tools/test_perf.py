@@ -170,3 +170,17 @@ def test_direct_bench_run_has_the_pytest_cpu_policy():
     threads, workers = _policy_after_importing("bench_runner_throughput")
     assert threads in ("1", "None")
     assert workers == _policy_after_importing("conftest")[1]
+
+
+def test_importing_perf_loads_no_http_client():
+    """Only a bench that opens a connection pays for ``http.client`` and
+    what it imports: importing the core loads none of them."""
+    code = (f"import sys; sys.path.insert(0, {_BENCHMARKS!r}); import perf; "
+            "print(*(m for m in ('http.client', 'ssl', 'email.parser') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ,
+                              "PYTHONPATH": os.path.join(_ROOT, "src")},
+                         cwd=_ROOT, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.split() == []
